@@ -63,17 +63,13 @@ inline void banner(const std::string& what, const std::string& paper_ref) {
 /// The evaluation scenario shared by the hit-rate/latency benches:
 /// the paper's nine cities, the 72x18 Starlink shell, a one-day video
 /// trace, and a 15-second link schedule. Heavyweight members are built
-/// once and reused across capacity sweeps.
-///
-/// With `chunk == 0` the whole trace is materialized into `requests`
-/// (legacy mode). With `chunk > 0` nothing is materialized: replays pull
-/// chunked blocks from `workload->generate_stream()` and trace memory
-/// stays O(chunk) regardless of --scale.
+/// once and reused across capacity sweeps. The trace is never
+/// materialized: each replay pulls chunked blocks from
+/// `workload->generate_stream()`, so trace memory stays O(chunk)
+/// regardless of --scale.
 struct VideoScenario {
   explicit VideoScenario(util::Seconds duration = util::kDay,
-                         double scale = 1.0, std::uint64_t seed = 0,
-                         std::size_t chunk = 0)
-      : stream_chunk(chunk) {
+                         double scale = 1.0, std::uint64_t seed = 0) {
     params = trace::default_params(trace::TrafficClass::kVideo);
     params.duration_s = duration.value();
     params.requests_per_weight = static_cast<std::size_t>(
@@ -81,46 +77,23 @@ struct VideoScenario {
     if (seed != 0) params.seed = seed;
     workload = std::make_unique<trace::WorkloadModel>(util::paper_cities(),
                                                       params);
-    if (stream_chunk == 0) requests = trace::merge_by_time(workload->generate());
     shell = std::make_unique<orbit::Constellation>(orbit::WalkerParams{});
     schedule = std::make_unique<sched::LinkSchedule>(
         *shell, util::paper_cities(), duration);
-    if (stream_chunk == 0) {
-      std::printf(
-          "scenario: %zu requests / %.1f TB over %zu cities, %zu epochs\n",
-          requests.size(), total_bytes() / 1e12, util::paper_cities().size(),
-          schedule->epochs());
-    } else {
-      std::printf(
-          "scenario: %llu requests (streamed, chunk=%zu) over %zu cities, "
-          "%zu epochs\n",
-          static_cast<unsigned long long>(workload->total_request_count()),
-          stream_chunk, util::paper_cities().size(), schedule->epochs());
-    }
+    std::printf("scenario: %llu requests (streamed) over %zu cities, "
+                "%zu epochs\n",
+                static_cast<unsigned long long>(workload->total_request_count()),
+                util::paper_cities().size(), schedule->epochs());
   }
 
-  [[nodiscard]] double total_bytes() const {
-    double b = 0.0;
-    for (const auto& r : requests) b += static_cast<double>(r.size);
-    return b;
-  }
-
-  /// Replay the scenario trace into `sim` — materialized vector or
-  /// bounded-memory stream, per `stream_chunk`. Results are bitwise
-  /// identical either way (asserted by tests/test_stream.cpp).
+  /// Replay the scenario trace into `sim`, streamed from the generator.
   void replay_into(core::Simulator& sim) const {
-    if (stream_chunk > 0) {
-      const auto stream = workload->generate_stream({stream_chunk});
-      sim.run(*stream);
-    } else {
-      sim.run(requests);
-    }
+    const auto stream = workload->generate_stream();
+    sim.run(*stream);
   }
 
   trace::WorkloadParams params;
-  std::size_t stream_chunk = 0;
   std::unique_ptr<trace::WorkloadModel> workload;
-  std::vector<trace::Request> requests;
   std::unique_ptr<orbit::Constellation> shell;
   std::unique_ptr<sched::LinkSchedule> schedule;
 };
@@ -151,8 +124,6 @@ capacity_axis() {
 ///   --trace=FILE   record a chrome://tracing JSON timeline to FILE
 ///   --series=PFX   write per-variant epoch-series CSVs under
 ///                  DIR/PFX<tag>_<variant>.csv from simulate() calls
-///   --chunk=N      stream the scenario trace in N-request SoA blocks
-///                  instead of materializing it (bounded-memory replay)
 ///   --rss-budget-mb=N  assert peak RSS <= N MB at exit (exit code 3 on
 ///                  breach); an rss_report.csv lands in --out either way
 ///
@@ -169,7 +140,6 @@ class Harness {
     double scale = 1.0;
     std::string trace_path;
     std::string series_prefix;
-    std::size_t chunk = 0;       // 0 = materialized trace
     double rss_budget_mb = 0.0;  // 0 = report only, no assertion
   };
 
@@ -225,7 +195,7 @@ class Harness {
               ? util::Seconds{15.0 * static_cast<double>(opts_.epochs)}
               : util::kDay;
       scenario_ = std::make_unique<VideoScenario>(duration, opts_.scale,
-                                                  opts_.seed, opts_.chunk);
+                                                  opts_.seed);
     }
     return *scenario_;
   }
@@ -292,15 +262,13 @@ class Harness {
         opts_.trace_path = v;
       } else if (eat("--series", &v)) {
         opts_.series_prefix = v;
-      } else if (eat("--chunk", &v)) {
-        opts_.chunk = std::strtoull(v.c_str(), nullptr, 10);
       } else if (eat("--rss-budget-mb", &v)) {
         opts_.rss_budget_mb = std::atof(v.c_str());
       } else {
         std::fprintf(stderr,
                      "unknown flag %s\nusage: %s [--threads=N] [--seed=N] "
                      "[--out=DIR] [--epochs=N] [--scale=F] [--trace=FILE] "
-                     "[--series=PREFIX] [--chunk=N] [--rss-budget-mb=N]\n",
+                     "[--series=PREFIX] [--rss-budget-mb=N]\n",
                      a.c_str(), argv[0]);
         std::exit(2);
       }
@@ -315,15 +283,15 @@ class Harness {
     if (peak == 0) return;  // platform without RUSAGE maxrss support
     const double peak_mb = static_cast<double>(peak) / (1024.0 * 1024.0);
     if (opts_.rss_budget_mb > 0.0) {
-      std::printf("rss: peak=%.1f MB budget=%.1f MB chunk=%zu\n", peak_mb,
-                  opts_.rss_budget_mb, opts_.chunk);
+      std::printf("rss: peak=%.1f MB budget=%.1f MB\n", peak_mb,
+                  opts_.rss_budget_mb);
     } else {
-      std::printf("rss: peak=%.1f MB chunk=%zu\n", peak_mb, opts_.chunk);
+      std::printf("rss: peak=%.1f MB\n", peak_mb);
     }
     std::ofstream report(out_path("rss_report.csv"), std::ios::app);
     if (report) {
-      report << what_ << ',' << peak_mb << ',' << opts_.rss_budget_mb << ','
-             << opts_.chunk << '\n';
+      report << what_ << ',' << peak_mb << ',' << opts_.rss_budget_mb
+             << '\n';
     }
     if (opts_.rss_budget_mb > 0.0 && peak_mb > opts_.rss_budget_mb) {
       std::fprintf(stderr, "rss: peak %.1f MB exceeds budget %.1f MB\n",

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const util::Seconds duration =
       o.epochs != 0 ? util::Seconds{15.0 * static_cast<double>(o.epochs)}
                     : util::kDay;
-  const bench::VideoScenario base(duration, o.scale, o.seed, o.chunk);
+  const bench::VideoScenario base(duration, o.scale, o.seed);
   const sched::LinkSchedule schedule(*shell, util::paper_cities(),
                                      util::Seconds{base.params.duration_s});
 

@@ -1,12 +1,11 @@
 // Paper-scale streaming gate: generate and replay a >=100M-request video
 // trace through the simulator WITHOUT ever materializing it, and assert
 // the process stays under a fixed RSS budget (--rss-budget-mb; CI wires
-// this to the smoke job). With the legacy materialized path this workload
-// needs ~32 bytes/request of trace memory (~3.2 GB at 100M) before the
-// simulator even starts; the streamed path holds one SoA chunk plus the
-// generator's window buffers regardless of --scale.
+// this to the smoke job). A materialized trace would need ~32 bytes/request
+// (~3.2 GB at 100M) before the simulator even starts; the stream holds one
+// SoA chunk plus the generator's window buffers regardless of --scale.
 //
-//   $ bench_stream_scale --scale=61 --chunk=65536 --rss-budget-mb=1500
+//   $ bench_stream_scale --scale=61 --rss-budget-mb=1500
 //
 // Defaults to a small scale so the binary is cheap to run by hand; the CI
 // smoke job passes the paper-scale flags explicitly.
@@ -20,14 +19,6 @@ int main(int argc, char** argv) {
   harness.default_scale(1.0);
 
   bench::VideoScenario& scenario = harness.scenario();
-  if (scenario.stream_chunk == 0) {
-    // Materialized baseline mode: same workload through the legacy
-    // whole-trace path, for the EXPERIMENTS.md before/after RSS table.
-    // The CI gate always passes --chunk; a misconfigured gate still fails
-    // because the materialized path blows the --rss-budget-mb ceiling.
-    std::printf("materialized baseline mode (--chunk=0): trace held fully "
-                "in memory\n");
-  }
 
   core::SimConfig cfg = harness.sim_config();
   cfg.cache_capacity = util::gib(8);

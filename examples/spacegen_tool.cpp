@@ -69,7 +69,8 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(out_dir, ec);
   for (const auto& t : synthetic) {
     const std::string base = out_dir + "/" + t.location_name;
-    trace::write_binary(t, base + ".bin");
+    trace::VectorStream requests(t.requests);
+    trace::write_binary_stream(requests, base + ".bin");
     trace::write_csv(t, base + ".csv");
   }
   save_models(gen, out_dir + "/models.bin");

@@ -80,7 +80,7 @@ echo "== streamed replay + RSS budget gate =="
 STREAM_SCALE=${SMOKE_STREAM_SCALE:-3}
 STREAM_RSS_MB=${SMOKE_STREAM_RSS_MB:-1500}
 "$BUILD/bench/bench_stream_scale" \
-  --scale="$STREAM_SCALE" --chunk=65536 --epochs=480 --threads=2 \
+  --scale="$STREAM_SCALE" --epochs=480 --threads=2 \
   --rss-budget-mb="$STREAM_RSS_MB" --out="$OUT"
 grep -q '^paper-scale streamed replay' "$OUT/rss_report.csv" ||
   { echo "FAIL: missing streamed-replay row in rss_report.csv"; exit 1; }

@@ -188,23 +188,23 @@ void Simulator::note_sat(VariantState& vs, SatId sat,
   }
 }
 
-void Simulator::build_context(const trace::RequestView& view,
+void Simulator::build_context(const trace::RequestBlock& block,
                               std::uint64_t counter_base, bool need_static,
                               std::vector<RequestContext>& ctx) {
   STARCDN_PROF_SCOPE("Simulator::stage1_context");
   const obs::TraceSpan stage1_span(obs::tracer(), "stage1_context", "core");
   const auto users_per_city =
       static_cast<std::uint64_t>(schedule_->params().users_per_city);
-  ctx.resize(view.count());
-  util::parallel_for(view.count(), [&](std::size_t i) {
+  ctx.resize(block.count());
+  util::parallel_for(block.count(), [&](std::size_t i) {
     RequestContext& c = ctx[i];
-    c.epoch = schedule_->epoch_of(util::Seconds{view.timestamp_s(i)});
+    c.epoch = schedule_->epoch_of(util::Seconds{block.timestamp_s[i]});
     // Logical user terminal issuing this request: rotates through the
     // city's population so an epoch's requests spread over the candidate
     // satellites exactly as CosmicBeats splits them (§5.1).
     const std::uint64_t user =
         util::splitmix64(counter_base + i) % users_per_city;
-    const CityId city{view.location(i)};
+    const CityId city{block.location[i]};
     c.fc = schedule_->first_contact(c.epoch, city, user);
     c.handover = false;
     if (c.epoch.value() > 0 && c.fc.sat.value() >= 0) {
@@ -219,7 +219,7 @@ void Simulator::build_context(const trace::RequestView& view,
 }
 
 void Simulator::replay_variant(VariantState& vs,
-                               const trace::RequestView& view,
+                               const trace::RequestBlock& block,
                                const std::vector<RequestContext>& ctx,
                                bool trace_epochs,
                                std::uint64_t& marked_epoch) {
@@ -229,7 +229,7 @@ void Simulator::replay_variant(VariantState& vs,
   obs::Tracer* const tr = trace_epochs ? obs::tracer() : nullptr;
   const bool is_static = vs.variant == Variant::kStatic;
   const bool record_series = vs.series.enabled();
-  for (std::size_t i = 0; i < view.count(); ++i) {
+  for (std::size_t i = 0; i < block.count(); ++i) {
     ++vs.request_counter;
     const std::uint64_t real = ctx[i].epoch.value();
     if (record_series) vs.series.advance_to(real, vs.shard);
@@ -241,43 +241,9 @@ void Simulator::replay_variant(VariantState& vs,
     // freezes the mapping, so it never hands over by construction.
     if (!is_static && ctx[i].handover) vs.shard.add(ids_.handovers);
     const EpochIdx sched_epoch = is_static ? EpochIdx{0} : ctx[i].epoch;
-    process(vs, view[i], sched_epoch, ctx[i].epoch,
+    process(vs, block.at(i), sched_epoch, ctx[i].epoch,
             is_static ? ctx[i].fc_static : ctx[i].fc);
   }
-}
-
-void Simulator::run(const std::vector<trace::Request>& requests) {
-  if (variants_.empty() || requests.empty()) return;
-  STARCDN_PROF_SCOPE("Simulator::run");
-  obs::TraceSpan run_span(
-      obs::tracer(), "Simulator::run", "core",
-      {obs::arg("requests", static_cast<std::uint64_t>(requests.size())),
-       obs::arg("variants", static_cast<std::uint64_t>(variants_.size()))});
-
-  bool need_static = false;
-  for (const auto& vs : variants_) {
-    need_static = need_static || vs.variant == Variant::kStatic;
-  }
-  // All variant counters advance in lockstep; any of them anchors the
-  // user-terminal rotation for this chunk of the stream.
-  const std::uint64_t counter_base = variants_.front().request_counter;
-  const trace::RequestView view(requests.data(), requests.size());
-  std::vector<RequestContext> ctx;
-  build_context(view, counter_base, need_static, ctx);
-
-  // Stage 2 — one worker per variant. Each VariantState is self-contained
-  // (caches, metrics shard, series, RNG, transient model, counter), and
-  // requests within a variant replay strictly in trace order, so metrics
-  // are bitwise identical for any thread count.
-  util::parallel_for(variants_.size(), [&](std::size_t vi) {
-    VariantState& vs = variants_[vi];
-    std::uint64_t marked_epoch = ~0ULL;
-    replay_variant(vs, view, ctx, vi == 0, marked_epoch);
-    // Fold the trailing epoch's uplink accumulation into the statistics,
-    // then project the shard back onto the legacy VariantMetrics view.
-    vs.metrics.uplink_meter.flush();
-    shard_to_metrics(ids_, vs.shard, vs.metrics);
-  });
 }
 
 void Simulator::run(trace::RequestStream& stream) {
@@ -293,40 +259,40 @@ void Simulator::run(trace::RequestStream& stream) {
   }
 
   // Double buffer: while the variants replay block `cur`, the extra
-  // parallel_for slot pulls the next block from the stream and builds its
-  // stage-1 context (nested parallel_for runs inline on that worker). The
-  // barrier at the end of each parallel_for keeps the hand-off race-free:
-  // the producer is the only writer of blocks[1 - cur]/ctxs[1 - cur], and
+  // parallel_for slot produces the next block: pulls it from the stream,
+  // validates it at the trust boundary and builds its stage-1 context
+  // (nested parallel_for runs inline on that worker). The barrier at the
+  // end of each parallel_for keeps the hand-off race-free: the producer is
+  // the only writer of blocks[1 - cur]/ctxs[1 - cur] and `pos`, and
   // nothing reads them until the next iteration.
   trace::RequestBlock blocks[2];
   std::vector<RequestContext> ctxs[2];
+  trace::StreamPosition pos;
+  const auto produce = [&](int b, std::uint64_t base) {
+    if (!stream.next(blocks[b]) || blocks[b].empty()) return false;
+    trace::validate_block(blocks[b], schedule_->cities(), pos);
+    build_context(blocks[b], base, need_static, ctxs[b]);
+    return true;
+  };
   // Chunk-base bookkeeping: the rotation seed advances by block length, so
-  // terminals rotate exactly as in the materialized path regardless of how
-  // the stream chops the trace. Tracked locally — variant counters mutate
-  // concurrently with the producer's context build.
+  // terminals rotate the same way however the stream chops the trace.
+  // Tracked locally — variant counters mutate concurrently with the
+  // producer's context build.
   std::uint64_t counter_base = variants_.front().request_counter;
   std::vector<std::uint64_t> marked(variants_.size(), ~0ULL);
 
   int cur = 0;
-  bool have = stream.next(blocks[cur]) && !blocks[cur].empty();
-  if (have) {
-    build_context(trace::RequestView(blocks[cur]), counter_base, need_static,
-                  ctxs[cur]);
-  }
+  bool have = produce(cur, counter_base);
   while (have) {
     const std::uint64_t next_base = counter_base + blocks[cur].count();
     bool have_next = false;
     util::parallel_for(variants_.size() + 1, [&](std::size_t slot) {
       if (slot == variants_.size()) {
-        have_next = stream.next(blocks[1 - cur]) && !blocks[1 - cur].empty();
-        if (have_next) {
-          build_context(trace::RequestView(blocks[1 - cur]), next_base,
-                        need_static, ctxs[1 - cur]);
-        }
+        have_next = produce(1 - cur, next_base);
         return;
       }
-      replay_variant(variants_[slot], trace::RequestView(blocks[cur]),
-                     ctxs[cur], slot == 0, marked[slot]);
+      replay_variant(variants_[slot], blocks[cur], ctxs[cur], slot == 0,
+                     marked[slot]);
     });
     counter_base = next_base;
     have = have_next;
@@ -334,9 +300,9 @@ void Simulator::run(trace::RequestStream& stream) {
   }
 
   for (auto& vs : variants_) {
-    // One trailing fold per run, as in the materialized path: flushing per
-    // block would split a (satellite, epoch) uplink cell at chunk
-    // boundaries and skew the throughput statistics.
+    // One trailing fold per run() call: flushing per block would split a
+    // (satellite, epoch) uplink cell at chunk boundaries and skew the
+    // throughput statistics.
     vs.metrics.uplink_meter.flush();
     shard_to_metrics(ids_, vs.shard, vs.metrics);
   }

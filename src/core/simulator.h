@@ -178,24 +178,31 @@ class Simulator {
   /// sink must outlive the simulator. Sinks fire in registration order.
   void add_sink(MetricsSink& sink);
 
-  /// Replay requests (must be time-ordered, e.g. trace::merge_by_time).
-  /// May be called repeatedly to stream a long trace in chunks.
+  /// Replay a chunked stream (trace::RequestStream) with O(chunk) memory.
+  /// May be called repeatedly to replay a long trace in pieces.
+  ///
+  /// Every block passes trace::validate_block before it is used: a
+  /// location outside the schedule's cities, a non-finite timestamp or a
+  /// timestamp that goes back in time throws std::invalid_argument.
   ///
   /// Variants replay concurrently (one worker per VariantState; see
   /// util::parallel_for). Each variant owns its caches, metrics, RNG
   /// stream (seeded config.seed ^ variant) and request counter, so the
   /// resulting metrics are bitwise identical for any thread count.
-  void run(const std::vector<trace::Request>& requests);
-
-  /// Replay a chunked stream (trace::RequestStream) with O(chunk) memory.
-  ///
   /// Double-buffered: while the variants replay chunk N, one extra
-  /// parallel_for slot pulls chunk N+1 from the stream and builds its
-  /// stage-1 request context, so generation/IO overlaps replay. Chunk-base
-  /// bookkeeping keeps the user-terminal rotation identical to the
-  /// materialized path, so metrics are bitwise identical to
-  /// run(collect(stream)) for any chunk size and thread count.
+  /// parallel_for slot pulls chunk N+1 from the stream, validates it and
+  /// builds its stage-1 request context, so generation/IO overlaps replay.
+  /// Chunk-base bookkeeping keeps the user-terminal rotation independent
+  /// of how the stream chops the trace, so metrics are bitwise identical
+  /// for any chunk size.
   void run(trace::RequestStream& stream);
+
+  /// Replay time-ordered requests (e.g. trace::merge_by_time): streams the
+  /// vector in kDefaultChunkRequests chunks through run(stream).
+  void run(const std::vector<trace::Request>& requests) {
+    trace::VectorStream stream(requests);
+    run(stream);
+  }
 
   /// Close the run: seals each variant's epoch series, merges the
   /// per-variant shards (registration order — deterministic), collects
@@ -252,14 +259,14 @@ class Simulator {
   /// Stage-1 fan-out over one chunk: each slot is a pure function of the
   /// request index, seeded by `counter_base` (the shared request-counter
   /// position at the chunk's first request).
-  void build_context(const trace::RequestView& view,
+  void build_context(const trace::RequestBlock& block,
                      std::uint64_t counter_base, bool need_static,
                      std::vector<RequestContext>& ctx);
   /// Stage-2 replay of one chunk for one variant, strictly in trace order.
   /// `trace_epochs` is set for one variant only (or the trace timeline
   /// would repeat per worker); `marked_epoch` carries its epoch-instant
   /// dedup across chunks.
-  void replay_variant(VariantState& vs, const trace::RequestView& view,
+  void replay_variant(VariantState& vs, const trace::RequestBlock& block,
                       const std::vector<RequestContext>& ctx,
                       bool trace_epochs, std::uint64_t& marked_epoch);
 

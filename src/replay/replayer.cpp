@@ -223,7 +223,9 @@ ReplayReport replay_cluster(const orbit::Constellation& constellation,
   };
 
   trace::RequestBlock block;
+  trace::StreamPosition pos;
   while (stream.next(block)) {
+    trace::validate_block(block, schedule.cities(), pos);
     for (std::size_t i = 0; i < block.count(); ++i) process(block.at(i));
   }
 

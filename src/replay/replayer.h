@@ -51,7 +51,8 @@ struct ReplayReport {
 
 /// Replay a chunked time-ordered stream through a per-satellite worker
 /// cluster with O(chunk) trace memory. Throws std::runtime_error on
-/// transport failures.
+/// transport failures and std::invalid_argument on a block that fails
+/// trace::validate_block.
 [[nodiscard]] ReplayReport replay_cluster(
     const orbit::Constellation& constellation,
     const sched::LinkSchedule& schedule, trace::RequestStream& stream,

@@ -44,6 +44,8 @@ class LinkSchedule {
                const SchedulerParams& params = {});
 
   [[nodiscard]] std::size_t epochs() const noexcept { return epochs_; }
+  /// Number of cities scheduled; a request's location must be below it.
+  [[nodiscard]] std::size_t cities() const noexcept { return n_cities_; }
   [[nodiscard]] util::Seconds epoch_duration() const noexcept {
     return params_.epoch;
   }

@@ -1,6 +1,10 @@
 #include "trace/stream.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "util/loser_tree.h"
 
@@ -8,10 +12,10 @@ namespace starcdn::trace {
 
 namespace {
 
-/// Orders live traces by (head timestamp, trace index) — identical to the
-/// old concatenate-in-trace-order + stable_sort-by-timestamp contract of
-/// merge_by_time — and ranks exhausted traces last (among themselves by
-/// index, keeping the order strict and total).
+/// Orders live traces by (head timestamp, trace index) — identical to
+/// concatenating in trace order and stable-sorting by timestamp — and ranks
+/// exhausted traces last (among themselves by index, keeping the order
+/// strict and total).
 struct TraceHeadLess {
   const MultiTrace* traces;
   const std::vector<std::size_t>* pos;
@@ -26,24 +30,14 @@ struct TraceHeadLess {
   }
 };
 
-}  // namespace
-
-std::vector<Request> merge_by_time(const MultiTrace& traces) {
-  std::size_t total = 0;
-  for (const auto& t : traces) total += t.requests.size();
-  std::vector<Request> all;
-  all.reserve(total);
-  std::vector<std::size_t> pos(traces.size(), 0);
-  util::LoserTree<TraceHeadLess> tree(traces.size(),
-                                      TraceHeadLess{&traces, &pos});
-  for (std::size_t i = 0; i < total; ++i) {
-    const std::size_t s = tree.winner();
-    all.push_back(traces[s].requests[pos[s]]);
-    ++pos[s];
-    tree.replayed();
-  }
-  return all;
+/// Round-trippable text for a double, so an error names the exact value.
+std::string exact(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
 }
+
+}  // namespace
 
 VectorStream::VectorStream(const std::vector<Request>& requests,
                            std::size_t chunk_requests)
@@ -106,6 +100,42 @@ std::vector<Request> collect(RequestStream& stream) {
     }
   }
   return all;
+}
+
+std::vector<Request> merge_by_time(const MultiTrace& traces) {
+  MultiTraceStream stream(traces);
+  return collect(stream);
+}
+
+void validate_block(const RequestBlock& block, std::size_t cities,
+                    StreamPosition& pos) {
+  const auto fail = [&](std::size_t i, const char* field,
+                        const std::string& what) {
+    throw std::invalid_argument("request " + std::to_string(pos.index + i) +
+                                ": " + field + " " + what);
+  };
+  double last = pos.last_timestamp_s;
+  for (std::size_t i = 0; i < block.count(); ++i) {
+    if (block.location[i] >= cities) {
+      fail(i, "location",
+           std::to_string(block.location[i]) + " is out of range for " +
+               std::to_string(cities) + " cities");
+    }
+    // NaN compares false against everything, so finiteness is checked
+    // first; epoch_of would otherwise map it silently to epoch 0.
+    const double t = block.timestamp_s[i];
+    if (!std::isfinite(t)) {
+      fail(i, "timestamp_s", exact(t) + " is not finite");
+    }
+    if (t < last) {
+      fail(i, "timestamp_s",
+           exact(t) + " precedes the previous request's " + exact(last) +
+               " (the trace must be time-ordered)");
+    }
+    last = t;
+  }
+  pos.index += block.count();
+  pos.last_timestamp_s = last;
 }
 
 }  // namespace starcdn::trace

@@ -6,12 +6,15 @@
 // RequestBlock is a structure-of-arrays chunk: the simulator's stage-1
 // context fan-out walks timestamps and locations only, and SoA keeps those
 // scans dense instead of striding 32-byte AoS records. RequestStream is the
-// producer interface; adapters bridge the legacy vector/MultiTrace paths in
-// both directions. DESIGN.md §12 documents the pipeline contract.
+// producer interface and the only way a trace reaches a consumer; adapters
+// stream vectors and per-location traces, and validate_block is the one
+// check every consumer runs at the stream boundary. DESIGN.md §12 documents
+// the pipeline contract.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -61,40 +64,6 @@ class RequestBlock {
   [[nodiscard]] Request at(std::size_t i) const noexcept {
     return Request{timestamp_s[i], object[i], size[i], location[i]};
   }
-
-  [[nodiscard]] Bytes total_bytes() const noexcept {
-    Bytes b = 0;
-    for (const Bytes s : size) b += s;
-    return b;
-  }
-};
-
-/// Non-owning view over one chunk of requests in either layout (raw AoS
-/// span or SoA block), so the simulator's replay helpers run unchanged —
-/// and without copying — on both the legacy vector path and the stream
-/// path.
-class RequestView {
- public:
-  RequestView(const Request* aos, std::size_t n) noexcept
-      : aos_(aos), n_(n) {}
-  explicit RequestView(const RequestBlock& block) noexcept
-      : block_(&block), n_(block.count()) {}
-
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] Request operator[](std::size_t i) const noexcept {
-    return aos_ != nullptr ? aos_[i] : block_->at(i);
-  }
-  [[nodiscard]] double timestamp_s(std::size_t i) const noexcept {
-    return aos_ != nullptr ? aos_[i].timestamp_s : block_->timestamp_s[i];
-  }
-  [[nodiscard]] std::uint16_t location(std::size_t i) const noexcept {
-    return aos_ != nullptr ? aos_[i].location : block_->location[i];
-  }
-
- private:
-  const Request* aos_ = nullptr;
-  const RequestBlock* block_ = nullptr;
-  std::size_t n_;
 };
 
 /// Pull-based producer of globally time-ordered request chunks.
@@ -136,8 +105,9 @@ class VectorStream final : public RequestStream {
 };
 
 /// Adapter: globally time-ordered stream over per-location traces without
-/// building the merged O(trace) copy — a k-way loser-tree merge with
-/// merge_by_time's tie-break (timestamp, then trace index, then position).
+/// building the merged O(trace) copy — a k-way loser-tree merge with a
+/// stable tie-break (timestamp, then trace index, then position), and the
+/// one merge behind merge_by_time.
 /// Does not own the traces; they must outlive the stream.
 class MultiTraceStream final : public RequestStream {
  public:
@@ -163,5 +133,21 @@ class MultiTraceStream final : public RequestStream {
 /// Drain a stream into a materialized vector (tests and small scales; at
 /// paper scale this is exactly the allocation streaming exists to avoid).
 [[nodiscard]] std::vector<Request> collect(RequestStream& stream);
+
+/// Where a consumer stands in a stream: carried across blocks by
+/// validate_block, one per stream being consumed.
+struct StreamPosition {
+  std::uint64_t index = 0;  // global index of the next request
+  double last_timestamp_s = -std::numeric_limits<double>::infinity();
+};
+
+/// The trust-boundary check every consumer runs once per block, before it
+/// touches the requests: each location is < `cities`, each timestamp is
+/// finite, and timestamps never decrease — within the block and against
+/// the previous block (`pos`). Throws std::invalid_argument naming the
+/// field, the request's global index and the bad value; on success,
+/// advances `pos` past the block.
+void validate_block(const RequestBlock& block, std::size_t cities,
+                    StreamPosition& pos);
 
 }  // namespace starcdn::trace

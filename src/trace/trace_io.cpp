@@ -1,8 +1,10 @@
 #include "trace/trace_io.h"
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "util/csv.h"
 
@@ -10,8 +12,11 @@ namespace starcdn::trace {
 
 namespace {
 
-constexpr char kMagic[8] = {'S', 'C', 'D', 'N', 'T', 'R', 'C', '1'};
 constexpr char kStreamMagic[8] = {'S', 'C', 'D', 'N', 'S', 'T', 'R', '1'};
+
+/// On-disk bytes per request: one element of each packed SoA column.
+constexpr std::uint64_t kRequestBytes =
+    sizeof(double) + sizeof(ObjectId) + sizeof(Bytes) + sizeof(std::uint16_t);
 
 template <typename T>
 void put(std::ofstream& out, const T& v) {
@@ -19,98 +24,55 @@ void put(std::ofstream& out, const T& v) {
 }
 
 template <typename T>
-T get(std::ifstream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!in) throw std::runtime_error("trace read: truncated file");
-  return v;
-}
-
-}  // namespace
-
-void write_binary(const LocationTrace& trace, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("write_binary: cannot open " + path);
-  out.write(kMagic, sizeof kMagic);
-  put(out, trace.location);
-  const auto name_len = static_cast<std::uint16_t>(trace.location_name.size());
-  put(out, name_len);
-  out.write(trace.location_name.data(), name_len);
-  put(out, static_cast<std::uint64_t>(trace.requests.size()));
-  for (const auto& r : trace.requests) {
-    put(out, r.timestamp_s);
-    put(out, r.object);
-    put(out, r.size);
-    put(out, r.location);
-  }
-  if (!out) throw std::runtime_error("write_binary: write failed " + path);
-}
-
-LocationTrace read_binary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("read_binary: cannot open " + path);
-  char magic[8];
-  in.read(magic, sizeof magic);
-  if (!in || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    throw std::runtime_error("read_binary: bad magic in " + path);
-  }
-  LocationTrace t;
-  t.location = get<std::uint16_t>(in);
-  const auto name_len = get<std::uint16_t>(in);
-  t.location_name.resize(name_len);
-  in.read(t.location_name.data(), name_len);
-  const auto count = get<std::uint64_t>(in);
-  t.requests.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Request r;
-    r.timestamp_s = get<double>(in);
-    r.object = get<ObjectId>(in);
-    r.size = get<Bytes>(in);
-    r.location = get<std::uint16_t>(in);
-    t.requests.push_back(r);
-  }
-  return t;
-}
-
-namespace {
-
-template <typename T>
 void put_array(std::ofstream& out, const std::vector<T>& v) {
   out.write(reinterpret_cast<const char*>(v.data()),
             static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
-template <typename T>
-void get_array(std::ifstream& in, std::vector<T>& v, std::size_t n) {
-  v.resize(n);
-  in.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  if (!in) throw std::runtime_error("trace stream read: truncated file");
-}
-
 class FileRequestStream final : public RequestStream {
  public:
   explicit FileRequestStream(const std::string& path)
-      : in_(path, std::ios::binary) {
+      : path_(path), in_(path, std::ios::binary | std::ios::ate) {
     if (!in_) {
       throw std::runtime_error("open_binary_stream: cannot open " + path);
     }
+    file_bytes_ = static_cast<std::uint64_t>(in_.tellg());
+    in_.seekg(0);
     char magic[8];
     in_.read(magic, sizeof magic);
     if (!in_ || std::memcmp(magic, kStreamMagic, sizeof kStreamMagic) != 0) {
       throw std::runtime_error("open_binary_stream: bad magic in " + path);
     }
-    total_ = get<std::uint64_t>(in_);
+    in_.read(reinterpret_cast<char*>(&total_), sizeof total_);
+    if (!in_) {
+      throw std::runtime_error("open_binary_stream: truncated header in " +
+                               path);
+    }
   }
 
   [[nodiscard]] bool next(RequestBlock& out) override {
     out.clear();
-    const auto n = get<std::uint32_t>(in_);
-    if (n == 0) return false;
-    get_array(in_, out.timestamp_s, n);
-    get_array(in_, out.object, n);
-    get_array(in_, out.size, n);
-    get_array(in_, out.location, n);
+    if (done_) return false;
+    std::uint32_t n = 0;
+    read(&n, sizeof n, "count");
+    if (n == 0) {
+      done_ = true;
+      return false;
+    }
+    // The count is untrusted: bound it by the bytes left in the file
+    // before anything is sized to it.
+    const std::uint64_t need = n * kRequestBytes;
+    const std::uint64_t left =
+        file_bytes_ - static_cast<std::uint64_t>(in_.tellg());
+    if (need > left) {
+      fail("count " + std::to_string(n) + " needs " + std::to_string(need) +
+           " bytes but only " + std::to_string(left) + " remain (truncated)");
+    }
+    get_array(out.timestamp_s, n);
+    get_array(out.object, n);
+    get_array(out.size, n);
+    get_array(out.location, n);
+    ++block_;
     return true;
   }
 
@@ -119,9 +81,49 @@ class FileRequestStream final : public RequestStream {
   }
 
  private:
+  /// Every format error names the file and the ordinal of the block being
+  /// read (0-based; the terminating zero count is a block too).
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error("open_binary_stream: " + path_ + ": block " +
+                             std::to_string(block_) + ": " + what);
+  }
+
+  void read(void* into, std::size_t bytes, const char* what) {
+    in_.read(static_cast<char*>(into), static_cast<std::streamsize>(bytes));
+    if (!in_) fail(std::string("truncated ") + what);
+  }
+
+  template <typename T>
+  void get_array(std::vector<T>& v, std::size_t n) {
+    v.resize(n);
+    read(v.data(), n * sizeof(T), "column");
+  }
+
+  std::string path_;
   std::ifstream in_;
+  std::uint64_t file_bytes_ = 0;
   std::uint64_t total_ = 0;
+  std::uint64_t block_ = 0;
+  bool done_ = false;
 };
+
+/// Parse one whole CSV field as T; `where` is "path:line:column".
+template <typename T>
+T parse_field(const std::string& text, const std::string& where,
+              const char* name) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::runtime_error(where + ": " + name + " '" + text +
+                             "' is out of range");
+  }
+  if (ec != std::errc{} || ptr != end) {
+    throw std::runtime_error(where + ": " + name + " '" + text +
+                             "' is not a number");
+  }
+  return v;
+}
 
 }  // namespace
 
@@ -168,16 +170,28 @@ void write_csv(const LocationTrace& trace, const std::string& path) {
 }
 
 LocationTrace read_csv_trace(const std::string& path) {
-  const auto rows = util::read_csv(path);
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("read_csv_trace: cannot open " + path);
   LocationTrace t;
-  for (std::size_t i = 1; i < rows.size(); ++i) {  // skip header
-    const auto& row = rows[i];
-    if (row.size() < 4) continue;
+  std::string line;
+  for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
+    if (line_no == 1 || line.empty()) continue;  // header, blank lines
+    const auto row = util::parse_csv_line(line);
+    const auto where = [&](std::size_t column) {
+      return path + ":" + std::to_string(line_no) + ":" +
+             std::to_string(column);
+    };
+    if (row.size() < 4) {
+      throw std::runtime_error(
+          where(row.size() + 1) + ": expected 4 fields " +
+          "(timestamp_s,object,size,location), got " +
+          std::to_string(row.size()));
+    }
     Request r;
-    r.timestamp_s = std::stod(row[0]);
-    r.object = std::stoull(row[1]);
-    r.size = std::stoull(row[2]);
-    r.location = static_cast<std::uint16_t>(std::stoul(row[3]));
+    r.timestamp_s = parse_field<double>(row[0], where(1), "timestamp_s");
+    r.object = parse_field<ObjectId>(row[1], where(2), "object");
+    r.size = parse_field<Bytes>(row[2], where(3), "size");
+    r.location = parse_field<std::uint16_t>(row[3], where(4), "location");
     t.requests.push_back(r);
   }
   if (!t.requests.empty()) t.location = t.requests.front().location;

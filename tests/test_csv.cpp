@@ -10,9 +10,13 @@ namespace {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "starcdn_csv_test.csv")
-                          .string();
+  // Per-test file: ctest runs each test in its own process, in parallel.
+  std::string path_ =
+      (std::filesystem::temp_directory_path() /
+       (std::string("starcdn_csv_test.") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".csv"))
+          .string();
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

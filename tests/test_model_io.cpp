@@ -30,9 +30,13 @@ class ModelIoTest : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "starcdn_models_test.bin")
-                          .string();
+  // Per-test file: ctest runs each test in its own process, in parallel.
+  std::string path_ =
+      (std::filesystem::temp_directory_path() /
+       (std::string("starcdn_models_test.") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".bin"))
+          .string();
   static SpaceGen* gen_;
 };
 

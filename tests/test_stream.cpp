@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/simulator.h"
+#include "replay/replayer.h"
 #include "sched/scheduler.h"
 #include "trace/stream.h"
 #include "trace/trace_io.h"
@@ -398,6 +401,125 @@ TEST(SimulatorStream, EmptyStreamIsANoOp) {
   trace::VectorStream stream(none, 64);
   sim.run(stream);
   EXPECT_EQ(sim.metrics(core::Variant::kStarCdn).requests, 0u);
+}
+
+
+// --- validate_block: the one check at the stream boundary ---------------------
+
+/// A valid time-ordered trace of `n` requests over the paper's cities.
+std::vector<trace::Request> ordered_requests(std::size_t n) {
+  std::vector<trace::Request> requests(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    requests[i].timestamp_s = 0.001 * static_cast<double>(i);
+    requests[i].object = i % 97;
+    requests[i].size = 1000;
+    requests[i].location =
+        static_cast<std::uint16_t>(i % util::paper_cities().size());
+  }
+  return requests;
+}
+
+/// Run `requests` through `run(vector)` (chunk == 0) or a VectorStream of
+/// `chunk`-request blocks and return the std::invalid_argument message
+/// (empty when the run succeeds).
+std::string run_error(const std::vector<trace::Request>& requests,
+                      std::size_t chunk) {
+  static const orbit::Constellation shell{orbit::WalkerParams{}};
+  static const sched::LinkSchedule schedule(shell, util::paper_cities(),
+                                            util::Seconds{30 * 60.0});
+  core::SimConfig cfg;
+  cfg.cache_capacity = util::mib(64);
+  core::Simulator sim(shell, schedule, cfg);
+  sim.add_variant(core::Variant::kStarCdn);
+  try {
+    if (chunk == 0) {
+      sim.run(requests);
+    } else {
+      trace::VectorStream stream(requests, chunk);
+      sim.run(stream);
+    }
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+void expect_rejected(const std::vector<trace::Request>& requests,
+                     std::size_t chunk, const std::string& field,
+                     const std::string& index, const std::string& value) {
+  SCOPED_TRACE("chunk=" + std::to_string(chunk));
+  const std::string error = run_error(requests, chunk);
+  EXPECT_NE(error.find(field), std::string::npos) << error;
+  EXPECT_NE(error.find("request " + index + ":"), std::string::npos) << error;
+  EXPECT_NE(error.find(value), std::string::npos) << error;
+}
+
+TEST(StreamValidation, ValidTracesPassIncludingEqualTimestamps) {
+  auto requests = ordered_requests(100);
+  for (auto& r : requests) r.timestamp_s = 5.0;  // ties are time-ordered
+  EXPECT_EQ(run_error(requests, 0), "");
+  EXPECT_EQ(run_error(requests, 7), "");
+}
+
+TEST(StreamValidation, RejectsLocationEqualToCityCount) {
+  // One past the schedule's last city: without the check stage 1 reads
+  // another (epoch, city) cell of the link schedule, or past its end.
+  auto requests = ordered_requests(100);
+  const auto cities = util::paper_cities().size();
+  requests[42].location = static_cast<std::uint16_t>(cities);
+  for (const std::size_t chunk : {std::size_t{0}, std::size_t{16}}) {
+    expect_rejected(requests, chunk, "location", "42",
+                    std::to_string(cities));
+  }
+}
+
+TEST(StreamValidation, RejectsTimestampGoingBackAcrossBlockBoundary) {
+  // The decrease sits at the first request of a block, so only the
+  // cross-block half of the check can see it. run(vector) chunks at
+  // kDefaultChunkRequests.
+  const std::size_t n = trace::kDefaultChunkRequests + 8;
+  auto requests = ordered_requests(n);
+  const std::size_t at = trace::kDefaultChunkRequests;
+  requests[at].timestamp_s = 1.25;
+  expect_rejected(requests, 0, "timestamp_s", std::to_string(at), "1.25");
+  auto small = ordered_requests(40);
+  small[16].timestamp_s = 0.0105;
+  expect_rejected(small, 16, "timestamp_s", "16", "0.0105");
+}
+
+TEST(StreamValidation, RejectsNanTimestamp) {
+  auto requests = ordered_requests(100);
+  requests[9].timestamp_s = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t chunk : {std::size_t{0}, std::size_t{4}}) {
+    expect_rejected(requests, chunk, "timestamp_s", "9", "nan");
+  }
+}
+
+TEST(StreamValidation, ReplayClusterRejectsBadBlocks) {
+  orbit::WalkerParams p;
+  p.planes = 6;
+  p.slots_per_plane = 4;
+  const orbit::Constellation shell{p};
+  const sched::LinkSchedule schedule(shell, util::paper_cities(),
+                                     util::Seconds{600.0});
+  auto requests = ordered_requests(50);
+  requests[30].location = 500;
+  trace::VectorStream stream(requests, 8);
+  EXPECT_THROW((void)replay::replay_cluster(shell, schedule, stream, {}),
+               std::invalid_argument);
+}
+
+TEST(StreamValidation, PositionCarriesAcrossBlocks) {
+  trace::RequestBlock block;
+  block.push_back({1.0, 1, 10, 0});
+  block.push_back({2.0, 2, 10, 1});
+  trace::StreamPosition pos;
+  trace::validate_block(block, 2, pos);
+  EXPECT_EQ(pos.index, 2u);
+  EXPECT_EQ(pos.last_timestamp_s, 2.0);
+  EXPECT_THROW(trace::validate_block(block, 2, pos), std::invalid_argument);
+  trace::StreamPosition fresh;
+  EXPECT_THROW(trace::validate_block(block, 1, fresh), std::invalid_argument);
 }
 
 }  // namespace
