@@ -1,5 +1,9 @@
 #include "core/simulator.h"
 
+#include <algorithm>
+#include <chrono>
+#include <exception>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -134,6 +138,8 @@ void Simulator::add_variant(Variant v) {
     vs.series = obs::EpochSeries(&registry_, core_series_columns(ids_));
   }
   vs.metrics.latency_ms = util::QuantileSampler(config_.latency_reservoir);
+  vs.groups = coupling_groups(*constellation_, mapper_, v, config_.relay_east);
+  vs.group_load.assign(vs.groups.count, 0);
   vs.caches.resize(static_cast<std::size_t>(constellation_->size()));
   if (v == Variant::kPrefetch) {
     vs.prefetch_epoch.assign(static_cast<std::size_t>(constellation_->size()),
@@ -190,6 +196,7 @@ void Simulator::note_sat(VariantState& vs, SatId sat,
 
 void Simulator::build_context(const trace::RequestBlock& block,
                               std::uint64_t counter_base, bool need_static,
+                              bool need_owner,
                               std::vector<RequestContext>& ctx) {
   STARCDN_PROF_SCOPE("Simulator::stage1_context");
   const obs::TraceSpan stage1_span(obs::tracer(), "stage1_context", "core");
@@ -215,88 +222,193 @@ void Simulator::build_context(const trace::RequestBlock& block,
     if (need_static) {
       c.fc_static = schedule_->first_contact(EpochIdx{0}, city, user);
     }
+    // The hashed lookup (bucket -> owner -> hop split) is shared by every
+    // hashed variant, so it is resolved once here.
+    c.owner = c.fc.sat;
+    c.route = util::Millis{0.0};
+    if (need_owner && c.fc.sat.value() >= 0) {
+      const orbit::SatelliteId fc_id = constellation_->id_of(c.fc.sat);
+      const util::BucketId bucket = mapper_.bucket_of_object(block.object[i]);
+      if (const auto owner = mapper_.owner(fc_id, bucket)) {
+        c.owner = constellation_->index_of(*owner);
+        const auto [inter, intra] = mapper_.hop_split(fc_id, *owner);
+        c.route = latency_.grid_hops_delay(inter, intra);
+      }
+    }
   });
 }
 
-void Simulator::replay_variant(VariantState& vs,
-                               const trace::RequestBlock& block,
-                               const std::vector<RequestContext>& ctx,
-                               bool trace_epochs,
-                               std::uint64_t& marked_epoch) {
-  STARCDN_PROF_SCOPE("Simulator::variant_replay");
-  const obs::TraceSpan replay_span(obs::tracer(), to_string(vs.variant),
-                                   "variant");
-  obs::Tracer* const tr = trace_epochs ? obs::tracer() : nullptr;
-  const bool is_static = vs.variant == Variant::kStatic;
-  const bool record_series = vs.series.enabled();
-  for (std::size_t i = 0; i < block.count(); ++i) {
-    ++vs.request_counter;
-    const std::uint64_t real = ctx[i].epoch.value();
-    if (record_series) vs.series.advance_to(real, vs.shard);
-    if (tr != nullptr && real != marked_epoch) {
-      marked_epoch = real;
-      tr->instant("epoch", "sim", {obs::arg("epoch", real)});
+void Simulator::repack(VariantState& vs, std::size_t bins) {
+  vs.bins = bins;
+  vs.bin_seconds.resize(bins, 0.0);
+  if (bins > 1) {
+    // Greedy longest-processing-time packing: heaviest group first, into
+    // the lightest bin. Before any request is folded every group weighs
+    // its satellite count.
+    std::vector<std::uint64_t> weight = vs.group_load;
+    if (std::all_of(weight.begin(), weight.end(),
+                    [](std::uint64_t w) { return w == 0; })) {
+      for (const std::uint32_t g : vs.groups.group_of) ++weight[g];
     }
-    // Handover accounting rides on the shared stage-1 context; kStatic
-    // freezes the mapping, so it never hands over by construction.
-    if (!is_static && ctx[i].handover) vs.shard.add(ids_.handovers);
-    const EpochIdx sched_epoch = is_static ? EpochIdx{0} : ctx[i].epoch;
-    process(vs, block.at(i), sched_epoch, ctx[i].epoch,
-            is_static ? ctx[i].fc_static : ctx[i].fc);
+    std::vector<std::uint32_t> order(vs.groups.count);
+    std::iota(order.begin(), order.end(), 0U);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return weight[a] > weight[b];
+                     });
+    std::vector<std::uint64_t> fill(bins, 0);
+    std::vector<std::uint16_t> bin_of_group(vs.groups.count);
+    for (const std::uint32_t g : order) {
+      const auto lightest = static_cast<std::size_t>(
+          std::min_element(fill.begin(), fill.end()) - fill.begin());
+      bin_of_group[g] = static_cast<std::uint16_t>(lightest);
+      fill[lightest] += weight[g];
+    }
+    vs.bin_of.resize(vs.groups.group_of.size());
+    for (std::size_t s = 0; s < vs.bin_of.size(); ++s) {
+      vs.bin_of[s] = bin_of_group[vs.groups.group_of[s]];
+    }
+  }
+  std::fill(vs.group_load.begin(), vs.group_load.end(), 0);
+}
+
+void Simulator::decide_bin(VariantState& vs, int slot, std::size_t bin,
+                           const trace::RequestBlock& block,
+                           const std::vector<RequestContext>& ctx) {
+  STARCDN_PROF_SCOPE("Simulator::variant_decide");
+  const obs::TraceSpan span(obs::tracer(), to_string(vs.variant), "variant");
+  std::vector<Outcome>& out = vs.outcome[slot];
+  std::vector<util::Bytes>& pre = vs.prefetched[slot];
+  util::Bytes unused = 0;
+  const bool prefetching = vs.variant == Variant::kPrefetch;
+  for (std::size_t i = 0; i < block.count(); ++i) {
+    if (vs.bins > 1) {
+      // Stable partition: this bin's requests, in trace order. Requests
+      // without a serving satellite touch no cache; bin 0 records them.
+      const SatId s = serving_of(vs, ctx[i]);
+      const std::size_t b = s.value() < 0 ? 0 : vs.bin_of[util::as_index(s)];
+      if (b != bin) continue;
+    }
+    out[i] = decide(vs, block.at(i), ctx[i], prefetching ? pre[i] : unused);
   }
 }
 
 void Simulator::run(trace::RequestStream& stream) {
   if (variants_.empty()) return;
   STARCDN_PROF_SCOPE("Simulator::run");
-  obs::TraceSpan run_span(
-      obs::tracer(), "Simulator::run", "core",
-      {obs::arg("variants", static_cast<std::uint64_t>(variants_.size()))});
+  std::vector<obs::TraceArg> run_args{
+      obs::arg("variants", static_cast<std::uint64_t>(variants_.size()))};
+  for (const auto& vs : variants_) {
+    run_args.push_back(obs::arg(std::string("groups.") + to_string(vs.variant),
+                                static_cast<std::uint64_t>(vs.groups.count)));
+  }
+  obs::TraceSpan run_span(obs::tracer(), "Simulator::run", "core",
+                          std::move(run_args));
 
   bool need_static = false;
+  bool need_owner = false;
   for (const auto& vs : variants_) {
     need_static = need_static || vs.variant == Variant::kStatic;
+    need_owner = need_owner || hashes(vs.variant);
+  }
+  // One decide bin per thread (no more than there are groups); at one
+  // thread a single bin replays every request with no partition filter.
+  const auto threads = static_cast<std::size_t>(util::parallel_threads());
+  for (auto& vs : variants_) {
+    repack(vs, std::min<std::size_t>(threads, vs.groups.count));
   }
 
-  // Double buffer: while the variants replay block `cur`, the extra
-  // parallel_for slot produces the next block: pulls it from the stream,
-  // validates it at the trust boundary and builds its stage-1 context
-  // (nested parallel_for runs inline on that worker). The barrier at the
-  // end of each parallel_for keeps the hand-off race-free: the producer is
-  // the only writer of blocks[1 - cur]/ctxs[1 - cur] and `pos`, and
-  // nothing reads them until the next iteration.
-  trace::RequestBlock blocks[2];
-  std::vector<RequestContext> ctxs[2];
+  // Triple buffer: step k folds block k - 1, decides block k and produces
+  // block k + 1, each in its own slot (k % kSlots). Every task of a step
+  // writes disjoint state (the producer its slot, decide tasks their bin's
+  // caches and outcomes, fold tasks their variant's accounting), and the
+  // join at the end of each step hands the slots on race-free.
+  trace::RequestBlock blocks[kSlots];
+  std::vector<RequestContext> ctxs[kSlots];
   trace::StreamPosition pos;
-  const auto produce = [&](int b, std::uint64_t base) {
-    if (!stream.next(blocks[b]) || blocks[b].empty()) return false;
-    trace::validate_block(blocks[b], schedule_->cities(), pos);
-    build_context(blocks[b], base, need_static, ctxs[b]);
-    return true;
-  };
   // Chunk-base bookkeeping: the rotation seed advances by block length, so
   // terminals rotate the same way however the stream chops the trace.
-  // Tracked locally — variant counters mutate concurrently with the
-  // producer's context build.
-  std::uint64_t counter_base = variants_.front().request_counter;
+  std::uint64_t bases[kSlots] = {variants_.front().request_counter, 0, 0};
+  const auto produce = [&](int b) {
+    if (!stream.next(blocks[b]) || blocks[b].empty()) return false;
+    trace::validate_block(blocks[b], schedule_->cities(), pos);
+    build_context(blocks[b], bases[b], need_static, need_owner, ctxs[b]);
+    bases[(b + 1) % kSlots] = bases[b] + blocks[b].count();
+    return true;
+  };
   std::vector<std::uint64_t> marked(variants_.size(), ~0ULL);
 
-  int cur = 0;
-  bool have = produce(cur, counter_base);
-  while (have) {
-    const std::uint64_t next_base = counter_base + blocks[cur].count();
-    bool have_next = false;
-    util::parallel_for(variants_.size() + 1, [&](std::size_t slot) {
-      if (slot == variants_.size()) {
-        have_next = produce(1 - cur, next_base);
-        return;
+  // One task per (variant, bin) decide, per variant fold, plus the
+  // producer; each step runs them longest-measured-first.
+  struct Task {
+    enum Kind : std::uint8_t { kProduce, kDecide, kFold } kind;
+    std::size_t variant;
+    std::size_t bin;
+    double* seconds;  // last measured duration, the ordering key
+  };
+  std::vector<Task> tasks;
+  double produce_seconds = 0.0;
+  std::exception_ptr produce_error;
+
+  std::size_t produced = produce(0) ? 1 : 0;
+  for (std::size_t k = 0; produced > 0 && k <= produced; ++k) {
+    const int cur = static_cast<int>(k % kSlots);
+    const int prev = static_cast<int>((k + kSlots - 1) % kSlots);
+    const int next = static_cast<int>((k + 1) % kSlots);
+    const bool deciding = k < produced;
+    const bool folding = k > 0;
+    bool pulled = false;
+
+    tasks.clear();
+    if (deciding) tasks.push_back({Task::kProduce, 0, 0, &produce_seconds});
+    for (std::size_t v = 0; v < variants_.size(); ++v) {
+      VariantState& vs = variants_[v];
+      if (folding) tasks.push_back({Task::kFold, v, 0, &vs.fold_seconds});
+      if (!deciding) continue;
+      vs.outcome[cur].resize(blocks[cur].count());
+      if (vs.variant == Variant::kPrefetch) {
+        vs.prefetched[cur].resize(blocks[cur].count());
       }
-      replay_variant(variants_[slot], blocks[cur], ctxs[cur], slot == 0,
-                     marked[slot]);
+      for (std::size_t b = 0; b < vs.bins; ++b) {
+        tasks.push_back({Task::kDecide, v, b, &vs.bin_seconds[b]});
+      }
+    }
+    std::stable_sort(tasks.begin(), tasks.end(),
+                     [](const Task& a, const Task& b) {
+                       return *a.seconds > *b.seconds;
+                     });
+    util::parallel_tasks(tasks.size(), [&](std::size_t t) {
+      const Task& task = tasks[t];
+      const auto start = std::chrono::steady_clock::now();
+      switch (task.kind) {
+        case Task::kProduce:
+          // A bad block is rethrown once every earlier block is replayed.
+          try {
+            pulled = produce(next);
+          } catch (...) {
+            produce_error = std::current_exception();
+          }
+          break;
+        case Task::kDecide:
+          decide_bin(variants_[task.variant], cur, task.bin, blocks[cur],
+                     ctxs[cur]);
+          break;
+        case Task::kFold:
+          fold_variant(variants_[task.variant], prev, blocks[prev],
+                       ctxs[prev], task.variant == 0, marked[task.variant]);
+          break;
+      }
+      *task.seconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
     });
-    counter_base = next_base;
-    have = have_next;
-    cur = 1 - cur;
+    if (pulled) ++produced;
+    // Rebalance the bins on the requests each group just folded.
+    if (folding) {
+      for (auto& vs : variants_) {
+        if (vs.bins > 1) repack(vs, vs.bins);
+      }
+    }
   }
 
   for (auto& vs : variants_) {
@@ -306,6 +418,7 @@ void Simulator::run(trace::RequestStream& stream) {
     vs.metrics.uplink_meter.flush();
     shard_to_metrics(ids_, vs.shard, vs.metrics);
   }
+  if (produce_error) std::rethrow_exception(produce_error);
 }
 
 RunReport Simulator::finish() {
@@ -349,8 +462,8 @@ RunReport Simulator::finish() {
   return report;
 }
 
-void Simulator::maybe_prefetch(VariantState& vs, SatId serving,
-                               EpochIdx epoch) {
+util::Bytes Simulator::maybe_prefetch(VariantState& vs, SatId serving,
+                                      EpochIdx epoch) {
   // The §3.3 alternative design: on entering a new scheduler epoch, a
   // satellite speculatively pulls the hottest objects of its trailing
   // ("west") same-bucket replica — the satellite that just served the
@@ -358,185 +471,197 @@ void Simulator::maybe_prefetch(VariantState& vs, SatId serving,
   // and cache space whether or not they are ever requested; the ablation
   // bench quantifies why the paper prefers miss-triggered relay.
   auto& stamp = vs.prefetch_epoch[util::as_index(serving)];
-  if (stamp == epoch.value()) return;
+  if (stamp == epoch.value()) return 0;
   stamp = static_cast<std::uint32_t>(epoch.value());
   const auto west = mapper_.west_replica(constellation_->id_of(serving));
-  if (!west) return;
+  if (!west) return 0;
   auto& replica_slot =
       vs.caches[util::as_index(constellation_->index_of(*west))];
-  if (!replica_slot) return;  // neighbour has served nothing yet
+  if (!replica_slot) return 0;  // neighbour has served nothing yet
   cache::Cache& own = cache_at(vs, serving);
+  util::Bytes pulled = 0;
   for (const auto& [id, size] :
        replica_slot->hottest(
            static_cast<std::size_t>(config_.prefetch_objects_per_epoch))) {
     if (own.peek(id)) continue;
     own.admit(id, size);
-    vs.shard.add(ids_.isl_bytes, size);
-    vs.shard.add(ids_.prefetch_bytes, size);
+    pulled += size;
+  }
+  return pulled;
+}
+
+Simulator::Outcome Simulator::decide(VariantState& vs, const trace::Request& r,
+                                     const RequestContext& c,
+                                     util::Bytes& prefetched) {
+  prefetched = 0;
+  const SatId fc = first_contact(vs, c).sat;
+  if (fc.value() < 0) return Outcome::kUnreachable;
+  const SatId serving = serving_of(vs, c);
+
+  // Transient cache-server outage (§3.4): report a miss and go to ground;
+  // nothing is cached and no remapping happens.
+  if (vs.transient.down(serving, util::Seconds{r.timestamp_s})) {
+    return Outcome::kTransient;
+  }
+  if (vs.variant == Variant::kPrefetch) {
+    prefetched = maybe_prefetch(vs, serving, c.epoch);
+  }
+  cache::Cache& serving_cache = cache_at(vs, serving);
+  if (serving_cache.touch(r.object)) {
+    return serving == fc ? Outcome::kLocalHit : Outcome::kRoutedHit;
+  }
+
+  // Relayed fetch (§3.3): probe the replicas; a hit is served from the
+  // west one when both hold the object, and the owner caches it.
+  if (relays(vs.variant)) {
+    const RelayReplicas rep =
+        relay_replicas(*constellation_, mapper_, vs.variant,
+                       config_.relay_east, constellation_->id_of(serving));
+    const auto holder = [&](const std::optional<orbit::SatelliteId>& sat)
+        -> cache::Cache* {
+      if (!sat) return nullptr;
+      cache::Cache* cache =
+          vs.caches[util::as_index(constellation_->index_of(*sat))].get();
+      return cache != nullptr && cache->peek(r.object) ? cache : nullptr;
+    };
+    cache::Cache* const west = holder(rep.west);
+    cache::Cache* const east = holder(rep.east);
+    if (west != nullptr || east != nullptr) {
+      (west != nullptr ? west : east)->touch(r.object);  // refresh replica
+      serving_cache.admit(r.object, r.size);  // backflow: owner caches it
+      if (west == nullptr) return Outcome::kRelayEast;
+      return east != nullptr ? Outcome::kRelayBoth : Outcome::kRelayWest;
+    }
+  }
+
+  // Total miss: fetch from the ground.
+  serving_cache.admit(r.object, r.size);
+  return Outcome::kMiss;
+}
+
+void Simulator::fold_variant(VariantState& vs, int slot,
+                             const trace::RequestBlock& block,
+                             const std::vector<RequestContext>& ctx,
+                             bool trace_epochs, std::uint64_t& marked_epoch) {
+  STARCDN_PROF_SCOPE("Simulator::variant_fold");
+  const obs::TraceSpan span(obs::tracer(), to_string(vs.variant), "variant");
+  obs::Tracer* const tr = trace_epochs ? obs::tracer() : nullptr;
+  const bool is_static = vs.variant == Variant::kStatic;
+  const bool record_series = vs.series.enabled();
+  const bool prefetching = vs.variant == Variant::kPrefetch;
+  const std::vector<Outcome>& out = vs.outcome[slot];
+  for (std::size_t i = 0; i < block.count(); ++i) {
+    ++vs.request_counter;
+    const std::uint64_t real = ctx[i].epoch.value();
+    if (record_series) vs.series.advance_to(real, vs.shard);
+    if (tr != nullptr && real != marked_epoch) {
+      marked_epoch = real;
+      tr->instant("epoch", "sim", {obs::arg("epoch", real)});
+    }
+    // Handover accounting rides on the shared stage-1 context; kStatic
+    // freezes the mapping, so it never hands over by construction.
+    if (!is_static && ctx[i].handover) vs.shard.add(ids_.handovers);
+    fold(vs, block.at(i), ctx[i], out[i],
+         prefetching ? vs.prefetched[slot][i] : 0);
   }
 }
 
-void Simulator::process(VariantState& vs, const trace::Request& r,
-                        EpochIdx sched_epoch, EpochIdx real_epoch,
-                        const sched::Candidate& fc) {
+void Simulator::fold(VariantState& vs, const trace::Request& r,
+                     const RequestContext& c, Outcome o,
+                     util::Bytes prefetched) {
   VariantMetrics& m = vs.metrics;  // sampler + uplink meter + sat_* only;
   obs::Shard& sh = vs.shard;       // every scalar counter goes here
   sh.add(ids_.requests);
   sh.add(ids_.bytes_requested, r.size);
-  const auto sample = [&](double ms) {
-    m.latency_ms.add(ms);
-    sh.observe(ids_.latency_ms, ms);
+  const bool sample = config_.sample_latency;
+  const auto record = [&](util::Millis ms) {
+    m.latency_ms.add(ms.value());
+    sh.observe(ids_.latency_ms, ms.value());
   };
 
-  if (fc.sat.value() < 0) {
+  if (o == Outcome::kUnreachable) {
     // Coverage gap: served bent-pipe from the ground via a remote link.
     sh.add(ids_.unreachable);
     sh.add(ids_.misses);
     sh.add(ids_.uplink_bytes, r.size);
-    if (config_.sample_latency) {
-      sample(
-          latency_.bentpipe_starlink(latency_.params().default_gsl, vs.rng)
-              .value());
+    if (sample) {
+      record(latency_.bentpipe_starlink(latency_.params().default_gsl, vs.rng));
     }
     return;
   }
 
-  const util::Millis gsl{fc.gsl_one_way_ms};
-  const orbit::SatelliteId fc_id = constellation_->id_of(fc.sat);
-  const bool hashed = vs.variant == Variant::kHashOnly ||
-                      vs.variant == Variant::kStarCdn ||
-                      vs.variant == Variant::kPrefetch;
-
-  // --- Resolve the serving satellite --------------------------------------
-  orbit::SatelliteId serving = fc_id;
-  util::Millis route{0.0};
-  if (hashed) {
-    const util::BucketId bucket = mapper_.bucket_of_object(r.object);
-    if (const auto owner = mapper_.owner(fc_id, bucket)) {
-      serving = *owner;
-      const auto [inter, intra] = mapper_.hop_split(fc_id, serving);
-      route = latency_.grid_hops_delay(inter, intra);
-    }
+  const util::Millis gsl{first_contact(vs, c).gsl_one_way_ms};
+  const util::Millis route = hashes(vs.variant) ? c.route : util::Millis{0.0};
+  const SatId serving = serving_of(vs, c);
+  if (vs.bins > 1) {
+    ++vs.group_load[vs.groups.group_of[util::as_index(serving)]];
   }
-  const SatId serving_idx = constellation_->index_of(serving);
-
-  // Transient cache-server outage (§3.4): report a miss and go to ground;
-  // nothing is cached and no remapping happens.
-  if (vs.transient.down(serving_idx, util::Seconds{r.timestamp_s})) {
-    sh.add(ids_.transient_misses);
+  const auto ground = [&] {
     sh.add(ids_.misses);
     sh.add(ids_.uplink_bytes, r.size);
-    m.uplink_meter.add(serving_idx, real_epoch, r.size);
-    if (config_.sample_latency) {
-      sample(
-          latency_.miss(gsl, route, latency_.params().default_gsl, vs.rng)
-              .value());
+    m.uplink_meter.add(serving, c.epoch, r.size);
+    if (sample) {
+      record(latency_.miss(gsl, route, latency_.params().default_gsl, vs.rng));
     }
+  };
+
+  if (o == Outcome::kTransient) {
+    sh.add(ids_.transient_misses);
+    ground();
     return;
   }
-
-  if (vs.variant == Variant::kPrefetch) {
-    maybe_prefetch(vs, serving_idx, sched_epoch);
+  if (prefetched != 0) {
+    sh.add(ids_.isl_bytes, prefetched);
+    sh.add(ids_.prefetch_bytes, prefetched);
   }
-  cache::Cache& serving_cache = cache_at(vs, serving_idx);
 
-  // --- Hit at the serving satellite ---------------------------------------
-  if (serving_cache.touch(r.object)) {
+  if (o == Outcome::kLocalHit || o == Outcome::kRoutedHit) {
     sh.add(ids_.bytes_hit, r.size);
-    if (serving_idx == fc.sat) {
+    if (o == Outcome::kLocalHit) {
       sh.add(ids_.local_hits);
     } else {
       sh.add(ids_.routed_hits);
       sh.add(ids_.isl_bytes, r.size);
     }
-    note_sat(vs, serving_idx, r, true);
-    if (config_.sample_latency) {
-      sample(route.value() > 0.0 ? latency_.hit_routed(gsl, route).value()
-                                 : latency_.hit_local(gsl).value());
+    note_sat(vs, serving, r, true);
+    if (sample) {
+      record(route.value() > 0.0 ? latency_.hit_routed(gsl, route)
+                                 : latency_.hit_local(gsl));
     }
     return;
   }
-  note_sat(vs, serving_idx, r, false);
-
-  // --- Relayed fetch (§3.3) ------------------------------------------------
-  const bool relaying = vs.variant == Variant::kRelayOnly ||
-                        vs.variant == Variant::kStarCdn;
-  if (relaying) {
-    // Same-bucket replicas for the hashed system; immediate inter-orbit
-    // neighbours when running without hashing.
-    std::optional<orbit::SatelliteId> west;
-    std::optional<orbit::SatelliteId> east;
-    int relay_hops = 0;
-    if (vs.variant == Variant::kStarCdn) {
-      west = mapper_.west_replica(serving);
-      east = config_.relay_east ? mapper_.east_replica(serving) : std::nullopt;
-      relay_hops = mapper_.tile_side();
-    } else {
-      // Without hashing the replicas are the immediate inter-orbit
-      // neighbours; "west" is the trailing (+RAAN) plane as above.
-      const auto w = constellation_->inter_east(serving);
-      const auto e = constellation_->inter_west(serving);
-      if (constellation_->active(constellation_->index_of(w))) west = w;
-      if (config_.relay_east &&
-          constellation_->active(constellation_->index_of(e))) {
-        east = e;
-      }
-      relay_hops = 1;
-    }
-    const bool west_has =
-        west && vs.caches[util::as_index(constellation_->index_of(*west))] &&
-        vs.caches[util::as_index(constellation_->index_of(*west))]
-            ->peek(r.object);
-    const bool east_has =
-        east && vs.caches[util::as_index(constellation_->index_of(*east))] &&
-        vs.caches[util::as_index(constellation_->index_of(*east))]
-            ->peek(r.object);
-
-    // Table 3 accounting: what was available among the neighbours when the
-    // owner missed.
-    if (west_has && east_has) {
-      sh.add(ids_.relay_both_requests);
-      sh.add(ids_.relay_both_bytes, r.size);
-    } else if (west_has) {
-      sh.add(ids_.relay_west_only_requests);
-      sh.add(ids_.relay_west_only_bytes, r.size);
-    } else if (east_has) {
-      sh.add(ids_.relay_east_only_requests);
-      sh.add(ids_.relay_east_only_bytes, r.size);
-    }
-
-    if (west_has || east_has) {
-      const orbit::SatelliteId replica = west_has ? *west : *east;
-      cache::Cache& replica_cache =
-          cache_at(vs, constellation_->index_of(replica));
-      replica_cache.touch(r.object);  // serving refreshes the replica's state
-      serving_cache.admit(r.object, r.size);  // backflow: owner caches it
-      if (west_has) {
-        sh.add(ids_.relay_west_hits);
-      } else {
-        sh.add(ids_.relay_east_hits);
-      }
-      sh.add(ids_.bytes_hit, r.size);
-      sh.add(ids_.isl_bytes, r.size);
-      if (config_.sample_latency) {
-        const util::Millis relay =
-            static_cast<double>(relay_hops) *
-            latency_.params().inter_orbit_hop;
-        sample(latency_.hit_relayed(gsl, route, relay).value());
-      }
-      return;
-    }
+  note_sat(vs, serving, r, false);
+  if (o == Outcome::kMiss) {
+    ground();
+    return;
   }
 
-  // --- Total miss: fetch from the ground (uplink spend) --------------------
-  sh.add(ids_.misses);
-  sh.add(ids_.uplink_bytes, r.size);
-  m.uplink_meter.add(serving_idx, real_epoch, r.size);
-  serving_cache.admit(r.object, r.size);
-  if (config_.sample_latency) {
-    sample(
-        latency_.miss(gsl, route, latency_.params().default_gsl, vs.rng)
-            .value());
+  // Relay hit, with Table 3's availability among the neighbours.
+  switch (o) {
+    case Outcome::kRelayBoth:
+      sh.add(ids_.relay_both_requests);
+      sh.add(ids_.relay_both_bytes, r.size);
+      sh.add(ids_.relay_west_hits);
+      break;
+    case Outcome::kRelayWest:
+      sh.add(ids_.relay_west_only_requests);
+      sh.add(ids_.relay_west_only_bytes, r.size);
+      sh.add(ids_.relay_west_hits);
+      break;
+    default:
+      sh.add(ids_.relay_east_only_requests);
+      sh.add(ids_.relay_east_only_bytes, r.size);
+      sh.add(ids_.relay_east_hits);
+      break;
+  }
+  sh.add(ids_.bytes_hit, r.size);
+  sh.add(ids_.isl_bytes, r.size);
+  if (sample) {
+    const int relay_hops =
+        vs.variant == Variant::kStarCdn ? mapper_.tile_side() : 1;
+    const util::Millis relay =
+        static_cast<double>(relay_hops) * latency_.params().inter_orbit_hop;
+    record(latency_.hit_relayed(gsl, route, relay));
   }
 }
 

@@ -30,6 +30,7 @@
 
 #include "cache/cache.h"
 #include "core/bucket_mapper.h"
+#include "core/coupling.h"
 #include "core/failure.h"
 #include "core/metrics.h"
 #include "core/run_report.h"
@@ -182,19 +183,26 @@ class Simulator {
   /// May be called repeatedly to replay a long trace in pieces.
   ///
   /// Every block passes trace::validate_block before it is used: a
-  /// location outside the schedule's cities, a non-finite timestamp or a
-  /// timestamp that goes back in time throws std::invalid_argument.
+  /// location outside the schedule's cities, a zero size, a non-finite
+  /// timestamp or a timestamp that goes back in time throws
+  /// std::invalid_argument.
   ///
-  /// Variants replay concurrently (one worker per VariantState; see
-  /// util::parallel_for). Each variant owns its caches, metrics, RNG
-  /// stream (seeded config.seed ^ variant) and request counter, so the
-  /// resulting metrics are bitwise identical for any thread count.
-  /// Double-buffered: while the variants replay chunk N, one extra
-  /// parallel_for slot pulls chunk N+1 from the stream, validates it and
-  /// builds its stage-1 request context, so generation/IO overlaps replay.
-  /// Chunk-base bookkeeping keeps the user-terminal rotation independent
-  /// of how the stream chops the trace, so metrics are bitwise identical
-  /// for any chunk size.
+  /// Sharded, pipelined replay (DESIGN.md, "Sharded replay"). Each block
+  /// goes through three stages, each on a different block at once:
+  ///   produce — pull the block, validate it, build its stage-1 context;
+  ///   decide  — every cache decision, one task per (variant, bin of
+  ///             coupling groups): caches are disjoint across bins and each
+  ///             bin walks its requests in trace order;
+  ///   fold    — all accounting, one task per variant, in trace order.
+  /// Step k folds block k - 1, decides block k and produces block k + 1.
+  /// Each variant owns its caches, metrics, RNG stream (seeded
+  /// config.seed ^ variant) and request counter, and every cache sees the
+  /// same operation sequence as a serial replay, so the metrics are bitwise
+  /// identical for any thread count and any partition. Chunk-base
+  /// bookkeeping keeps the user-terminal rotation independent of how the
+  /// stream chops the trace, so metrics are bitwise identical for any chunk
+  /// size. A block that fails validation is thrown after every earlier
+  /// block has been replayed.
   void run(trace::RequestStream& stream);
 
   /// Replay time-ordered requests (e.g. trace::merge_by_time): streams the
@@ -227,11 +235,31 @@ class Simulator {
   [[nodiscard]] std::vector<int> buckets_served_per_satellite() const;
 
  private:
-  /// Everything a variant replay touches lives here, so each variant can
-  /// run on its own thread with no shared mutable state. The RNG stream is
-  /// derived from (config.seed, variant) and the request counter advances
-  /// in lockstep across variants, making results independent of both
-  /// thread count and which other variants are registered.
+  /// What the decide stage found for one request; the fold stage turns it
+  /// into counters, latency samples and meter updates. The relay outcomes
+  /// name the Table 3 availability: both replicas held the object (the west
+  /// one serves), or only the west / only the east one did.
+  enum class Outcome : std::uint8_t {
+    kUnreachable,  // coverage gap: bent-pipe from the ground
+    kTransient,    // serving cache briefly down (§3.4)
+    kLocalHit,
+    kRoutedHit,
+    kRelayBoth,
+    kRelayWest,
+    kRelayEast,
+    kMiss,
+  };
+
+  /// Blocks in flight: one produced, one decided, one folded per step.
+  static constexpr int kSlots = 3;
+
+  /// Everything a variant replay touches lives here, so variants share no
+  /// mutable state. The decide stage owns `caches` and `prefetch_epoch`
+  /// (split further across bins of coupling groups); the fold stage owns
+  /// the rest. The RNG stream is derived from (config.seed, variant) and
+  /// the request counter advances in lockstep across variants, making
+  /// results independent of both thread count and which other variants
+  /// are registered.
   struct VariantState {
     Variant variant;
     VariantMetrics metrics;
@@ -242,18 +270,35 @@ class Simulator {
     TransientFailureModel transient{0.0};  // same outage schedule per variant
     util::Rng rng;                         // latency sampling stream
     std::uint64_t request_counter = 0;     // drives user-terminal rotation
+
+    CouplingGroups groups;
+    /// Decide bin per satellite slot (read only when bins > 1), repacked
+    /// between steps from the requests each group served in the last
+    /// folded block.
+    std::vector<std::uint16_t> bin_of;
+    std::size_t bins = 1;
+    std::vector<std::uint64_t> group_load;  // fold-stage request counts
+    std::vector<double> bin_seconds;        // last decide time per bin
+    double fold_seconds = 0.0;              // last fold time
+    /// Decide-stage output per block slot, read by the fold stage.
+    std::vector<Outcome> outcome[kSlots];
+    std::vector<util::Bytes> prefetched[kSlots];  // kPrefetch only
   };
 
   /// Shared per-request context, hoisted out of the variant loop (stage 1):
   /// the scheduler epoch, the first-contact lookup (once per request, and
   /// once at the frozen epoch 0 when a kStatic variant is registered,
-  /// instead of once per variant), and whether the scheduler's reshuffle
-  /// handed this user to a different satellite than the previous epoch.
+  /// instead of once per variant), whether the scheduler's reshuffle
+  /// handed this user to a different satellite than the previous epoch,
+  /// and, when a hashed variant is registered, the bucket owner that all
+  /// hashed variants serve from with its routing delay.
   struct RequestContext {
     util::EpochIdx epoch{0};
     bool handover = false;       // first contact differs from epoch - 1's
     sched::Candidate fc;         // first contact at the real epoch
     sched::Candidate fc_static;  // first contact at the frozen epoch 0
+    util::SatId owner = util::kNoSat;  // hashed serving sat (fc.sat if none)
+    util::Millis route{0.0};     // fc -> owner grid routing delay
   };
 
   /// Stage-1 fan-out over one chunk: each slot is a pure function of the
@@ -261,21 +306,42 @@ class Simulator {
   /// position at the chunk's first request).
   void build_context(const trace::RequestBlock& block,
                      std::uint64_t counter_base, bool need_static,
-                     std::vector<RequestContext>& ctx);
-  /// Stage-2 replay of one chunk for one variant, strictly in trace order.
+                     bool need_owner, std::vector<RequestContext>& ctx);
+
+  [[nodiscard]] static const sched::Candidate& first_contact(
+      const VariantState& vs, const RequestContext& c) noexcept {
+    return vs.variant == Variant::kStatic ? c.fc_static : c.fc;
+  }
+  [[nodiscard]] static util::SatId serving_of(
+      const VariantState& vs, const RequestContext& c) noexcept {
+    return hashes(vs.variant) ? c.owner : first_contact(vs, c).sat;
+  }
+
+  /// Spread the coupling groups over `bins` decide bins (longest
+  /// processing time first, by group_load, which it then resets).
+  static void repack(VariantState& vs, std::size_t bins);
+
+  /// Decide stage for one bin of one variant: every request of the block
+  /// whose serving satellite falls in `bin`, in trace order.
+  void decide_bin(VariantState& vs, int slot, std::size_t bin,
+                  const trace::RequestBlock& block,
+                  const std::vector<RequestContext>& ctx);
+  Outcome decide(VariantState& vs, const trace::Request& r,
+                 const RequestContext& c, util::Bytes& prefetched);
+  util::Bytes maybe_prefetch(VariantState& vs, util::SatId serving,
+                             util::EpochIdx epoch);
+  cache::Cache& cache_at(VariantState& vs, util::SatId sat);
+
+  /// Fold stage for one variant over one block, strictly in trace order.
   /// `trace_epochs` is set for one variant only (or the trace timeline
   /// would repeat per worker); `marked_epoch` carries its epoch-instant
   /// dedup across chunks.
-  void replay_variant(VariantState& vs, const trace::RequestBlock& block,
-                      const std::vector<RequestContext>& ctx,
-                      bool trace_epochs, std::uint64_t& marked_epoch);
-
-  void process(VariantState& vs, const trace::Request& r,
-               util::EpochIdx sched_epoch, util::EpochIdx real_epoch,
-               const sched::Candidate& fc);
-  void maybe_prefetch(VariantState& vs, util::SatId serving,
-                      util::EpochIdx epoch);
-  cache::Cache& cache_at(VariantState& vs, util::SatId sat);
+  void fold_variant(VariantState& vs, int slot,
+                    const trace::RequestBlock& block,
+                    const std::vector<RequestContext>& ctx, bool trace_epochs,
+                    std::uint64_t& marked_epoch);
+  void fold(VariantState& vs, const trace::Request& r,
+            const RequestContext& c, Outcome o, util::Bytes prefetched);
   void note_sat(VariantState& vs, util::SatId sat, const trace::Request& r,
                 bool hit);
 

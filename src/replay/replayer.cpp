@@ -1,6 +1,8 @@
 #include "replay/replayer.h"
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -117,7 +119,8 @@ Cluster spawn_cluster(int n_nodes, const ReplayConfig& config) {
       if (!hello || hello->type != MessageType::kControl) {
         throw std::runtime_error("replay: bad hello from worker");
       }
-      cluster.channels[hello->src] = std::move(ch);
+      cluster.channels[hello_slot(cluster.channels, hello->src)] =
+          std::move(ch);
     }
   }
   return cluster;
@@ -247,6 +250,21 @@ ReplayReport replay_cluster(const orbit::Constellation& constellation,
                             const ReplayConfig& config) {
   trace::VectorStream stream(requests);
   return replay_cluster(constellation, schedule, stream, config);
+}
+
+std::size_t hello_slot(const std::vector<std::unique_ptr<Channel>>& channels,
+                       std::uint32_t src) {
+  if (src >= channels.size()) {
+    throw std::runtime_error("replay: worker hello names node " +
+                             std::to_string(src) + " but the cluster has " +
+                             std::to_string(channels.size()) + " nodes");
+  }
+  if (channels[src]) {
+    throw std::runtime_error("replay: second worker hello from node " +
+                             std::to_string(src) + " of " +
+                             std::to_string(channels.size()));
+  }
+  return src;
 }
 
 }  // namespace starcdn::replay

@@ -11,9 +11,13 @@
 // bit-identical results — asserted by the integration tests.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "cache/cache.h"
+#include "net/transport.h"
 #include "orbit/constellation.h"
 #include "sched/scheduler.h"
 #include "trace/record.h"
@@ -64,5 +68,13 @@ struct ReplayReport {
     const orbit::Constellation& constellation,
     const sched::LinkSchedule& schedule,
     const std::vector<trace::Request>& requests, const ReplayConfig& config);
+
+/// Orchestrator-side channel slot a worker's TCP hello claims: its `src`
+/// must name a node below channels.size() whose slot is still empty.
+/// Returns the slot; throws std::runtime_error naming the src and the node
+/// count otherwise (a hello off the wire is untrusted input).
+[[nodiscard]] std::size_t hello_slot(
+    const std::vector<std::unique_ptr<net::Channel>>& channels,
+    std::uint32_t src);
 
 }  // namespace starcdn::replay

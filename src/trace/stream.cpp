@@ -121,6 +121,9 @@ void validate_block(const RequestBlock& block, std::size_t cities,
            std::to_string(block.location[i]) + " is out of range for " +
                std::to_string(cities) + " cities");
     }
+    if (block.size[i] == 0) {
+      fail(i, "size", "is 0 (every request must fetch at least one byte)");
+    }
     // NaN compares false against everything, so finiteness is checked
     // first; epoch_of would otherwise map it silently to epoch 0.
     const double t = block.timestamp_s[i];

@@ -142,11 +142,11 @@ struct StreamPosition {
 };
 
 /// The trust-boundary check every consumer runs once per block, before it
-/// touches the requests: each location is < `cities`, each timestamp is
-/// finite, and timestamps never decrease — within the block and against
-/// the previous block (`pos`). Throws std::invalid_argument naming the
-/// field, the request's global index and the bad value; on success,
-/// advances `pos` past the block.
+/// touches the requests: each location is < `cities`, each size is
+/// positive, each timestamp is finite, and timestamps never decrease —
+/// within the block and against the previous block (`pos`). Throws
+/// std::invalid_argument naming the field, the request's global index and
+/// the bad value; on success, advances `pos` past the block.
 void validate_block(const RequestBlock& block, std::size_t cities,
                     StreamPosition& pos);
 

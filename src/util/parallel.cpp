@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -13,8 +16,6 @@ namespace starcdn::util {
 
 namespace {
 
-thread_local bool tls_on_pool_worker = false;
-
 std::atomic<int> g_thread_override{0};
 
 int hardware_threads() noexcept {
@@ -22,8 +23,30 @@ int hardware_threads() noexcept {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+/// Why parse_thread_count rejects a non-empty `text`, or nullptr when it
+/// accepts it.
+const char* thread_count_error(const char* text) noexcept {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text) return "is not a number";
+  if (*end != '\0') return "has trailing characters after the number";
+  if (errno == ERANGE || v <= 0 || v > 4096) {
+    return "is outside the accepted range [1, 4096]";
+  }
+  return nullptr;
+}
+
 int env_threads() noexcept {
-  static const int cached = parse_thread_count(std::getenv("STARCDN_THREADS"));
+  static const int cached = [] {
+    const char* text = std::getenv("STARCDN_THREADS");
+    try {
+      const std::string warning = thread_count_warning(text);
+      if (!warning.empty()) std::fprintf(stderr, "%s\n", warning.c_str());
+    } catch (...) {  // allocation failure: fall back without the warning
+    }
+    return parse_thread_count(text);
+  }();
   return cached;
 }
 
@@ -31,11 +54,16 @@ int env_threads() noexcept {
 
 int parse_thread_count(const char* text) noexcept {
   if (text == nullptr || *text == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || (end != nullptr && *end != '\0')) return 0;
-  if (v <= 0 || v > 4096) return 0;
-  return static_cast<int>(v);
+  if (thread_count_error(text) != nullptr) return 0;
+  return static_cast<int>(std::strtol(text, nullptr, 10));
+}
+
+std::string thread_count_warning(const char* text) {
+  if (text == nullptr || *text == '\0') return {};
+  const char* why = thread_count_error(text);
+  if (why == nullptr) return {};
+  return std::string("STARCDN_THREADS=\"") + text + "\" " + why +
+         "; using the default thread count";
 }
 
 int parallel_threads() noexcept {
@@ -58,7 +86,6 @@ struct ThreadPool::Impl {
   bool stopping = false;
 
   void worker_loop() {
-    tls_on_pool_worker = true;
     for (;;) {
       std::function<void()> task;
       {
@@ -102,8 +129,6 @@ void ThreadPool::submit(std::function<void()> task) {
   impl_->cv.notify_one();
 }
 
-bool ThreadPool::on_worker_thread() noexcept { return tls_on_pool_worker; }
-
 ThreadPool& global_pool() {
   // Sized so an STARCDN_THREADS larger than the core count still gets its
   // requested chunk concurrency (useful for determinism tests and TSan runs
@@ -113,60 +138,86 @@ ThreadPool& global_pool() {
   return pool;
 }
 
+namespace {
+
+/// Fork-join over `count` work items: the caller and up to `helpers` pool
+/// tasks claim item indices in order from a shared counter until none are
+/// left, then the caller waits for the items still running elsewhere. A
+/// helper that starts after every item was claimed returns at once without
+/// touching `item`, so the caller's frame may be gone by then.
+void run_claimed(std::size_t count, std::size_t helpers,
+                 const std::function<void(std::size_t)>& item) {
+  struct Join {
+    std::atomic<std::size_t> next{0};
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t done = 0;
+    std::exception_ptr error;
+  };
+  const auto join = std::make_shared<Join>();
+  const auto drain = [count](Join& j,
+                             const std::function<void(std::size_t)>& fn) {
+    for (;;) {
+      const std::size_t i = j.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      std::exception_ptr error;
+      try {
+        fn(i);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      std::lock_guard lock(j.mutex);
+      if (error && !j.error) j.error = error;
+      if (++j.done == count) j.cv.notify_all();
+    }
+  };
+  ThreadPool& pool = global_pool();
+  for (std::size_t h = 0; h < helpers; ++h) {
+    pool.submit([join, drain, &item] { drain(*join, item); });
+  }
+  drain(*join, item);
+  std::unique_lock lock(join->mutex);
+  join->cv.wait(lock, [&join, count] { return join->done == count; });
+  if (join->error) std::rethrow_exception(join->error);
+}
+
+std::size_t runners(std::size_t n, int threads) {
+  const int requested = threads > 0 ? threads : parallel_threads();
+  return std::min<std::size_t>(static_cast<std::size_t>(std::max(1, requested)),
+                               n);
+}
+
+}  // namespace
+
 void parallel_for_chunks(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
     int threads) {
   if (n == 0) return;
-  const int requested = threads > 0 ? threads : parallel_threads();
-  const std::size_t chunks =
-      std::min<std::size_t>(static_cast<std::size_t>(std::max(1, requested)), n);
-  if (chunks <= 1 || ThreadPool::on_worker_thread()) {
+  const std::size_t chunks = runners(n, threads);
+  if (chunks <= 1) {
     body(0, n);
     return;
   }
-
   // Static contiguous chunking: chunk c covers the same index range for a
-  // given (n, chunks) regardless of which worker runs it or when.
-  struct Join {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::size_t pending;
-    std::exception_ptr error;
-  };
-  const auto join = std::make_shared<Join>();
-  join->pending = chunks;
-
+  // given (n, chunks) regardless of which thread runs it or when.
   const std::size_t base = n / chunks;
   const std::size_t extra = n % chunks;  // first `extra` chunks get +1
-  ThreadPool& pool = global_pool();
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    const std::size_t end = begin + len;
-    auto run_chunk = [join, &body, begin, end] {
-      try {
-        body(begin, end);
-      } catch (...) {
-        std::lock_guard lock(join->mutex);
-        if (!join->error) join->error = std::current_exception();
-      }
-      {
-        std::lock_guard lock(join->mutex);
-        --join->pending;
-      }
-      join->cv.notify_one();
-    };
-    if (c + 1 == chunks) {
-      run_chunk();  // the caller contributes the last chunk itself
-    } else {
-      pool.submit(std::move(run_chunk));
-    }
-    begin = end;
-  }
+  run_claimed(chunks, chunks - 1, [&](std::size_t c) {
+    const std::size_t begin = c * base + std::min(c, extra);
+    body(begin, begin + base + (c < extra ? 1 : 0));
+  });
+}
 
-  std::unique_lock lock(join->mutex);
-  join->cv.wait(lock, [&join] { return join->pending == 0; });
-  if (join->error) std::rethrow_exception(join->error);
+void parallel_tasks(std::size_t n,
+                    const std::function<void(std::size_t)>& body,
+                    int threads) {
+  if (n == 0) return;
+  const std::size_t workers = runners(n, threads);
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  run_claimed(n, workers - 1, body);
 }
 
 }  // namespace starcdn::util

@@ -13,14 +13,18 @@
 // determinism tests). STARCDN_THREADS=1 runs every parallel_for inline on
 // the calling thread.
 //
-// Nested parallel_for calls (e.g. a parallel bench sweep whose points each
-// run a parallel simulation) execute inline on the worker: the pool never
-// deadlocks on recursive submission, and the inner loop simply stays serial.
+// Work items (chunks, tasks) are claimed from a shared counter by the caller
+// and by helper tasks submitted to the pool. The caller claims too, so a
+// call never waits behind work queued ahead of its helpers: nested calls
+// (e.g. a simulation's producer generating the next block while other pool
+// tasks replay) run at least serially on the calling thread, are sped up
+// by whichever workers fall idle, and never deadlock.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <string>
 
 namespace starcdn::util {
 
@@ -38,9 +42,6 @@ class ThreadPool {
   /// Enqueue a task for execution on some worker. Fire-and-forget: use
   /// parallel_for for fork-join semantics.
   void submit(std::function<void()> task);
-
-  /// True when called from one of this pool's worker threads.
-  [[nodiscard]] static bool on_worker_thread() noexcept;
 
  private:
   struct Impl;
@@ -60,16 +61,31 @@ class ThreadPool {
 void set_parallel_threads(int n) noexcept;
 
 /// Parse a STARCDN_THREADS-style value; returns 0 (meaning "default") for
-/// null, empty, non-numeric, or non-positive strings. Exposed for tests.
+/// null, empty, non-numeric, non-positive, over-4096 or trailing-junk
+/// strings. Exposed for tests.
 [[nodiscard]] int parse_thread_count(const char* text) noexcept;
+
+/// The one-line warning printed (once, on stderr) when STARCDN_THREADS is
+/// set to `text` but parse_thread_count rejects it: names the variable, the
+/// value and the reason. Empty when `text` is null, empty or valid.
+[[nodiscard]] std::string thread_count_warning(const char* text);
 
 /// Run body(begin, end) over [0, n) split into `threads` static contiguous
 /// chunks (threads == 0 uses parallel_threads()). Blocks until every chunk
 /// finished; the first exception thrown by any chunk is rethrown here.
-/// Called from a pool worker, runs inline (serial) to avoid deadlock.
 void parallel_for_chunks(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
     int threads = 0);
+
+/// Run body(i) for every i in [0, n) as separate tasks, claimed in index
+/// order by up to `threads` runners (the caller among them; threads == 0
+/// uses parallel_threads()). Unlike parallel_for's static chunks, which
+/// runner takes which task is decided at run time, so listing the longest
+/// tasks first balances uneven work. Bodies must write disjoint state. Same
+/// blocking and exception semantics as parallel_for_chunks.
+void parallel_tasks(std::size_t n,
+                    const std::function<void(std::size_t)>& body,
+                    int threads = 0);
 
 /// Element-wise convenience wrapper: body(i) for every i in [0, n), with the
 /// same static chunking and exception semantics as parallel_for_chunks.

@@ -4,8 +4,11 @@
 // and require bitwise-identical outputs.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/simulator.h"
 #include "sched/scheduler.h"
+#include "trace/stream.h"
 #include "trace/workload.h"
 #include "util/geo.h"
 #include "util/parallel.h"
@@ -150,6 +153,99 @@ TEST(Determinism, StreamedChunksMatchWholeRunInParallel) {
   EXPECT_EQ(a.misses, b.misses);
   EXPECT_EQ(a.uplink_bytes, b.uplink_bytes);
   EXPECT_EQ(a.isl_bytes, b.isl_bytes);
+}
+
+/// Every output of a run that sharding could perturb: counters, epoch
+/// series rows, the latency reservoir (in sample order), the uplink meter
+/// and the per-satellite counters.
+void expect_bitwise_equal(const core::RunReport& a, const core::RunReport& b) {
+  ASSERT_EQ(a.variants.size(), b.variants.size());
+  for (std::size_t v = 0; v < a.variants.size(); ++v) {
+    const core::VariantReport& x = a.variants[v];
+    const core::VariantReport& y = b.variants[v];
+    SCOPED_TRACE(x.name);
+    EXPECT_EQ(x.counters, y.counters);
+    EXPECT_EQ(x.series.columns, y.series.columns);
+    EXPECT_EQ(x.series.epochs, y.series.epochs);
+    EXPECT_EQ(x.series.values, y.series.values);
+    EXPECT_GT(x.metrics.latency_ms.count(), 0u);
+    EXPECT_EQ(x.metrics.latency_ms.count(), y.metrics.latency_ms.count());
+    EXPECT_EQ(x.metrics.latency_ms.samples(), y.metrics.latency_ms.samples());
+    const util::RunningStats& ux = x.metrics.uplink_meter.throughput_gbps();
+    const util::RunningStats& uy = y.metrics.uplink_meter.throughput_gbps();
+    EXPECT_EQ(ux.count(), uy.count());
+    EXPECT_EQ(ux.mean(), uy.mean());
+    EXPECT_EQ(ux.max(), uy.max());
+    EXPECT_EQ(x.metrics.sat_requests, y.metrics.sat_requests);
+    EXPECT_EQ(x.metrics.sat_hits, y.metrics.sat_hits);
+    EXPECT_EQ(x.metrics.sat_bytes_requested, y.metrics.sat_bytes_requested);
+    EXPECT_EQ(x.metrics.sat_bytes_hit, y.metrics.sat_bytes_hit);
+  }
+}
+
+TEST(Determinism, ShardedReplayIdenticalAtEveryThreadCount) {
+  // Sharded replay splits each variant's cache decisions over bins of
+  // coupling groups whose number follows the thread count, and pipelines
+  // blocks through produce / decide / fold. Neither may show in any
+  // output: every scenario below must match its 1-thread run bitwise.
+  auto p = trace::default_params(trace::TrafficClass::kVideo);
+  p.object_count = 4'000;
+  p.requests_per_weight = 1'500;
+  p.duration_s = util::kHour.value();
+  const trace::WorkloadModel workload(util::paper_cities(), p);
+  const auto requests = trace::merge_by_time(workload.generate());
+  ASSERT_GT(requests.size(), 10'000u);
+
+  const orbit::Constellation healthy{orbit::WalkerParams{}};
+  orbit::Constellation failed{orbit::WalkerParams{}};
+  util::Rng rng(97);
+  failed.knock_out_random(0.1, rng);
+  const sched::LinkSchedule healthy_schedule(healthy, util::paper_cities(),
+                                             util::Seconds{p.duration_s});
+  const sched::LinkSchedule failed_schedule(failed, util::paper_cities(),
+                                            util::Seconds{p.duration_s});
+
+  for (const bool with_failures : {false, true}) {
+    const orbit::Constellation& shell = with_failures ? failed : healthy;
+    const sched::LinkSchedule& schedule =
+        with_failures ? failed_schedule : healthy_schedule;
+    for (const cache::Policy policy :
+         {cache::Policy::kLru, cache::Policy::kGdsf}) {
+      for (const int buckets : {4, 9}) {
+        SCOPED_TRACE(std::string(with_failures ? "failed" : "healthy") +
+                     " policy=" + std::to_string(static_cast<int>(policy)) +
+                     " L=" + std::to_string(buckets));
+        const auto simulate = [&](int threads) {
+          ThreadOverrideGuard guard(threads);
+          auto cfg = core::SimConfig::Builder{}
+                         .policy(policy)
+                         .cache_capacity(util::mib(256))
+                         .buckets(buckets)
+                         .track_per_satellite(true)
+                         .variants({core::Variant::kStatic,
+                                    core::Variant::kVanillaLru,
+                                    core::Variant::kHashOnly,
+                                    core::Variant::kRelayOnly,
+                                    core::Variant::kStarCdn,
+                                    core::Variant::kPrefetch})
+                         .build();
+          if (with_failures) {
+            cfg.transient_down_prob = 0.05;
+            cfg.transient_window = util::Seconds{120.0};
+          }
+          core::Simulator sim(shell, schedule, cfg);
+          trace::VectorStream stream(requests, 1'500);  // many pipeline steps
+          sim.run(stream);
+          return sim.finish();
+        };
+        const core::RunReport serial = simulate(1);
+        for (const int threads : {2, 3, 4, 8}) {
+          SCOPED_TRACE("threads=" + std::to_string(threads));
+          expect_bitwise_equal(serial, simulate(threads));
+        }
+      }
+    }
+  }
 }
 
 TEST(Determinism, KnockOutClampTerminates) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -124,18 +125,6 @@ TEST(ThreadPool, RunsSubmittedTasks) {
   EXPECT_EQ(done.load(), 16);
 }
 
-TEST(ThreadPool, WorkerThreadFlagIsVisibleInsideTasks) {
-  EXPECT_FALSE(ThreadPool::on_worker_thread());
-  std::atomic<bool> inside{false};
-  std::atomic<bool> ran{false};
-  global_pool().submit([&] {
-    inside.store(ThreadPool::on_worker_thread());
-    ran.store(true);
-  });
-  while (!ran.load()) std::this_thread::yield();
-  EXPECT_TRUE(inside.load());
-}
-
 TEST(ParallelThreads, ParseThreadCount) {
   EXPECT_EQ(parse_thread_count(nullptr), 0);
   EXPECT_EQ(parse_thread_count(""), 0);
@@ -146,6 +135,57 @@ TEST(ParallelThreads, ParseThreadCount) {
   EXPECT_EQ(parse_thread_count("many"), 0);
   EXPECT_EQ(parse_thread_count("8x"), 0);
   EXPECT_EQ(parse_thread_count("999999"), 0);  // over the sanity cap
+}
+
+TEST(ParallelThreads, WarningNamesTheVariableAndTheRejectedValue) {
+  EXPECT_EQ(thread_count_warning(nullptr), "");
+  EXPECT_EQ(thread_count_warning(""), "");
+  EXPECT_EQ(thread_count_warning("4"), "");
+  EXPECT_EQ(thread_count_warning("4096"), "");
+  EXPECT_EQ(parse_thread_count("4096"), 4096);
+  for (const char* bad :
+       {"many", "0", "-4", "4097", "8x", "99999999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(parse_thread_count(bad), 0);
+    const std::string warning = thread_count_warning(bad);
+    EXPECT_NE(warning.find("STARCDN_THREADS"), std::string::npos) << warning;
+    EXPECT_NE(warning.find(std::string("\"") + bad + "\""),
+              std::string::npos)
+        << warning;
+  }
+}
+
+TEST(ParallelTasks, RunsEveryTaskOnceAndNestsParallelLoops) {
+  ThreadOverrideGuard guard(4);
+  constexpr std::size_t n = 37;
+  std::vector<std::atomic<int>> touched(n * 8);
+  parallel_tasks(n, [&](std::size_t t) {
+    parallel_for(8, [&](std::size_t i) {
+      touched[t * 8 + i].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    ASSERT_EQ(touched[i].load(), 1) << "slot " << i;
+  }
+}
+
+TEST(ParallelTasks, SingleThreadRunsInIndexOrder) {
+  ThreadOverrideGuard guard(1);
+  std::vector<std::size_t> order;
+  parallel_tasks(5, [&](std::size_t t) { order.push_back(t); });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ParallelTasks, ExceptionPropagatesAfterEveryTaskRan) {
+  ThreadOverrideGuard guard(4);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(parallel_tasks(20,
+                              [&](std::size_t t) {
+                                ran.fetch_add(1, std::memory_order_relaxed);
+                                if (t == 3) throw std::runtime_error("boom");
+                              }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 20);
 }
 
 TEST(ParallelThreads, OverrideAndRestore) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "trace/workload.h"
 #include "util/geo.h"
 
@@ -92,6 +97,23 @@ TEST(Replay, DeterministicAcrossRuns) {
   const auto a = replay_cluster(shell, schedule, requests, cfg);
   const auto b = replay_cluster(shell, schedule, requests, cfg);
   EXPECT_EQ(a, b);
+}
+
+TEST(Replay, HelloSlotRejectsOutOfRangeAndDuplicateNodes) {
+  std::vector<std::unique_ptr<net::Channel>> channels(3);
+  EXPECT_EQ(hello_slot(channels, 0), 0u);
+  EXPECT_EQ(hello_slot(channels, 2), 2u);
+  try {
+    (void)hello_slot(channels, 3);
+    ADD_FAILURE() << "src 3 of 3 nodes accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("node 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("3 nodes"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)hello_slot(channels, 0xffffffffu), std::runtime_error);
+  channels[1] = net::make_inproc_pair().first;
+  EXPECT_THROW((void)hello_slot(channels, 1), std::runtime_error);
 }
 
 }  // namespace

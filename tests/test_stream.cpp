@@ -495,6 +495,33 @@ TEST(StreamValidation, RejectsNanTimestamp) {
   }
 }
 
+TEST(StreamValidation, RejectsZeroSize) {
+  // A zero-byte request would count as a hit or miss that moves no bytes,
+  // breaking the byte-conservation accounting behind every uplink figure.
+  auto requests = ordered_requests(100);
+  requests[61].size = 0;
+  for (const std::size_t chunk : {std::size_t{0}, std::size_t{8}}) {
+    expect_rejected(requests, chunk, "size", "61", "is 0");
+  }
+}
+
+TEST(StreamValidation, BlocksBeforeTheBadOneAreFullyReplayed) {
+  // The bad request sits in the third 16-request block: the pipeline still
+  // decides and folds the first two before the error reaches the caller.
+  static const orbit::Constellation shell{orbit::WalkerParams{}};
+  static const sched::LinkSchedule schedule(shell, util::paper_cities(),
+                                            util::Seconds{30 * 60.0});
+  auto requests = ordered_requests(100);
+  requests[40].size = 0;
+  core::SimConfig cfg;
+  cfg.cache_capacity = util::mib(64);
+  core::Simulator sim(shell, schedule, cfg);
+  sim.add_variant(core::Variant::kStarCdn);
+  trace::VectorStream stream(requests, 16);
+  EXPECT_THROW(sim.run(stream), std::invalid_argument);
+  EXPECT_EQ(sim.metrics(core::Variant::kStarCdn).requests, 32u);
+}
+
 TEST(StreamValidation, ReplayClusterRejectsBadBlocks) {
   orbit::WalkerParams p;
   p.planes = 6;
