@@ -10,11 +10,9 @@
 
 #include "cache/cache.h"
 #include "core/bucket_mapper.h"
-#include "core/run_report.h"
+#include "core/metrics.h"
 #include "core/simulator.h"
 #include "net/codec.h"
-#include "obs/prof.h"
-#include "obs/registry.h"
 #include "obs/series.h"
 #include "orbit/constellation.h"
 #include "orbit/visibility.h"
@@ -247,62 +245,21 @@ void BM_ParallelForOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelForOverhead)->Arg(1)->Arg(4);
 
-void BM_ObsShardAdd(benchmark::State& state) {
-  // The registry hot path the simulator took on: one handle-indexed array
-  // add per counter update. Compare against BM_Splitmix-level costs — the
-  // DESIGN.md §11 budget wants this within noise of a raw `+=`.
-  obs::Registry registry;
-  const core::CoreMetricIds ids = core::register_core_metrics(registry);
-  obs::Shard shard(registry);
-  for (auto _ : state) {
-    shard.add(ids.requests);
-    shard.add(ids.bytes_requested, 4096);
-    benchmark::DoNotOptimize(shard.value(ids.requests));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ObsShardAdd);
-
-void BM_ObsHistogramObserve(benchmark::State& state) {
-  obs::Registry registry;
-  const core::CoreMetricIds ids = core::register_core_metrics(registry);
-  obs::Shard shard(registry);
-  double x = 0.0;
-  for (auto _ : state) {
-    shard.observe(ids.latency_ms, x);
-    x = x < 900.0 ? x + 7.3 : 0.0;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ObsHistogramObserve);
-
 void BM_ObsSeriesAdvance(benchmark::State& state) {
   // Per-request cost of the epoch-series recorder when the epoch does NOT
   // change — the common case (thousands of requests per 15 s epoch). Must
-  // stay a single compare.
-  obs::Registry registry;
-  const core::CoreMetricIds ids = core::register_core_metrics(registry);
-  obs::Shard shard(registry);
-  obs::EpochSeries series(&registry, core::core_series_columns(ids));
-  series.advance_to(1, shard);
+  // stay a single compare: the row is only collected on a crossing.
+  const core::VariantMetrics metrics;
+  obs::EpochSeries series(core::series_columns());
+  const auto row = core::series_row(metrics);
+  series.advance_to(1, row);
   for (auto _ : state) {
-    series.advance_to(1, shard);
+    series.advance_to(1, row);
     benchmark::DoNotOptimize(&series);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ObsSeriesAdvance);
-
-void BM_ObsProfScope(benchmark::State& state) {
-  // Cost of one STARCDN_PROF_SCOPE; in default builds the macro is
-  // compiled out and this measures an empty loop.
-  for (auto _ : state) {
-    STARCDN_PROF_SCOPE("bench_micro");
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ObsProfScope);
 
 double time_s(const std::function<void()>& fn) {
   const auto t0 = std::chrono::steady_clock::now();

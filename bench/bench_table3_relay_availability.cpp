@@ -26,14 +26,14 @@ int main(int argc, char** argv) {
                          .build();
     const core::RunReport report =
         harness.simulate(cfg, {core::Variant::kStarCdn}, "table3_" + label);
-    const auto& rel = report.variant(core::Variant::kStarCdn).metrics.relay;
+    const auto& m = report.variant(core::Variant::kStarCdn).metrics;
     table.add_row({label,
-                   util::fmt(static_cast<double>(rel.west_only_requests) / 1e3, 1),
-                   util::fmt(static_cast<double>(rel.west_only_bytes) / 1e9, 1),
-                   util::fmt(static_cast<double>(rel.east_only_requests) / 1e3, 1),
-                   util::fmt(static_cast<double>(rel.east_only_bytes) / 1e9, 1),
-                   util::fmt(static_cast<double>(rel.both_requests) / 1e3, 1),
-                   util::fmt(static_cast<double>(rel.both_bytes) / 1e9, 1)});
+                   util::fmt(static_cast<double>(m.relay_west_only_requests) / 1e3, 1),
+                   util::fmt(static_cast<double>(m.relay_west_only_bytes) / 1e9, 1),
+                   util::fmt(static_cast<double>(m.relay_east_only_requests) / 1e3, 1),
+                   util::fmt(static_cast<double>(m.relay_east_only_bytes) / 1e9, 1),
+                   util::fmt(static_cast<double>(m.relay_both_requests) / 1e3, 1),
+                   util::fmt(static_cast<double>(m.relay_both_bytes) / 1e9, 1)});
   }
   table.print(std::cout, "Table 3: availability in inter-orbit neighbours");
   table.write_csv(harness.out_dir() + "/table3_relay_availability.csv");

@@ -11,91 +11,6 @@
 
 namespace starcdn::core {
 
-CoreMetricIds register_core_metrics(obs::Registry& registry) {
-  CoreMetricIds ids;
-  ids.requests = registry.counter("requests", "requests replayed");
-  ids.local_hits = registry.counter(
-      "local_hits", "served by the first-contact satellite");
-  ids.routed_hits =
-      registry.counter("routed_hits", "served by the bucket owner");
-  ids.relay_west_hits = registry.counter(
-      "relay_west_hits", "owner miss served by the trailing replica");
-  ids.relay_east_hits = registry.counter(
-      "relay_east_hits", "owner miss served by the leading replica");
-  ids.misses = registry.counter("misses", "fetched from the ground");
-  ids.unreachable =
-      registry.counter("unreachable", "no satellite in view (coverage gap)");
-  ids.transient_misses = registry.counter(
-      "transient_misses", "serving cache briefly down (§3.4)");
-  ids.handovers = registry.counter(
-      "handovers", "first-contact satellite changed across epochs");
-
-  ids.bytes_requested =
-      registry.counter("bytes_requested", "total bytes requested", "bytes");
-  ids.bytes_hit =
-      registry.counter("bytes_hit", "bytes served from orbit", "bytes");
-  ids.uplink_bytes = registry.counter(
-      "uplink_bytes", "ground->satellite fetches (scarce GSL)", "bytes");
-  ids.isl_bytes = registry.counter(
-      "isl_bytes", "object bytes moved across ISLs", "bytes");
-  ids.prefetch_bytes = registry.counter(
-      "prefetch_bytes", "speculative transfers (kPrefetch only)", "bytes");
-
-  ids.relay_west_only_requests = registry.counter(
-      "relay_west_only_requests", "owner misses where only west had it");
-  ids.relay_east_only_requests = registry.counter(
-      "relay_east_only_requests", "owner misses where only east had it");
-  ids.relay_both_requests = registry.counter(
-      "relay_both_requests", "owner misses where both replicas had it");
-  ids.relay_west_only_bytes = registry.counter(
-      "relay_west_only_bytes", "bytes available only west", "bytes");
-  ids.relay_east_only_bytes = registry.counter(
-      "relay_east_only_bytes", "bytes available only east", "bytes");
-  ids.relay_both_bytes = registry.counter(
-      "relay_both_bytes", "bytes available on both replicas", "bytes");
-
-  ids.latency_ms = registry.histogram(
-      "latency_ms", "end-to-end request latency",
-      {5, 10, 20, 30, 40, 50, 75, 100, 150, 200, 300, 500, 1000}, "ms");
-  return ids;
-}
-
-std::vector<obs::CounterId> core_series_columns(const CoreMetricIds& ids) {
-  return {ids.requests,        ids.local_hits,      ids.routed_hits,
-          ids.relay_west_hits, ids.relay_east_hits, ids.misses,
-          ids.unreachable,     ids.transient_misses, ids.handovers,
-          ids.bytes_requested, ids.bytes_hit,       ids.uplink_bytes,
-          ids.isl_bytes,       ids.prefetch_bytes};
-}
-
-void shard_to_metrics(const CoreMetricIds& ids, const obs::Shard& shard,
-                      VariantMetrics& m) {
-  // Assignment from the cumulative shard, not +=: shards persist across
-  // streamed run() chunks, so each sync lands on the same totals the old
-  // direct-increment fields accumulated — bitwise, since both are sums of
-  // identical u64 increments.
-  m.requests = shard.value(ids.requests);
-  m.local_hits = shard.value(ids.local_hits);
-  m.routed_hits = shard.value(ids.routed_hits);
-  m.relay_west_hits = shard.value(ids.relay_west_hits);
-  m.relay_east_hits = shard.value(ids.relay_east_hits);
-  m.misses = shard.value(ids.misses);
-  m.unreachable = shard.value(ids.unreachable);
-  m.transient_misses = shard.value(ids.transient_misses);
-  m.handovers = shard.value(ids.handovers);
-  m.bytes_requested = shard.value(ids.bytes_requested);
-  m.bytes_hit = shard.value(ids.bytes_hit);
-  m.uplink_bytes = shard.value(ids.uplink_bytes);
-  m.isl_bytes = shard.value(ids.isl_bytes);
-  m.prefetch_bytes = shard.value(ids.prefetch_bytes);
-  m.relay.west_only_requests = shard.value(ids.relay_west_only_requests);
-  m.relay.east_only_requests = shard.value(ids.relay_east_only_requests);
-  m.relay.both_requests = shard.value(ids.relay_both_requests);
-  m.relay.west_only_bytes = shard.value(ids.relay_west_only_bytes);
-  m.relay.east_only_bytes = shard.value(ids.relay_east_only_bytes);
-  m.relay.both_bytes = shard.value(ids.relay_both_bytes);
-}
-
 std::vector<obs::SeriesTable::Derived> core_series_derived(
     const obs::SeriesTable& table) {
   const std::size_t req = table.column("requests");
@@ -163,9 +78,11 @@ std::vector<std::string> RunReport::write_series_csv_files(
     if (vr.series.rows() == 0) continue;
     const std::string path = prefix + vr.name + ".csv";
     std::ofstream out(path);
-    if (!out) continue;
-    vr.series.write_csv(out, core_series_derived(vr.series));
-    if (out) written.push_back(path);
+    if (out) vr.series.write_csv(out, core_series_derived(vr.series));
+    if (!out) {
+      throw std::runtime_error("RunReport: cannot write series CSV " + path);
+    }
+    written.push_back(path);
   }
   return written;
 }
@@ -186,9 +103,6 @@ void RunReport::write_summary(std::ostream& os) const {
          std::to_string(m.handovers)});
   }
   table.print(os, "run summary");
-  if (profile.compiled) {
-    profile.print(os);
-  }
 }
 
 namespace {

@@ -1,17 +1,12 @@
 // Run reports and metric sinks: the simulator's output API (DESIGN.md §11).
 //
-// VariantMetrics used to be the simulator's hard-coded output; it is now
-// one *view* of an obs::Registry. Every scalar counter the hot path
-// increments goes through a per-variant obs::Shard via the CoreMetricIds
-// handles below, and Simulator syncs the shard back into the familiar
-// VariantMetrics fields — so existing figure code keeps reading
-// `sim.metrics(v).uplink_bytes` while new code gets, from the same single
-// source of truth:
+// The replay loop counts into each variant's VariantMetrics; finish()
+// materializes them, with the kCounters table naming every counter, into:
 //
 //   * RunReport       — self-contained result of a run: per-variant
-//                       metrics + epoch time-series + counter snapshots,
-//                       fleet totals, and the hot-path profile. Survives
-//                       the Simulator that produced it.
+//                       metrics + epoch time-series + counter snapshots and
+//                       fleet totals. Survives the Simulator that produced
+//                       it.
 //   * MetricsSink     — consumer interface; register sinks with
 //                       Simulator::add_sink() and they fire on finish().
 //   * SeriesCsvSink / SummarySink / TraceJsonSink — stock sinks covering
@@ -26,53 +21,9 @@
 
 #include "core/metrics.h"
 #include "core/variant.h"
-#include "obs/prof.h"
-#include "obs/registry.h"
 #include "obs/series.h"
 
 namespace starcdn::core {
-
-/// Handles for every scalar counter the replay hot path updates, plus the
-/// latency histogram. Issued once per Simulator by register_core_metrics().
-struct CoreMetricIds {
-  obs::CounterId requests;
-  obs::CounterId local_hits;
-  obs::CounterId routed_hits;
-  obs::CounterId relay_west_hits;
-  obs::CounterId relay_east_hits;
-  obs::CounterId misses;
-  obs::CounterId unreachable;
-  obs::CounterId transient_misses;
-  obs::CounterId handovers;
-
-  obs::CounterId bytes_requested;
-  obs::CounterId bytes_hit;
-  obs::CounterId uplink_bytes;
-  obs::CounterId isl_bytes;
-  obs::CounterId prefetch_bytes;
-
-  obs::CounterId relay_west_only_requests;
-  obs::CounterId relay_east_only_requests;
-  obs::CounterId relay_both_requests;
-  obs::CounterId relay_west_only_bytes;
-  obs::CounterId relay_east_only_bytes;
-  obs::CounterId relay_both_bytes;
-
-  obs::HistogramId latency_ms;
-};
-
-/// Register the core schema into `registry` and hand back the handles.
-[[nodiscard]] CoreMetricIds register_core_metrics(obs::Registry& registry);
-
-/// The counters recorded per scheduler epoch by the EpochSeries (the
-/// ingredients of hit-rate / uplink / handover time-series).
-[[nodiscard]] std::vector<obs::CounterId> core_series_columns(
-    const CoreMetricIds& ids);
-
-/// Sync a shard's cumulative counters into the legacy VariantMetrics
-/// scalar fields (assignment, so repeated syncs are idempotent).
-void shard_to_metrics(const CoreMetricIds& ids, const obs::Shard& shard,
-                      VariantMetrics& m);
 
 /// Derived per-epoch rate columns (request/byte hit rate, normalized
 /// uplink) for exporting a core series table.
@@ -83,10 +34,9 @@ void shard_to_metrics(const CoreMetricIds& ids, const obs::Shard& shard,
 struct VariantReport {
   Variant variant = Variant::kStarCdn;
   std::string name;          ///< to_string(variant)
-  VariantMetrics metrics;    ///< synced view (includes latency sampler)
+  VariantMetrics metrics;    ///< counters, latency sampler, uplink meter
   obs::SeriesTable series;   ///< per-epoch counters; empty when disabled
-  /// Registry counter snapshot (name, cumulative value) in registration
-  /// order — the raw data behind `metrics`.
+  /// Every kCounters entry as (name, cumulative value), in kCounters order.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
 };
 
@@ -95,10 +45,8 @@ struct RunReport {
   double epoch_seconds = 15.0;
   std::uint64_t seed = 0;
   std::vector<VariantReport> variants;
-  /// Deterministic cross-variant totals (shards merged in registration
-  /// order).
+  /// Cross-variant totals: each kCounters entry summed over the variants.
   std::vector<std::pair<std::string, std::uint64_t>> totals;
-  obs::ProfileReport profile;
 
   [[nodiscard]] const VariantReport* find(Variant v) const noexcept;
   /// Throws std::out_of_range when the variant was not registered.
@@ -107,9 +55,10 @@ struct RunReport {
   /// Epoch time-series CSV for one variant, with derived rate columns.
   void write_series_csv(Variant v, std::ostream& os) const;
   /// One `<prefix><variant-name>.csv` per variant; returns written paths.
+  /// Throws std::runtime_error naming the path it cannot write.
   std::vector<std::string> write_series_csv_files(
       const std::string& prefix) const;
-  /// Aligned per-variant summary table (+ hot-path profile when compiled).
+  /// Aligned per-variant summary table.
   void write_summary(std::ostream& os) const;
   /// Whole report as one JSON object (counters, summary rates, series).
   void write_json(std::ostream& os) const;

@@ -8,7 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/prof.h"
 #include "obs/tracer.h"
 #include "util/hash.h"
 #include "util/parallel.h"
@@ -93,8 +92,7 @@ Simulator::Simulator(const orbit::Constellation& constellation,
       schedule_(&schedule),
       config_(validated(std::move(config))),
       mapper_(constellation, config_.buckets),
-      latency_(latency_params),
-      ids_(register_core_metrics(registry_)) {
+      latency_(latency_params) {
   // Surface the constellation's failure remapping in the trace timeline:
   // one instant per inactive satellite, tagged with the slot that absorbs
   // its buckets (Fig. 11's failure scenario).
@@ -133,11 +131,11 @@ void Simulator::add_variant(Variant v) {
   vs.rng = util::Rng(config_.seed ^ static_cast<std::uint64_t>(v));
   vs.request_counter =
       variants_.empty() ? 0 : variants_.front().request_counter;
-  vs.shard = obs::Shard(registry_);
   if (config_.record_epoch_series) {
-    vs.series = obs::EpochSeries(&registry_, core_series_columns(ids_));
+    vs.series = obs::EpochSeries(series_columns());
   }
   vs.metrics.latency_ms = util::QuantileSampler(config_.latency_reservoir);
+  vs.metrics.uplink_meter = net::UplinkMeter(schedule_->epoch_duration());
   vs.groups = coupling_groups(*constellation_, mapper_, v, config_.relay_east);
   vs.group_load.assign(vs.groups.count, 0);
   vs.caches.resize(static_cast<std::size_t>(constellation_->size()));
@@ -162,13 +160,6 @@ const VariantMetrics& Simulator::metrics(Variant v) const {
     if (vs.variant == v) return vs.metrics;
   }
   throw std::out_of_range("Simulator::metrics: variant not registered");
-}
-
-const obs::Shard& Simulator::shard(Variant v) const {
-  for (const auto& vs : variants_) {
-    if (vs.variant == v) return vs.shard;
-  }
-  throw std::out_of_range("Simulator::shard: variant not registered");
 }
 
 cache::Cache& Simulator::cache_at(VariantState& vs, SatId sat) {
@@ -198,7 +189,6 @@ void Simulator::build_context(const trace::RequestBlock& block,
                               std::uint64_t counter_base, bool need_static,
                               bool need_owner,
                               std::vector<RequestContext>& ctx) {
-  STARCDN_PROF_SCOPE("Simulator::stage1_context");
   const obs::TraceSpan stage1_span(obs::tracer(), "stage1_context", "core");
   const auto users_per_city =
       static_cast<std::uint64_t>(schedule_->params().users_per_city);
@@ -275,7 +265,6 @@ void Simulator::repack(VariantState& vs, std::size_t bins) {
 void Simulator::decide_bin(VariantState& vs, int slot, std::size_t bin,
                            const trace::RequestBlock& block,
                            const std::vector<RequestContext>& ctx) {
-  STARCDN_PROF_SCOPE("Simulator::variant_decide");
   const obs::TraceSpan span(obs::tracer(), to_string(vs.variant), "variant");
   std::vector<Outcome>& out = vs.outcome[slot];
   std::vector<util::Bytes>& pre = vs.prefetched[slot];
@@ -295,7 +284,6 @@ void Simulator::decide_bin(VariantState& vs, int slot, std::size_t bin,
 
 void Simulator::run(trace::RequestStream& stream) {
   if (variants_.empty()) return;
-  STARCDN_PROF_SCOPE("Simulator::run");
   std::vector<obs::TraceArg> run_args{
       obs::arg("variants", static_cast<std::uint64_t>(variants_.size()))};
   for (const auto& vs : variants_) {
@@ -416,47 +404,34 @@ void Simulator::run(trace::RequestStream& stream) {
     // (satellite, epoch) uplink cell at chunk boundaries and skew the
     // throughput statistics.
     vs.metrics.uplink_meter.flush();
-    shard_to_metrics(ids_, vs.shard, vs.metrics);
   }
   if (produce_error) std::rethrow_exception(produce_error);
 }
 
 RunReport Simulator::finish() {
-  STARCDN_PROF_SCOPE("Simulator::finish");
   const obs::TraceSpan span(obs::tracer(), "Simulator::finish", "core");
   RunReport report;
   report.epoch_seconds = schedule_->epoch_duration().value();
   report.seed = config_.seed;
 
-  std::vector<const obs::Shard*> shards;
-  shards.reserve(variants_.size());
+  for (const CounterField& c : kCounters) report.totals.emplace_back(c.name, 0);
   for (auto& vs : variants_) {
     vs.metrics.uplink_meter.flush();  // no-op unless a run left a partial
-    vs.series.finish(vs.shard);       // close the trailing partial epoch
-    shard_to_metrics(ids_, vs.shard, vs.metrics);
+    vs.series.finish(series_row(vs.metrics));  // trailing partial epoch
+    check_conservation(vs.metrics, to_string(vs.variant));
 
     VariantReport vr;
     vr.variant = vs.variant;
     vr.name = to_string(vs.variant);
     vr.metrics = vs.metrics;
     vr.series = vs.series.table(report.epoch_seconds);
-    for (const auto& d : registry_.descriptors()) {
-      if (d.kind != obs::Kind::kCounter) continue;
-      vr.counters.emplace_back(d.name,
-                               vs.shard.value(obs::CounterId{d.slot}));
+    for (std::size_t c = 0; c < kCounters.size(); ++c) {
+      const std::uint64_t value = vs.metrics.*kCounters[c].field;
+      vr.counters.emplace_back(kCounters[c].name, value);
+      report.totals[c].second += value;
     }
     report.variants.push_back(std::move(vr));
-    shards.push_back(&vs.shard);
   }
-
-  // Fleet totals: shards merged in variant registration order — the
-  // determinism contract of obs::merge.
-  const obs::Shard merged = obs::merge(registry_, shards);
-  for (const auto& d : registry_.descriptors()) {
-    if (d.kind != obs::Kind::kCounter) continue;
-    report.totals.emplace_back(d.name, merged.value(obs::CounterId{d.slot}));
-  }
-  report.profile = obs::profile_report();
 
   for (MetricsSink* sink : sinks_) sink->consume(report);
   return report;
@@ -543,7 +518,6 @@ void Simulator::fold_variant(VariantState& vs, int slot,
                              const trace::RequestBlock& block,
                              const std::vector<RequestContext>& ctx,
                              bool trace_epochs, std::uint64_t& marked_epoch) {
-  STARCDN_PROF_SCOPE("Simulator::variant_fold");
   const obs::TraceSpan span(obs::tracer(), to_string(vs.variant), "variant");
   obs::Tracer* const tr = trace_epochs ? obs::tracer() : nullptr;
   const bool is_static = vs.variant == Variant::kStatic;
@@ -553,14 +527,14 @@ void Simulator::fold_variant(VariantState& vs, int slot,
   for (std::size_t i = 0; i < block.count(); ++i) {
     ++vs.request_counter;
     const std::uint64_t real = ctx[i].epoch.value();
-    if (record_series) vs.series.advance_to(real, vs.shard);
+    if (record_series) vs.series.advance_to(real, series_row(vs.metrics));
     if (tr != nullptr && real != marked_epoch) {
       marked_epoch = real;
       tr->instant("epoch", "sim", {obs::arg("epoch", real)});
     }
     // Handover accounting rides on the shared stage-1 context; kStatic
     // freezes the mapping, so it never hands over by construction.
-    if (!is_static && ctx[i].handover) vs.shard.add(ids_.handovers);
+    if (!is_static && ctx[i].handover) ++vs.metrics.handovers;
     fold(vs, block.at(i), ctx[i], out[i],
          prefetching ? vs.prefetched[slot][i] : 0);
   }
@@ -569,21 +543,17 @@ void Simulator::fold_variant(VariantState& vs, int slot,
 void Simulator::fold(VariantState& vs, const trace::Request& r,
                      const RequestContext& c, Outcome o,
                      util::Bytes prefetched) {
-  VariantMetrics& m = vs.metrics;  // sampler + uplink meter + sat_* only;
-  obs::Shard& sh = vs.shard;       // every scalar counter goes here
-  sh.add(ids_.requests);
-  sh.add(ids_.bytes_requested, r.size);
+  VariantMetrics& m = vs.metrics;
+  ++m.requests;
+  m.bytes_requested += r.size;
   const bool sample = config_.sample_latency;
-  const auto record = [&](util::Millis ms) {
-    m.latency_ms.add(ms.value());
-    sh.observe(ids_.latency_ms, ms.value());
-  };
+  const auto record = [&](util::Millis ms) { m.latency_ms.add(ms.value()); };
 
   if (o == Outcome::kUnreachable) {
     // Coverage gap: served bent-pipe from the ground via a remote link.
-    sh.add(ids_.unreachable);
-    sh.add(ids_.misses);
-    sh.add(ids_.uplink_bytes, r.size);
+    ++m.unreachable;
+    ++m.misses;
+    m.uplink_bytes += r.size;
     if (sample) {
       record(latency_.bentpipe_starlink(latency_.params().default_gsl, vs.rng));
     }
@@ -597,8 +567,8 @@ void Simulator::fold(VariantState& vs, const trace::Request& r,
     ++vs.group_load[vs.groups.group_of[util::as_index(serving)]];
   }
   const auto ground = [&] {
-    sh.add(ids_.misses);
-    sh.add(ids_.uplink_bytes, r.size);
+    ++m.misses;
+    m.uplink_bytes += r.size;
     m.uplink_meter.add(serving, c.epoch, r.size);
     if (sample) {
       record(latency_.miss(gsl, route, latency_.params().default_gsl, vs.rng));
@@ -606,22 +576,22 @@ void Simulator::fold(VariantState& vs, const trace::Request& r,
   };
 
   if (o == Outcome::kTransient) {
-    sh.add(ids_.transient_misses);
+    ++m.transient_misses;
     ground();
     return;
   }
   if (prefetched != 0) {
-    sh.add(ids_.isl_bytes, prefetched);
-    sh.add(ids_.prefetch_bytes, prefetched);
+    m.isl_bytes += prefetched;
+    m.prefetch_bytes += prefetched;
   }
 
   if (o == Outcome::kLocalHit || o == Outcome::kRoutedHit) {
-    sh.add(ids_.bytes_hit, r.size);
+    m.bytes_hit += r.size;
     if (o == Outcome::kLocalHit) {
-      sh.add(ids_.local_hits);
+      ++m.local_hits;
     } else {
-      sh.add(ids_.routed_hits);
-      sh.add(ids_.isl_bytes, r.size);
+      ++m.routed_hits;
+      m.isl_bytes += r.size;
     }
     note_sat(vs, serving, r, true);
     if (sample) {
@@ -639,23 +609,23 @@ void Simulator::fold(VariantState& vs, const trace::Request& r,
   // Relay hit, with Table 3's availability among the neighbours.
   switch (o) {
     case Outcome::kRelayBoth:
-      sh.add(ids_.relay_both_requests);
-      sh.add(ids_.relay_both_bytes, r.size);
-      sh.add(ids_.relay_west_hits);
+      ++m.relay_both_requests;
+      m.relay_both_bytes += r.size;
+      ++m.relay_west_hits;
       break;
     case Outcome::kRelayWest:
-      sh.add(ids_.relay_west_only_requests);
-      sh.add(ids_.relay_west_only_bytes, r.size);
-      sh.add(ids_.relay_west_hits);
+      ++m.relay_west_only_requests;
+      m.relay_west_only_bytes += r.size;
+      ++m.relay_west_hits;
       break;
     default:
-      sh.add(ids_.relay_east_only_requests);
-      sh.add(ids_.relay_east_only_bytes, r.size);
-      sh.add(ids_.relay_east_hits);
+      ++m.relay_east_only_requests;
+      m.relay_east_only_bytes += r.size;
+      ++m.relay_east_hits;
       break;
   }
-  sh.add(ids_.bytes_hit, r.size);
-  sh.add(ids_.isl_bytes, r.size);
+  m.bytes_hit += r.size;
+  m.isl_bytes += r.size;
   if (sample) {
     const int relay_hops =
         vs.variant == Variant::kStarCdn ? mapper_.tile_side() : 1;

@@ -36,7 +36,6 @@
 #include "core/run_report.h"
 #include "core/variant.h"
 #include "net/latency_model.h"
-#include "obs/registry.h"
 #include "obs/series.h"
 #include "orbit/constellation.h"
 #include "sched/scheduler.h"
@@ -212,21 +211,15 @@ class Simulator {
     run(stream);
   }
 
-  /// Close the run: seals each variant's epoch series, merges the
-  /// per-variant shards (registration order — deterministic), collects
-  /// the hot-path profile, feeds every registered sink, and returns the
-  /// self-contained RunReport. May be called repeatedly; each call
-  /// re-snapshots (and re-feeds the sinks with) the current totals.
+  /// Close the run: seals each variant's epoch series, checks each
+  /// variant's counters with check_conservation (std::logic_error on a
+  /// violation), sums the fleet totals, feeds every registered sink, and
+  /// returns the self-contained RunReport. May be called repeatedly; each
+  /// call re-snapshots (and re-feeds the sinks with) the current totals.
   RunReport finish();
 
+  /// Throws std::out_of_range when the variant is not registered.
   [[nodiscard]] const VariantMetrics& metrics(Variant v) const;
-  /// The metric schema backing this simulator's counters.
-  [[nodiscard]] const obs::Registry& registry() const noexcept {
-    return registry_;
-  }
-  /// A variant's raw counter shard (the source VariantMetrics is synced
-  /// from); throws std::out_of_range when unregistered.
-  [[nodiscard]] const obs::Shard& shard(Variant v) const;
   [[nodiscard]] const BucketMapper& mapper() const noexcept { return mapper_; }
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
 
@@ -262,9 +255,10 @@ class Simulator {
   /// are registered.
   struct VariantState {
     Variant variant;
-    VariantMetrics metrics;
-    obs::Shard shard;        // counter storage; metrics syncs from this
-    obs::EpochSeries series; // per-epoch snapshots of the shard
+    /// Written per request by the fold stage while decide tasks read
+    /// `variant`; its own cache line keeps that from false sharing.
+    alignas(64) VariantMetrics metrics;
+    obs::EpochSeries series;  // per-epoch snapshots of the metrics
     std::vector<std::unique_ptr<cache::Cache>> caches;  // per satellite slot
     std::vector<std::uint32_t> prefetch_epoch;          // kPrefetch bookkeeping
     TransientFailureModel transient{0.0};  // same outage schedule per variant
@@ -350,8 +344,6 @@ class Simulator {
   SimConfig config_;
   BucketMapper mapper_;
   net::LatencyModel latency_;
-  obs::Registry registry_;  // declared before variants_: shards index it
-  CoreMetricIds ids_;
   std::vector<VariantState> variants_;
   std::vector<MetricsSink*> sinks_;
 };

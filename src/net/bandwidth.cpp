@@ -1,7 +1,5 @@
 #include "net/bandwidth.h"
 
-#include "obs/prof.h"
-
 namespace starcdn::net {
 
 void UplinkMeter::add(util::SatId sat, util::EpochIdx epoch,
@@ -15,7 +13,6 @@ void UplinkMeter::add(util::SatId sat, util::EpochIdx epoch,
 }
 
 void UplinkMeter::flush() {
-  STARCDN_PROF_SCOPE("UplinkMeter::flush");
   for (const auto& [sat, bytes] : epoch_bytes_) {
     (void)sat;
     const double cell_gbps =

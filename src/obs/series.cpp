@@ -1,5 +1,7 @@
 #include "obs/series.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <ostream>
 
@@ -60,35 +62,28 @@ void SeriesTable::write_json(std::ostream& os) const {
   os << "]}";
 }
 
-EpochSeries::EpochSeries(const Registry* registry,
-                         std::vector<CounterId> columns)
-    : registry_(registry), columns_(std::move(columns)) {}
-
-void EpochSeries::snapshot_row(std::uint64_t epoch, const Shard& shard) {
-  epochs_.push_back(epoch);
-  for (const CounterId c : columns_) values_.push_back(shard.value(c));
+std::span<std::uint64_t> EpochSeries::open_row() {
+  epochs_.push_back(next_epoch_);
+  values_.resize(values_.size() + columns_.size());
+  return {values_.data() + values_.size() - columns_.size(), columns_.size()};
 }
 
-void EpochSeries::advance_slow(std::uint64_t epoch, const Shard& shard) {
-  if (registry_ == nullptr || finished_) return;
-  while (next_epoch_ < epoch) {
-    snapshot_row(next_epoch_, shard);
-    ++next_epoch_;
+void EpochSeries::close_through(std::uint64_t epoch) {
+  const std::size_t n = columns_.size();
+  while (++next_epoch_ < epoch) {
+    epochs_.push_back(next_epoch_);
+    const std::size_t prev = values_.size() - n;
+    values_.resize(values_.size() + n);
+    std::copy_n(values_.begin() + static_cast<std::ptrdiff_t>(prev), n,
+                values_.begin() + static_cast<std::ptrdiff_t>(prev + n));
   }
-}
-
-void EpochSeries::finish(const Shard& shard) {
-  if (registry_ == nullptr || finished_) return;
-  snapshot_row(next_epoch_, shard);
-  finished_ = true;
 }
 
 SeriesTable EpochSeries::table(double epoch_seconds) const {
   SeriesTable t;
   t.epoch_seconds = epoch_seconds;
-  if (registry_ == nullptr) return t;
-  t.columns.reserve(columns_.size());
-  for (const CounterId c : columns_) t.columns.push_back(registry_->name_of(c));
+  if (!enabled()) return t;
+  t.columns = columns_;
   t.epochs = epochs_;
   t.values = values_;
   return t;

@@ -1,13 +1,13 @@
-// Per-epoch time series of registry counters (DESIGN.md §11).
+// Per-epoch time series of cumulative counters (DESIGN.md §11).
 //
 // The simulator's dynamics — hit-rate dips when the constellation drifts
 // over an ocean, uplink saturation at a regional prime time, handover
 // storms at epoch boundaries — are invisible in end-of-run totals. An
-// EpochSeries snapshots a chosen set of Registry counters at every
-// scheduler-epoch boundary (15 s by default), cumulatively; deltas and
-// derived rates are computed at export time. Recording is a single
-// integer compare per request plus one row copy per epoch crossed, so it
-// stays on by default.
+// EpochSeries snapshots a named set of counters at every scheduler-epoch
+// boundary (15 s by default), cumulatively; deltas and derived rates are
+// computed at export time. Recording is a single integer compare per
+// request plus one row collected per epoch crossed, so it stays on by
+// default.
 //
 // The recorder itself is single-owner (one per simulator variant, advanced
 // in trace order on that variant's worker), which makes the rows bitwise
@@ -17,16 +17,16 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
-
-#include "obs/registry.h"
 
 namespace starcdn::obs {
 
 /// A materialized, self-contained series: column names + cumulative
 /// counter values per epoch row. This is what travels inside a RunReport
-/// after the simulator (and its Registry) are gone.
+/// after the simulator is gone.
 struct SeriesTable {
   std::vector<std::string> columns;
   double epoch_seconds = 15.0;
@@ -60,36 +60,52 @@ struct SeriesTable {
   void write_json(std::ostream& os) const;
 };
 
-/// Incremental recorder bound to a Registry + one Shard stream.
+/// Incremental recorder over one counter stream. The counters themselves
+/// live with the caller: on each epoch crossed, the recorder hands a
+/// `fill(std::span<std::uint64_t> row)` callback one row to write the
+/// current cumulative values into, one per column.
 class EpochSeries {
  public:
-  EpochSeries() = default;
-  EpochSeries(const Registry* registry, std::vector<CounterId> columns);
+  EpochSeries() = default;  // disabled: records nothing
+  explicit EpochSeries(std::vector<std::string> columns)
+      : columns_(std::move(columns)) {}
 
   /// Snapshot every epoch boundary crossed on the way to `epoch`. Call
   /// *before* processing the first request of `epoch`; calls with
   /// equal/smaller epochs are no-ops, so this sits on the per-request
   /// path as one compare.
-  void advance_to(std::uint64_t epoch, const Shard& shard) {
-    if (epoch <= next_epoch_) return;
-    advance_slow(epoch, shard);
+  template <class Fill>
+  void advance_to(std::uint64_t epoch, const Fill& fill) {
+    if (epoch <= next_epoch_ || !recording()) return;
+    fill(open_row());
+    close_through(epoch);
   }
 
   /// Close the final (possibly partial) epoch. Idempotent.
-  void finish(const Shard& shard);
+  template <class Fill>
+  void finish(const Fill& fill) {
+    if (!recording()) return;
+    fill(open_row());
+    finished_ = true;
+  }
 
   [[nodiscard]] std::size_t rows() const noexcept { return epochs_.size(); }
-  [[nodiscard]] bool enabled() const noexcept { return registry_ != nullptr; }
+  [[nodiscard]] bool enabled() const noexcept { return !columns_.empty(); }
 
-  /// Materialize into a self-contained table (column names resolved).
+  /// Materialize into a self-contained table.
   [[nodiscard]] SeriesTable table(double epoch_seconds) const;
 
  private:
-  void advance_slow(std::uint64_t epoch, const Shard& shard);
-  void snapshot_row(std::uint64_t epoch, const Shard& shard);
+  [[nodiscard]] bool recording() const noexcept {
+    return enabled() && !finished_;
+  }
+  /// Append a row for next_epoch_ and return it for the caller to fill.
+  std::span<std::uint64_t> open_row();
+  /// The row just filled closes next_epoch_; repeat it for every quiet
+  /// epoch before `epoch`.
+  void close_through(std::uint64_t epoch);
 
-  const Registry* registry_ = nullptr;
-  std::vector<CounterId> columns_;
+  std::vector<std::string> columns_;
   std::vector<std::uint64_t> epochs_;
   std::vector<std::uint64_t> values_;  // row-major cumulative
   std::uint64_t next_epoch_ = 0;       // first epoch not yet closed

@@ -69,9 +69,9 @@ void expect_identical(const core::VariantMetrics& a,
   EXPECT_EQ(a.uplink_bytes, b.uplink_bytes);
   EXPECT_EQ(a.isl_bytes, b.isl_bytes);
   EXPECT_EQ(a.prefetch_bytes, b.prefetch_bytes);
-  EXPECT_EQ(a.relay.west_only_requests, b.relay.west_only_requests);
-  EXPECT_EQ(a.relay.east_only_requests, b.relay.east_only_requests);
-  EXPECT_EQ(a.relay.both_requests, b.relay.both_requests);
+  EXPECT_EQ(a.relay_west_only_requests, b.relay_west_only_requests);
+  EXPECT_EQ(a.relay_east_only_requests, b.relay_east_only_requests);
+  EXPECT_EQ(a.relay_both_requests, b.relay_both_requests);
   ASSERT_EQ(a.latency_ms.count(), b.latency_ms.count());
   // Latency samples come from each variant's private RNG stream; they must
   // not shift when other variants run on other threads.

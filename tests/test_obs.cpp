@@ -1,10 +1,12 @@
-// Observability-layer tests (DESIGN.md §11): registry/shard determinism
-// across thread counts, EpochSeries golden CSV, chrome-trace JSON schema,
-// profiler bitwise-neutrality, and the SimConfig::Builder validations.
+// Observability-layer tests (DESIGN.md §11): run-report determinism across
+// thread counts, the pinned counter names, EpochSeries golden CSV,
+// chrome-trace JSON schema, and the SimConfig::Builder validations.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdio>
+#include <filesystem>
+#include <span>
 #include <map>
 #include <sstream>
 #include <string>
@@ -12,8 +14,6 @@
 
 #include "core/run_report.h"
 #include "core/simulator.h"
-#include "obs/prof.h"
-#include "obs/registry.h"
 #include "obs/series.h"
 #include "obs/tracer.h"
 #include "trace/workload.h"
@@ -203,81 +203,28 @@ class JsonParser {
 Json parse_json(const std::string& text) { return JsonParser(text).parse(); }
 
 // ---------------------------------------------------------------------------
-// Registry + Shard unit tests.
-
-TEST(Registry, ReRegisteringByNameReturnsSameHandle) {
-  obs::Registry r;
-  const obs::CounterId a = r.counter("requests", "help");
-  const obs::CounterId b = r.counter("requests", "ignored on re-fetch");
-  EXPECT_EQ(a.index, b.index);
-  EXPECT_EQ(r.counters(), 1u);
-  EXPECT_EQ(r.name_of(a), "requests");
-}
-
-TEST(Registry, KindCollisionThrows) {
-  obs::Registry r;
-  (void)r.counter("x", "");
-  EXPECT_THROW((void)r.gauge("x", ""), std::invalid_argument);
-  EXPECT_THROW((void)r.histogram("x", "", {1.0}), std::invalid_argument);
-}
-
-TEST(Registry, UnsortedHistogramBoundsThrow) {
-  obs::Registry r;
-  EXPECT_THROW((void)r.histogram("h", "", {10.0, 5.0}), std::invalid_argument);
-}
-
-TEST(Registry, MergeFoldsShardsInArgumentOrder) {
-  obs::Registry r;
-  const obs::CounterId c = r.counter("c", "");
-  const obs::GaugeId g = r.gauge("g", "");
-  const obs::HistogramId h = r.histogram("h", "", {1.0, 2.0});
-
-  obs::Shard a(r);
-  obs::Shard b(r);
-  a.add(c, 3);
-  b.add(c, 4);
-  a.set(g, 1.0);
-  b.set(g, 2.0);
-  a.observe(h, 0.5);
-  b.observe(h, 1.5);
-
-  const obs::Shard merged = obs::merge(r, {&a, &b});
-  EXPECT_EQ(merged.value(c), 7u);
-  // Gauges are last-writer-wins in merge order: b set it last.
-  EXPECT_EQ(merged.value(g), 2.0);
-  const auto& cells = merged.cells(h);
-  EXPECT_EQ(cells.count, 2u);
-  EXPECT_DOUBLE_EQ(cells.sum, 2.0);
-  EXPECT_EQ(cells.counts[0], 1u);  // <= 1.0
-  EXPECT_EQ(cells.counts[1], 1u);  // <= 2.0
-
-  // Swapping the order changes only the gauge (last writer), nothing else.
-  const obs::Shard swapped = obs::merge(r, {&b, &a});
-  EXPECT_EQ(swapped.value(c), 7u);
-  EXPECT_EQ(swapped.value(g), 1.0);
-}
-
-// ---------------------------------------------------------------------------
 // EpochSeries golden CSV.
 
 TEST(EpochSeries, GoldenCsv) {
-  obs::Registry r;
-  const obs::CounterId a = r.counter("a", "");
-  const obs::CounterId b = r.counter("b", "");
-  obs::Shard shard(r);
-  obs::EpochSeries series(&r, {a, b});
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  const auto row = [&](std::span<std::uint64_t> values) {
+    values[0] = a;
+    values[1] = b;
+  };
+  obs::EpochSeries series({"a", "b"});
 
-  series.advance_to(0, shard);  // no-op: epoch 0 is already open
-  shard.add(a, 1);
-  shard.add(b, 10);
-  series.advance_to(1, shard);  // closes epoch 0
-  shard.add(a, 2);
-  shard.add(b, 20);
-  series.advance_to(3, shard);  // closes epochs 1 and 2 (2 is empty)
-  shard.add(a, 4);
-  shard.add(b, 40);
-  series.finish(shard);  // closes the partial epoch 3
-  series.finish(shard);  // idempotent
+  series.advance_to(0, row);  // no-op: epoch 0 is already open
+  a += 1;
+  b += 10;
+  series.advance_to(1, row);  // closes epoch 0
+  a += 2;
+  b += 20;
+  series.advance_to(3, row);  // closes epochs 1 and 2 (2 is empty)
+  a += 4;
+  b += 40;
+  series.finish(row);  // closes the partial epoch 3
+  series.finish(row);  // idempotent
 
   const obs::SeriesTable t = series.table(15.0);
   ASSERT_EQ(t.rows(), 4u);
@@ -295,14 +242,11 @@ TEST(EpochSeries, GoldenCsv) {
 }
 
 TEST(EpochSeries, DerivedColumnsAppendAtExport) {
-  obs::Registry r;
-  const obs::CounterId hits = r.counter("hits", "");
-  const obs::CounterId reqs = r.counter("reqs", "");
-  obs::Shard shard(r);
-  obs::EpochSeries series(&r, {hits, reqs});
-  shard.add(hits, 1);
-  shard.add(reqs, 4);
-  series.finish(shard);
+  obs::EpochSeries series({"hits", "reqs"});
+  series.finish([](std::span<std::uint64_t> values) {
+    values[0] = 1;
+    values[1] = 4;
+  });
 
   const obs::SeriesTable t = series.table(15.0);
   const std::size_t hc = t.column("hits");
@@ -318,6 +262,75 @@ TEST(EpochSeries, DerivedColumnsAppendAtExport) {
   EXPECT_EQ(csv.str(),
             "epoch,t_end_s,hits,reqs,hit_rate\n"
             "0,15.000000,1,4,0.250000\n");
+}
+
+// ---------------------------------------------------------------------------
+// RunReport: the exported counter names and the series CSV files.
+
+// perfbench and RunReport JSON consumers read counters by name.
+TEST(RunReport, CounterNamesAndOrderArePinned) {
+  const std::vector<std::string> pinned = {
+      "requests",         "local_hits",
+      "routed_hits",      "relay_west_hits",
+      "relay_east_hits",  "misses",
+      "unreachable",      "transient_misses",
+      "handovers",        "bytes_requested",
+      "bytes_hit",        "uplink_bytes",
+      "isl_bytes",        "prefetch_bytes",
+      "relay_west_only_requests", "relay_east_only_requests",
+      "relay_both_requests",      "relay_west_only_bytes",
+      "relay_east_only_bytes",    "relay_both_bytes"};
+  ASSERT_EQ(core::kCounters.size(), pinned.size());
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    EXPECT_EQ(core::kCounters[i].name, pinned[i]) << "counter " << i;
+  }
+
+  const orbit::Constellation shell{orbit::WalkerParams{}};
+  const sched::LinkSchedule schedule(shell, util::paper_cities(),
+                                     util::Seconds{60.0});
+  core::Simulator sim(
+      shell, schedule,
+      core::SimConfig::Builder{}
+          .variants({core::Variant::kStarCdn, core::Variant::kVanillaLru})
+          .build());
+  const core::RunReport report = sim.finish();
+  const auto names = [](const auto& pairs) {
+    std::vector<std::string> out;
+    for (const auto& [name, value] : pairs) out.push_back(name);
+    return out;
+  };
+  EXPECT_EQ(names(report.totals), pinned);
+  const std::vector<std::string> series_columns(
+      pinned.begin(),
+      pinned.begin() + static_cast<std::ptrdiff_t>(core::kSeriesColumns));
+  ASSERT_EQ(report.variants.size(), 2u);
+  for (const core::VariantReport& vr : report.variants) {
+    EXPECT_EQ(names(vr.counters), pinned) << vr.name;
+    EXPECT_EQ(vr.series.columns, series_columns) << vr.name;
+  }
+}
+
+TEST(RunReport, SeriesCsvUnderMissingDirectoryThrowsNamingPath) {
+  core::RunReport report;
+  core::VariantReport vr;
+  vr.name = "StarCDN";
+  vr.series.columns = {"requests"};
+  vr.series.epochs = {0};
+  vr.series.values = {5};
+  report.variants.push_back(vr);
+
+  const std::filesystem::path missing =
+      std::filesystem::temp_directory_path() / "starcdn-no-such-dir";
+  ASSERT_FALSE(std::filesystem::exists(missing));
+  const std::string prefix = (missing / "series_").string();
+  try {
+    (void)report.write_series_csv_files(prefix);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(prefix + "StarCDN.csv"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -379,7 +392,7 @@ TEST(Tracer, NullTracerIsSafe) {
 
 // ---------------------------------------------------------------------------
 // Simulator-level fixture: a small scenario shared by the determinism,
-// profiler-neutrality, series and sink tests.
+// series and sink tests.
 
 class ObsSimTest : public ::testing::Test {
  protected:
@@ -445,7 +458,7 @@ void expect_reports_bitwise_equal(const core::RunReport& a,
   }
 }
 
-// The ISSUE's headline contract: merged registry output is bitwise
+// The run report (counters, totals, series, latency samples) is bitwise
 // identical for any STARCDN_THREADS value.
 TEST_F(ObsSimTest, RegistryBitwiseIdenticalAcrossThreadCounts) {
   util::set_parallel_threads(1);
@@ -457,25 +470,6 @@ TEST_F(ObsSimTest, RegistryBitwiseIdenticalAcrossThreadCounts) {
     expect_reports_bitwise_equal(baseline, r);
   }
   util::set_parallel_threads(0);
-}
-
-// Timers observe the clock only; toggling them must not move a single bit
-// of simulation output. (In default builds the scopes are compiled out and
-// this degenerates to a repeat-run determinism check — still useful.)
-TEST_F(ObsSimTest, ProfilerTogglingIsBitwiseNeutral) {
-  obs::set_prof_enabled(false);
-  const core::RunReport off = run_report(small_config());
-  obs::set_prof_enabled(true);
-  obs::profile_reset();
-  const core::RunReport on = run_report(small_config());
-  expect_reports_bitwise_equal(off, on);
-
-  EXPECT_EQ(on.profile.compiled, obs::prof_compiled());
-  if (!obs::prof_compiled()) {
-    EXPECT_TRUE(on.profile.entries.empty());
-  } else {
-    EXPECT_FALSE(on.profile.entries.empty());
-  }
 }
 
 TEST_F(ObsSimTest, SeriesMatchesFinalTotalsAndTracksHandovers) {
@@ -497,6 +491,28 @@ TEST_F(ObsSimTest, SeriesMatchesFinalTotalsAndTracksHandovers) {
   EXPECT_EQ(report.variant(core::Variant::kStatic).metrics.handovers, 0u);
 }
 
+// finish() checks conservation on every run; this run exercises every
+// counter the identities relate: transient misses, relay hits both ways.
+TEST_F(ObsSimTest, ConservationHoldsOnARealRun) {
+  const auto cfg = core::SimConfig::Builder{}
+                       .cache_capacity(util::mib(128))
+                       .buckets(4)
+                       .transient_failures(0.05, util::Seconds{300.0})
+                       .variants({core::Variant::kStarCdn,
+                                  core::Variant::kRelayOnly,
+                                  core::Variant::kVanillaLru})
+                       .build();
+  const core::RunReport report = run_report(cfg);
+  for (const core::VariantReport& vr : report.variants) {
+    EXPECT_NO_THROW(core::check_conservation(vr.metrics, vr.name)) << vr.name;
+  }
+  const core::VariantMetrics& m =
+      report.variant(core::Variant::kStarCdn).metrics;
+  EXPECT_GT(m.transient_misses, 0u);
+  EXPECT_GT(m.relay_west_hits, 0u);
+  EXPECT_GT(m.relay_east_hits, 0u);
+}
+
 TEST_F(ObsSimTest, RecordEpochSeriesOffDisablesRows) {
   auto cfg = small_config();
   cfg.record_epoch_series = false;
@@ -504,7 +520,7 @@ TEST_F(ObsSimTest, RecordEpochSeriesOffDisablesRows) {
   for (const core::VariantReport& vr : report.variants) {
     EXPECT_EQ(vr.series.rows(), 0u);
   }
-  // Metrics still flow through the registry regardless.
+  // Counters are recorded regardless.
   EXPECT_GT(report.variant(core::Variant::kStarCdn).metrics.requests, 0u);
 }
 

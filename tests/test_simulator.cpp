@@ -121,11 +121,11 @@ TEST_F(SimulatorTest, RelayAvailabilityTracked) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
   sim.run(*requests_);
-  const auto& rel = sim.metrics(Variant::kStarCdn).relay;
+  const auto& m = sim.metrics(Variant::kStarCdn);
   // Table 3's pattern: west-only dominates east-only and both.
-  EXPECT_GT(rel.west_only_requests, rel.east_only_requests);
-  EXPECT_GT(rel.west_only_requests, rel.both_requests);
-  EXPECT_GT(rel.west_only_bytes, 0u);
+  EXPECT_GT(m.relay_west_only_requests, m.relay_east_only_requests);
+  EXPECT_GT(m.relay_west_only_requests, m.relay_both_requests);
+  EXPECT_GT(m.relay_west_only_bytes, 0u);
 }
 
 TEST_F(SimulatorTest, DisablingEastRelayRemovesEastHits) {
@@ -353,7 +353,7 @@ TEST(SimulatorGolden, MetricsBitwiseIdenticalAcrossCacheRewrite) {
       EXPECT_EQ(m.uplink_bytes, g.uplink_bytes) << label;
       EXPECT_EQ(m.isl_bytes, g.isl_bytes) << label;
       EXPECT_EQ(m.prefetch_bytes, g.prefetch_bytes) << label;
-      EXPECT_EQ(m.relay.both_requests, g.relay_both_requests) << label;
+      EXPECT_EQ(m.relay_both_requests, g.relay_both_requests) << label;
     }
   }
   EXPECT_EQ(row, std::size(kGolden));
@@ -394,6 +394,28 @@ TEST(SimulatorFailures, KnockedOutConstellationStillServes) {
     }
   }
   EXPECT_GT(multi, 0);
+}
+
+// The uplink meter divides each (satellite, epoch) cell by the schedule's
+// epoch length, not a fixed 15 s.
+TEST(Simulator, UplinkMeterUsesScheduleEpoch) {
+  const orbit::Constellation shell{orbit::WalkerParams{}};
+  sched::SchedulerParams params;
+  params.epoch = util::Seconds{60.0};
+  const sched::LinkSchedule schedule(shell, util::paper_cities(),
+                                     util::Seconds{120.0}, params);
+  SimConfig cfg;
+  cfg.sample_latency = false;
+  Simulator sim(shell, schedule, cfg);
+  sim.add_variant(Variant::kVanillaLru);
+  const util::Bytes size = util::mib(300);
+  sim.run(std::vector<trace::Request>{{1.0, 42, size, 0}});
+
+  const auto& m = sim.metrics(Variant::kVanillaLru);
+  ASSERT_EQ(m.unreachable, 0u);
+  ASSERT_EQ(m.uplink_meter.throughput_gbps().count(), 1u);
+  EXPECT_DOUBLE_EQ(m.uplink_meter.throughput_gbps().mean(),
+                   static_cast<double>(size) * 8.0 / 1e9 / 60.0);
 }
 
 }  // namespace
