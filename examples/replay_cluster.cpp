@@ -1,12 +1,16 @@
 // Cluster replayer demo: run the StarCDN request pipeline across
 // per-satellite cache workers connected by real TCP loopback sockets —
-// the paper's evaluation harness architecture (§5.1).
+// the paper's evaluation harness architecture (§5.1). The orchestrator is
+// the ordinary simulator over remote caches, so the summary is the one
+// starcdn_sim prints for the same config.
 //
 //   $ ./replay_cluster [tcp|inproc]
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iostream>
 
+#include "core/run_report.h"
 #include "replay/replayer.h"
 #include "trace/workload.h"
 #include "util/geo.h"
@@ -29,11 +33,12 @@ int main(int argc, char** argv) {
   const trace::WorkloadModel workload(util::paper_cities(), p);
   const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{p.duration_s});
 
-  replay::ReplayConfig cfg;
-  cfg.cache_capacity = util::gib(1);
-  cfg.buckets = 4;
-  cfg.transport = use_tcp ? replay::TransportKind::kTcp
-                          : replay::TransportKind::kInProcess;
+  const auto cfg = core::SimConfig::Builder{}
+                       .cache_capacity(util::gib(1))
+                       .buckets(4)
+                       .build();
+  const auto transport = use_tcp ? replay::TransportKind::kTcp
+                                 : replay::TransportKind::kInProcess;
 
   // Stream the trace straight from the generator: the replay never holds
   // more than one chunk of requests in memory.
@@ -43,21 +48,17 @@ int main(int argc, char** argv) {
       shell.size(), use_tcp ? "TCP loopback" : "in-process queues",
       static_cast<unsigned long long>(workload.total_request_count()));
   const auto t0 = std::chrono::steady_clock::now();
-  const auto report = replay_cluster(shell, schedule, *stream, cfg);
+  const auto report = replay_cluster(shell, schedule, *stream, cfg, transport);
   const auto elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
 
-  std::printf(
-      "\nreplayed %llu requests in %.2f s (%.0f req/s)\n"
-      "cache hits: %llu (%.1f%%), of which relayed: %llu\n"
-      "misses fetched from ground: %llu (%.2f GB of uplink)\n",
-      static_cast<unsigned long long>(report.requests), elapsed,
-      static_cast<double>(report.requests) / elapsed,
-      static_cast<unsigned long long>(report.hits),
-      100.0 * report.request_hit_rate(),
-      static_cast<unsigned long long>(report.relay_hits),
-      static_cast<unsigned long long>(report.misses),
-      static_cast<double>(report.uplink_bytes) / 1e9);
+  const auto requests =
+      report.variant(core::Variant::kStarCdn).metrics.requests;
+  std::printf("\nreplayed %llu requests in %.2f s (%.0f req/s)\n\n",
+              static_cast<unsigned long long>(requests), elapsed,
+              static_cast<double>(requests) / elapsed);
+  core::SummarySink summary(std::cout);
+  summary.consume(report);
   return 0;
 }

@@ -22,8 +22,10 @@
 
 namespace starcdn::core {
 
-/// Default latency-reservoir size (SimConfig::latency_reservoir documents
-/// the memory/accuracy trade-off behind this number).
+/// Reservoir size of each variant's latency QuantileSampler (Fig. 10).
+/// Memory is 8 bytes * reservoir * variants and quantile queries sort the
+/// reservoir; at 200k samples the p50/p95 sampling error on a day-long
+/// trace is well under the figures' line width.
 inline constexpr std::size_t kDefaultLatencyReservoir = 200'000;
 
 struct VariantMetrics {

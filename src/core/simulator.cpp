@@ -57,9 +57,6 @@ void SimConfig::validate() const {
                "grid tiles L = s*s orbital slots); got " +
                std::to_string(buckets));
   }
-  if (prefetch_objects_per_epoch < 0) {
-    bad_config("prefetch_objects_per_epoch must be >= 0");
-  }
   if (transient_down_prob < 0.0 || transient_down_prob > 1.0) {
     bad_config("transient_down_prob must be in [0, 1]; got " +
                std::to_string(transient_down_prob));
@@ -70,29 +67,20 @@ void SimConfig::validate() const {
 }
 
 SimConfig SimConfig::Builder::build() const {
-  if (prefetch_set_ && !cfg_.variants.empty()) {
-    bool has_prefetch = false;
-    for (const Variant v : cfg_.variants) {
-      has_prefetch = has_prefetch || v == Variant::kPrefetch;
-    }
-    if (!has_prefetch) {
-      bad_config("prefetch_objects_per_epoch is set but Variant::kPrefetch "
-                 "is not among the registered variants — the knob would "
-                 "silently do nothing");
-    }
-  }
   cfg_.validate();
   return cfg_;
 }
 
 Simulator::Simulator(const orbit::Constellation& constellation,
                      const sched::LinkSchedule& schedule, SimConfig config,
-                     net::LatencyModelParams latency_params)
+                     net::LatencyModelParams latency_params,
+                     CacheFactory cache_factory)
     : constellation_(&constellation),
       schedule_(&schedule),
       config_(validated(std::move(config))),
       mapper_(constellation, config_.buckets),
-      latency_(latency_params) {
+      latency_(latency_params),
+      cache_factory_(std::move(cache_factory)) {
   // Surface the constellation's failure remapping in the trace timeline:
   // one instant per inactive satellite, tagged with the slot that absorbs
   // its buckets (Fig. 11's failure scenario).
@@ -131,10 +119,7 @@ void Simulator::add_variant(Variant v) {
   vs.rng = util::Rng(config_.seed ^ static_cast<std::uint64_t>(v));
   vs.request_counter =
       variants_.empty() ? 0 : variants_.front().request_counter;
-  if (config_.record_epoch_series) {
-    vs.series = obs::EpochSeries(series_columns());
-  }
-  vs.metrics.latency_ms = util::QuantileSampler(config_.latency_reservoir);
+  vs.series = obs::EpochSeries(series_columns());
   vs.metrics.uplink_meter = net::UplinkMeter(schedule_->epoch_duration());
   vs.groups = coupling_groups(*constellation_, mapper_, v, config_.relay_east);
   vs.group_load.assign(vs.groups.count, 0);
@@ -165,10 +150,12 @@ const VariantMetrics& Simulator::metrics(Variant v) const {
 cache::Cache& Simulator::cache_at(VariantState& vs, SatId sat) {
   auto& slot = vs.caches[util::as_index(sat)];
   if (!slot) {
-    slot = cache::make_cache(
-        config_.policy, config_.cache_capacity,
-        cache::presize_hint(config_.cache_capacity,
-                            config_.mean_object_size_hint));
+    slot = cache_factory_
+               ? cache_factory_(sat)
+               : cache::make_cache(
+                     config_.policy, config_.cache_capacity,
+                     cache::presize_hint(config_.cache_capacity,
+                                         config_.mean_object_size_hint));
   }
   return *slot;
 }
@@ -456,8 +443,7 @@ util::Bytes Simulator::maybe_prefetch(VariantState& vs, SatId serving,
   cache::Cache& own = cache_at(vs, serving);
   util::Bytes pulled = 0;
   for (const auto& [id, size] :
-       replica_slot->hottest(
-           static_cast<std::size_t>(config_.prefetch_objects_per_epoch))) {
+       replica_slot->hottest(kPrefetchObjectsPerEpoch)) {
     if (own.peek(id)) continue;
     own.admit(id, size);
     pulled += size;
@@ -521,13 +507,12 @@ void Simulator::fold_variant(VariantState& vs, int slot,
   const obs::TraceSpan span(obs::tracer(), to_string(vs.variant), "variant");
   obs::Tracer* const tr = trace_epochs ? obs::tracer() : nullptr;
   const bool is_static = vs.variant == Variant::kStatic;
-  const bool record_series = vs.series.enabled();
   const bool prefetching = vs.variant == Variant::kPrefetch;
   const std::vector<Outcome>& out = vs.outcome[slot];
   for (std::size_t i = 0; i < block.count(); ++i) {
     ++vs.request_counter;
     const std::uint64_t real = ctx[i].epoch.value();
-    if (record_series) vs.series.advance_to(real, series_row(vs.metrics));
+    vs.series.advance_to(real, series_row(vs.metrics));
     if (tr != nullptr && real != marked_epoch) {
       marked_epoch = real;
       tr->instant("epoch", "sim", {obs::arg("epoch", real)});

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <map>
 #include <memory>
@@ -46,6 +47,13 @@
 
 namespace starcdn::core {
 
+/// Objects kPrefetch pulls from the trailing replica per epoch.
+inline constexpr std::size_t kPrefetchObjectsPerEpoch = 64;
+
+/// Builds the cache behind one satellite slot (see Simulator's constructor).
+using CacheFactory =
+    std::function<std::unique_ptr<cache::Cache>(util::SatId)>;
+
 struct SimConfig {
   cache::Policy policy = cache::Policy::kLru;
   util::Bytes cache_capacity = util::gib(20);
@@ -60,23 +68,11 @@ struct SimConfig {
   bool relay_east = true;   // keep the bidirectional east link (§3.3)
   bool sample_latency = true;
   bool track_per_satellite = false;
-  /// Objects pulled from the trailing replica per epoch by kPrefetch.
-  int prefetch_objects_per_epoch = 64;
   /// Transient cache-server outage probability per failure window (§3.4);
   /// 0 disables the model.
   double transient_down_prob = 0.0;
   util::Seconds transient_window{300.0};
   std::uint64_t seed = 1234;
-  /// Reservoir size of the per-variant latency QuantileSampler (Fig. 10).
-  /// Trade-off: memory is 8 bytes * reservoir * variants and quantile
-  /// queries sort the reservoir, while quantile *accuracy* falls off as
-  /// the reservoir shrinks relative to the replayed request count (at the
-  /// default 200k samples the p50/p95 sampling error on a day-long trace
-  /// is well under the figures' line width; 0 keeps every sample).
-  std::size_t latency_reservoir = kDefaultLatencyReservoir;
-  /// Record per-epoch counter snapshots (RunReport time-series). One
-  /// integer compare per request, one row per 15 s epoch — on by default.
-  bool record_epoch_series = true;
   /// Variants registered by the Simulator constructor (add_variant can
   /// still add more afterwards). Populated by Builder::variants().
   std::vector<Variant> variants;
@@ -98,10 +94,8 @@ struct SimConfig {
 ///                  .variants({Variant::kStarCdn, Variant::kVanillaLru})
 ///                  .build();
 ///
-/// build() rejects inconsistent settings that a brace-init SimConfig would
-/// silently accept — e.g. tuning prefetch_objects_per_epoch without
-/// registering Variant::kPrefetch, or a bucket count that is not a perfect
-/// square — and runs SimConfig::validate().
+/// build() runs SimConfig::validate(), so a bucket count that is not a
+/// perfect square or an out-of-range probability throws at construction.
 class SimConfig::Builder {
  public:
   Builder& policy(cache::Policy p) { cfg_.policy = p; return *this; }
@@ -123,25 +117,12 @@ class SimConfig::Builder {
     cfg_.track_per_satellite = on;
     return *this;
   }
-  Builder& prefetch_objects_per_epoch(int n) {
-    cfg_.prefetch_objects_per_epoch = n;
-    prefetch_set_ = true;
-    return *this;
-  }
   Builder& transient_failures(double prob, util::Seconds window) {
     cfg_.transient_down_prob = prob;
     cfg_.transient_window = window;
     return *this;
   }
   Builder& seed(std::uint64_t s) { cfg_.seed = s; return *this; }
-  Builder& latency_reservoir(std::size_t n) {
-    cfg_.latency_reservoir = n;
-    return *this;
-  }
-  Builder& record_epoch_series(bool on) {
-    cfg_.record_epoch_series = on;
-    return *this;
-  }
   Builder& variant(Variant v) {
     cfg_.variants.push_back(v);
     return *this;
@@ -154,22 +135,28 @@ class SimConfig::Builder {
     return *this;
   }
 
-  /// Cross-field checks + SimConfig::validate(); throws
-  /// std::invalid_argument with a field-naming message on failure.
+  /// SimConfig::validate(); throws std::invalid_argument with a
+  /// field-naming message on failure.
   [[nodiscard]] SimConfig build() const;
 
  private:
   SimConfig cfg_;
-  bool prefetch_set_ = false;
 };
 
 class Simulator {
  public:
   /// Validates `config` (SimConfig::validate) and registers
   /// config.variants. Throws std::invalid_argument on a bad config.
+  ///
+  /// `cache_factory` builds each satellite slot's cache the first time a
+  /// variant touches the slot; empty means a local cache of config.policy
+  /// and config.cache_capacity. Decide tasks call it concurrently for
+  /// distinct slots. replay::replay_cluster passes one that returns a proxy
+  /// for the slot's worker process.
   Simulator(const orbit::Constellation& constellation,
             const sched::LinkSchedule& schedule, SimConfig config,
-            net::LatencyModelParams latency_params = {});
+            net::LatencyModelParams latency_params = {},
+            CacheFactory cache_factory = {});
 
   /// Register a variant before run(); duplicate registration is a no-op.
   void add_variant(Variant v);
@@ -344,6 +331,7 @@ class Simulator {
   SimConfig config_;
   BucketMapper mapper_;
   net::LatencyModel latency_;
+  CacheFactory cache_factory_;
   std::vector<VariantState> variants_;
   std::vector<MetricsSink*> sinks_;
 };

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace starcdn::net {
 
@@ -82,8 +83,14 @@ std::optional<Message> FrameDecoder::next() {
   if (get_u16(p) != kVersion) {
     throw std::runtime_error("FrameDecoder: unsupported version");
   }
+  const std::uint16_t type = get_u16(p + 2);
+  if (type < static_cast<std::uint16_t>(MessageType::kRequest) ||
+      type > static_cast<std::uint16_t>(MessageType::kControl)) {
+    throw std::runtime_error("FrameDecoder: unknown message type " +
+                             std::to_string(type));
+  }
   Message m;
-  m.type = static_cast<MessageType>(get_u16(p + 2));
+  m.type = static_cast<MessageType>(type);
   m.src = get_u32(p + 4);
   m.dst = get_u32(p + 8);
   m.object_id = get_u64(p + 12);

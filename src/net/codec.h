@@ -50,8 +50,9 @@ inline constexpr std::uint32_t kFlagHit = 1u << 0;
 [[nodiscard]] std::vector<std::uint8_t> encode(const Message& m);
 
 /// Incremental decoder: feed arbitrary byte chunks, pop complete messages.
-/// Malformed input (bad version, oversized frame) raises std::runtime_error;
-/// a transport must drop the connection at that point.
+/// Malformed input (bad version, unknown message type, oversized frame)
+/// raises std::runtime_error; a transport must drop the connection at that
+/// point.
 class FrameDecoder {
  public:
   /// Frames larger than this are rejected as corrupt/hostile input.

@@ -6,10 +6,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/bucket_mapper.h"
 #include "net/transport.h"
 #include "obs/tracer.h"
-#include "util/hash.h"
 #include "util/ids.h"
 
 namespace starcdn::replay {
@@ -25,7 +23,7 @@ constexpr std::uint32_t kShutdownFlag = 1u << 1;
 /// Worker: one satellite's cache server. Speaks the wire protocol until a
 /// shutdown control message arrives.
 void worker_loop(std::uint32_t node_id, Channel& channel,
-                 const ReplayConfig& config) {
+                 const core::SimConfig& config) {
   const auto cache = cache::make_cache(
       config.policy, config.cache_capacity,
       cache::presize_hint(config.cache_capacity,
@@ -84,10 +82,11 @@ struct Cluster {
   }
 };
 
-Cluster spawn_cluster(int n_nodes, const ReplayConfig& config) {
+Cluster spawn_cluster(int n_nodes, const core::SimConfig& config,
+                      TransportKind transport) {
   Cluster cluster;
   cluster.channels.resize(static_cast<std::size_t>(n_nodes));
-  if (config.transport == TransportKind::kInProcess) {
+  if (transport == TransportKind::kInProcess) {
     for (int i = 0; i < n_nodes; ++i) {
       auto [orch_end, node_end] = net::make_inproc_pair();
       cluster.channels[static_cast<std::size_t>(i)] = std::move(orch_end);
@@ -125,109 +124,84 @@ Cluster spawn_cluster(int n_nodes, const ReplayConfig& config) {
   return cluster;
 }
 
-/// Blocking RPC helper: send and await the matching reply.
-Message rpc(Channel& ch, const Message& m) {
-  ch.send(m);
-  for (;;) {
-    auto reply = ch.recv();
-    if (!reply) throw std::runtime_error("replay: worker died mid-RPC");
-    if (reply->request_id == m.request_id) return *reply;
-  }
-}
-
 }  // namespace
 
-ReplayReport replay_cluster(const orbit::Constellation& constellation,
-                            const sched::LinkSchedule& schedule,
-                            trace::RequestStream& stream,
-                            const ReplayConfig& config) {
+bool RemoteCache::rpc(MessageType type, cache::ObjectId id) const {
+  Message m;
+  m.type = type;
+  m.object_id = id;
+  m.request_id = ++request_id_;
+  channel_->send(m);
+  const auto reply = channel_->recv();
+  if (!reply) throw std::runtime_error("replay: worker died mid-RPC");
+  if (reply->request_id != m.request_id) {
+    throw std::runtime_error(
+        "replay: worker replied to request id " +
+        std::to_string(reply->request_id) + " while request id " +
+        std::to_string(m.request_id) + " was awaited");
+  }
+  return (reply->flags & net::kFlagHit) != 0;
+}
+
+bool RemoteCache::peek(cache::ObjectId id) const {
+  return rpc(MessageType::kRelayProbe, id);
+}
+
+bool RemoteCache::touch(cache::ObjectId id) {
+  return rpc(MessageType::kRequest, id);
+}
+
+void RemoteCache::admit(cache::ObjectId id, util::Bytes size) {
+  Message fill;
+  fill.type = MessageType::kGroundReply;
+  fill.object_id = id;
+  fill.size_bytes = size;
+  channel_->send(fill);
+}
+
+void RemoteCache::erase(cache::ObjectId /*id*/) {
+  throw std::logic_error("RemoteCache::erase: no wire message");
+}
+
+void RemoteCache::clear() {
+  throw std::logic_error("RemoteCache::clear: no wire message");
+}
+
+std::vector<std::pair<cache::ObjectId, util::Bytes>> RemoteCache::hottest(
+    std::size_t /*n*/) const {
+  throw std::logic_error("RemoteCache::hottest: no wire message");
+}
+
+core::RunReport replay_cluster(const orbit::Constellation& constellation,
+                               const sched::LinkSchedule& schedule,
+                               trace::RequestStream& stream,
+                               const core::SimConfig& config,
+                               TransportKind transport) {
+  if (!config.variants.empty() &&
+      config.variants != std::vector{core::Variant::kStarCdn}) {
+    throw std::invalid_argument(
+        "replay_cluster: SimConfig::variants must be empty or exactly "
+        "{kStarCdn}; each worker holds one cache, so two variants would "
+        "share it");
+  }
   const obs::TraceSpan span(
       obs::tracer(), "replay_cluster", "replay",
       {obs::arg("requests", stream.size_hint().value_or(0)),
        obs::arg("nodes", static_cast<std::int64_t>(constellation.size()))});
-  const core::BucketMapper mapper(constellation, config.buckets);
   Cluster cluster = [&] {
     const obs::TraceSpan spawn_span(obs::tracer(), "spawn_cluster", "replay");
-    return spawn_cluster(constellation.size(), config);
+    return spawn_cluster(constellation.size(), config, transport);
   }();
 
-  ReplayReport report;
-  std::uint64_t request_counter = 0;
-  std::uint64_t rpc_id = 0;
-  const auto channel_of = [&](orbit::SatelliteId id) -> Channel& {
-    return *cluster.channels[util::as_index(constellation.index_of(id))];
-  };
-
-  const auto process = [&](const trace::Request& r) {
-    ++report.requests;
-    const util::EpochIdx epoch =
-        schedule.epoch_of(util::Seconds{r.timestamp_s});
-    const std::uint64_t user =
-        util::splitmix64(request_counter++) %
-        static_cast<std::uint64_t>(config.users_per_city);
-    const auto fc =
-        schedule.first_contact(epoch, util::CityId{r.location}, user);
-    if (fc.sat.value() < 0) {
-      ++report.misses;
-      report.uplink_bytes += r.size;
-      return;
-    }
-    const auto fc_id = constellation.id_of(fc.sat);
-    const util::BucketId bucket = mapper.bucket_of_object(r.object);
-    const auto owner = mapper.owner(fc_id, bucket);
-    const orbit::SatelliteId serving = owner.value_or(fc_id);
-
-    Message req;
-    req.type = MessageType::kRequest;
-    req.object_id = r.object;
-    req.size_bytes = r.size;
-    req.request_id = ++rpc_id;
-    const Message resp = rpc(channel_of(serving), req);
-    if (resp.flags & net::kFlagHit) {
-      ++report.hits;
-      return;
-    }
-
-    // Relayed fetch: probe same-bucket west then east replicas.
-    bool relayed = false;
-    for (const auto& replica :
-         {mapper.west_replica(serving),
-          config.relay_east ? mapper.east_replica(serving) : std::nullopt}) {
-      if (!replica) continue;
-      Message probe;
-      probe.type = MessageType::kRelayProbe;
-      probe.object_id = r.object;
-      probe.size_bytes = r.size;
-      probe.request_id = ++rpc_id;
-      const Message reply = rpc(channel_of(*replica), probe);
-      if (reply.flags & net::kFlagHit) {
-        relayed = true;
-        break;
-      }
-    }
-    if (!relayed) report.uplink_bytes += r.size;  // origin fetch
-
-    // Fill the owner either way (from the replica or from the ground).
-    Message fill;
-    fill.type = MessageType::kGroundReply;
-    fill.object_id = r.object;
-    fill.size_bytes = r.size;
-    fill.flags = relayed ? net::kFlagHit : 0;
-    channel_of(serving).send(fill);
-    if (relayed) {
-      ++report.hits;
-      ++report.relay_hits;
-    } else {
-      ++report.misses;
-    }
-  };
-
-  trace::RequestBlock block;
-  trace::StreamPosition pos;
-  while (stream.next(block)) {
-    trace::validate_block(block, schedule.cities(), pos);
-    for (std::size_t i = 0; i < block.count(); ++i) process(block.at(i));
-  }
+  // Declared after the cluster so the proxies die before the channels close.
+  core::Simulator sim(
+      constellation, schedule, config, {}, [&](util::SatId sat) {
+        return std::make_unique<RemoteCache>(
+            *cluster.channels[util::as_index(sat)], config.policy,
+            config.cache_capacity);
+      });
+  sim.add_variant(core::Variant::kStarCdn);
+  sim.run(stream);
 
   // Graceful shutdown so worker caches drain deterministically.
   const obs::TraceSpan bye_span(obs::tracer(), "cluster_shutdown", "replay");
@@ -237,15 +211,7 @@ ReplayReport replay_cluster(const orbit::Constellation& constellation,
     bye.flags = kShutdownFlag;
     ch->send(bye);
   }
-  return report;
-}
-
-ReplayReport replay_cluster(const orbit::Constellation& constellation,
-                            const sched::LinkSchedule& schedule,
-                            const std::vector<trace::Request>& requests,
-                            const ReplayConfig& config) {
-  trace::VectorStream stream(requests);
-  return replay_cluster(constellation, schedule, stream, config);
+  return sim.finish();
 }
 
 std::size_t hello_slot(const std::vector<std::unique_ptr<Channel>>& channels,

@@ -3,71 +3,87 @@
 // The paper's evaluation harness spawns one cache process per satellite and
 // mimics ISLs with TCP. This module reproduces that architecture: each
 // satellite runs as a worker thread owning its cache and speaking the
-// net/codec wire protocol over a Channel; an orchestrator replays a trace
-// by issuing Request/RelayProbe/Admit messages along the StarCDN pipeline
-// (consistent hashing -> owner -> relayed fetch -> ground). Two transports
-// are provided: in-process queues (fast, deterministic) and real TCP
-// loopback sockets (faithful to the paper's setup). Both produce
-// bit-identical results — asserted by the integration tests.
+// net/codec wire protocol over a Channel. The orchestrator is the ordinary
+// core::Simulator running the StarCDN variant, whose satellite caches are
+// RemoteCache proxies that turn each cache operation into a message to the
+// slot's worker. There is one request pipeline, so the cluster's RunReport
+// equals a local Simulator's bit for bit. Two transports are provided:
+// in-process queues (fast) and real TCP loopback sockets (faithful to the
+// paper's setup).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.h"
+#include "core/run_report.h"
+#include "core/simulator.h"
 #include "net/transport.h"
 #include "orbit/constellation.h"
 #include "sched/scheduler.h"
-#include "trace/record.h"
 #include "trace/stream.h"
 
 namespace starcdn::replay {
 
 enum class TransportKind : std::uint8_t { kInProcess, kTcp };
 
-struct ReplayConfig {
-  cache::Policy policy = cache::Policy::kLru;
-  util::Bytes cache_capacity = util::gib(1);
-  int buckets = 4;
-  bool relay_east = true;
-  TransportKind transport = TransportKind::kInProcess;
-  int users_per_city = 64;
-  /// Mean-object-size hint used to pre-size each worker's cache slab
-  /// (capacity / hint resident objects); 0 disables pre-sizing.
-  util::Bytes mean_object_size_hint = util::mib(16);
-};
+/// Orchestrator-side proxy for the cache of the worker at the other end of
+/// `channel`. Each operation the simulator's decide stage issues becomes one
+/// wire message:
+///   touch -> kRequest RPC, peek -> kRelayProbe RPC,
+///   admit -> one-way kGroundReply (the worker admits the fill).
+/// reserve is a no-op (the worker pre-sizes its own cache). hottest, erase
+/// and clear have no wire message and throw std::logic_error. The proxy
+/// keeps no residency state, so used_bytes() and object_count() stay 0.
+///
+/// RPCs block on the reply. A closed channel, or a reply whose request id
+/// is not the one awaited, throws std::runtime_error.
+class RemoteCache final : public cache::Cache {
+ public:
+  RemoteCache(net::Channel& channel, cache::Policy policy,
+              util::Bytes capacity) noexcept
+      : Cache(capacity), channel_(&channel), policy_(policy) {}
 
-struct ReplayReport {
-  std::uint64_t requests = 0;
-  std::uint64_t hits = 0;        // served from any satellite cache
-  std::uint64_t relay_hits = 0;  // subset of hits served via relayed fetch
-  std::uint64_t misses = 0;
-  util::Bytes uplink_bytes = 0;
-
-  [[nodiscard]] double request_hit_rate() const noexcept {
-    return requests ? static_cast<double>(hits) / static_cast<double>(requests)
-                    : 0.0;
+  [[nodiscard]] bool peek(cache::ObjectId id) const override;
+  bool touch(cache::ObjectId id) override;
+  void admit(cache::ObjectId id, util::Bytes size) override;
+  void reserve(std::size_t /*expected_objects*/) override {}
+  void erase(cache::ObjectId id) override;
+  void clear() override;
+  [[nodiscard]] std::vector<std::pair<cache::ObjectId, util::Bytes>> hottest(
+      std::size_t n) const override;
+  [[nodiscard]] cache::Policy policy() const noexcept override {
+    return policy_;
   }
-  friend bool operator==(const ReplayReport&, const ReplayReport&) = default;
+
+ private:
+  /// Send a `type` message for `id` and return whether the reply has the
+  /// hit flag.
+  bool rpc(net::MessageType type, cache::ObjectId id) const;
+
+  net::Channel* channel_;
+  cache::Policy policy_;
+  mutable std::uint64_t request_id_ = 0;
 };
 
-/// Replay a chunked time-ordered stream through a per-satellite worker
-/// cluster with O(chunk) trace memory. Throws std::runtime_error on
-/// transport failures and std::invalid_argument on a block that fails
-/// trace::validate_block.
-[[nodiscard]] ReplayReport replay_cluster(
+/// Replay a chunked time-ordered stream through one cache worker per
+/// satellite slot: a core::Simulator over RemoteCache proxies, with
+/// core::Variant::kStarCdn registered. Returns the simulator's RunReport,
+/// identical to a local Simulator's run with the same config and
+/// {kStarCdn}.
+///
+/// Throws std::invalid_argument when config.variants is neither empty nor
+/// exactly {kStarCdn} (every worker holds one cache, so two variants would
+/// share it), on a bad config (SimConfig::validate) and on a block that
+/// fails trace::validate_block; std::runtime_error on transport failures.
+[[nodiscard]] core::RunReport replay_cluster(
     const orbit::Constellation& constellation,
     const sched::LinkSchedule& schedule, trace::RequestStream& stream,
-    const ReplayConfig& config);
-
-/// Replay `requests` (time-ordered) through a per-satellite worker cluster.
-/// Identical results to the stream overload on the same requests.
-[[nodiscard]] ReplayReport replay_cluster(
-    const orbit::Constellation& constellation,
-    const sched::LinkSchedule& schedule,
-    const std::vector<trace::Request>& requests, const ReplayConfig& config);
+    const core::SimConfig& config,
+    TransportKind transport = TransportKind::kInProcess);
 
 /// Orchestrator-side channel slot a worker's TCP hello claims: its `src`
 /// must name a node below channels.size() whose slot is still empty.

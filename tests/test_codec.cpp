@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace starcdn::net {
 namespace {
 
@@ -87,6 +90,24 @@ TEST(Codec, WrongVersionThrows) {
   FrameDecoder dec;
   dec.feed(bytes);
   EXPECT_THROW((void)dec.next(), std::runtime_error);
+}
+
+TEST(Codec, UnknownTypeThrows) {
+  for (const int type : {0, 99}) {
+    auto bytes = encode(sample_message());
+    bytes[6] = 0;  // type high byte
+    bytes[7] = static_cast<std::uint8_t>(type);
+    FrameDecoder dec;
+    dec.feed(bytes);
+    try {
+      (void)dec.next();
+      ADD_FAILURE() << "type " << type << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("type " + std::to_string(type)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Codec, PayloadLengthMismatchThrows) {

@@ -513,17 +513,6 @@ TEST_F(ObsSimTest, ConservationHoldsOnARealRun) {
   EXPECT_GT(m.relay_east_hits, 0u);
 }
 
-TEST_F(ObsSimTest, RecordEpochSeriesOffDisablesRows) {
-  auto cfg = small_config();
-  cfg.record_epoch_series = false;
-  const core::RunReport report = run_report(cfg);
-  for (const core::VariantReport& vr : report.variants) {
-    EXPECT_EQ(vr.series.rows(), 0u);
-  }
-  // Counters are recorded regardless.
-  EXPECT_GT(report.variant(core::Variant::kStarCdn).metrics.requests, 0u);
-}
-
 TEST_F(ObsSimTest, RunReportJsonIsWellFormed) {
   const core::RunReport report = run_report(small_config());
   std::ostringstream os;
@@ -559,7 +548,7 @@ TEST_F(ObsSimTest, SinksFireOnFinishInRegistrationOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// SimConfig::Builder validation + the latency reservoir knob.
+// SimConfig::Builder validation.
 
 TEST(SimConfigBuilder, RejectsNonSquareBuckets) {
   EXPECT_THROW((void)core::SimConfig::Builder{}.buckets(5).build(),
@@ -583,54 +572,20 @@ TEST(SimConfigBuilder, RejectsTransientProbabilityOutOfRange) {
                std::invalid_argument);
 }
 
-TEST(SimConfigBuilder, RejectsPrefetchWithoutPrefetchVariant) {
-  EXPECT_THROW((void)core::SimConfig::Builder{}
-                   .prefetch_objects_per_epoch(16)
-                   .variants({core::Variant::kVanillaLru})
-                   .build(),
-               std::invalid_argument);
-  // ...and accepts it once kPrefetch is actually in the variant list.
-  const auto cfg = core::SimConfig::Builder{}
-                       .prefetch_objects_per_epoch(16)
-                       .variants({core::Variant::kVanillaLru,
-                                  core::Variant::kPrefetch})
-                       .build();
-  EXPECT_EQ(cfg.prefetch_objects_per_epoch, 16);
-}
-
 TEST(SimConfigBuilder, FluentSettersLandInConfig) {
   const auto cfg = core::SimConfig::Builder{}
                        .cache_capacity(util::mib(64))
                        .buckets(9)
                        .seed(77)
                        .sample_latency(false)
-                       .latency_reservoir(1'000)
-                       .record_epoch_series(false)
                        .variant(core::Variant::kStarCdn)
                        .build();
   EXPECT_EQ(cfg.cache_capacity, util::mib(64));
   EXPECT_EQ(cfg.buckets, 9);
   EXPECT_EQ(cfg.seed, 77u);
   EXPECT_FALSE(cfg.sample_latency);
-  EXPECT_EQ(cfg.latency_reservoir, 1'000u);
-  EXPECT_FALSE(cfg.record_epoch_series);
   ASSERT_EQ(cfg.variants.size(), 1u);
   EXPECT_EQ(cfg.variants[0], core::Variant::kStarCdn);
-}
-
-TEST(SimConfigBuilder, DefaultReservoirMatchesDocumentedConstant) {
-  const core::SimConfig cfg;
-  EXPECT_EQ(cfg.latency_reservoir, core::kDefaultLatencyReservoir);
-}
-
-TEST_F(ObsSimTest, LatencyReservoirKnobCapsSampleMemory) {
-  auto cfg = small_config();
-  cfg.latency_reservoir = 64;
-  const core::RunReport report = run_report(cfg);
-  const auto& m = report.variant(core::Variant::kStarCdn).metrics;
-  EXPECT_LE(m.latency_ms.samples().size(), 64u);
-  // count() still reflects every observation, only storage is capped.
-  EXPECT_GT(m.latency_ms.count(), 64u);
 }
 
 }  // namespace
