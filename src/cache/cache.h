@@ -102,7 +102,6 @@ class Cache {
   [[nodiscard]] Bytes used_bytes() const noexcept { return used_; }
   [[nodiscard]] std::size_t object_count() const noexcept { return count_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
 
   [[nodiscard]] virtual Policy policy() const noexcept = 0;
 

@@ -2,35 +2,47 @@
 
 #include <algorithm>
 #include <numeric>
-
-#include "util/ids.h"
+#include <optional>
 
 namespace starcdn::core {
 
-RelayReplicas relay_replicas(const orbit::Constellation& constellation,
-                             const BucketMapper& mapper, Variant v,
-                             bool relay_east, orbit::SatelliteId serving) {
-  RelayReplicas r;
-  if (v == Variant::kStarCdn) {
-    r.west = mapper.west_replica(serving);
-    if (relay_east) r.east = mapper.east_replica(serving);
-  } else if (v == Variant::kRelayOnly) {
-    // Without hashing the replicas are the immediate inter-orbit
-    // neighbours; "west" is the trailing (+RAAN) plane as for kStarCdn.
-    const auto w = constellation.inter_east(serving);
-    const auto e = constellation.inter_west(serving);
-    if (constellation.active(constellation.index_of(w))) r.west = w;
-    if (relay_east && constellation.active(constellation.index_of(e))) {
-      r.east = e;
+std::vector<Reach> reach_table(const orbit::Constellation& constellation,
+                               const BucketMapper& mapper,
+                               const VariantSpec& spec, bool relay_east) {
+  const auto index = [&](const std::optional<orbit::SatelliteId>& id) {
+    return id ? constellation.index_of(*id) : util::kNoSat;
+  };
+  std::vector<Reach> reach(static_cast<std::size_t>(constellation.size()));
+  for (int i = 0; i < constellation.size(); ++i) {
+    const util::SatId idx{i};
+    if (spec.hashed && !constellation.active(idx)) continue;
+    const orbit::SatelliteId id = constellation.id_of(idx);
+    Reach& r = reach[util::as_index(idx)];
+    switch (spec.relay) {
+      case Relay::kNone:
+        break;
+      case Relay::kNeighbours: {
+        // "west" is the trailing (+RAAN) plane, as for the replicas.
+        const util::SatId w =
+            constellation.index_of(constellation.inter_east(id));
+        const util::SatId e =
+            constellation.index_of(constellation.inter_west(id));
+        if (constellation.active(w)) r.west = w;
+        if (relay_east && constellation.active(e)) r.east = e;
+        break;
+      }
+      case Relay::kReplicas:
+        r.west = index(mapper.west_replica(id));
+        if (relay_east) r.east = index(mapper.east_replica(id));
+        break;
     }
+    if (spec.prefetch) r.prefetch_from = index(mapper.west_replica(id));
   }
-  return r;
+  return reach;
 }
 
-CouplingGroups coupling_groups(const orbit::Constellation& constellation,
-                               const BucketMapper& mapper, Variant v,
-                               bool relay_east) {
-  const auto n = static_cast<std::size_t>(constellation.size());
+CouplingGroups coupling_groups(const std::vector<Reach>& reach) {
+  const std::size_t n = reach.size();
   std::vector<std::uint32_t> parent(n);
   std::iota(parent.begin(), parent.end(), 0U);
   const auto find = [&parent](std::uint32_t x) {
@@ -40,27 +52,16 @@ CouplingGroups coupling_groups(const orbit::Constellation& constellation,
     }
     return x;
   };
-  const auto unite = [&](std::size_t a,
-                         const std::optional<orbit::SatelliteId>& b) {
-    if (!b) return;
+  const auto unite = [&](std::size_t a, util::SatId b) {
+    if (b == util::kNoSat) return;
     const std::uint32_t ra = find(static_cast<std::uint32_t>(a));
-    const std::uint32_t rb = find(static_cast<std::uint32_t>(
-        util::as_index(constellation.index_of(*b))));
+    const std::uint32_t rb = find(static_cast<std::uint32_t>(b.value()));
     if (ra != rb) parent[std::max(ra, rb)] = std::min(ra, rb);
   };
-  // A hashed variant serves at the remapped bucket owner, which is always
-  // active, so an out-of-slot satellite's edges never carry a request there;
-  // skipping them keeps failure remap from coupling more than it must.
-  const bool skip_inactive = hashes(v);
   for (std::size_t s = 0; s < n; ++s) {
-    const util::SatId idx{static_cast<int>(s)};
-    if (skip_inactive && !constellation.active(idx)) continue;
-    const orbit::SatelliteId id = constellation.id_of(idx);
-    const RelayReplicas r =
-        relay_replicas(constellation, mapper, v, relay_east, id);
-    unite(s, r.west);
-    unite(s, r.east);
-    if (v == Variant::kPrefetch) unite(s, mapper.west_replica(id));
+    unite(s, reach[s].west);
+    unite(s, reach[s].east);
+    unite(s, reach[s].prefetch_from);
   }
 
   CouplingGroups g;

@@ -1,49 +1,45 @@
-// Coupling groups: the closed sets of satellite caches that one variant's
-// requests can reach together (DESIGN.md, "Sharded replay").
+// Reach tables and coupling groups: which satellite caches one variant's
+// requests can touch together (DESIGN.md, "Sharded replay").
 //
-// A request's cache operations stay inside {serving, relay replicas,
-// prefetch source} of its serving satellite. Union-find over those edges,
-// for every satellite slot, partitions the constellation into groups that
-// never share a request, so the groups can replay concurrently while each
-// cache still sees its operations in trace order. The edges come from the
-// same functions the replay calls (relay_replicas, BucketMapper::
-// west_replica), so failure remapping couples groups automatically; a
-// coarser partition costs parallelism, never correctness.
+// A request served at slot s touches only s's cache and the caches in
+// s's reach row: the relay west/east probes and the prefetch source. The
+// replay reads those rows, and union-find over the same rows partitions
+// the constellation into groups that never share a request, so closure
+// holds by construction: the groups can replay concurrently while each
+// cache still sees its operations in trace order. Failure remapping lands
+// in the rows, so it couples groups automatically; a coarser partition
+// costs parallelism, never correctness.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/bucket_mapper.h"
 #include "core/variant.h"
 #include "orbit/constellation.h"
+#include "util/ids.h"
 
 namespace starcdn::core {
 
-/// The replicas a variant probes when `serving` misses (§3.3): the
-/// same-bucket west/east replicas for kStarCdn, the active inter-orbit
-/// neighbours for kRelayOnly (the trailing +RAAN plane is "west"), none for
-/// the other variants. `east` is empty unless `relay_east` is set.
-struct RelayReplicas {
-  std::optional<orbit::SatelliteId> west;
-  std::optional<orbit::SatelliteId> east;
+/// The caches besides its own that a request served at one slot can reach;
+/// kNoSat where there is none.
+struct Reach {
+  util::SatId west = util::kNoSat;  // relay probe, preferred on a hit
+  util::SatId east = util::kNoSat;  // relay probe; only with relay_east
+  util::SatId prefetch_from = util::kNoSat;  // west replica (spec.prefetch)
 };
-[[nodiscard]] RelayReplicas relay_replicas(
+
+/// One Reach row per satellite slot (linear index) for `spec`:
+///   - Relay::kReplicas: BucketMapper::west_replica / east_replica;
+///   - Relay::kNeighbours: Constellation::inter_east / inter_west, each only
+///     when active;
+///   - spec.prefetch: prefetch_from is BucketMapper::west_replica.
+/// `east` stays empty unless `relay_east` is set. A hashed variant serves
+/// only at (remapped, hence active) bucket owners, so its inactive rows
+/// stay empty.
+[[nodiscard]] std::vector<Reach> reach_table(
     const orbit::Constellation& constellation, const BucketMapper& mapper,
-    Variant v, bool relay_east, orbit::SatelliteId serving);
-
-/// Whether a variant serves at the bucket owner of consistent hashing
-/// (kHashOnly, kStarCdn, kPrefetch).
-[[nodiscard]] constexpr bool hashes(Variant v) noexcept {
-  return v == Variant::kHashOnly || v == Variant::kStarCdn ||
-         v == Variant::kPrefetch;
-}
-
-/// Whether a variant relays on an owner miss (kRelayOnly, kStarCdn).
-[[nodiscard]] constexpr bool relays(Variant v) noexcept {
-  return v == Variant::kRelayOnly || v == Variant::kStarCdn;
-}
+    const VariantSpec& spec, bool relay_east);
 
 /// Dense coupling-group labels, one per satellite slot (linear index).
 struct CouplingGroups {
@@ -51,14 +47,9 @@ struct CouplingGroups {
   std::uint32_t count = 0;
 };
 
-/// Coupling groups of `v`: union-find over each slot's relay replicas
-/// (relay_replicas) and, for kPrefetch, its prefetch source (the west
-/// replica). kStatic, kVanillaLru and kHashOnly touch only the serving cache,
-/// so every slot is its own group. Hashed variants serve only at active
-/// slots, so an inactive slot adds no edges for them. Labels follow the
-/// first slot of each group in index order.
-[[nodiscard]] CouplingGroups coupling_groups(
-    const orbit::Constellation& constellation, const BucketMapper& mapper,
-    Variant v, bool relay_east);
+/// Union-find over every row's edges. A table with no edges (Static,
+/// VanillaLRU, StarCDN-Fetch) leaves every slot its own group. Labels
+/// follow the first slot of each group in index order.
+[[nodiscard]] CouplingGroups coupling_groups(const std::vector<Reach>& reach);
 
 }  // namespace starcdn::core

@@ -18,18 +18,6 @@ using util::CityId;
 using util::EpochIdx;
 using util::SatId;
 
-const char* to_string(Variant v) noexcept {
-  switch (v) {
-    case Variant::kStatic: return "StaticCache";
-    case Variant::kVanillaLru: return "VanillaLRU";
-    case Variant::kHashOnly: return "StarCDN-Fetch";   // paper: minus fetch
-    case Variant::kRelayOnly: return "StarCDN-Hashing";  // paper: minus hash
-    case Variant::kStarCdn: return "StarCDN";
-    case Variant::kPrefetch: return "StarCDN-Prefetch";
-  }
-  return "?";
-}
-
 namespace {
 
 [[noreturn]] void bad_config(const std::string& what) {
@@ -108,6 +96,7 @@ void Simulator::add_variant(Variant v) {
   }
   VariantState vs;
   vs.variant = v;
+  vs.spec = variant_spec(v);
   // Per-variant deterministic streams. The transient model is seeded
   // identically for every variant so they all observe the same outage
   // schedule; the latency-sampling RNG is variant-specific so streams stay
@@ -121,10 +110,12 @@ void Simulator::add_variant(Variant v) {
       variants_.empty() ? 0 : variants_.front().request_counter;
   vs.series = obs::EpochSeries(series_columns());
   vs.metrics.uplink_meter = net::UplinkMeter(schedule_->epoch_duration());
-  vs.groups = coupling_groups(*constellation_, mapper_, v, config_.relay_east);
+  vs.reach =
+      reach_table(*constellation_, mapper_, vs.spec, config_.relay_east);
+  vs.groups = coupling_groups(vs.reach);
   vs.group_load.assign(vs.groups.count, 0);
   vs.caches.resize(static_cast<std::size_t>(constellation_->size()));
-  if (v == Variant::kPrefetch) {
+  if (vs.spec.prefetch) {
     vs.prefetch_epoch.assign(static_cast<std::size_t>(constellation_->size()),
                              ~0u);
   }
@@ -252,11 +243,11 @@ void Simulator::repack(VariantState& vs, std::size_t bins) {
 void Simulator::decide_bin(VariantState& vs, int slot, std::size_t bin,
                            const trace::RequestBlock& block,
                            const std::vector<RequestContext>& ctx) {
-  const obs::TraceSpan span(obs::tracer(), to_string(vs.variant), "variant");
+  const obs::TraceSpan span(obs::tracer(), vs.spec.name, "variant");
   std::vector<Outcome>& out = vs.outcome[slot];
   std::vector<util::Bytes>& pre = vs.prefetched[slot];
   util::Bytes unused = 0;
-  const bool prefetching = vs.variant == Variant::kPrefetch;
+  const bool prefetching = vs.spec.prefetch;
   for (std::size_t i = 0; i < block.count(); ++i) {
     if (vs.bins > 1) {
       // Stable partition: this bin's requests, in trace order. Requests
@@ -274,7 +265,7 @@ void Simulator::run(trace::RequestStream& stream) {
   std::vector<obs::TraceArg> run_args{
       obs::arg("variants", static_cast<std::uint64_t>(variants_.size()))};
   for (const auto& vs : variants_) {
-    run_args.push_back(obs::arg(std::string("groups.") + to_string(vs.variant),
+    run_args.push_back(obs::arg(std::string("groups.") + vs.spec.name,
                                 static_cast<std::uint64_t>(vs.groups.count)));
   }
   obs::TraceSpan run_span(obs::tracer(), "Simulator::run", "core",
@@ -283,8 +274,8 @@ void Simulator::run(trace::RequestStream& stream) {
   bool need_static = false;
   bool need_owner = false;
   for (const auto& vs : variants_) {
-    need_static = need_static || vs.variant == Variant::kStatic;
-    need_owner = need_owner || hashes(vs.variant);
+    need_static = need_static || vs.spec.frozen;
+    need_owner = need_owner || vs.spec.hashed;
   }
   // One decide bin per thread (no more than there are groups); at one
   // thread a single bin replays every request with no partition filter.
@@ -341,9 +332,7 @@ void Simulator::run(trace::RequestStream& stream) {
       if (folding) tasks.push_back({Task::kFold, v, 0, &vs.fold_seconds});
       if (!deciding) continue;
       vs.outcome[cur].resize(blocks[cur].count());
-      if (vs.variant == Variant::kPrefetch) {
-        vs.prefetched[cur].resize(blocks[cur].count());
-      }
+      if (vs.spec.prefetch) vs.prefetched[cur].resize(blocks[cur].count());
       for (std::size_t b = 0; b < vs.bins; ++b) {
         tasks.push_back({Task::kDecide, v, b, &vs.bin_seconds[b]});
       }
@@ -405,11 +394,11 @@ RunReport Simulator::finish() {
   for (auto& vs : variants_) {
     vs.metrics.uplink_meter.flush();  // no-op unless a run left a partial
     vs.series.finish(series_row(vs.metrics));  // trailing partial epoch
-    check_conservation(vs.metrics, to_string(vs.variant));
+    check_conservation(vs.metrics, vs.spec.name);
 
     VariantReport vr;
     vr.variant = vs.variant;
-    vr.name = to_string(vs.variant);
+    vr.name = vs.spec.name;
     vr.metrics = vs.metrics;
     vr.series = vs.series.table(report.epoch_seconds);
     for (std::size_t c = 0; c < kCounters.size(); ++c) {
@@ -435,10 +424,9 @@ util::Bytes Simulator::maybe_prefetch(VariantState& vs, SatId serving,
   auto& stamp = vs.prefetch_epoch[util::as_index(serving)];
   if (stamp == epoch.value()) return 0;
   stamp = static_cast<std::uint32_t>(epoch.value());
-  const auto west = mapper_.west_replica(constellation_->id_of(serving));
-  if (!west) return 0;
-  auto& replica_slot =
-      vs.caches[util::as_index(constellation_->index_of(*west))];
+  const SatId west = vs.reach[util::as_index(serving)].prefetch_from;
+  if (west == util::kNoSat) return 0;
+  auto& replica_slot = vs.caches[util::as_index(west)];
   if (!replica_slot) return 0;  // neighbour has served nothing yet
   cache::Cache& own = cache_at(vs, serving);
   util::Bytes pulled = 0;
@@ -464,35 +452,28 @@ Simulator::Outcome Simulator::decide(VariantState& vs, const trace::Request& r,
   if (vs.transient.down(serving, util::Seconds{r.timestamp_s})) {
     return Outcome::kTransient;
   }
-  if (vs.variant == Variant::kPrefetch) {
-    prefetched = maybe_prefetch(vs, serving, c.epoch);
-  }
+  if (vs.spec.prefetch) prefetched = maybe_prefetch(vs, serving, c.epoch);
   cache::Cache& serving_cache = cache_at(vs, serving);
   if (serving_cache.touch(r.object)) {
     return serving == fc ? Outcome::kLocalHit : Outcome::kRoutedHit;
   }
 
-  // Relayed fetch (§3.3): probe the replicas; a hit is served from the
-  // west one when both hold the object, and the owner caches it.
-  if (relays(vs.variant)) {
-    const RelayReplicas rep =
-        relay_replicas(*constellation_, mapper_, vs.variant,
-                       config_.relay_east, constellation_->id_of(serving));
-    const auto holder = [&](const std::optional<orbit::SatelliteId>& sat)
-        -> cache::Cache* {
-      if (!sat) return nullptr;
-      cache::Cache* cache =
-          vs.caches[util::as_index(constellation_->index_of(*sat))].get();
-      return cache != nullptr && cache->peek(r.object) ? cache : nullptr;
-    };
-    cache::Cache* const west = holder(rep.west);
-    cache::Cache* const east = holder(rep.east);
-    if (west != nullptr || east != nullptr) {
-      (west != nullptr ? west : east)->touch(r.object);  // refresh replica
-      serving_cache.admit(r.object, r.size);  // backflow: owner caches it
-      if (west == nullptr) return Outcome::kRelayEast;
-      return east != nullptr ? Outcome::kRelayBoth : Outcome::kRelayWest;
-    }
+  // Relayed fetch (§3.3): probe the reach row's replicas (none unless the
+  // variant relays); a hit is served from the west one when both hold the
+  // object, and the owner caches it.
+  const Reach& reach = vs.reach[util::as_index(serving)];
+  const auto holder = [&](SatId sat) -> cache::Cache* {
+    if (sat == util::kNoSat) return nullptr;
+    cache::Cache* cache = vs.caches[util::as_index(sat)].get();
+    return cache != nullptr && cache->peek(r.object) ? cache : nullptr;
+  };
+  cache::Cache* const west = holder(reach.west);
+  cache::Cache* const east = holder(reach.east);
+  if (west != nullptr || east != nullptr) {
+    (west != nullptr ? west : east)->touch(r.object);  // refresh replica
+    serving_cache.admit(r.object, r.size);  // backflow: owner caches it
+    if (west == nullptr) return Outcome::kRelayEast;
+    return east != nullptr ? Outcome::kRelayBoth : Outcome::kRelayWest;
   }
 
   // Total miss: fetch from the ground.
@@ -504,10 +485,10 @@ void Simulator::fold_variant(VariantState& vs, int slot,
                              const trace::RequestBlock& block,
                              const std::vector<RequestContext>& ctx,
                              bool trace_epochs, std::uint64_t& marked_epoch) {
-  const obs::TraceSpan span(obs::tracer(), to_string(vs.variant), "variant");
+  const obs::TraceSpan span(obs::tracer(), vs.spec.name, "variant");
   obs::Tracer* const tr = trace_epochs ? obs::tracer() : nullptr;
-  const bool is_static = vs.variant == Variant::kStatic;
-  const bool prefetching = vs.variant == Variant::kPrefetch;
+  const bool frozen = vs.spec.frozen;
+  const bool prefetching = vs.spec.prefetch;
   const std::vector<Outcome>& out = vs.outcome[slot];
   for (std::size_t i = 0; i < block.count(); ++i) {
     ++vs.request_counter;
@@ -517,9 +498,9 @@ void Simulator::fold_variant(VariantState& vs, int slot,
       marked_epoch = real;
       tr->instant("epoch", "sim", {obs::arg("epoch", real)});
     }
-    // Handover accounting rides on the shared stage-1 context; kStatic
-    // freezes the mapping, so it never hands over by construction.
-    if (!is_static && ctx[i].handover) ++vs.metrics.handovers;
+    // Handover accounting rides on the shared stage-1 context; a frozen
+    // mapping never hands over by construction.
+    if (!frozen && ctx[i].handover) ++vs.metrics.handovers;
     fold(vs, block.at(i), ctx[i], out[i],
          prefetching ? vs.prefetched[slot][i] : 0);
   }
@@ -546,7 +527,7 @@ void Simulator::fold(VariantState& vs, const trace::Request& r,
   }
 
   const util::Millis gsl{first_contact(vs, c).gsl_one_way_ms};
-  const util::Millis route = hashes(vs.variant) ? c.route : util::Millis{0.0};
+  const util::Millis route = vs.spec.hashed ? c.route : util::Millis{0.0};
   const SatId serving = serving_of(vs, c);
   if (vs.bins > 1) {
     ++vs.group_load[vs.groups.group_of[util::as_index(serving)]];
@@ -613,7 +594,7 @@ void Simulator::fold(VariantState& vs, const trace::Request& r,
   m.isl_bytes += r.size;
   if (sample) {
     const int relay_hops =
-        vs.variant == Variant::kStarCdn ? mapper_.tile_side() : 1;
+        vs.spec.relay == Relay::kReplicas ? mapper_.tile_side() : 1;
     const util::Millis relay =
         static_cast<double>(relay_hops) * latency_.params().inter_orbit_hop;
     record(latency_.hit_relayed(gsl, route, relay));

@@ -1,20 +1,10 @@
 // Trace-driven discrete-time simulator for satellite-based CDNs (§5.1).
 //
 // Replays a multi-location request trace against a constellation with
-// per-satellite edge caches under one or more architecture variants:
-//
-//   kStatic     — the paper's unachievable north star: satellites frozen at
-//                 their epoch-0 geometry, static user-satellite mapping.
-//   kVanillaLru — naive design of §3.1: independent per-satellite caches.
-//   kHashOnly   — StarCDN consistent hashing, no relayed fetch (the paper's
-//                 "StarCDN-Fetch" curve = StarCDN *minus* fetch).
-//   kRelayOnly  — relayed fetch from inter-orbit neighbours without
-//                 hashing (the paper's "StarCDN-Hashing" curve = StarCDN
-//                 *minus* hashing).
-//   kStarCdn    — the full system: hashing + relayed fetch (§3.2 + §3.3).
-//   kPrefetch   — the design alternative §3.3 argues against: hashing plus
-//                 *proactive* prefetch of the trailing replica's hot set at
-//                 every scheduler epoch, instead of miss-triggered relay.
+// per-satellite edge caches under one or more architecture variants. Each
+// variant is a VariantSpec row (variant.cpp holds the paper's taxonomy),
+// resolved once in add_variant together with its per-slot reach table
+// (coupling.h); the replay reads those and never the Variant enum.
 //
 // All variants of one run share the precomputed link schedule, so they see
 // identical orbital dynamics and request assignment; only the caching
@@ -47,7 +37,7 @@
 
 namespace starcdn::core {
 
-/// Objects kPrefetch pulls from the trailing replica per epoch.
+/// Objects a prefetching variant pulls from the trailing replica per epoch.
 inline constexpr std::size_t kPrefetchObjectsPerEpoch = 64;
 
 /// Builds the cache behind one satellite slot (see Simulator's constructor).
@@ -87,11 +77,12 @@ struct SimConfig {
 
 /// Fluent, validating construction for SimConfig:
 ///
+///   using enum Variant;
 ///   auto cfg = SimConfig::Builder{}
-///                  .policy(cache::Policy::kS3Fifo)
+///                  .policy(cache::Policy::kSieve)
 ///                  .cache_capacity(util::gib(40))
 ///                  .buckets(9)
-///                  .variants({Variant::kStarCdn, Variant::kVanillaLru})
+///                  .variants({kStarCdn, kVanillaLru})
 ///                  .build();
 ///
 /// build() runs SimConfig::validate(), so a bucket count that is not a
@@ -234,7 +225,8 @@ class Simulator {
   static constexpr int kSlots = 3;
 
   /// Everything a variant replay touches lives here, so variants share no
-  /// mutable state. The decide stage owns `caches` and `prefetch_epoch`
+  /// mutable state. `spec` and `reach` are fixed at add_variant and only
+  /// read afterwards. The decide stage owns `caches` and `prefetch_epoch`
   /// (split further across bins of coupling groups); the fold stage owns
   /// the rest. The RNG stream is derived from (config.seed, variant) and
   /// the request counter advances in lockstep across variants, making
@@ -242,12 +234,14 @@ class Simulator {
   /// are registered.
   struct VariantState {
     Variant variant;
+    VariantSpec spec;
+    std::vector<Reach> reach;  // per satellite slot
     /// Written per request by the fold stage while decide tasks read
-    /// `variant`; its own cache line keeps that from false sharing.
+    /// `spec`; its own cache line keeps that from false sharing.
     alignas(64) VariantMetrics metrics;
     obs::EpochSeries series;  // per-epoch snapshots of the metrics
     std::vector<std::unique_ptr<cache::Cache>> caches;  // per satellite slot
-    std::vector<std::uint32_t> prefetch_epoch;          // kPrefetch bookkeeping
+    std::vector<std::uint32_t> prefetch_epoch;          // spec.prefetch only
     TransientFailureModel transient{0.0};  // same outage schedule per variant
     util::Rng rng;                         // latency sampling stream
     std::uint64_t request_counter = 0;     // drives user-terminal rotation
@@ -263,12 +257,12 @@ class Simulator {
     double fold_seconds = 0.0;              // last fold time
     /// Decide-stage output per block slot, read by the fold stage.
     std::vector<Outcome> outcome[kSlots];
-    std::vector<util::Bytes> prefetched[kSlots];  // kPrefetch only
+    std::vector<util::Bytes> prefetched[kSlots];  // spec.prefetch only
   };
 
   /// Shared per-request context, hoisted out of the variant loop (stage 1):
   /// the scheduler epoch, the first-contact lookup (once per request, and
-  /// once at the frozen epoch 0 when a kStatic variant is registered,
+  /// once at the frozen epoch 0 when a frozen variant is registered,
   /// instead of once per variant), whether the scheduler's reshuffle
   /// handed this user to a different satellite than the previous epoch,
   /// and, when a hashed variant is registered, the bucket owner that all
@@ -291,11 +285,11 @@ class Simulator {
 
   [[nodiscard]] static const sched::Candidate& first_contact(
       const VariantState& vs, const RequestContext& c) noexcept {
-    return vs.variant == Variant::kStatic ? c.fc_static : c.fc;
+    return vs.spec.frozen ? c.fc_static : c.fc;
   }
   [[nodiscard]] static util::SatId serving_of(
       const VariantState& vs, const RequestContext& c) noexcept {
-    return hashes(vs.variant) ? c.owner : first_contact(vs, c).sat;
+    return vs.spec.hashed ? c.owner : first_contact(vs, c).sat;
   }
 
   /// Spread the coupling groups over `bins` decide bins (longest

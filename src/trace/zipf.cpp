@@ -6,7 +6,7 @@
 
 namespace starcdn::trace {
 
-ZipfSampler::ZipfSampler(std::size_t n, double alpha) : alpha_(alpha) {
+ZipfSampler::ZipfSampler(std::size_t n, double alpha) {
   if (n == 0) throw std::invalid_argument("ZipfSampler: n == 0");
   cdf_.resize(n);
   double acc = 0.0;

@@ -20,13 +20,11 @@ class ZipfSampler {
 
   [[nodiscard]] std::size_t sample(util::Rng& rng) const;
   [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
-  [[nodiscard]] double alpha() const noexcept { return alpha_; }
 
   /// Probability mass of a rank.
   [[nodiscard]] double pmf(std::size_t rank) const;
 
  private:
-  double alpha_;
   std::vector<double> cdf_;
 };
 
@@ -45,7 +43,6 @@ class DiscreteSampler {
   /// counting pass).
   [[nodiscard]] std::size_t index_of(double unit) const noexcept;
   [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
-  [[nodiscard]] double total_weight() const noexcept { return total_; }
 
  private:
   std::vector<double> cdf_;

@@ -20,8 +20,6 @@ class CsvWriter {
   /// Write one row; fields are escaped as needed.
   void row(const std::vector<std::string>& fields);
 
-  [[nodiscard]] bool ok() const noexcept { return static_cast<bool>(out_); }
-
  private:
   std::ofstream out_;
 };

@@ -26,7 +26,6 @@ using Bytes = std::uint64_t;
 inline constexpr Bytes kKiB = 1024ULL;
 inline constexpr Bytes kMiB = 1024ULL * kKiB;
 inline constexpr Bytes kGiB = 1024ULL * kMiB;
-inline constexpr Bytes kTiB = 1024ULL * kGiB;
 
 [[nodiscard]] constexpr Bytes gib(double n) noexcept {
   return static_cast<Bytes>(n * static_cast<double>(kGiB));
