@@ -178,9 +178,9 @@ void BM_MergeByTime(benchmark::State& state) {
 BENCHMARK(BM_MergeByTime)->Arg(10'000)->Arg(50'000)->Unit(benchmark::kMillisecond);
 
 void BM_GenerateStream(benchmark::State& state) {
-  // End-to-end streamed SpaceGEN generation: chunked SoA blocks pulled
-  // from the windowed skip-replay generator, never materializing the
-  // trace. Compare items/s against BM_GenerateMaterialized.
+  // End-to-end trace generation: the stream splits each city's requests
+  // over minutes, then emits per-(city, minute) blocks in time order as
+  // chunked SoA blocks, never materializing the trace.
   auto p = trace::default_params(trace::TrafficClass::kVideo);
   p.object_count = 20'000;
   p.requests_per_weight = static_cast<std::size_t>(state.range(0));
@@ -200,28 +200,6 @@ void BM_GenerateStream(benchmark::State& state) {
                           static_cast<std::int64_t>(total));
 }
 BENCHMARK(BM_GenerateStream)->Arg(10'000)->Arg(50'000)->Unit(benchmark::kMillisecond);
-
-void BM_GenerateMaterialized(benchmark::State& state) {
-  // Baseline for BM_GenerateStream: generate() all city traces, then the
-  // loser-tree merge — the legacy materialize-everything path.
-  auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 20'000;
-  p.requests_per_weight = static_cast<std::size_t>(state.range(0));
-  p.duration_s = util::kHour.value();
-  const trace::WorkloadModel workload(util::paper_cities(), p);
-  std::uint64_t total = 0;
-  for (auto _ : state) {
-    const auto merged = trace::merge_by_time(workload.generate());
-    total = merged.size();
-    benchmark::DoNotOptimize(merged.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(total));
-}
-BENCHMARK(BM_GenerateMaterialized)
-    ->Arg(10'000)
-    ->Arg(50'000)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_Splitmix(benchmark::State& state) {
   std::uint64_t x = 0;

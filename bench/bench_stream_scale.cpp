@@ -3,7 +3,8 @@
 // the process stays under a fixed RSS budget (--rss-budget-mb; CI wires
 // this to the smoke job). A materialized trace would need ~32 bytes/request
 // (~3.2 GB at 100M) before the simulator even starts; the stream holds one
-// SoA chunk plus the generator's window buffers regardless of --scale.
+// SoA chunk plus the generator's buffer of the next few minutes, whatever
+// the --scale.
 //
 //   $ bench_stream_scale --scale=61 --rss-budget-mb=1500
 //

@@ -2,12 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <numbers>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
+#include <vector>
 
 #include "util/hash.h"
+#include "util/parallel.h"
 
 namespace starcdn::trace {
 
@@ -87,12 +92,30 @@ bool crosses_region(ObjectId id, const std::string& target_region,
   return static_cast<double>(h >> 11) * 0x1.0p-53 < gate_probability;
 }
 
+/// Draws per run of the minute-count histogram: a fixed size, so the split
+/// does not depend on the thread count.
+constexpr std::size_t kCountRun = std::size_t{1} << 15;
+
+/// Purposes of keyed_rng streams, so count runs and blocks never share one.
+constexpr std::uint64_t kCountStream = 1;
+constexpr std::uint64_t kBlockStream = 2;
+
+/// An independent RNG stream per (seed, purpose, city, index).
+util::Rng keyed_rng(std::uint64_t seed, std::uint64_t purpose,
+                    std::size_t city, std::size_t index) {
+  return util::Rng(util::hash_combine(
+      util::hash_combine(util::hash_combine(seed, purpose), city), index));
+}
+
 }  // namespace
 
 WorkloadModel::WorkloadModel(const std::vector<util::City>& cities,
                              const WorkloadParams& params)
     : cities_(&cities), params_(params) {
   if (cities.empty()) throw std::invalid_argument("WorkloadModel: no cities");
+  if (!(params.duration_s > 0.0)) {
+    throw std::invalid_argument("WorkloadModel: duration_s must be positive");
+  }
   build_universe();
   build_city_tables();
 }
@@ -170,55 +193,88 @@ void WorkloadModel::build_city_tables() {
   }
 }
 
-std::vector<double> WorkloadModel::diurnal_minute_weights(
-    std::size_t city) const {
+std::size_t WorkloadModel::minutes() const noexcept {
+  return static_cast<std::size_t>(
+      std::max(1.0, std::ceil(params_.duration_s / util::kMinute.value())));
+}
+
+std::vector<double> WorkloadModel::minute_weights(std::size_t city) const {
   // Local solar time from longitude; demand peaks around 20:00 local.
   const double lon = (*cities_)[city].coord.lon_deg;
   const double tz_offset_h = lon / 15.0;
-  const std::size_t minutes = static_cast<std::size_t>(
-      std::max(1.0, params_.duration_s / util::kMinute.value()));
-  std::vector<double> w(minutes);
-  for (std::size_t m = 0; m < minutes; ++m) {
+  const double minute_s = util::kMinute.value();
+  std::vector<double> w(minutes());
+  for (std::size_t m = 0; m < w.size(); ++m) {
     const double t_utc_h = static_cast<double>(m) / 60.0;
     const double local_h = std::fmod(t_utc_h + tz_offset_h + 48.0, 24.0);
-    w[m] = 1.0 + params_.diurnal_depth *
-                     std::sin(2.0 * std::numbers::pi * (local_h - 14.0) / 24.0);
+    const double length_s = std::min(
+        minute_s, params_.duration_s - static_cast<double>(m) * minute_s);
+    w[m] = (1.0 + params_.diurnal_depth *
+                      std::sin(2.0 * std::numbers::pi * (local_h - 14.0) /
+                               24.0)) *
+           length_s / minute_s;
   }
   return w;
 }
 
-LocationTrace WorkloadModel::generate_city(std::size_t city,
-                                           std::size_t n_requests,
-                                           std::uint64_t salt) const {
-  const CityTable& t = city_tables_[city];
-  util::Rng rng(util::hash_combine(params_.seed,
-                                   util::splitmix64(city * 7919 + salt + 1)));
-  const DiscreteSampler minute_sampler(diurnal_minute_weights(city));
+std::vector<std::uint32_t> WorkloadModel::minute_counts(std::size_t city,
+                                                        std::size_t n) const {
+  const DiscreteSampler minute(minute_weights(city));
+  const std::size_t runs = (n + kCountRun - 1) / kCountRun;
+  std::vector<std::vector<std::uint32_t>> histograms(runs);
+  util::parallel_for(runs, [&](std::size_t run) {
+    auto& h = histograms[run];
+    h.assign(minute.size(), 0);
+    util::Rng rng = keyed_rng(params_.seed, kCountStream, city, run);
+    const std::size_t draws = std::min(kCountRun, n - run * kCountRun);
+    for (std::size_t i = 0; i < draws; ++i) ++h[minute.sample(rng)];
+  });
+  std::vector<std::uint32_t> counts(minute.size(), 0);
+  for (const auto& h : histograms) {
+    for (std::size_t m = 0; m < h.size(); ++m) counts[m] += h[m];
+  }
+  return counts;
+}
 
+void WorkloadModel::block(std::size_t city, std::size_t minute,
+                          std::span<Request> out) const {
+  const double start = static_cast<double>(minute) * util::kMinute.value();
+  const double end =
+      std::min(start + util::kMinute.value(), params_.duration_s);
+  // Rounding can land start + u * length on `end`; stopping one ulp short
+  // keeps every block strictly inside its minute, so minutes never
+  // interleave and a per-city trace needs no global sort.
+  const double last = std::nextafter(end, start);
+  util::Rng rng = keyed_rng(params_.seed, kBlockStream, city, minute);
+  for (Request& r : out) {
+    r.timestamp_s = std::min(last, start + rng.uniform() * (end - start));
+  }
+  std::sort(out.begin(), out.end(), [](const Request& a, const Request& b) {
+    return a.timestamp_s < b.timestamp_s;
+  });
+  const CityTable& t = city_tables_[city];
+  for (Request& r : out) {
+    r.object = t.objects[t.sampler->sample(rng)];
+    r.size = sizes_[static_cast<std::size_t>(r.object)];
+    r.location = static_cast<std::uint16_t>(city);
+  }
+}
+
+LocationTrace WorkloadModel::generate_city(std::size_t city,
+                                           std::size_t n_requests) const {
+  const std::vector<std::uint32_t> counts = minute_counts(city, n_requests);
+  std::vector<std::size_t> begin(counts.size() + 1, 0);
+  for (std::size_t m = 0; m < counts.size(); ++m) {
+    begin[m + 1] = begin[m] + counts[m];
+  }
   LocationTrace out;
   out.location = static_cast<std::uint16_t>(city);
   out.location_name = (*cities_)[city].name;
-  out.requests.reserve(n_requests);
-  for (std::size_t k = 0; k < n_requests; ++k) {
-    const std::size_t idx = t.sampler->sample(rng);
-    const ObjectId obj = t.objects[idx];
-    Request r;
-    r.object = obj;
-    r.size = sizes_[static_cast<std::size_t>(obj)];
-    r.location = static_cast<std::uint16_t>(city);
-    const double minute = static_cast<double>(minute_sampler.sample(rng));
-    r.timestamp_s = std::min(params_.duration_s - 1e-3,
-                             (minute + rng.uniform()) * util::kMinute.value());
-    out.requests.push_back(r);
-  }
-  // Stable: requests with equal timestamps (the end-of-day clamp can
-  // collide) keep draw order. This is the tie-break contract the streaming
-  // generator (generate_stream) reproduces per time window, so the two
-  // paths stay bitwise identical.
-  std::stable_sort(out.requests.begin(), out.requests.end(),
-                   [](const Request& a, const Request& b) {
-                     return a.timestamp_s < b.timestamp_s;
-                   });
+  out.requests.resize(n_requests);
+  const std::span<Request> requests(out.requests);
+  util::parallel_for(counts.size(), [&](std::size_t m) {
+    block(city, m, requests.subspan(begin[m], counts[m]));
+  });
   return out;
 }
 
@@ -243,6 +299,92 @@ MultiTrace WorkloadModel::generate() const {
     out.push_back(generate_city(c, city_request_count(c)));
   }
   return out;
+}
+
+/// generate_stream's producer: the blocks of a few minutes at a time, each
+/// minute's cities merged by (timestamp, city).
+class WorkloadStream final : public RequestStream {
+ public:
+  WorkloadStream(const WorkloadModel& model, std::size_t chunk_requests)
+      : model_(&model),
+        chunk_(std::max<std::size_t>(1, chunk_requests)),
+        counts_(model.cities().size()) {
+    for (std::size_t c = 0; c < counts_.size(); ++c) {
+      const std::size_t n = model.city_request_count(c);
+      counts_[c] = model.minute_counts(c, n);
+      total_ += n;
+    }
+  }
+
+  [[nodiscard]] bool next(RequestBlock& out) override {
+    out.clear();
+    if (emitted_ == total_) return false;
+    const auto want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(chunk_, total_ - emitted_));
+    out.reserve(want);
+    while (out.count() < want) {
+      if (pos_ == buffer_.size()) fill();
+      out.push_back(buffer_[pos_++]);
+    }
+    emitted_ += want;
+    return true;
+  }
+
+  [[nodiscard]] std::optional<std::uint64_t> size_hint() const override {
+    return total_;
+  }
+
+ private:
+  struct Slot {
+    std::size_t city, minute, begin, count;
+  };
+
+  /// Generate the next minutes holding at least one chunk (or the rest of
+  /// the trace) into buffer_: minute-major, cities ascending inside each.
+  void fill() {
+    std::vector<Slot> slots;
+    std::vector<std::size_t> minute_begin{0};
+    std::size_t n = 0;
+    while (n < chunk_ && next_minute_ < model_->minutes()) {
+      for (std::size_t c = 0; c < counts_.size(); ++c) {
+        const std::size_t k = counts_[c][next_minute_];
+        if (k > 0) slots.push_back({c, next_minute_, n, k});
+        n += k;
+      }
+      minute_begin.push_back(n);
+      ++next_minute_;
+    }
+    buffer_.resize(n);
+    pos_ = 0;
+    const std::span<Request> buffer(buffer_);
+    util::parallel_for(slots.size(), [&](std::size_t i) {
+      model_->block(slots[i].city, slots[i].minute,
+                    buffer.subspan(slots[i].begin, slots[i].count));
+    });
+    // Stable by timestamp: equal timestamps keep the city order, which is
+    // merge_by_time's tie-break.
+    util::parallel_for(minute_begin.size() - 1, [&](std::size_t m) {
+      std::stable_sort(buffer.begin() + minute_begin[m],
+                       buffer.begin() + minute_begin[m + 1],
+                       [](const Request& a, const Request& b) {
+                         return a.timestamp_s < b.timestamp_s;
+                       });
+    });
+  }
+
+  const WorkloadModel* model_;
+  std::size_t chunk_;
+  std::vector<std::vector<std::uint32_t>> counts_;  // [city][minute]
+  std::uint64_t total_ = 0;
+  std::uint64_t emitted_ = 0;
+  std::size_t next_minute_ = 0;
+  std::vector<Request> buffer_;
+  std::size_t pos_ = 0;
+};
+
+std::unique_ptr<RequestStream> WorkloadModel::generate_stream(
+    std::size_t chunk_requests) const {
+  return std::make_unique<WorkloadStream>(*this, chunk_requests);
 }
 
 OverlapResult overlap(const LocationTrace& a, const LocationTrace& b) {

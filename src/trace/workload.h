@@ -14,11 +14,16 @@
 // has a home city, a heavy-tailed base popularity, and a popularity-
 // correlated geographic reach; its weight in city c decays exponentially
 // with distance(home, c)/reach and is scaled by a region-affinity factor.
-// Requests are drawn i.i.d. from the per-city weight tables with Poisson
-// arrivals modulated by a diurnal profile in the city's local time.
+// Each city's request count is split multinomially over the minutes of the
+// trace, weighted by a diurnal profile in the city's local time (and by the
+// length of a partial last minute). A (city, minute) block then places its
+// requests uniformly inside the minute and draws their objects i.i.d. from
+// the city's weight table — the same joint law as i.i.d. (time, object)
+// draws sorted by time, produced directly in time order.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "trace/record.h"
@@ -69,20 +74,6 @@ struct WorkloadParams {
 /// 642TB; downloads: 472M reqs/372TB).
 [[nodiscard]] WorkloadParams default_params(TrafficClass c);
 
-/// Tuning for WorkloadModel::generate_stream. Both knobs trade memory for
-/// speed only — the emitted request sequence is identical for any values.
-struct StreamParams {
-  /// Requests per yielded RequestBlock.
-  std::size_t chunk_requests = kDefaultChunkRequests;
-  /// Target number of requests (summed over cities) materialized per
-  /// emission window. Peak generator memory is O(window); generation cost
-  /// grows with the window *count* (each window replays every city's RNG
-  /// stream in skip mode), so bigger windows are faster and fatter. The
-  /// default (~4M requests, ~100 MB of window buffers) keeps a paper-scale
-  /// day under a dozen replay passes.
-  std::size_t window_requests = 4u << 20;
-};
-
 /// A generated object universe plus per-city popularity tables.
 class WorkloadModel {
  public:
@@ -104,13 +95,33 @@ class WorkloadModel {
   /// Weight of an object in a city (0 when out of reach).
   [[nodiscard]] double weight(ObjectId id, std::size_t city) const;
 
-  /// Generate the full multi-location production trace.
+  /// A city's popularity table: the objects it requests, with non-negligible
+  /// weight, and the matching sampler over `weights`.
+  struct CityTable {
+    std::vector<ObjectId> objects;
+    std::vector<double> weights;
+    std::unique_ptr<DiscreteSampler> sampler;
+  };
+  [[nodiscard]] const CityTable& city_table(std::size_t city) const {
+    return city_tables_[city];
+  }
+
+  /// Minutes the trace spans: ceil(duration_s / 60); the last one is
+  /// partial when the duration is not a whole number of minutes.
+  [[nodiscard]] std::size_t minutes() const noexcept;
+
+  /// Relative request rate of each minute in `city`: the diurnal profile
+  /// times the minute's length, so a partial last minute gets its share.
+  [[nodiscard]] std::vector<double> minute_weights(std::size_t city) const;
+
+  /// Generate the full multi-location production trace: generate_city once
+  /// per city with city_request_count requests.
   [[nodiscard]] MultiTrace generate() const;
 
-  /// Generate only one city's trace with `n` requests (tests/benches).
+  /// One city's time-ordered trace of `n_requests`: its multinomial minute
+  /// counts, then the city's blocks concatenated in minute order.
   [[nodiscard]] LocationTrace generate_city(std::size_t city,
-                                            std::size_t n_requests,
-                                            std::uint64_t salt = 0) const;
+                                            std::size_t n_requests) const;
 
   /// Requests generate() draws for one city (requests_per_weight scaled by
   /// the city's traffic weight), and their sum — the analytic trace length,
@@ -118,28 +129,33 @@ class WorkloadModel {
   [[nodiscard]] std::size_t city_request_count(std::size_t city) const;
   [[nodiscard]] std::uint64_t total_request_count() const;
 
-  /// Bounded-memory, globally time-ordered generator: bitwise identical to
-  /// merge_by_time(generate()) — same requests, same order — but with
-  /// O(StreamParams::window_requests) peak memory instead of O(trace).
-  ///
-  /// How: per-city draws replay the exact per-city salted RNG stream of
-  /// generate_city in two passes. A counting pass (parallel over cities on
-  /// the PR-1 pool) consumes each draw without the object binary search and
-  /// histograms requests per minute; minutes are then partitioned into
-  /// windows of ~window_requests total. Each window re-replays every city's
-  /// stream, paying the object lookup only for in-window draws, stable-sorts
-  /// the per-city window buffers by timestamp (= generate_city's tie-break)
-  /// and k-way merges them through a loser tree keyed (timestamp, city).
+  /// The whole trace in global time order, in blocks of `chunk_requests`:
+  /// bitwise equal to merge_by_time(generate()) for any chunk size and
+  /// thread count. Opening it splits every city's count over the minutes;
+  /// each refill then generates the blocks of the next minutes holding at
+  /// least one chunk (in parallel) and merges the cities inside each minute
+  /// by (timestamp, city) — merge_by_time's tie-break. Minutes never
+  /// interleave, so memory is O(chunk + one minute) for any trace length.
   /// The stream keeps a reference to this model; the model must outlive it.
   [[nodiscard]] std::unique_ptr<RequestStream> generate_stream(
-      const StreamParams& sp = {}) const;
+      std::size_t chunk_requests = kDefaultChunkRequests) const;
 
  private:
   friend class WorkloadStream;
   void build_universe();
   void build_city_tables();
-  [[nodiscard]] std::vector<double> diurnal_minute_weights(
-      std::size_t city) const;
+  /// `n` requests of `city` split over minutes() by minute_weights: a
+  /// histogram of i.i.d. minute draws, made in fixed-size runs that each
+  /// draw from their own keyed RNG, in parallel.
+  [[nodiscard]] std::vector<std::uint32_t> minute_counts(std::size_t city,
+                                                         std::size_t n) const;
+
+  /// The one generation routine: `out.size()` requests of `city` inside
+  /// `minute`, in time order. Offsets are uniform in the minute and sorted;
+  /// objects are drawn from the city table. The draws come from an RNG keyed
+  /// by (seed, city, minute), so a block is the same whoever asks for it.
+  void block(std::size_t city, std::size_t minute,
+             std::span<Request> out) const;
 
   const std::vector<util::City>* cities_;
   WorkloadParams params_;
@@ -151,13 +167,6 @@ class WorkloadModel {
   std::vector<std::uint16_t> home_city_;
   std::vector<bool> global_;
 
-  // Per-city popularity tables: object ids with non-negligible weight and a
-  // matching sampler.
-  struct CityTable {
-    std::vector<ObjectId> objects;
-    std::vector<double> weights;
-    std::unique_ptr<DiscreteSampler> sampler;
-  };
   std::vector<CityTable> city_tables_;
 };
 

@@ -43,11 +43,7 @@ DiscreteSampler::DiscreteSampler(const std::vector<double>& weights) {
 }
 
 std::size_t DiscreteSampler::sample(util::Rng& rng) const {
-  return index_of(rng.uniform());
-}
-
-std::size_t DiscreteSampler::index_of(double unit) const noexcept {
-  const double u = unit * total_;
+  const double u = rng.uniform() * total_;
   const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
   return std::min(static_cast<std::size_t>(it - cdf_.begin()),
                   cdf_.size() - 1);

@@ -35,13 +35,6 @@ class DiscreteSampler {
   explicit DiscreteSampler(const std::vector<double>& weights);
 
   [[nodiscard]] std::size_t sample(util::Rng& rng) const;
-
-  /// Index for a unit draw u in [0, 1): sample(rng) == index_of(
-  /// rng.uniform()). Exposed so a replaying consumer can consume the RNG
-  /// draw without paying the binary search — and run the search later only
-  /// for the draws it actually needs (WorkloadModel::generate_stream's
-  /// counting pass).
-  [[nodiscard]] std::size_t index_of(double unit) const noexcept;
   [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
 
  private:

@@ -6,8 +6,8 @@
 // the winner and replaying its leaf-to-root path costs exactly ceil(log2 k)
 // comparisons — against a binary heap's pop+push this halves the compare
 // count and touches one fixed path instead of sifting, which is what makes
-// the streaming trace merge (trace::MultiTraceStream, WorkloadModel::
-// generate_stream) cheap even with one comparator call per request.
+// the streaming trace merge (trace::MultiTraceStream) cheap even with one
+// comparator call per request.
 //
 // The tree orders *source indices*: the caller's comparator looks up each
 // source's current head element. The comparator must be a strict total

@@ -259,7 +259,8 @@ TEST_F(SimulatorTest, StreamedRunsAccumulate) {
 // End-to-end metrics captured from the pre-rewrite (node-based) cache
 // implementations on a fixed scenario: every policy x variant combination
 // must stay bitwise-identical after the arena-backed cache-core rewrite.
-// Any intentional behaviour change to a policy must re-capture these rows.
+// Any intentional behaviour change to a policy must re-capture these rows,
+// and so must a change to the workload generator's sample path.
 
 struct GoldenRow {
   cache::Policy policy;
@@ -273,42 +274,42 @@ struct GoldenRow {
 TEST(SimulatorGolden, MetricsBitwiseIdenticalAcrossCacheRewrite) {
   using cache::Policy;
   static constexpr GoldenRow kGolden[] = {
-    {Policy::kLru, Variant(0), 7990u, 0u, 0u, 0u, 14410u, 0u, 96787506361u, 274881501435u, 0u, 0u, 0u},
-    {Policy::kLru, Variant(1), 7660u, 0u, 0u, 0u, 14740u, 0u, 92165935056u, 279503072740u, 0u, 0u, 0u},
-    {Policy::kLru, Variant(2), 2645u, 8440u, 0u, 0u, 11315u, 0u, 151690795490u, 219978212306u, 115466108068u, 0u, 0u},
-    {Policy::kLru, Variant(3), 7732u, 0u, 1989u, 721u, 11958u, 0u, 138921015034u, 232747992762u, 45238780024u, 0u, 708u},
-    {Policy::kLru, Variant(4), 2645u, 8466u, 1486u, 789u, 9014u, 0u, 191293095456u, 180375912340u, 155038749696u, 0u, 384u},
-    {Policy::kLru, Variant(5), 2601u, 7836u, 0u, 0u, 11963u, 0u, 138708494608u, 232960513188u, 390158118394u, 285769149839u, 0u},
-    {Policy::kLfu, Variant(0), 8726u, 0u, 0u, 0u, 13674u, 0u, 105472851524u, 266196156272u, 0u, 0u, 0u},
-    {Policy::kLfu, Variant(1), 8206u, 0u, 0u, 0u, 14194u, 0u, 99462369008u, 272206638788u, 0u, 0u, 0u},
-    {Policy::kLfu, Variant(2), 2694u, 8792u, 0u, 0u, 10914u, 0u, 155638276977u, 216030730819u, 118953887871u, 0u, 0u},
-    {Policy::kLfu, Variant(3), 8236u, 0u, 1739u, 605u, 11820u, 0u, 140337646961u, 231331360835u, 40298404643u, 0u, 511u},
-    {Policy::kLfu, Variant(4), 2691u, 8855u, 1432u, 682u, 8740u, 0u, 192385707288u, 179283300508u, 155885714663u, 0u, 345u},
-    {Policy::kLfu, Variant(5), 2843u, 8790u, 0u, 0u, 10767u, 0u, 152231310786u, 219437697010u, 374903166854u, 260071178471u, 0u},
-    {Policy::kFifo, Variant(0), 7325u, 0u, 0u, 0u, 15075u, 0u, 88976178047u, 282692829749u, 0u, 0u, 0u},
-    {Policy::kFifo, Variant(1), 7044u, 0u, 0u, 0u, 15356u, 0u, 85128297738u, 286540710058u, 0u, 0u, 0u},
-    {Policy::kFifo, Variant(2), 2551u, 8085u, 0u, 0u, 11764u, 0u, 144579126785u, 227089881011u, 110005529554u, 0u, 0u},
-    {Policy::kFifo, Variant(3), 7044u, 0u, 2341u, 931u, 12084u, 0u, 136616281255u, 235052726541u, 51487983517u, 0u, 908u},
-    {Policy::kFifo, Variant(4), 2551u, 8085u, 1800u, 854u, 9110u, 0u, 188976908912u, 182692098884u, 154403311681u, 0u, 597u},
-    {Policy::kFifo, Variant(5), 2554u, 7517u, 0u, 0u, 12329u, 0u, 134554984129u, 237114023667u, 400408757564u, 299670656678u, 0u},
-    {Policy::kSieve, Variant(0), 8388u, 0u, 0u, 0u, 14012u, 0u, 102856128994u, 268812878802u, 0u, 0u, 0u},
-    {Policy::kSieve, Variant(1), 8001u, 0u, 0u, 0u, 14399u, 0u, 97193160155u, 274475847641u, 0u, 0u, 0u},
-    {Policy::kSieve, Variant(2), 2671u, 8613u, 0u, 0u, 11116u, 0u, 154695959799u, 216973047997u, 117940201255u, 0u, 0u},
-    {Policy::kSieve, Variant(3), 7989u, 0u, 1892u, 657u, 11862u, 0u, 140220447544u, 231448560252u, 42527583734u, 0u, 659u},
-    {Policy::kSieve, Variant(4), 2672u, 8637u, 1486u, 738u, 8867u, 0u, 192928998479u, 178740009317u, 156113287152u, 0u, 386u},
-    {Policy::kSieve, Variant(5), 2828u, 8565u, 0u, 0u, 11007u, 0u, 151212530239u, 220456477557u, 383937073604u, 270437432151u, 0u},
-    {Policy::kSlru, Variant(0), 8665u, 0u, 0u, 0u, 13735u, 0u, 105797751966u, 265871255830u, 0u, 0u, 0u},
-    {Policy::kSlru, Variant(1), 8192u, 0u, 0u, 0u, 14208u, 0u, 99443628356u, 272225379440u, 0u, 0u, 0u},
-    {Policy::kSlru, Variant(2), 2697u, 8766u, 0u, 0u, 10937u, 0u, 155576692066u, 216092315730u, 118736773090u, 0u, 0u},
-    {Policy::kSlru, Variant(3), 8203u, 0u, 1793u, 621u, 11783u, 0u, 140985093692u, 230683914104u, 41161523463u, 0u, 554u},
-    {Policy::kSlru, Variant(4), 2693u, 8795u, 1447u, 699u, 8766u, 0u, 192960452402u, 178708555394u, 156128473520u, 0u, 354u},
-    {Policy::kSlru, Variant(5), 2851u, 8756u, 0u, 0u, 10793u, 0u, 152686670229u, 218982337567u, 380174331869u, 265298917542u, 0u},
-    {Policy::kGdsf, Variant(0), 8793u, 0u, 0u, 0u, 13607u, 0u, 97527119254u, 274141888542u, 0u, 0u, 0u},
-    {Policy::kGdsf, Variant(1), 8169u, 0u, 0u, 0u, 14231u, 0u, 92141949169u, 279527058627u, 0u, 0u, 0u},
-    {Policy::kGdsf, Variant(2), 2716u, 8967u, 0u, 0u, 10717u, 0u, 149443822622u, 222225185174u, 114544699941u, 0u, 0u},
-    {Policy::kGdsf, Variant(3), 8237u, 0u, 1889u, 688u, 11586u, 0u, 134264732932u, 237404274864u, 40875012310u, 0u, 575u},
-    {Policy::kGdsf, Variant(4), 2726u, 9015u, 1441u, 680u, 8538u, 0u, 186106804782u, 185562203014u, 151095667198u, 0u, 352u},
-    {Policy::kGdsf, Variant(5), 2843u, 8754u, 0u, 0u, 10803u, 0u, 140550871860u, 231118135936u, 354138320335u, 247567169119u, 0u},
+    {Policy::kLru, Variant(0), 7753u, 0u, 0u, 0u, 14647u, 0u, 94679748070u, 279597395723u, 0u, 0u, 0u},
+    {Policy::kLru, Variant(1), 7521u, 0u, 0u, 0u, 14879u, 0u, 92146341746u, 282130802047u, 0u, 0u, 0u},
+    {Policy::kLru, Variant(2), 2635u, 8326u, 0u, 0u, 11439u, 0u, 153140494914u, 221136648879u, 116019450103u, 0u, 0u},
+    {Policy::kLru, Variant(3), 7574u, 0u, 1959u, 769u, 12098u, 0u, 139012576884u, 235264566909u, 45980405104u, 0u, 711u},
+    {Policy::kLru, Variant(4), 2640u, 8361u, 1551u, 777u, 9071u, 0u, 193731660638u, 180545483155u, 156566663960u, 0u, 391u},
+    {Policy::kLru, Variant(5), 2628u, 7895u, 0u, 0u, 11877u, 0u, 142425109923u, 231852033870u, 385089806652u, 278480982503u, 0u},
+    {Policy::kLfu, Variant(0), 8626u, 0u, 0u, 0u, 13774u, 0u, 105430440271u, 268846703522u, 0u, 0u, 0u},
+    {Policy::kLfu, Variant(1), 8113u, 0u, 0u, 0u, 14287u, 0u, 100091890964u, 274185252829u, 0u, 0u, 0u},
+    {Policy::kLfu, Variant(2), 2681u, 8679u, 0u, 0u, 11040u, 0u, 157895236692u, 216381907101u, 120066831847u, 0u, 0u},
+    {Policy::kLfu, Variant(3), 8169u, 0u, 1687u, 617u, 11927u, 0u, 141355143160u, 232922000633u, 40604936776u, 0u, 511u},
+    {Policy::kLfu, Variant(4), 2682u, 8769u, 1433u, 678u, 8838u, 0u, 195450880774u, 178826263019u, 157590385983u, 0u, 337u},
+    {Policy::kLfu, Variant(5), 2856u, 8791u, 0u, 0u, 10753u, 0u, 155294029432u, 218983114361u, 373327833615u, 256705091286u, 0u},
+    {Policy::kFifo, Variant(0), 7130u, 0u, 0u, 0u, 15270u, 0u, 87318128502u, 286959015291u, 0u, 0u, 0u},
+    {Policy::kFifo, Variant(1), 6933u, 0u, 0u, 0u, 15467u, 0u, 85478020760u, 288799123033u, 0u, 0u, 0u},
+    {Policy::kFifo, Variant(2), 2548u, 7977u, 0u, 0u, 11875u, 0u, 146105583233u, 228171560560u, 110503531444u, 0u, 0u},
+    {Policy::kFifo, Variant(3), 6933u, 0u, 2339u, 944u, 12184u, 0u, 137237235128u, 237039908665u, 51759214368u, 0u, 922u},
+    {Policy::kFifo, Variant(4), 2548u, 7977u, 1829u, 888u, 9158u, 0u, 192028977297u, 182248166496u, 156426925508u, 0u, 608u},
+    {Policy::kFifo, Variant(5), 2486u, 7517u, 0u, 0u, 12397u, 0u, 135937016711u, 238340127082u, 394924351006u, 292944702462u, 0u},
+    {Policy::kSieve, Variant(0), 8236u, 0u, 0u, 0u, 14164u, 0u, 101351095816u, 272926047977u, 0u, 0u, 0u},
+    {Policy::kSieve, Variant(1), 7887u, 0u, 0u, 0u, 14513u, 0u, 97509132921u, 276768010872u, 0u, 0u, 0u},
+    {Policy::kSieve, Variant(2), 2653u, 8503u, 0u, 0u, 11244u, 0u, 156106031057u, 218171112736u, 118631933712u, 0u, 0u},
+    {Policy::kSieve, Variant(3), 7876u, 0u, 1860u, 695u, 11969u, 0u, 141355274212u, 232921869581u, 43880318381u, 0u, 644u},
+    {Policy::kSieve, Variant(4), 2658u, 8521u, 1511u, 708u, 9002u, 0u, 194699837511u, 179577306282u, 157133714049u, 0u, 385u},
+    {Policy::kSieve, Variant(5), 2810u, 8574u, 0u, 0u, 11016u, 0u, 154132694402u, 220144449391u, 379345826782u, 263565416112u, 0u},
+    {Policy::kSlru, Variant(0), 8485u, 0u, 0u, 0u, 13915u, 0u, 104670692882u, 269606450911u, 0u, 0u, 0u},
+    {Policy::kSlru, Variant(1), 8093u, 0u, 0u, 0u, 14307u, 0u, 99872393511u, 274404750282u, 0u, 0u, 0u},
+    {Policy::kSlru, Variant(2), 2677u, 8631u, 0u, 0u, 11092u, 0u, 156899728728u, 217377415065u, 119261358781u, 0u, 0u},
+    {Policy::kSlru, Variant(3), 8106u, 0u, 1747u, 633u, 11914u, 0u, 141182801873u, 233094341920u, 41072568147u, 0u, 569u},
+    {Policy::kSlru, Variant(4), 2674u, 8690u, 1465u, 694u, 8877u, 0u, 195253314598u, 179023829195u, 157606210394u, 0u, 351u},
+    {Policy::kSlru, Variant(5), 2867u, 8749u, 0u, 0u, 10784u, 0u, 155592203346u, 218684940447u, 375121449624u, 258506617804u, 0u},
+    {Policy::kGdsf, Variant(0), 8618u, 0u, 0u, 0u, 13782u, 0u, 96939042407u, 277338101386u, 0u, 0u, 0u},
+    {Policy::kGdsf, Variant(1), 8109u, 0u, 0u, 0u, 14291u, 0u, 93617669152u, 280659474641u, 0u, 0u, 0u},
+    {Policy::kGdsf, Variant(2), 2718u, 8842u, 0u, 0u, 10840u, 0u, 151438504079u, 222838639714u, 114907427943u, 0u, 0u},
+    {Policy::kGdsf, Variant(3), 8168u, 0u, 1816u, 713u, 11703u, 0u, 135599960279u, 238677183514u, 40923453013u, 0u, 555u},
+    {Policy::kGdsf, Variant(4), 2721u, 8896u, 1463u, 685u, 8635u, 0u, 189064338169u, 185212805624u, 152559195264u, 0u, 356u},
+    {Policy::kGdsf, Variant(5), 2833u, 8699u, 0u, 0u, 10868u, 0u, 141925790838u, 232351352955u, 351818750658u, 245042495663u, 0u},
   };
 
   const orbit::Constellation shell{orbit::WalkerParams{}};

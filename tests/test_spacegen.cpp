@@ -99,10 +99,19 @@ util::Histogram spread_histogram(const MultiTrace& traces, bool weighted) {
 }
 
 TEST_F(SpaceGenTest, ObjectSpreadMatchesProduction) {
-  const auto prod = spread_histogram(*production_, false);
-  const auto synth = spread_histogram(*synthetic_, false);
   // Fig. 6a: the two CDFs nearly coincide; total-variation distance small.
-  EXPECT_LT(prod.tv_distance(synth), 0.15);
+  // On one production trace a single synthetic draw scatters the distance
+  // by about ±0.015, so the bound applies to the mean over SpaceGEN seeds.
+  constexpr int kSeeds = 16;
+  const auto prod = spread_histogram(*production_, false);
+  double sum = 0.0;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    SpaceGenConfig cfg;
+    cfg.target_requests_per_location = 10'000;
+    cfg.seed = static_cast<std::uint64_t>(seed);
+    sum += prod.tv_distance(spread_histogram(gen_->generate(cfg), false));
+  }
+  EXPECT_LT(sum / kSeeds, 0.15);
 }
 
 TEST_F(SpaceGenTest, TrafficSpreadMatchesProduction) {

@@ -1,8 +1,8 @@
 // The streaming trace pipeline's contract (DESIGN.md §12): chunked streams
 // are *bitwise* equivalent to the materialized path — same requests, same
-// order, same simulator metrics — for any chunk size, window size and
-// thread count; and the loser-tree merge reproduces merge_by_time's stable
-// tie-break exactly.
+// order, same simulator metrics — for any chunk size and thread count;
+// and the loser-tree merge reproduces merge_by_time's stable tie-break
+// exactly.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -219,30 +219,20 @@ trace::WorkloadParams small_params() {
   return p;
 }
 
-TEST(GenerateStream, BitwiseMatchesMaterializedAcrossChunkAndWindow) {
+TEST(GenerateStream, BitwiseMatchesMaterializedAcrossChunkAndThreads) {
   const trace::WorkloadModel model(util::paper_cities(), small_params());
   const auto merged = trace::merge_by_time(model.generate());
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                   trace::kDefaultChunkRequests}) {
-    for (const std::size_t window :
-         {std::size_t{64}, std::size_t{4096}, std::size_t{1} << 22}) {
+    for (const int threads : {1, 4, 8}) {
       SCOPED_TRACE("chunk=" + std::to_string(chunk) +
-                   " window=" + std::to_string(window));
-      const auto stream = model.generate_stream({chunk, window});
+                   " threads=" + std::to_string(threads));
+      ThreadOverrideGuard guard(threads);
+      expect_same_requests(trace::merge_by_time(model.generate()), merged);
+      const auto stream = model.generate_stream(chunk);
       ASSERT_EQ(stream->size_hint(), merged.size());
       expect_same_requests(trace::collect(*stream), merged);
     }
-  }
-}
-
-TEST(GenerateStream, ThreadCountInvariant) {
-  const trace::WorkloadModel model(util::paper_cities(), small_params());
-  const auto merged = trace::merge_by_time(model.generate());
-  for (const int threads : {1, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ThreadOverrideGuard guard(threads);
-    const auto stream = model.generate_stream({1024, 2048});
-    expect_same_requests(trace::collect(*stream), merged);
   }
 }
 
@@ -262,7 +252,7 @@ TEST(GenerateStream, EmptyCityAndSingleRequestEdgeCases) {
     EXPECT_EQ(model.total_request_count(), 1u);
     const auto merged = trace::merge_by_time(model.generate());
     ASSERT_EQ(merged.size(), 1u);
-    const auto stream = model.generate_stream({1, 1});
+    const auto stream = model.generate_stream(1);
     expect_same_requests(trace::collect(*stream), merged);
   }
 
@@ -272,7 +262,7 @@ TEST(GenerateStream, EmptyCityAndSingleRequestEdgeCases) {
     const auto merged = trace::merge_by_time(model.generate());
     ASSERT_EQ(merged.size(), 300u);
     for (const auto& r : merged) EXPECT_EQ(r.location, 1);
-    const auto stream = model.generate_stream({17, 64});
+    const auto stream = model.generate_stream(17);
     expect_same_requests(trace::collect(*stream), merged);
   }
 }
@@ -383,7 +373,7 @@ TEST(SimulatorStream, GeneratedStreamMatchesMaterializedEndToEnd) {
 
   core::Simulator streamed(shell, schedule, cfg);
   streamed.add_variant(core::Variant::kStarCdn);
-  const auto stream = workload.generate_stream({1024, 8192});
+  const auto stream = workload.generate_stream(1024);
   streamed.run(*stream);
 
   expect_identical_metrics(materialized.metrics(core::Variant::kStarCdn),

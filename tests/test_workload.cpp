@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <set>
+#include <stdexcept>
 #include <unordered_set>
+#include <vector>
 
 #include "util/geo.h"
 
@@ -145,9 +151,150 @@ TEST(Workload, MergeByTimeGloballySorted) {
   EXPECT_GT(merged.size(), 0u);
 }
 
+TEST(Workload, PartialLastMinuteGetsItsShare) {
+  const auto& cities = util::paper_cities();
+  auto p = tiny_params();
+  p.duration_s = 15.0;  // one quarter-minute: offsets fill all of [0, 15)
+  {
+    const auto t = WorkloadModel(cities, p).generate_city(0, 2'000);
+    std::set<double> distinct;
+    double sum = 0.0;
+    for (const auto& r : t.requests) {
+      EXPECT_GE(r.timestamp_s, 0.0);
+      EXPECT_LT(r.timestamp_s, 15.0);
+      distinct.insert(r.timestamp_s);
+      sum += r.timestamp_s;
+    }
+    EXPECT_EQ(distinct.size(), t.requests.size());
+    // Uniform on [0, 15): mean 7.5, standard error 4.33 / sqrt(2000).
+    EXPECT_NEAR(sum / static_cast<double>(t.requests.size()), 7.5, 0.5);
+  }
+  p.duration_s = 615.0;  // ten full minutes and a quarter
+  {
+    const WorkloadModel w(cities, p);
+    ASSERT_EQ(w.minutes(), 11u);
+    const auto t = w.generate_city(0, 20'000);
+    std::size_t tail = 0;
+    for (const auto& r : t.requests) {
+      EXPECT_LT(r.timestamp_s, 615.0);
+      tail += r.timestamp_s >= 600.0;
+    }
+    // The partial minute carries about a quarter of a full minute's share.
+    const auto weights = w.minute_weights(0);
+    const double expected =
+        20'000.0 * weights.back() /
+        std::accumulate(weights.begin(), weights.end(), 0.0);
+    EXPECT_GT(static_cast<double>(tail), 0.5 * expected);
+    EXPECT_LT(static_cast<double>(tail), 1.5 * expected);
+  }
+}
+
+TEST(Workload, NonPositiveDurationThrows) {
+  auto p = tiny_params();
+  p.duration_s = 0.0;
+  EXPECT_THROW(WorkloadModel(util::paper_cities(), p), std::invalid_argument);
+}
+
 TEST(Workload, EmptyCitiesThrows) {
   const std::vector<util::City> none;
   EXPECT_THROW(WorkloadModel(none, tiny_params()), std::invalid_argument);
+}
+
+// --- Distribution guards ------------------------------------------------------
+//
+// Chi-square statistics of generated traces against the model's own
+// probabilities, at fixed seeds. A sum of `dof` squared standard normals has
+// mean dof and standard deviation sqrt(2 dof); each guard accepts four
+// deviations either way, so a split that is too exact fails like one that
+// is biased.
+
+struct ChiSquare {
+  double stat = 0.0;
+  std::size_t dof = 0;
+
+  /// Add one multinomial sample: `observed` counts against probabilities
+  /// proportional to `weights`.
+  void add(const std::vector<double>& observed,
+           const std::vector<double>& weights) {
+    const double n = std::accumulate(observed.begin(), observed.end(), 0.0);
+    const double w = std::accumulate(weights.begin(), weights.end(), 0.0);
+    for (std::size_t i = 0; i < observed.size(); ++i) {
+      const double e = n * weights[i] / w;
+      stat += (observed[i] - e) * (observed[i] - e) / e;
+    }
+    dof += observed.size() - 1;
+  }
+
+  void expect_plausible() const {
+    const auto d = static_cast<double>(dof);
+    const double sd = std::sqrt(2.0 * d);
+    EXPECT_GT(stat, d - 4.0 * sd) << "dof " << dof;
+    EXPECT_LT(stat, d + 4.0 * sd) << "dof " << dof;
+  }
+};
+
+TEST(WorkloadDistribution, MinuteCountsFollowDiurnalWeights) {
+  const auto& cities = util::paper_cities();
+  const WorkloadModel w(cities, tiny_params());
+  ChiSquare x;
+  for (std::size_t c = 0; c < cities.size(); ++c) {
+    const auto t = w.generate_city(c, w.city_request_count(c));
+    std::vector<double> counts(w.minutes(), 0.0);
+    for (const auto& r : t.requests) {
+      counts[static_cast<std::size_t>(r.timestamp_s / 60.0)] += 1.0;
+    }
+    x.add(counts, w.minute_weights(c));
+  }
+  x.expect_plausible();
+}
+
+TEST(WorkloadDistribution, ObjectCountsFollowCityTable) {
+  const auto& cities = util::paper_cities();
+  const WorkloadModel w(cities, tiny_params());
+  constexpr std::size_t kTop = 50;
+  ChiSquare x;
+  for (std::size_t c = 0; c < cities.size(); ++c) {
+    const auto& table = w.city_table(c);
+    std::vector<std::size_t> order(table.objects.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::partial_sort(order.begin(), order.begin() + kTop, order.end(),
+                      [&](std::size_t a, std::size_t b) {
+                        return table.weights[a] > table.weights[b];
+                      });
+    // Categories: the kTop heaviest objects, then everything else.
+    std::vector<double> weights(kTop + 1, 0.0);
+    std::vector<std::size_t> category(w.object_count(), kTop);
+    for (std::size_t i = 0; i < table.objects.size(); ++i) {
+      weights[kTop] += table.weights[i];
+    }
+    for (std::size_t k = 0; k < kTop; ++k) {
+      weights[k] = table.weights[order[k]];
+      weights[kTop] -= weights[k];
+      category[table.objects[order[k]]] = k;
+    }
+    std::vector<double> counts(kTop + 1, 0.0);
+    for (const auto& r : w.generate_city(c, 50'000).requests) {
+      counts[category[r.object]] += 1.0;
+    }
+    x.add(counts, weights);
+  }
+  x.expect_plausible();
+}
+
+TEST(WorkloadDistribution, IntraMinuteOffsetsUniform) {
+  const auto& cities = util::paper_cities();
+  const WorkloadModel w(cities, tiny_params());
+  constexpr std::size_t kBins = 30;
+  ChiSquare x;
+  for (std::size_t c = 0; c < cities.size(); ++c) {
+    std::vector<double> counts(kBins, 0.0);
+    for (const auto& r : w.generate_city(c, 30'000).requests) {
+      const double offset = std::fmod(r.timestamp_s, 60.0) / 60.0;
+      counts[static_cast<std::size_t>(offset * kBins)] += 1.0;
+    }
+    x.add(counts, std::vector<double>(kBins, 1.0));
+  }
+  x.expect_plausible();
 }
 
 TEST(Overlap, SelfOverlapIsTotal) {
