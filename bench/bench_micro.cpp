@@ -120,6 +120,24 @@ void BM_VisibilitySweep(benchmark::State& state) {
 }
 BENCHMARK(BM_VisibilitySweep);
 
+void BM_ScheduleBuildDay(benchmark::State& state) {
+  // The set-up every perfbench run pays: the full-day link schedule of the
+  // paper shell for the nine paper cities (5,760 epochs), on one thread.
+  const orbit::Constellation shell{orbit::WalkerParams{}};
+  util::set_parallel_threads(1);
+  std::size_t cells = 0;
+  for (auto _ : state) {
+    const sched::LinkSchedule schedule(shell, util::paper_cities(),
+                                       util::kDay);
+    cells = schedule.epochs() * schedule.cities();
+    benchmark::DoNotOptimize(&schedule);
+  }
+  util::set_parallel_threads(0);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cells));
+}
+BENCHMARK(BM_ScheduleBuildDay)->Unit(benchmark::kMillisecond);
+
 void BM_CodecRoundTrip(benchmark::State& state) {
   net::Message m;
   m.type = net::MessageType::kRequest;
@@ -247,24 +265,27 @@ double time_s(const std::function<void()>& fn) {
 }
 
 /// Serial-vs-parallel wall-clock comparison for the two parallelized hot
-/// paths: LinkSchedule construction (fan-out over epochs) and a 4-variant
-/// Simulator::run (fan-out over variants). Both paths are bitwise
+/// paths: LinkSchedule construction (fan-out over epoch ranges) and a
+/// 4-variant Simulator::run (fan-out over variants). Both paths are bitwise
 /// deterministic for any thread count (see tests/test_determinism.cpp), so
-/// the speedup is free accuracy-wise. Numbers are recorded in
-/// EXPERIMENTS.md ("parallel engine").
+/// the speedup is free accuracy-wise. The schedule is the full day that
+/// perfbench builds; two hours take about 12 ms, too little to time. Each
+/// epoch range starts by propagating every satellite, so each extra thread
+/// adds one full sweep. Numbers are recorded in EXPERIMENTS.md ("parallel
+/// engine").
 void report_parallel_speedup() {
   const int threads = util::parallel_threads();
   std::printf("\n=== parallel engine speedup (STARCDN_THREADS=%d) ===\n",
               threads);
 
   const orbit::Constellation shell{orbit::WalkerParams{}};
-  const double horizon_s = 2 * util::kHour.value();  // 480 epochs x 1,296 slots
+  const double horizon_s = 2 * util::kHour.value();
 
   auto build_schedule = [&](int n) {
     util::set_parallel_threads(n);
     const double s = time_s([&] {
       const sched::LinkSchedule schedule(shell, util::paper_cities(),
-                                         util::Seconds{horizon_s});
+                                         util::kDay);
       benchmark::DoNotOptimize(&schedule);
     });
     util::set_parallel_threads(0);
@@ -272,7 +293,7 @@ void report_parallel_speedup() {
   };
   const double sched_serial = build_schedule(1);
   const double sched_parallel = build_schedule(threads);
-  std::printf("LinkSchedule(2h, 9 cities): serial %.3f s, parallel %.3f s, "
+  std::printf("LinkSchedule(1 day, 9 cities): serial %.3f s, parallel %.3f s, "
               "speedup %.2fx\n",
               sched_serial, sched_parallel, sched_serial / sched_parallel);
 

@@ -40,7 +40,7 @@ Constellation::Constellation(const WalkerParams& params) : params_(params) {
       elements_[util::as_index(index_of(grid_id(p, s)))] = e;
     }
   }
-  recompute_max_radius();
+  derive_orbits();
 }
 
 Constellation::Constellation(const WalkerParams& grid_shape,
@@ -66,12 +66,15 @@ Constellation::Constellation(const WalkerParams& grid_shape,
     elements_[idx] = e;
     active_[idx] = true;
   }
-  recompute_max_radius();
+  derive_orbits();
 }
 
-void Constellation::recompute_max_radius() noexcept {
+void Constellation::derive_orbits() {
+  orbits_.clear();
+  orbits_.reserve(elements_.size());
   max_orbital_radius_ = util::Km{0.0};
   for (const auto& e : elements_) {
+    orbits_.emplace_back(e);
     max_orbital_radius_ = std::max(max_orbital_radius_, e.semi_major_axis);
   }
 }
@@ -116,15 +119,14 @@ void Constellation::set_active(SatelliteId id, bool active_flag) noexcept {
 
 Vec3 Constellation::position_ecef(SatelliteId id,
                                   util::Seconds t) const noexcept {
-  return orbit::ecef_position(elements(id), t);
+  return orbit_of(index_of(id)).ecef(t, EarthRotation(t));
 }
 
 std::vector<Vec3> Constellation::all_positions_ecef(util::Seconds t) const {
-  std::vector<Vec3> out(static_cast<std::size_t>(size()));
-  for (int i = 0; i < size(); ++i) {
-    out[static_cast<std::size_t>(i)] =
-        orbit::ecef_position(elements_[static_cast<std::size_t>(i)], t);
-  }
+  const EarthRotation earth(t);
+  std::vector<Vec3> out;
+  out.reserve(orbits_.size());
+  for (const CircularOrbit& o : orbits_) out.push_back(o.ecef(t, earth));
   return out;
 }
 

@@ -105,6 +105,12 @@ class Constellation {
     return max_orbital_radius_;
   }
 
+  /// The slot's orbit with its time-invariant terms precomputed.
+  [[nodiscard]] const CircularOrbit& orbit_of(
+      util::SatId index) const noexcept {
+    return orbits_[util::as_index(index)];
+  }
+
   /// ECEF position of one satellite at time t past epoch.
   [[nodiscard]] Vec3 position_ecef(SatelliteId id, util::Seconds t) const noexcept;
 
@@ -126,10 +132,12 @@ class Constellation {
   [[nodiscard]] int grid_hops(SatelliteId a, SatelliteId b) const noexcept;
 
  private:
-  void recompute_max_radius() noexcept;
+  /// Rebuilds orbits_ and max_orbital_radius_ from elements_.
+  void derive_orbits();
 
   WalkerParams params_;
   std::vector<CircularElements> elements_;
+  std::vector<CircularOrbit> orbits_;  // one per slot, from elements_
   std::vector<bool> active_;
   util::Km max_orbital_radius_{0.0};
 };

@@ -19,24 +19,39 @@ util::Seconds orbital_period(const CircularElements& e) noexcept {
   return util::Seconds{2.0 * M_PI / mean_motion_rad_s(e)};
 }
 
-Vec3 eci_position(const CircularElements& e, util::Seconds t) noexcept {
-  const double u =
-      e.arg_latitude_epoch.value() + mean_motion_rad_s(e) * t.value();
-  const double a = e.semi_major_axis.value();
-  const double ci = std::cos(e.inclination.value());
-  const double si = std::sin(e.inclination.value());
+EarthRotation::EarthRotation(util::Seconds t) noexcept {
+  const double angle = -kEarthRotationRadPerS * t.value();
+  cos_ = std::cos(angle);
+  sin_ = std::sin(angle);
+}
+
+CircularOrbit::CircularOrbit(const CircularElements& e) noexcept
+    : a_(e.semi_major_axis.value()),
+      n_(orbit::mean_motion_rad_s(e)),
+      u0_(e.arg_latitude_epoch.value()),
+      cos_i_(std::cos(e.inclination.value())),
+      sin_i_(std::sin(e.inclination.value())),
+      cos_raan_(std::cos(e.raan.value())),
+      sin_raan_(std::sin(e.raan.value())) {}
+
+Vec3 CircularOrbit::eci(util::Seconds t) const noexcept {
+  const double u = u0_ + n_ * t.value();
   const double cu = std::cos(u), su = std::sin(u);
   // Position in the orbital plane rotated by inclination, then RAAN.
-  const Vec3 in_plane{a * cu, a * su * ci, a * su * si};
-  return rotate_z(in_plane, e.raan.value());
+  const Vec3 in_plane{a_ * cu, a_ * su * cos_i_, a_ * su * sin_i_};
+  return rotate_z(in_plane, cos_raan_, sin_raan_);
+}
+
+Vec3 eci_position(const CircularElements& e, util::Seconds t) noexcept {
+  return CircularOrbit(e).eci(t);
 }
 
 Vec3 eci_to_ecef(const Vec3& eci, util::Seconds t) noexcept {
-  return rotate_z(eci, -kEarthRotationRadPerS * t.value());
+  return EarthRotation(t).to_ecef(eci);
 }
 
 Vec3 ecef_position(const CircularElements& e, util::Seconds t) noexcept {
-  return eci_to_ecef(eci_position(e, t), t);
+  return CircularOrbit(e).ecef(t, EarthRotation(t));
 }
 
 Vec3 geodetic_to_ecef(const util::GeoCoord& g, util::Km altitude) noexcept {

@@ -36,11 +36,17 @@ struct Vec3 {
   return (a - b).norm();
 }
 
+/// Rotate `v` about the +z axis by the angle whose cosine and sine are `c`
+/// and `s`; callers rotating many vectors by one angle compute them once.
+[[nodiscard]] constexpr Vec3 rotate_z(const Vec3& v, double c,
+                                      double s) noexcept {
+  return {c * v.x - s * v.y, s * v.x + c * v.y, v.z};
+}
+
 /// Rotate `v` about the +z axis by `angle_rad` (counter-clockwise looking
 /// down +z). Used for both RAAN placement and ECI->ECEF Earth rotation.
 [[nodiscard]] inline Vec3 rotate_z(const Vec3& v, double angle_rad) noexcept {
-  const double c = std::cos(angle_rad), s = std::sin(angle_rad);
-  return {c * v.x - s * v.y, s * v.x + c * v.y, v.z};
+  return rotate_z(v, std::cos(angle_rad), std::sin(angle_rad));
 }
 
 }  // namespace starcdn::orbit

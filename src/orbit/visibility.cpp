@@ -40,33 +40,45 @@ std::vector<VisibleSat> VisibilityOracle::visible(
 std::vector<VisibleSat> VisibilityOracle::visible_from_ecef(
     const Vec3& ground_ecef, const Constellation& constellation,
     const std::vector<Vec3>& sat_positions_ecef) const {
-  const Vec3& g = ground_ecef;
-  // Cheap reject: any satellite of this constellation whose slant range
-  // exceeds the horizon slant range at the mask — derived from the shell's
-  // actual orbital radius, so higher-altitude shells are never culled
-  // (at 550 km / 25 deg this is ~1,124 km) — is below the mask; skip the
-  // asin for those. +1 km absorbs floating-point slack.
-  const util::Km reject =
-      horizon_slant_range(constellation.max_orbital_radius(),
-                          util::Km{g.norm()}, min_elevation_) +
-      util::Km{1.0};
+  const util::Km reject = reject_range(ground_ecef, constellation);
   std::vector<VisibleSat> out;
   for (int i = 0; i < constellation.size(); ++i) {
     const util::SatId sat{i};
     if (!constellation.active(sat)) continue;
-    const Vec3& s = sat_positions_ecef[static_cast<std::size_t>(i)];
-    const util::Km range = slant_range(g, s);
-    if (range > reject) continue;
-    const util::Degrees el = elevation(g, s);
-    if (el >= min_elevation_) {
-      out.push_back({sat, el, range});
-    }
+    accept(ground_ecef, sat, sat_positions_ecef[static_cast<std::size_t>(i)],
+           reject, out);
   }
-  std::sort(out.begin(), out.end(),
+  sort_by_elevation(out);
+  return out;
+}
+
+util::Km VisibilityOracle::reject_range(
+    const Vec3& ground_ecef,
+    const Constellation& constellation) const noexcept {
+  // Derived from the shell's actual orbital radius, so higher-altitude
+  // shells are never culled (at 550 km / 25 deg this is ~1,124 km); +1 km
+  // absorbs floating-point slack.
+  return horizon_slant_range(constellation.max_orbital_radius(),
+                             util::Km{ground_ecef.norm()}, min_elevation_) +
+         util::Km{1.0};
+}
+
+void VisibilityOracle::accept(const Vec3& ground_ecef, util::SatId sat,
+                              const Vec3& sat_ecef, util::Km reject,
+                              std::vector<VisibleSat>& out) const {
+  // Cheap reject first: past the horizon slant range the satellite is below
+  // the mask, so skip the asin.
+  const util::Km range = slant_range(ground_ecef, sat_ecef);
+  if (range > reject) return;
+  const util::Degrees el = elevation(ground_ecef, sat_ecef);
+  if (el >= min_elevation_) out.push_back({sat, el, range});
+}
+
+void VisibilityOracle::sort_by_elevation(std::vector<VisibleSat>& visible) {
+  std::sort(visible.begin(), visible.end(),
             [](const VisibleSat& a, const VisibleSat& b) {
               return a.elevation > b.elevation;
             });
-  return out;
 }
 
 }  // namespace starcdn::orbit

@@ -66,6 +66,26 @@ class VisibilityOracle {
       const Vec3& ground_ecef, const Constellation& constellation,
       const std::vector<Vec3>& sat_positions_ecef) const;
 
+  // The steps of a scan, for callers that scan their own shortlist of
+  // satellites (sched::LinkSchedule): reject_range once per ground point,
+  // accept per satellite in index order, then sort_by_elevation.
+
+  /// Cheap-reject distance for a ground point: the horizon slant range of
+  /// the constellation's highest orbit at the mask, plus 1 km of slack.
+  /// Any satellite farther away is below the mask.
+  [[nodiscard]] util::Km reject_range(const Vec3& ground_ecef,
+                                      const Constellation& constellation) const
+      noexcept;
+
+  /// The accept test: appends `sat` at `sat_ecef` to `out` when it is within
+  /// `reject` of the ground point and at or above the mask.
+  void accept(const Vec3& ground_ecef, util::SatId sat, const Vec3& sat_ecef,
+              util::Km reject, std::vector<VisibleSat>& out) const;
+
+  /// Orders a visible set by descending elevation (best first-contact
+  /// candidate first).
+  static void sort_by_elevation(std::vector<VisibleSat>& visible);
+
  private:
   util::Degrees min_elevation_;
 };

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "orbit/constellation.h"
@@ -29,6 +30,8 @@ struct Candidate {
   float gsl_one_way_ms = 0.0F;
 };
 
+/// Validated by the LinkSchedule constructor, which throws
+/// std::invalid_argument naming the offending field.
 struct SchedulerParams {
   util::Seconds epoch{15.0};       // Starlink reconfigure interval
   util::Degrees min_elevation{25.0};
@@ -55,11 +58,12 @@ class LinkSchedule {
 
   [[nodiscard]] util::EpochIdx epoch_of(util::Seconds t) const noexcept;
 
-  /// Candidate set for a city at an epoch (possibly empty during a
-  /// coverage gap).
-  [[nodiscard]] const std::vector<Candidate>& candidates(
+  /// Candidate set for a city at an epoch, best first (possibly empty
+  /// during a coverage gap).
+  [[nodiscard]] std::span<const Candidate> candidates(
       util::EpochIdx epoch, util::CityId city) const noexcept {
-    return table_[epoch.value() * n_cities_ + city.value()];
+    const std::size_t cell = epoch.value() * n_cities_ + city.value();
+    return {candidates_.data() + cell * k_, counts_[cell]};
   }
 
   /// First-contact satellite for a logical user, stable within an epoch and
@@ -76,7 +80,11 @@ class LinkSchedule {
   SchedulerParams params_;
   std::size_t n_cities_ = 0;
   std::size_t epochs_ = 0;
-  std::vector<std::vector<Candidate>> table_;  // [epoch * n_cities + city]
+  std::size_t k_ = 0;  // candidate slots per cell
+  // One flat table: cell (epoch * n_cities + city) owns the k_ slots from
+  // cell * k_, of which the first counts_[cell] are filled.
+  std::vector<Candidate> candidates_;
+  std::vector<std::uint32_t> counts_;
 };
 
 }  // namespace starcdn::sched

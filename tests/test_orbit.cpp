@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "orbit/constellation.h"
 #include "orbit/propagator.h"
 #include "orbit/vec3.h"
 #include "util/units.h"
@@ -50,6 +53,74 @@ TEST(Propagator, RadiusIsInvariant) {
   for (double t = 0.0; t < 6'000.0; t += 321.0) {
     EXPECT_NEAR(eci_position(e, util::Seconds{t}).norm(), e.semi_major_axis.value(), 1e-6);
     EXPECT_NEAR(ecef_position(e, util::Seconds{t}).norm(), e.semi_major_axis.value(), 1e-6);
+  }
+}
+
+TEST(Propagator, EcefPositionBitsPinned) {
+  // Paper-shell slots at fixed times. The bits were captured from the
+  // propagator that recomputed every constant per call; hoisting them must
+  // not move a single bit.
+  struct Pin {
+    int sat;
+    double t;
+    std::uint64_t x, y, z;
+  };
+  const Pin pins[] = {
+      {0, 0.0, 0x40bb090000000000ULL,
+       0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0, 15.0, 0x40bb082278401c00ULL,
+       0x404e77b4211caad4ULL, 0x4056ba25c5fcd316ULL},
+      {0, 12345.5, 0x40b401f2cc0ac6c4ULL,
+       0xc08cf18688c0a8bcULL, 0x40b1d195b72be76dULL},
+      {0, 86385.0, 0x40b82901e3c0a0c6ULL,
+       0x409c3469e7c78212ULL, 0x40a3beb61109ff50ULL},
+      {1, 0.0, 0x40b9679cd537fd2cULL,
+       0x40964246e3882f2dULL, 0x409d89de6deb3949ULL},
+      {1, 15.0, 0x40b9416ce6a2bf50ULL,
+       0x409726b6e690c332ULL, 0x409ede8ce9062305ULL},
+      {1, 12345.5, 0x40b0856ad930a768ULL,
+       0x409220933bc9205bULL, 0x40b4ea1862fd87bfULL},
+      {1, 86385.0, 0x40b28e33347d36f4ULL,
+       0x40a748e17d7bfeeaULL, 0x40afb06a04135bedULL},
+      {17, 0.0, 0x40b9679cd537fd2aULL,
+       0xc0964246e3882f3aULL, 0xc09d89de6deb395aULL},
+      {17, 15.0, 0x40b98c2c6c93963cULL,
+       0xc0955ca1b7af1dc8ULL, 0xc09c3324428cc6e9ULL},
+      {17, 12345.5, 0x40b514b2684025d0ULL,
+       0xc0a6a9a034168cc8ULL, 0x40a925c28782adf8ULL},
+      {17, 86385.0, 0x40bad9cfc3303ec9ULL,
+       0x4079c0b58ba6dbe8ULL, 0x4085ad578d636ec5ULL},
+      {613, 0.0, 0xc0b89303eac1a3efULL,
+       0xc08e4e8b89c6b7eeULL, 0x40a53a44e65d2060ULL},
+      {613, 15.0, 0xc0b8668c8d396e28ULL,
+       0xc0901d4917f94ce3ULL, 0x40a5d7ddcba4b4cfULL},
+      {613, 12345.5, 0xc0aeba65f78156aaULL,
+       0xc096ab7286064d00ULL, 0x40b582d4ae9628a4ULL},
+      {613, 86385.0, 0xc0b12ad3e4847615ULL,
+       0xc0a50efd51d73dfcULL, 0x40b2095cdaa8ea4aULL},
+      {1295, 0.0, 0x40baecd29102774eULL,
+       0xc0837a8366866577ULL, 0xc03acc1a34f658ccULL},
+      {1295, 15.0, 0x40baf1cc990f1fdaULL,
+       0xc08194a439739088ULL, 0x405007491a7d7eb2ULL},
+      {1295, 12345.5, 0x40b3a368b9b59574ULL,
+       0xc095d9cda6c3d8adULL, 0x40b1c265df05df3aULL},
+      {1295, 86385.0, 0x40b8bc2131b480ffULL,
+       0x40935edbf2d47eb5ULL, 0x40a38efcebcb89d0ULL},
+  };
+  const Constellation shell{WalkerParams{}};
+  for (const Pin& p : pins) {
+    const util::Seconds t{p.t};
+    const auto& e = shell.elements(shell.id_of(util::SatId{p.sat}));
+    const Vec3 v = ecef_position(e, t);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v.x), p.x) << p.sat << " @ " << p.t;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v.y), p.y) << p.sat << " @ " << p.t;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v.z), p.z) << p.sat << " @ " << p.t;
+    // The constellation's batch path is the same arithmetic.
+    const Vec3 batch =
+        shell.all_positions_ecef(t)[static_cast<std::size_t>(p.sat)];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batch.x), p.x);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batch.y), p.y);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batch.z), p.z);
   }
 }
 
