@@ -18,7 +18,6 @@ Outcome run_point(const trace::WorkloadParams& wp,
                   const orbit::WalkerParams& shell_params,
                   double min_elevation_deg) {
   const trace::WorkloadModel workload(util::paper_cities(), wp);
-  const auto requests = trace::merge_by_time(workload.generate());
   const orbit::Constellation shell{shell_params};
   sched::SchedulerParams sp;
   sp.min_elevation = util::Degrees{min_elevation_deg};
@@ -31,7 +30,7 @@ Outcome run_point(const trace::WorkloadParams& wp,
   core::Simulator sim(shell, schedule, cfg);
   sim.add_variant(core::Variant::kStarCdn);
   sim.add_variant(core::Variant::kVanillaLru);
-  sim.run(requests);
+  sim.run(*workload.generate_stream());
   return {sim.metrics(core::Variant::kStarCdn).request_hit_rate(),
           sim.metrics(core::Variant::kVanillaLru).request_hit_rate()};
 }

@@ -2,6 +2,7 @@
 // consistent hashing remap buckets and absorb the damage (§3.4 / §5.4).
 //
 //   $ ./failure_drill
+#include <cinttypes>
 #include <cstdio>
 
 #include "core/simulator.h"
@@ -17,8 +18,8 @@ int main() {
   p.requests_per_weight = 30'000;
   p.duration_s = 6 * util::kHour.value();
   const trace::WorkloadModel workload(util::paper_cities(), p);
-  const auto requests = trace::merge_by_time(workload.generate());
-  std::printf("workload: %zu requests over %.0f hours\n\n", requests.size(),
+  std::printf("workload: %" PRIu64 " requests over %.0f hours\n\n",
+              workload.total_request_count(),
               p.duration_s / util::kHour.value());
 
   std::printf("%-18s %-10s %-12s %-10s %-10s %-12s\n", "failed fraction",
@@ -38,7 +39,7 @@ int main() {
                          .variant(core::Variant::kStarCdn)
                          .build();
     core::Simulator sim(shell, schedule, cfg);
-    sim.run(requests);
+    sim.run(*workload.generate_stream());
 
     const auto& m = sim.metrics(core::Variant::kStarCdn);
     std::printf("%-18.1f %-10d %-12d %-10.1f %-10.1f %-12.1f\n",

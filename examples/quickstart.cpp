@@ -5,6 +5,7 @@
 //
 // Walks through the whole public API in ~60 lines: city list -> workload ->
 // constellation -> link schedule -> simulator -> run report.
+#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 
@@ -24,9 +25,8 @@ int main() {
   wp.requests_per_weight = 20'000;
   wp.duration_s = 6 * util::kHour.value();
   const trace::WorkloadModel workload(cities, wp);
-  const auto requests = trace::merge_by_time(workload.generate());
-  std::printf("workload: %zu requests over %zu cities\n", requests.size(),
-              cities.size());
+  std::printf("workload: %" PRIu64 " requests over %zu cities\n",
+              workload.total_request_count(), cities.size());
 
   // 2. The Starlink 53-degree shell: 72 planes x 18 slots at 550 km.
   const orbit::Constellation shell{orbit::WalkerParams{}};
@@ -45,7 +45,7 @@ int main() {
                                   core::Variant::kStarCdn})
                        .build();
   core::Simulator sim(shell, schedule, cfg);
-  sim.run(requests);
+  sim.run(*workload.generate_stream());  // generated as it is replayed
 
   // 5. finish() seals the run into a self-contained report: totals,
   //    latency quantiles, and a per-epoch time-series per variant.

@@ -7,7 +7,7 @@
 //                                    starcdn,prefetch        (starcdn,lru)
 //     --capacity-gib N               per-satellite cache     (2)
 //     --buckets L                    hash buckets, square    (4)
-//     --policy lru|lfu|fifo|sieve|slru                      (lru)
+//     --policy lru|lfu|fifo|sieve|slru|gdsf                 (lru)
 //     --hours H                      trace duration          (6)
 //     --scale S                      request volume scale    (0.25)
 //     --fail-fraction F              out-of-slot fraction    (0)
@@ -19,6 +19,7 @@
 //                                    (PREFIX<variant>.csv)
 //     --trace PATH                   chrome://tracing JSON timeline
 //     --json PATH                    full RunReport as JSON
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -106,7 +107,6 @@ int main(int argc, char** argv) {
       static_cast<double>(params.requests_per_weight) * scale);
   if (seed != 0) params.seed = seed;
   const trace::WorkloadModel workload(cities, params);
-  const auto requests = trace::merge_by_time(workload.generate());
 
   orbit::Constellation shell{orbit::WalkerParams{}};
   if (fail_fraction > 0.0) {
@@ -145,10 +145,10 @@ int main(int argc, char** argv) {
   core::Simulator sim(shell, schedule, cfg);
 
   std::printf(
-      "class=%s cities=%zu requests=%zu cache=%.1fGiB L=%d policy=%s "
-      "fail=%.1f%% transient=%.1f%%\n",
-      cls.c_str(), cities.size(), requests.size(), capacity_gib, buckets,
-      policy.c_str(), 100 * fail_fraction, 100 * transient_prob);
+      "class=%s cities=%zu requests=%" PRIu64 " cache=%.1fGiB L=%d "
+      "policy=%s fail=%.1f%% transient=%.1f%%\n",
+      cls.c_str(), cities.size(), workload.total_request_count(), capacity_gib,
+      buckets, policy.c_str(), 100 * fail_fraction, 100 * transient_prob);
   // Sinks fire inside finish(): summary to stdout, optional time-series
   // CSVs and the chrome trace alongside.
   core::SummarySink summary(std::cout);
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
   core::TraceJsonSink trace_sink(trace_path);
   if (!trace_path.empty()) sim.add_sink(trace_sink);
 
-  sim.run(requests);
+  sim.run(*workload.generate_stream());
   const core::RunReport report = sim.finish();
 
   for (const auto& p : series.paths()) std::printf("series: %s\n", p.c_str());

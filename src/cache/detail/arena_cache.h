@@ -1,0 +1,103 @@
+// Arena core shared by every eviction policy (DESIGN.md §"Cache-core memory
+// layout").
+//
+// Each policy stores its entries in one `Slab<Entry>` and finds them through
+// one `FlatIndex`; the byte/count bookkeeping in `Cache` moves in lockstep
+// with both. ArenaCache owns that storage and writes the lockstep once:
+// `place` admits an entry (allocate, index, count), `drop` removes one
+// (unindex, count as evicted or erased, release). A policy derives from
+// ArenaCache, extends `EntryBase` with its own fields, and keeps only its
+// ordering: which list a placed slot joins, which slot goes next, and how a
+// hit reorders. It must unlink a slot from its own structures before
+// `drop`, because releasing a slot reuses its `next` link.
+#pragma once
+
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "cache/cache.h"
+#include "cache/detail/flat_index.h"
+#include "cache/detail/slab.h"
+
+namespace starcdn::cache::detail {
+
+/// The fields every policy's entry carries: the object and its slot links.
+struct EntryBase {
+  ObjectId id;
+  Bytes size;
+  std::uint32_t prev, next;
+};
+
+template <typename Entry = EntryBase>
+class ArenaCache : public Cache {
+ public:
+  using Cache::Cache;
+
+  [[nodiscard]] bool peek(ObjectId id) const final {
+    return index_.contains(id);
+  }
+  void reserve(std::size_t expected_objects) final {
+    slab_.reserve(expected_objects);
+    index_.reserve(expected_objects);
+  }
+
+ protected:
+  using List = IntrusiveList<Entry>;
+  using Hot = std::vector<std::pair<ObjectId, Bytes>>;
+
+  /// Slot of a resident object, or kNullSlot.
+  [[nodiscard]] std::uint32_t slot_of(ObjectId id) const noexcept {
+    return index_.find(id);
+  }
+
+  /// Allocate and index a slot for `id`; the policy initializes its own
+  /// fields and links the slot into its order.
+  [[nodiscard]] std::uint32_t place(ObjectId id, Bytes size) {
+    const std::uint32_t s = slab_.allocate();
+    slab_[s].id = id;
+    slab_[s].size = size;
+    index_.insert(id, s);
+    note_admit(size);
+    return s;
+  }
+
+  /// Unindex and release an already-unlinked slot. `evicted` counts it as an
+  /// eviction; otherwise it is an erase.
+  void drop(std::uint32_t s, bool evicted) noexcept {
+    const Entry& e = slab_[s];
+    index_.erase(e.id);
+    if (evicted) {
+      note_evict(e.size);
+    } else {
+      note_erase(e.size);
+    }
+    slab_.release(s);
+  }
+
+  void clear_arena() noexcept {
+    slab_.clear();
+    index_.clear();
+    reset_usage();
+  }
+
+  /// Append `list`'s entries front to back while `out` holds fewer than `n`,
+  /// keeping only those `keep` accepts.
+  template <typename Keep>
+  void append(const List& list, std::size_t n, Hot& out, Keep keep) const {
+    for (std::uint32_t s = list.head; s != kNullSlot && out.size() < n;
+         s = slab_[s].next) {
+      if (keep(slab_[s])) out.emplace_back(slab_[s].id, slab_[s].size);
+    }
+  }
+  void append(const List& list, std::size_t n, Hot& out) const {
+    append(list, n, out, [](const Entry&) { return true; });
+  }
+
+  Slab<Entry> slab_;
+
+ private:
+  FlatIndex index_;
+};
+
+}  // namespace starcdn::cache::detail

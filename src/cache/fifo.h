@@ -2,24 +2,18 @@
 // SIEVE builds on.
 #pragma once
 
-#include "cache/cache.h"
-#include "cache/detail/flat_index.h"
-#include "cache/detail/slab.h"
+#include "cache/detail/arena_cache.h"
 
 namespace starcdn::cache {
 
-class FifoCache final : public Cache {
+class FifoCache final : public detail::ArenaCache<> {
  public:
-  explicit FifoCache(Bytes capacity) noexcept : Cache(capacity) {}
+  using ArenaCache::ArenaCache;
 
-  [[nodiscard]] bool peek(ObjectId id) const override {
-    return index_.contains(id);
-  }
-  bool touch(ObjectId id) override { return index_.contains(id); }
+  bool touch(ObjectId id) override { return peek(id); }
   void admit(ObjectId id, Bytes size) override;
   void erase(ObjectId id) override;
   void clear() override;
-  void reserve(std::size_t expected_objects) override;
   [[nodiscard]] std::vector<std::pair<ObjectId, Bytes>> hottest(
       std::size_t n) const override;
   [[nodiscard]] Policy policy() const noexcept override {
@@ -27,15 +21,7 @@ class FifoCache final : public Cache {
   }
 
  private:
-  struct Entry {
-    ObjectId id;
-    Bytes size;
-    std::uint32_t prev, next;
-  };
-
-  detail::Slab<Entry> slab_;
-  detail::IntrusiveList<Entry> list_;  // front = newest
-  detail::FlatIndex index_;
+  List list_;  // front = newest
 };
 
 }  // namespace starcdn::cache

@@ -1,72 +1,58 @@
 #include "cache/gdsf.h"
 
+#include <algorithm>
+
 namespace starcdn::cache {
 
-bool GdsfCache::touch(ObjectId id) {
-  const std::uint32_t s = index_.find(id);
-  if (s == detail::kNullSlot) return false;
-  Entry& e = slab_[s];
-  ++e.frequency;
-  queue_.erase({e.utility, id});
-  e.utility = utility_of(e);
-  queue_.emplace(std::pair{e.utility, id}, s);
-  return true;
+void GdsfCache::enqueue(std::uint32_t s) {
+  detail::GdsfEntry& e = slab_[s];
+  e.utility = clock_ + static_cast<double>(e.frequency) /
+                           static_cast<double>(std::max<Bytes>(e.size, 1));
+  queue_.emplace(std::pair{e.utility, e.id}, s);
 }
 
-void GdsfCache::evict_until(Bytes needed) {
-  while (!queue_.empty() && capacity() - used_bytes() < needed) {
-    const auto victim_it = queue_.begin();
-    const std::uint32_t s = victim_it->second;
-    // The inflating clock: future admissions start from the last evicted
-    // utility, so long-resident entries age out.
-    clock_ = victim_it->first.first;
-    queue_.erase(victim_it);
-    index_.erase(slab_[s].id);
-    note_evict(slab_[s].size);
-    slab_.release(s);
-  }
+bool GdsfCache::touch(ObjectId id) {
+  const std::uint32_t s = slot_of(id);
+  if (s == detail::kNullSlot) return false;
+  queue_.erase({slab_[s].utility, id});
+  ++slab_[s].frequency;
+  enqueue(s);
+  return true;
 }
 
 void GdsfCache::admit(ObjectId id, Bytes size) {
   if (size > capacity()) return;
   if (touch(id)) return;
-  evict_until(size);
-  const std::uint32_t s = slab_.allocate();
-  Entry& e = slab_[s];
-  e.id = id;
-  e.size = size;
-  e.frequency = 1;
-  e.utility = utility_of(e);
-  queue_.emplace(std::pair{e.utility, id}, s);
-  index_.insert(id, s);
-  note_admit(size);
+  while (!queue_.empty() && capacity() - used_bytes() < size) {
+    const auto victim = queue_.begin();
+    const std::uint32_t s = victim->second;
+    // The inflating clock: future admissions start from the last evicted
+    // utility, so long-resident entries age out.
+    clock_ = victim->first.first;
+    queue_.erase(victim);
+    drop(s, /*evicted=*/true);
+  }
+  const std::uint32_t s = place(id, size);
+  slab_[s].frequency = 1;
+  enqueue(s);
 }
 
 void GdsfCache::erase(ObjectId id) {
-  const std::uint32_t s = index_.find(id);
+  const std::uint32_t s = slot_of(id);
   if (s == detail::kNullSlot) return;
   queue_.erase({slab_[s].utility, id});
-  note_erase(slab_[s].size);
-  index_.erase(id);
-  slab_.release(s);
-}
-
-void GdsfCache::reserve(std::size_t expected_objects) {
-  slab_.reserve(expected_objects);
-  index_.reserve(expected_objects);
+  drop(s, /*evicted=*/false);
 }
 
 void GdsfCache::clear() {
+  clear_arena();
   queue_.clear();
-  slab_.clear();
-  index_.clear();
   clock_ = 0.0;
-  reset_usage();
 }
 
 std::vector<std::pair<ObjectId, Bytes>> GdsfCache::hottest(
     std::size_t n) const {
-  std::vector<std::pair<ObjectId, Bytes>> out;
+  Hot out;
   for (auto it = queue_.rbegin(); it != queue_.rend() && out.size() < n;
        ++it) {
     out.emplace_back(slab_[it->second].id, slab_[it->second].size);

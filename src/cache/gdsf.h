@@ -14,27 +14,27 @@
 // or requeue touches the arena instead of a second node-based map.
 #pragma once
 
-#include <algorithm>
 #include <map>
 
-#include "cache/cache.h"
-#include "cache/detail/flat_index.h"
-#include "cache/detail/slab.h"
+#include "cache/detail/arena_cache.h"
 
 namespace starcdn::cache {
 
-class GdsfCache final : public Cache {
- public:
-  explicit GdsfCache(Bytes capacity) noexcept : Cache(capacity) {}
+namespace detail {
+struct GdsfEntry : EntryBase {  // prev/next only link the slab's free list
+  std::uint64_t frequency;
+  double utility;
+};
+}  // namespace detail
 
-  [[nodiscard]] bool peek(ObjectId id) const override {
-    return index_.contains(id);
-  }
+class GdsfCache final : public detail::ArenaCache<detail::GdsfEntry> {
+ public:
+  using ArenaCache::ArenaCache;
+
   bool touch(ObjectId id) override;
   void admit(ObjectId id, Bytes size) override;
   void erase(ObjectId id) override;
   void clear() override;
-  void reserve(std::size_t expected_objects) override;
   [[nodiscard]] std::vector<std::pair<ObjectId, Bytes>> hottest(
       std::size_t n) const override;
   [[nodiscard]] Policy policy() const noexcept override {
@@ -45,23 +45,10 @@ class GdsfCache final : public Cache {
   [[nodiscard]] double clock() const noexcept { return clock_; }
 
  private:
-  struct Entry {
-    ObjectId id;
-    Bytes size;
-    std::uint64_t frequency;
-    double utility;
-    std::uint32_t prev, next;  // slab free-list links (no intrusive order)
-  };
-
-  [[nodiscard]] double utility_of(const Entry& e) const noexcept {
-    return clock_ + static_cast<double>(e.frequency) /
-                        static_cast<double>(std::max<Bytes>(e.size, 1));
-  }
-  void evict_until(Bytes needed);
+  /// Give slot `s` its utility at the current clock and (re)queue it.
+  void enqueue(std::uint32_t s);
 
   double clock_ = 0.0;
-  detail::Slab<Entry> slab_;
-  detail::FlatIndex index_;
   // Utility-ordered priority queue; (utility, id) keys are unique per entry.
   std::map<std::pair<double, ObjectId>, std::uint32_t> queue_;
 };

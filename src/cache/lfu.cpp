@@ -2,112 +2,83 @@
 
 namespace starcdn::cache {
 
-void LfuCache::release_if_empty(std::uint32_t node_slot) {
-  if (!nodes_[node_slot].entries.empty()) return;
-  freq_list_.unlink(nodes_, node_slot);
-  nodes_.release(node_slot);
+std::uint32_t LfuCache::bucket(std::uint64_t freq, std::uint32_t after) {
+  const std::uint32_t at =
+      after == detail::kNullSlot ? freq_list_.head : nodes_[after].next;
+  if (at != detail::kNullSlot && nodes_[at].freq == freq) return at;
+  const std::uint32_t node = nodes_.allocate();
+  nodes_[node].freq = freq;
+  nodes_[node].entries.clear();
+  if (after == detail::kNullSlot) {
+    freq_list_.push_front(nodes_, node);
+  } else {
+    freq_list_.insert_after(nodes_, after, node);
+  }
+  return node;
 }
 
-void LfuCache::bump(std::uint32_t entry_slot) {
-  Entry& e = slab_[entry_slot];
-  const std::uint32_t cur = e.node;
-  const std::uint64_t next_freq = nodes_[cur].freq + 1;
-  std::uint32_t next = nodes_[cur].next;
-  if (next == detail::kNullSlot || nodes_[next].freq != next_freq) {
-    next = nodes_.allocate();
-    FreqNode& n = nodes_[next];
-    n.freq = next_freq;
-    n.entries.clear();
-    freq_list_.insert_after(nodes_, cur, next);
-  }
-  nodes_[cur].entries.unlink(slab_, entry_slot);
-  nodes_[next].entries.push_front(slab_, entry_slot);
-  e.node = next;
-  release_if_empty(cur);
+void LfuCache::unlink(std::uint32_t s) noexcept {
+  const std::uint32_t node = slab_[s].node;
+  nodes_[node].entries.unlink(slab_, s);
+  if (!nodes_[node].entries.empty()) return;
+  freq_list_.unlink(nodes_, node);
+  nodes_.release(node);
 }
 
 bool LfuCache::touch(ObjectId id) {
-  const std::uint32_t s = index_.find(id);
+  const std::uint32_t s = slot_of(id);
   if (s == detail::kNullSlot) return false;
-  bump(s);
+  // Create the next bucket before leaving the current one, which unlink may
+  // release.
+  const std::uint32_t cur = slab_[s].node;
+  const std::uint32_t next = bucket(nodes_[cur].freq + 1, cur);
+  unlink(s);
+  nodes_[next].entries.push_front(slab_, s);
+  slab_[s].node = next;
   return true;
-}
-
-void LfuCache::evict_until(Bytes needed) {
-  while (!freq_list_.empty() && capacity() - used_bytes() < needed) {
-    const std::uint32_t lowest = freq_list_.head;
-    const std::uint32_t victim = nodes_[lowest].entries.tail;
-    index_.erase(slab_[victim].id);
-    note_evict(slab_[victim].size);
-    nodes_[lowest].entries.unlink(slab_, victim);
-    slab_.release(victim);
-    release_if_empty(lowest);
-  }
 }
 
 void LfuCache::admit(ObjectId id, Bytes size) {
   if (size > capacity()) return;
   if (touch(id)) return;
-  evict_until(size);
-  std::uint32_t node = freq_list_.head;
-  if (node == detail::kNullSlot || nodes_[node].freq != 1) {
-    node = nodes_.allocate();
-    FreqNode& n = nodes_[node];
-    n.freq = 1;
-    n.entries.clear();
-    freq_list_.push_front(nodes_, node);
+  // Evict the least recent entry of the lowest frequency.
+  while (!freq_list_.empty() && capacity() - used_bytes() < size) {
+    const std::uint32_t victim = nodes_[freq_list_.head].entries.tail;
+    unlink(victim);
+    drop(victim, /*evicted=*/true);
   }
-  const std::uint32_t s = slab_.allocate();
-  Entry& e = slab_[s];
-  e.id = id;
-  e.size = size;
-  e.node = node;
+  const std::uint32_t node = bucket(1, detail::kNullSlot);
+  const std::uint32_t s = place(id, size);
   nodes_[node].entries.push_front(slab_, s);
-  index_.insert(id, s);
-  note_admit(size);
+  slab_[s].node = node;
 }
 
 void LfuCache::erase(ObjectId id) {
-  const std::uint32_t s = index_.find(id);
+  const std::uint32_t s = slot_of(id);
   if (s == detail::kNullSlot) return;
-  const std::uint32_t node = slab_[s].node;
-  note_erase(slab_[s].size);
-  nodes_[node].entries.unlink(slab_, s);
-  slab_.release(s);
-  release_if_empty(node);
-  index_.erase(id);
-}
-
-void LfuCache::reserve(std::size_t expected_objects) {
-  slab_.reserve(expected_objects);
-  index_.reserve(expected_objects);
+  unlink(s);
+  drop(s, /*evicted=*/false);
 }
 
 std::vector<std::pair<ObjectId, Bytes>> LfuCache::hottest(
     std::size_t n) const {
   // Walk frequency nodes from highest to lowest, recency order within each.
-  std::vector<std::pair<ObjectId, Bytes>> out;
-  for (std::uint32_t node = freq_list_.tail; node != detail::kNullSlot;
-       node = nodes_[node].prev) {
-    for (std::uint32_t s = nodes_[node].entries.head;
-         s != detail::kNullSlot; s = slab_[s].next) {
-      if (out.size() >= n) return out;
-      out.emplace_back(slab_[s].id, slab_[s].size);
-    }
+  Hot out;
+  for (std::uint32_t node = freq_list_.tail;
+       node != detail::kNullSlot && out.size() < n; node = nodes_[node].prev) {
+    append(nodes_[node].entries, n, out);
   }
   return out;
 }
 
 void LfuCache::clear() {
-  slab_.clear();
+  clear_arena();
   nodes_.clear();
   freq_list_.clear();
-  index_.clear();
-  reset_usage();
 }
 
 std::uint64_t LfuCache::frequency(ObjectId id) const {
-  const std::uint32_t s = index_.find(id);
+  const std::uint32_t s = slot_of(id);
   return s == detail::kNullSlot ? 0 : nodes_[slab_[s].node].freq;
 }
 

@@ -9,24 +9,24 @@
 // creation/teardown recycling slab storage instead of allocating.
 #pragma once
 
-#include "cache/cache.h"
-#include "cache/detail/flat_index.h"
-#include "cache/detail/slab.h"
+#include "cache/detail/arena_cache.h"
 
 namespace starcdn::cache {
 
-class LfuCache final : public Cache {
- public:
-  explicit LfuCache(Bytes capacity) noexcept : Cache(capacity) {}
+namespace detail {
+struct LfuEntry : EntryBase {
+  std::uint32_t node;  // owning frequency bucket (slot into nodes_)
+};
+}  // namespace detail
 
-  [[nodiscard]] bool peek(ObjectId id) const override {
-    return index_.contains(id);
-  }
+class LfuCache final : public detail::ArenaCache<detail::LfuEntry> {
+ public:
+  using ArenaCache::ArenaCache;
+
   bool touch(ObjectId id) override;
   void admit(ObjectId id, Bytes size) override;
   void erase(ObjectId id) override;
   void clear() override;
-  void reserve(std::size_t expected_objects) override;
   [[nodiscard]] std::vector<std::pair<ObjectId, Bytes>> hottest(
       std::size_t n) const override;
   [[nodiscard]] Policy policy() const noexcept override { return Policy::kLfu; }
@@ -35,26 +35,20 @@ class LfuCache final : public Cache {
   [[nodiscard]] std::uint64_t frequency(ObjectId id) const;
 
  private:
-  struct Entry {
-    ObjectId id;
-    Bytes size;
-    std::uint32_t prev, next;
-    std::uint32_t node;  // owning frequency bucket (slot into nodes_)
-  };
   struct FreqNode {
     std::uint64_t freq;
-    detail::IntrusiveList<Entry> entries;  // front = most recent at this freq
+    List entries;  // front = most recent at this freq
     std::uint32_t prev, next;
   };
 
-  void bump(std::uint32_t entry_slot);
-  void evict_until(Bytes needed);
-  void release_if_empty(std::uint32_t node_slot);
+  /// The bucket for `freq` that follows bucket `after` (kNullSlot = the
+  /// head), created there when missing.
+  [[nodiscard]] std::uint32_t bucket(std::uint64_t freq, std::uint32_t after);
+  /// Remove `s` from its bucket, dropping the bucket once it is empty.
+  void unlink(std::uint32_t s) noexcept;
 
-  detail::Slab<Entry> slab_;
   detail::Slab<FreqNode> nodes_;
   detail::IntrusiveList<FreqNode> freq_list_;  // ascending frequency order
-  detail::FlatIndex index_;
 };
 
 }  // namespace starcdn::cache

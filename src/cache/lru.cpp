@@ -3,64 +3,40 @@
 namespace starcdn::cache {
 
 bool LruCache::touch(ObjectId id) {
-  const std::uint32_t s = index_.find(id);
+  const std::uint32_t s = slot_of(id);
   if (s == detail::kNullSlot) return false;
   list_.move_front(slab_, s);
   return true;
 }
 
-void LruCache::evict_until(Bytes needed) {
-  while (!list_.empty() && capacity() - used_bytes() < needed) {
-    const std::uint32_t victim = list_.tail;
-    index_.erase(slab_[victim].id);
-    note_evict(slab_[victim].size);
-    list_.unlink(slab_, victim);
-    slab_.release(victim);
-  }
-}
-
 void LruCache::admit(ObjectId id, Bytes size) {
   if (size > capacity()) return;
   if (touch(id)) return;  // already resident
-  evict_until(size);
-  const std::uint32_t s = slab_.allocate();
-  Entry& e = slab_[s];
-  e.id = id;
-  e.size = size;
-  list_.push_front(slab_, s);
-  index_.insert(id, s);
-  note_admit(size);
+  while (!list_.empty() && capacity() - used_bytes() < size) {
+    const std::uint32_t victim = list_.tail;
+    list_.unlink(slab_, victim);
+    drop(victim, /*evicted=*/true);
+  }
+  list_.push_front(slab_, place(id, size));
 }
 
 void LruCache::erase(ObjectId id) {
-  const std::uint32_t s = index_.find(id);
+  const std::uint32_t s = slot_of(id);
   if (s == detail::kNullSlot) return;
-  note_erase(slab_[s].size);
   list_.unlink(slab_, s);
-  index_.erase(id);
-  slab_.release(s);
-}
-
-void LruCache::reserve(std::size_t expected_objects) {
-  slab_.reserve(expected_objects);
-  index_.reserve(expected_objects);
+  drop(s, /*evicted=*/false);
 }
 
 std::vector<std::pair<ObjectId, Bytes>> LruCache::hottest(
     std::size_t n) const {
-  std::vector<std::pair<ObjectId, Bytes>> out;
-  for (std::uint32_t s = list_.head; s != detail::kNullSlot && out.size() < n;
-       s = slab_[s].next) {
-    out.emplace_back(slab_[s].id, slab_[s].size);
-  }
+  Hot out;
+  append(list_, n, out);
   return out;
 }
 
 void LruCache::clear() {
-  slab_.clear();
+  clear_arena();
   list_.clear();
-  index_.clear();
-  reset_usage();
 }
 
 }  // namespace starcdn::cache

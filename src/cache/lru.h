@@ -3,27 +3,20 @@
 
 #include <optional>
 
-#include "cache/cache.h"
-#include "cache/detail/flat_index.h"
-#include "cache/detail/slab.h"
+#include "cache/detail/arena_cache.h"
 
 namespace starcdn::cache {
 
-/// Classic LRU: recency as an intrusive list over the entry slab, lookup
-/// through the flat index. touch() is O(1); admit() evicts from the tail
-/// until the object fits.
-class LruCache final : public Cache {
+/// Classic LRU: recency as an intrusive list over the entry slab. touch() is
+/// O(1); admit() evicts from the tail until the object fits.
+class LruCache final : public detail::ArenaCache<> {
  public:
-  explicit LruCache(Bytes capacity) noexcept : Cache(capacity) {}
+  using ArenaCache::ArenaCache;
 
-  [[nodiscard]] bool peek(ObjectId id) const override {
-    return index_.contains(id);
-  }
   bool touch(ObjectId id) override;
   void admit(ObjectId id, Bytes size) override;
   void erase(ObjectId id) override;
   void clear() override;
-  void reserve(std::size_t expected_objects) override;
   [[nodiscard]] std::vector<std::pair<ObjectId, Bytes>> hottest(
       std::size_t n) const override;
   [[nodiscard]] Policy policy() const noexcept override { return Policy::kLru; }
@@ -35,16 +28,7 @@ class LruCache final : public Cache {
   }
 
  private:
-  struct Entry {
-    ObjectId id;
-    Bytes size;
-    std::uint32_t prev, next;
-  };
-  void evict_until(Bytes needed);
-
-  detail::Slab<Entry> slab_;
-  detail::IntrusiveList<Entry> list_;  // front = most recent
-  detail::FlatIndex index_;
+  List list_;  // front = most recent
 };
 
 }  // namespace starcdn::cache

@@ -3,7 +3,7 @@
 namespace starcdn::cache {
 
 bool SieveCache::touch(ObjectId id) {
-  const std::uint32_t s = index_.find(id);
+  const std::uint32_t s = slot_of(id);
   if (s == detail::kNullSlot) return false;
   slab_[s].visited = true;
   return true;
@@ -21,63 +21,41 @@ void SieveCache::evict_one() {
   const std::uint32_t victim = hand_;
   // Advance the hand before erasing; "toward head", wrapping at the head.
   hand_ = victim == list_.head ? detail::kNullSlot : slab_[victim].prev;
-  index_.erase(slab_[victim].id);
-  note_evict(slab_[victim].size);
   list_.unlink(slab_, victim);
-  slab_.release(victim);
+  drop(victim, /*evicted=*/true);
 }
 
 void SieveCache::admit(ObjectId id, Bytes size) {
-  if (size > capacity() || index_.contains(id)) return;
+  if (size > capacity() || peek(id)) return;
   while (!list_.empty() && capacity() - used_bytes() < size) evict_one();
-  const std::uint32_t s = slab_.allocate();
-  Entry& e = slab_[s];
-  e.id = id;
-  e.size = size;
-  e.visited = false;
+  const std::uint32_t s = place(id, size);
+  slab_[s].visited = false;
   list_.push_front(slab_, s);
-  index_.insert(id, s);
-  note_admit(size);
 }
 
 void SieveCache::erase(ObjectId id) {
-  const std::uint32_t s = index_.find(id);
+  const std::uint32_t s = slot_of(id);
   if (s == detail::kNullSlot) return;
   if (hand_ == s) {
     hand_ = s == list_.head ? detail::kNullSlot : slab_[s].prev;
   }
-  note_erase(slab_[s].size);
   list_.unlink(slab_, s);
-  index_.erase(id);
-  slab_.release(s);
+  drop(s, /*evicted=*/false);
 }
 
 std::vector<std::pair<ObjectId, Bytes>> SieveCache::hottest(
     std::size_t n) const {
   // Visited entries first (they survived a sweep), then by insertion order.
-  std::vector<std::pair<ObjectId, Bytes>> out;
-  for (std::uint32_t s = list_.head; s != detail::kNullSlot && out.size() < n;
-       s = slab_[s].next) {
-    if (slab_[s].visited) out.emplace_back(slab_[s].id, slab_[s].size);
-  }
-  for (std::uint32_t s = list_.head; s != detail::kNullSlot && out.size() < n;
-       s = slab_[s].next) {
-    if (!slab_[s].visited) out.emplace_back(slab_[s].id, slab_[s].size);
-  }
+  Hot out;
+  append(list_, n, out, [](const auto& e) { return e.visited; });
+  append(list_, n, out, [](const auto& e) { return !e.visited; });
   return out;
 }
 
-void SieveCache::reserve(std::size_t expected_objects) {
-  slab_.reserve(expected_objects);
-  index_.reserve(expected_objects);
-}
-
 void SieveCache::clear() {
-  slab_.clear();
+  clear_arena();
   list_.clear();
-  index_.clear();
   hand_ = detail::kNullSlot;
-  reset_usage();
 }
 
 }  // namespace starcdn::cache

@@ -10,24 +10,24 @@
 // tail), so the sweep is a contiguous-arena pointer chase.
 #pragma once
 
-#include "cache/cache.h"
-#include "cache/detail/flat_index.h"
-#include "cache/detail/slab.h"
+#include "cache/detail/arena_cache.h"
 
 namespace starcdn::cache {
 
-class SieveCache final : public Cache {
- public:
-  explicit SieveCache(Bytes capacity) noexcept : Cache(capacity) {}
+namespace detail {
+struct SieveEntry : EntryBase {
+  bool visited;
+};
+}  // namespace detail
 
-  [[nodiscard]] bool peek(ObjectId id) const override {
-    return index_.contains(id);
-  }
+class SieveCache final : public detail::ArenaCache<detail::SieveEntry> {
+ public:
+  using ArenaCache::ArenaCache;
+
   bool touch(ObjectId id) override;
   void admit(ObjectId id, Bytes size) override;
   void erase(ObjectId id) override;
   void clear() override;
-  void reserve(std::size_t expected_objects) override;
   [[nodiscard]] std::vector<std::pair<ObjectId, Bytes>> hottest(
       std::size_t n) const override;
   [[nodiscard]] Policy policy() const noexcept override {
@@ -35,19 +35,10 @@ class SieveCache final : public Cache {
   }
 
  private:
-  struct Entry {
-    ObjectId id;
-    Bytes size;
-    std::uint32_t prev, next;
-    bool visited;
-  };
-
   void evict_one();
 
-  detail::Slab<Entry> slab_;
-  detail::IntrusiveList<Entry> list_;  // front = newest insertion
+  List list_;  // front = newest insertion
   std::uint32_t hand_ = detail::kNullSlot;
-  detail::FlatIndex index_;
 };
 
 }  // namespace starcdn::cache

@@ -6,7 +6,7 @@
 namespace starcdn::cache {
 
 SlruCache::SlruCache(Bytes capacity, double protected_fraction)
-    : Cache(capacity),
+    : ArenaCache(capacity),
       protected_capacity_(static_cast<Bytes>(
           static_cast<double>(capacity) * protected_fraction)) {
   // NaN fails both comparisons' complement, so write the check to reject it.
@@ -17,112 +17,74 @@ SlruCache::SlruCache(Bytes capacity, double protected_fraction)
   }
 }
 
-void SlruCache::shrink_protected(Bytes limit) {
-  // Demote protected tail entries into probation until under `limit`.
-  while (protected_used_ > limit && !protected_.empty()) {
-    const std::uint32_t victim = protected_.tail;
-    Entry& e = slab_[victim];
-    protected_used_ -= e.size;
-    e.is_protected = false;
-    protected_.unlink(slab_, victim);
-    probation_.push_front(slab_, victim);
+void SlruCache::unlink(std::uint32_t s) noexcept {
+  if (slab_[s].is_protected) {
+    protected_used_ -= slab_[s].size;
+    protected_.unlink(slab_, s);
+  } else {
+    probation_.unlink(slab_, s);
   }
 }
 
 bool SlruCache::touch(ObjectId id) {
-  const std::uint32_t s = index_.find(id);
+  const std::uint32_t s = slot_of(id);
   if (s == detail::kNullSlot) return false;
-  Entry& e = slab_[s];
-  if (e.is_protected) {
+  if (slab_[s].is_protected) {
     protected_.move_front(slab_, s);
-  } else {
-    // Promote probation -> protected; demote overflow back to probation.
-    e.is_protected = true;
-    protected_used_ += e.size;
-    probation_.unlink(slab_, s);
-    protected_.push_front(slab_, s);
-    shrink_protected(protected_capacity_);
+    return true;
+  }
+  // Promote probation -> protected, then demote the protected tail back to
+  // probation until the segment fits again.
+  unlink(s);
+  slab_[s].is_protected = true;
+  protected_used_ += slab_[s].size;
+  protected_.push_front(slab_, s);
+  while (protected_used_ > protected_capacity_ && !protected_.empty()) {
+    const std::uint32_t demoted = protected_.tail;
+    unlink(demoted);
+    slab_[demoted].is_protected = false;
+    probation_.push_front(slab_, demoted);
   }
   return true;
-}
-
-void SlruCache::evict_probation_until(Bytes needed) {
-  while (capacity() - used_bytes() < needed) {
-    if (!probation_.empty()) {
-      const std::uint32_t victim = probation_.tail;
-      index_.erase(slab_[victim].id);
-      note_evict(slab_[victim].size);
-      probation_.unlink(slab_, victim);
-      slab_.release(victim);
-    } else if (!protected_.empty()) {
-      const std::uint32_t victim = protected_.tail;
-      protected_used_ -= slab_[victim].size;
-      index_.erase(slab_[victim].id);
-      note_evict(slab_[victim].size);
-      protected_.unlink(slab_, victim);
-      slab_.release(victim);
-    } else {
-      return;
-    }
-  }
 }
 
 void SlruCache::admit(ObjectId id, Bytes size) {
   if (size > capacity()) return;
   if (touch(id)) return;
-  evict_probation_until(size);
-  const std::uint32_t s = slab_.allocate();
-  Entry& e = slab_[s];
-  e.id = id;
-  e.size = size;
-  e.is_protected = false;
+  // Evict from probation first, then from the protected tail.
+  while (capacity() - used_bytes() < size) {
+    const std::uint32_t victim =
+        probation_.empty() ? protected_.tail : probation_.tail;
+    if (victim == detail::kNullSlot) break;
+    unlink(victim);
+    drop(victim, /*evicted=*/true);
+  }
+  const std::uint32_t s = place(id, size);
+  slab_[s].is_protected = false;
   probation_.push_front(slab_, s);
-  index_.insert(id, s);
-  note_admit(size);
 }
 
 void SlruCache::erase(ObjectId id) {
-  const std::uint32_t s = index_.find(id);
+  const std::uint32_t s = slot_of(id);
   if (s == detail::kNullSlot) return;
-  Entry& e = slab_[s];
-  note_erase(e.size);
-  if (e.is_protected) {
-    protected_used_ -= e.size;
-    protected_.unlink(slab_, s);
-  } else {
-    probation_.unlink(slab_, s);
-  }
-  index_.erase(id);
-  slab_.release(s);
-}
-
-void SlruCache::reserve(std::size_t expected_objects) {
-  slab_.reserve(expected_objects);
-  index_.reserve(expected_objects);
+  unlink(s);
+  drop(s, /*evicted=*/false);
 }
 
 std::vector<std::pair<ObjectId, Bytes>> SlruCache::hottest(
     std::size_t n) const {
   // Protected (re-referenced) objects first, then probation.
-  std::vector<std::pair<ObjectId, Bytes>> out;
-  for (std::uint32_t s = protected_.head;
-       s != detail::kNullSlot && out.size() < n; s = slab_[s].next) {
-    out.emplace_back(slab_[s].id, slab_[s].size);
-  }
-  for (std::uint32_t s = probation_.head;
-       s != detail::kNullSlot && out.size() < n; s = slab_[s].next) {
-    out.emplace_back(slab_[s].id, slab_[s].size);
-  }
+  Hot out;
+  append(protected_, n, out);
+  append(probation_, n, out);
   return out;
 }
 
 void SlruCache::clear() {
-  slab_.clear();
+  clear_arena();
   probation_.clear();
   protected_.clear();
   protected_used_ = 0;
-  index_.clear();
-  reset_usage();
 }
 
 }  // namespace starcdn::cache

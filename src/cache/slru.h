@@ -6,26 +6,26 @@
 // promotion/demotion is a relink, not a reallocation.
 #pragma once
 
-#include "cache/cache.h"
-#include "cache/detail/flat_index.h"
-#include "cache/detail/slab.h"
+#include "cache/detail/arena_cache.h"
 
 namespace starcdn::cache {
 
-class SlruCache final : public Cache {
+namespace detail {
+struct SlruEntry : EntryBase {
+  bool is_protected;
+};
+}  // namespace detail
+
+class SlruCache final : public detail::ArenaCache<detail::SlruEntry> {
  public:
   /// `protected_fraction` of capacity is reserved for re-referenced
   /// objects; throws std::invalid_argument outside [0, 1] (incl. NaN).
   explicit SlruCache(Bytes capacity, double protected_fraction = 0.8);
 
-  [[nodiscard]] bool peek(ObjectId id) const override {
-    return index_.contains(id);
-  }
   bool touch(ObjectId id) override;
   void admit(ObjectId id, Bytes size) override;
   void erase(ObjectId id) override;
   void clear() override;
-  void reserve(std::size_t expected_objects) override;
   [[nodiscard]] std::vector<std::pair<ObjectId, Bytes>> hottest(
       std::size_t n) const override;
   [[nodiscard]] Policy policy() const noexcept override {
@@ -37,22 +37,13 @@ class SlruCache final : public Cache {
   }
 
  private:
-  struct Entry {
-    ObjectId id;
-    Bytes size;
-    std::uint32_t prev, next;
-    bool is_protected;
-  };
-
-  void shrink_protected(Bytes limit);
-  void evict_probation_until(Bytes needed);
+  /// Remove `s` from whichever segment holds it.
+  void unlink(std::uint32_t s) noexcept;
 
   Bytes protected_capacity_;
   Bytes protected_used_ = 0;
-  detail::Slab<Entry> slab_;
-  detail::IntrusiveList<Entry> probation_;  // front = most recent
-  detail::IntrusiveList<Entry> protected_;  // front = most recent
-  detail::FlatIndex index_;
+  List probation_;  // front = most recent
+  List protected_;  // front = most recent
 };
 
 }  // namespace starcdn::cache

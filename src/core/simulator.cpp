@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <numeric>
 #include <stdexcept>
@@ -45,12 +46,15 @@ void SimConfig::validate() const {
                "grid tiles L = s*s orbital slots); got " +
                std::to_string(buckets));
   }
-  if (transient_down_prob < 0.0 || transient_down_prob > 1.0) {
+  // NaN fails both comparisons' complement, so write the check to reject it.
+  if (!(transient_down_prob >= 0.0 && transient_down_prob <= 1.0)) {
     bad_config("transient_down_prob must be in [0, 1]; got " +
                std::to_string(transient_down_prob));
   }
-  if (transient_window.value() <= 0.0) {
-    bad_config("transient_window must be positive");
+  if (!std::isfinite(transient_window.value()) ||
+      transient_window.value() <= 0.0) {
+    bad_config("transient_window must be positive and finite; got " +
+               std::to_string(transient_window.value()));
   }
 }
 

@@ -966,6 +966,10 @@ void run_differential(Policy policy, std::uint64_t seed,
     ASSERT_EQ(real->hottest(8), ref->hottest(8))
         << to_string(policy) << " ordering diverged at step " << step;
     if (step % 97 == 0) {
+      // The whole retention order, past the first 8: SLRU's probation
+      // segment, SIEVE's unvisited pass, LFU's lower buckets.
+      ASSERT_EQ(real->hottest(kUniverse), ref->hottest(kUniverse))
+          << to_string(policy) << " full ordering diverged at step " << step;
       for (ObjectId probe = 0; probe < kUniverse; ++probe) {
         ASSERT_EQ(real->peek(probe), ref->peek(probe))
             << to_string(policy) << " resident set diverged at step " << step

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <span>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/run_report.h"
@@ -570,6 +574,26 @@ TEST(SimConfigBuilder, RejectsTransientProbabilityOutOfRange) {
                    .transient_failures(0.1, util::Seconds{0.0})
                    .build(),
                std::invalid_argument);
+  // Non-finite values must throw too, naming the field: NaN slips past a
+  // plain range check, and a non-finite window reaches `t / window` in the
+  // outage model.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> cases[] = {
+      {nan, 300.0}, {0.1, nan}, {0.1, inf}, {0.1, -inf}};
+  for (const auto& [prob, window] : cases) {
+    try {
+      (void)core::SimConfig::Builder{}
+          .transient_failures(prob, util::Seconds{window})
+          .build();
+      ADD_FAILURE() << "accepted prob=" << prob << " window=" << window;
+    } catch (const std::invalid_argument& e) {
+      const std::string field = std::isnan(prob) ? "transient_down_prob"
+                                                 : "transient_window";
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SimConfigBuilder, FluentSettersLandInConfig) {
