@@ -7,6 +7,7 @@
 #pragma once
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -24,6 +25,7 @@
 #include "orbit/constellation.h"
 #include "sched/scheduler.h"
 #include "trace/workload.h"
+#include "util/csv.h"
 #include "util/geo.h"
 #include "util/mem.h"
 #include "util/parallel.h"
@@ -113,7 +115,8 @@ capacity_axis() {
 
 /// Uniform CLI + lifecycle shared by every bench binary. Replaces the
 /// copy-pasted banner / scenario / results-dir setup each bench used to
-/// carry. Flags (all optional; unknown flags abort with usage):
+/// carry. Flags (all optional; an unknown flag, or a numeric value that
+/// does not parse in full or is out of range, exits 2 with usage):
 ///
 ///   --threads=N    worker threads (default: STARCDN_THREADS env/cores)
 ///   --seed=N       workload + simulator seed (default: repo defaults)
@@ -238,39 +241,59 @@ class Harness {
 
  private:
   void parse(int argc, char** argv) {
+    const auto usage_exit = [&](const std::string& why) {
+      std::fprintf(stderr,
+                   "%s\nusage: %s [--threads=N] [--seed=N] [--out=DIR] "
+                   "[--epochs=N] [--scale=F] [--trace=FILE] "
+                   "[--series=PREFIX] [--rss-budget-mb=N]\n",
+                   why.c_str(), argv[0]);
+      std::exit(2);
+    };
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
-      const auto eat = [&](const char* flag, std::string* into) {
-        const std::string prefix = std::string(flag) + "=";
+      std::string flag, v;
+      const auto eat = [&](const char* name) {
+        const std::string prefix = std::string(name) + "=";
         if (a.rfind(prefix, 0) != 0) return false;
-        *into = a.substr(prefix.size());
+        flag = name;
+        v = a.substr(prefix.size());
         return true;
       };
-      std::string v;
-      if (eat("--threads", &v)) {
-        opts_.threads = std::atoi(v.c_str());
-      } else if (eat("--seed", &v)) {
-        opts_.seed = std::strtoull(v.c_str(), nullptr, 10);
-      } else if (eat("--out", &v)) {
+      // Parses the whole value into `into`, which must be finite and
+      // non-negative, or positive when `positive`.
+      const auto number = [&](auto& into, bool positive) {
+        const char* why = util::parse_number(v, into);
+        const double x = static_cast<double>(into);
+        if (why == nullptr && !std::isfinite(x)) why = "is not finite";
+        if (why == nullptr && positive && !(x > 0.0)) why = "is not positive";
+        if (why == nullptr && x < 0.0) why = "is negative";
+        if (why != nullptr) {
+          usage_exit("bad value for " + flag + ": '" + v + "' " + why);
+        }
+      };
+      if (eat("--threads")) {
+        opts_.threads = util::parse_thread_count(v.c_str());
+        if (opts_.threads == 0) {
+          usage_exit("bad value for --threads: '" + v +
+                     "' is not a whole number in [1, 4096]");
+        }
+      } else if (eat("--seed")) {
+        number(opts_.seed, false);
+      } else if (eat("--out")) {
         opts_.out_dir = v;
-      } else if (eat("--epochs", &v)) {
-        opts_.epochs = std::strtoull(v.c_str(), nullptr, 10);
-      } else if (eat("--scale", &v)) {
-        opts_.scale = std::atof(v.c_str());
+      } else if (eat("--epochs")) {
+        number(opts_.epochs, true);
+      } else if (eat("--scale")) {
+        number(opts_.scale, true);
         scale_set_ = true;
-      } else if (eat("--trace", &v)) {
+      } else if (eat("--trace")) {
         opts_.trace_path = v;
-      } else if (eat("--series", &v)) {
+      } else if (eat("--series")) {
         opts_.series_prefix = v;
-      } else if (eat("--rss-budget-mb", &v)) {
-        opts_.rss_budget_mb = std::atof(v.c_str());
+      } else if (eat("--rss-budget-mb")) {
+        number(opts_.rss_budget_mb, false);
       } else {
-        std::fprintf(stderr,
-                     "unknown flag %s\nusage: %s [--threads=N] [--seed=N] "
-                     "[--out=DIR] [--epochs=N] [--scale=F] [--trace=FILE] "
-                     "[--series=PREFIX] [--rss-budget-mb=N]\n",
-                     a.c_str(), argv[0]);
-        std::exit(2);
+        usage_exit("unknown flag " + a);
       }
     }
   }

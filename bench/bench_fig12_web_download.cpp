@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
     auto params = trace::default_params(traffic_class);
     params.duration_s = util::kDay.value();
     const trace::WorkloadModel workload(util::paper_cities(), params);
-    const auto requests = trace::merge_by_time(workload.generate());
+    // Replayed once per (capacity, L) point: generate it once.
+    const auto requests = trace::collect(*workload.generate_stream());
     const sched::LinkSchedule schedule(shell, util::paper_cities(),
                                        util::Seconds{params.duration_s});
     std::printf("\n[%s] %zu requests, %.2f TB\n", to_string(traffic_class),
@@ -53,7 +54,8 @@ int main(int argc, char** argv) {
           sim.add_variant(core::Variant::kStatic);
           sim.add_variant(core::Variant::kVanillaLru);
         }
-        sim.run(requests);
+        trace::VectorStream stream(requests);
+        sim.run(stream);
         const auto& m = sim.metrics(core::Variant::kStarCdn);
         out["StarCDN L=" + std::to_string(buckets)] = {m.request_hit_rate(),
                                                        m.byte_hit_rate()};

@@ -119,7 +119,9 @@ int main(int argc, char** argv) {
     sim_cfg.sample_latency = false;
     core::Simulator sim(shell, schedule, sim_cfg);
     sim.add_variant(core::Variant::kVanillaLru);
-    sim.run(trace::merge_by_time(traces));
+    const auto requests = trace::merge_by_time(traces);
+    trace::VectorStream stream(requests);
+    sim.run(stream);
     const auto& m = sim.metrics(core::Variant::kVanillaLru);
     return std::pair{m.request_hit_rate(), m.byte_hit_rate()};
   };

@@ -176,8 +176,8 @@ void BM_ByteStackAlgorithm1Step(benchmark::State& state) {
 BENCHMARK(BM_ByteStackAlgorithm1Step)->Arg(1'000)->Arg(100'000);
 
 void BM_MergeByTime(benchmark::State& state) {
-  // Loser-tree k-way merge over the nine per-city traces. Items/s is the
-  // merged-request throughput; the tree does one O(log k) replay per item.
+  // merge_by_time over the nine per-city traces: concatenate, then one
+  // stable sort by timestamp. Items/s is the merged-request throughput.
   auto p = trace::default_params(trace::TrafficClass::kVideo);
   p.object_count = 20'000;
   p.requests_per_weight = static_cast<std::size_t>(state.range(0));
@@ -302,7 +302,7 @@ void report_parallel_speedup() {
   p.requests_per_weight = 40'000;
   p.duration_s = horizon_s;
   const trace::WorkloadModel workload(util::paper_cities(), p);
-  const auto requests = trace::merge_by_time(workload.generate());
+  const auto requests = trace::collect(*workload.generate_stream());
   const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{horizon_s});
 
   auto simulate = [&](int n) {
@@ -315,7 +315,8 @@ void report_parallel_speedup() {
           core::Variant::kRelayOnly, core::Variant::kVanillaLru}) {
       sim.add_variant(v);
     }
-    const double s = time_s([&] { sim.run(requests); });
+    trace::VectorStream stream(requests);
+    const double s = time_s([&] { sim.run(stream); });
     util::set_parallel_threads(0);
     return s;
   };

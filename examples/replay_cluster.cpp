@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
   std::printf("\nreplayed %llu requests in %.2f s (%.0f req/s)\n\n",
               static_cast<unsigned long long>(requests), elapsed,
               static_cast<double>(requests) / elapsed);
-  core::SummarySink summary(std::cout);
-  summary.consume(report);
+  report.write_summary(std::cout);
   return 0;
 }

@@ -20,12 +20,16 @@
 //     --trace PATH                   chrome://tracing JSON timeline
 //     --json PATH                    full RunReport as JSON
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "core/simulator.h"
 #include "obs/tracer.h"
@@ -45,6 +49,35 @@ core::Variant parse_variant(const std::string& name) {
   if (name == "starcdn") return core::Variant::kStarCdn;
   if (name == "prefetch") return core::Variant::kPrefetch;
   throw std::invalid_argument("unknown variant: " + name);
+}
+
+/// All of `text` as a T; a double must also be finite.
+template <typename T>
+T number(const std::string& text) {
+  T v{};
+  if (const char* why = util::parse_number(text, v)) {
+    throw std::invalid_argument("'" + text + "' " + why);
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) {
+      throw std::invalid_argument("'" + text + "' is not finite");
+    }
+  }
+  return v;
+}
+
+double positive(const std::string& text) {
+  const auto v = number<double>(text);
+  if (!(v > 0.0)) throw std::invalid_argument("'" + text + "' is not positive");
+  return v;
+}
+
+double fraction(const std::string& text) {
+  const auto v = number<double>(text);
+  if (v < 0.0 || v > 1.0) {
+    throw std::invalid_argument("'" + text + "' is outside [0, 1]");
+  }
+  return v;
 }
 
 }  // namespace
@@ -67,16 +100,16 @@ int main(int argc, char** argv) {
     try {
       if (a == "--class") cls = next();
       else if (a == "--variants") variants_arg = next();
-      else if (a == "--capacity-gib") capacity_gib = std::stod(next());
-      else if (a == "--buckets") buckets = std::stoi(next());
+      else if (a == "--capacity-gib") capacity_gib = positive(next());
+      else if (a == "--buckets") buckets = number<int>(next());
       else if (a == "--policy") policy = next();
-      else if (a == "--hours") hours = std::stod(next());
-      else if (a == "--scale") scale = std::stod(next());
-      else if (a == "--fail-fraction") fail_fraction = std::stod(next());
-      else if (a == "--transient-prob") transient_prob = std::stod(next());
+      else if (a == "--hours") hours = positive(next());
+      else if (a == "--scale") scale = positive(next());
+      else if (a == "--fail-fraction") fail_fraction = fraction(next());
+      else if (a == "--transient-prob") transient_prob = fraction(next());
       else if (a == "--global-cities") global = true;
       else if (a == "--csv") csv_path = next();
-      else if (a == "--seed") seed = std::stoull(next());
+      else if (a == "--seed") seed = number<std::uint64_t>(next());
       else if (a == "--series-csv") series_prefix = next();
       else if (a == "--trace") trace_path = next();
       else if (a == "--json") json_path = next();
@@ -99,93 +132,85 @@ int main(int argc, char** argv) {
   // construction so LinkSchedule::build lands on the timeline.
   obs::Tracer tracer;
   if (!trace_path.empty()) obs::set_tracer(&tracer);
-
-  const auto& cities = global ? util::global_cities() : util::paper_cities();
-  auto params = trace::default_params(traffic_class);
-  params.duration_s = hours * util::kHour.value();
-  params.requests_per_weight = static_cast<std::size_t>(
-      static_cast<double>(params.requests_per_weight) * scale);
-  if (seed != 0) params.seed = seed;
-  const trace::WorkloadModel workload(cities, params);
-
-  orbit::Constellation shell{orbit::WalkerParams{}};
-  if (fail_fraction > 0.0) {
-    util::Rng rng(4242);
-    shell.knock_out_random(fail_fraction, rng);
-  }
-  const sched::LinkSchedule schedule(shell, cities, util::Seconds{params.duration_s});
-
-  core::SimConfig::Builder builder;
-  builder.cache_capacity(util::gib(capacity_gib))
-      .buckets(buckets)
-      .policy(cache::parse_policy(policy))
-      .transient_failures(transient_prob, util::Seconds{300.0});
-  if (seed != 0) builder.seed(seed);
-
-  std::vector<core::Variant> variants;
-  std::stringstream ss(variants_arg);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    try {
-      variants.push_back(parse_variant(tok));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-    builder.variant(variants.back());
-  }
-
-  core::SimConfig cfg;
   try {
-    cfg = builder.build();
+    const auto& cities = global ? util::global_cities() : util::paper_cities();
+    auto params = trace::default_params(traffic_class);
+    params.duration_s = hours * util::kHour.value();
+    params.requests_per_weight = static_cast<std::size_t>(
+        static_cast<double>(params.requests_per_weight) * scale);
+    if (seed != 0) params.seed = seed;
+    const trace::WorkloadModel workload(cities, params);
+
+    orbit::Constellation shell{orbit::WalkerParams{}};
+    if (fail_fraction > 0.0) {
+      util::Rng rng(4242);
+      shell.knock_out_random(fail_fraction, rng);
+    }
+    const sched::LinkSchedule schedule(shell, cities,
+                                       util::Seconds{params.duration_s});
+
+    core::SimConfig::Builder builder;
+    builder.cache_capacity(util::gib(capacity_gib))
+        .buckets(buckets)
+        .policy(cache::parse_policy(policy))
+        .transient_failures(transient_prob, util::Seconds{300.0});
+    if (seed != 0) builder.seed(seed);
+
+    std::vector<core::Variant> variants;
+    std::stringstream ss(variants_arg);
+    std::string tok;
+    while (std::getline(ss, tok, ',')) {
+      variants.push_back(parse_variant(tok));
+      builder.variant(variants.back());
+    }
+    core::Simulator sim(shell, schedule, builder.build());
+
+    std::printf(
+        "class=%s cities=%zu requests=%" PRIu64 " cache=%.1fGiB L=%d "
+        "policy=%s fail=%.1f%% transient=%.1f%%\n",
+        cls.c_str(), cities.size(), workload.total_request_count(),
+        capacity_gib, buckets, policy.c_str(), 100 * fail_fraction,
+        100 * transient_prob);
+    sim.run(*workload.generate_stream());
+    const core::RunReport report = sim.finish();
+
+    // The report is the run's one output: summary to stdout, optional
+    // time-series CSVs and the chrome trace alongside.
+    report.write_summary(std::cout);
+    if (!series_prefix.empty()) {
+      for (const auto& p : report.write_series_csv_files(series_prefix)) {
+        std::printf("series: %s\n", p.c_str());
+      }
+    }
+    if (!trace_path.empty() && tracer.write_json(trace_path)) {
+      std::printf("trace: %s (open in ui.perfetto.dev)\n", trace_path.c_str());
+    }
+    if (!json_path.empty()) {
+      std::ofstream out(json_path);
+      report.write_json(out);
+      if (out) std::printf("report: %s\n", json_path.c_str());
+    }
+
+    if (!csv_path.empty()) {
+      util::CsvWriter w(csv_path);
+      w.row({"variant", "class", "capacity_gib", "buckets", "policy", "rhr",
+             "bhr", "uplink", "p50_ms", "p95_ms"});
+      for (const auto v : variants) {
+        const auto& m = report.variant(v).metrics;
+        w.row({core::to_string(v), cls, std::to_string(capacity_gib),
+               std::to_string(buckets), policy,
+               std::to_string(m.request_hit_rate()),
+               std::to_string(m.byte_hit_rate()),
+               std::to_string(m.normalized_uplink()),
+               std::to_string(m.latency_ms.median()),
+               std::to_string(m.latency_ms.quantile(0.95))});
+      }
+      std::printf("\nwrote %s\n", csv_path.c_str());
+    }
   } catch (const std::exception& e) {
+    obs::set_tracer(nullptr);
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
-  }
-  core::Simulator sim(shell, schedule, cfg);
-
-  std::printf(
-      "class=%s cities=%zu requests=%" PRIu64 " cache=%.1fGiB L=%d "
-      "policy=%s fail=%.1f%% transient=%.1f%%\n",
-      cls.c_str(), cities.size(), workload.total_request_count(), capacity_gib,
-      buckets, policy.c_str(), 100 * fail_fraction, 100 * transient_prob);
-  // Sinks fire inside finish(): summary to stdout, optional time-series
-  // CSVs and the chrome trace alongside.
-  core::SummarySink summary(std::cout);
-  sim.add_sink(summary);
-  core::SeriesCsvSink series(series_prefix);
-  if (!series_prefix.empty()) sim.add_sink(series);
-  core::TraceJsonSink trace_sink(trace_path);
-  if (!trace_path.empty()) sim.add_sink(trace_sink);
-
-  sim.run(*workload.generate_stream());
-  const core::RunReport report = sim.finish();
-
-  for (const auto& p : series.paths()) std::printf("series: %s\n", p.c_str());
-  if (trace_sink.written()) {
-    std::printf("trace: %s (open in ui.perfetto.dev)\n", trace_path.c_str());
-  }
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    report.write_json(out);
-    if (out) std::printf("report: %s\n", json_path.c_str());
-  }
-
-  if (!csv_path.empty()) {
-    util::CsvWriter w(csv_path);
-    w.row({"variant", "class", "capacity_gib", "buckets", "policy", "rhr",
-           "bhr", "uplink", "p50_ms", "p95_ms"});
-    for (const auto v : variants) {
-      const auto& m = report.variant(v).metrics;
-      w.row({core::to_string(v), cls, std::to_string(capacity_gib),
-             std::to_string(buckets), policy,
-             std::to_string(m.request_hit_rate()),
-             std::to_string(m.byte_hit_rate()),
-             std::to_string(m.normalized_uplink()),
-             std::to_string(m.latency_ms.median()),
-             std::to_string(m.latency_ms.quantile(0.95))});
-    }
-    std::printf("\nwrote %s\n", csv_path.c_str());
   }
   obs::set_tracer(nullptr);
   return 0;

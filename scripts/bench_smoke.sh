@@ -11,6 +11,8 @@
 #      must stay under ${SMOKE_STREAM_RSS_MB:-1500} MB peak RSS. CI raises
 #      SMOKE_STREAM_SCALE to paper scale (>=100M requests); the default
 #      keeps local runs quick. The rss_report.csv lands in the artifacts.
+#   3. Checks that a malformed numeric flag is rejected: --scale=0,5 must
+#      exit 2 with the flag named on stderr, not run an empty scenario.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]
 # Artifacts land in ${SMOKE_OUT:-smoke_artifacts}.
@@ -72,5 +74,15 @@ STREAM_RSS_MB=${SMOKE_STREAM_RSS_MB:-1500}
 grep -q '^paper-scale streamed replay' "$OUT/rss_report.csv" ||
   { echo "FAIL: missing streamed-replay row in rss_report.csv"; exit 1; }
 echo "streamed replay OK (scale=$STREAM_SCALE, budget ${STREAM_RSS_MB} MB)"
+
+echo "== malformed numeric flag is rejected =="
+status=0
+"$BUILD/bench/bench_table3_relay_availability" --scale=0,5 \
+  >/dev/null 2>"$OUT/bad_flag.err" || status=$?
+[ "$status" -eq 2 ] ||
+  { echo "FAIL: --scale=0,5 exited $status, expected 2"; exit 1; }
+grep -q -- '--scale' "$OUT/bad_flag.err" ||
+  { echo "FAIL: --scale=0,5 error does not name the flag"; exit 1; }
+echo "bad flag OK: $(head -1 "$OUT/bad_flag.err")"
 
 echo "bench smoke OK; artifacts in $OUT/"

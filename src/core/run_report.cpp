@@ -5,7 +5,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "obs/tracer.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -159,20 +158,6 @@ void RunReport::write_json(std::ostream& os) const {
     os << ':' << value;
   }
   os << "}}";
-}
-
-void SummarySink::consume(const RunReport& report) {
-  report.write_summary(*os_);
-}
-
-void SeriesCsvSink::consume(const RunReport& report) {
-  paths_ = report.write_series_csv_files(prefix_);
-}
-
-void TraceJsonSink::consume(const RunReport& /*report*/) {
-  if (const obs::Tracer* t = obs::tracer()) {
-    written_ = t->write_json(path_);
-  }
 }
 
 }  // namespace starcdn::core

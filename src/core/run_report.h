@@ -1,16 +1,10 @@
-// Run reports and metric sinks: the simulator's output API (DESIGN.md §11).
+// Run reports: the simulator's output API (DESIGN.md §11).
 //
 // The replay loop counts into each variant's VariantMetrics; finish()
-// materializes them, with the kCounters table naming every counter, into:
-//
-//   * RunReport       — self-contained result of a run: per-variant
-//                       metrics + epoch time-series + counter snapshots and
-//                       fleet totals. Survives the Simulator that produced
-//                       it.
-//   * MetricsSink     — consumer interface; register sinks with
-//                       Simulator::add_sink() and they fire on finish().
-//   * SeriesCsvSink / SummarySink / TraceJsonSink — stock sinks covering
-//                       the bench harness and examples.
+// materializes them, with the kCounters table naming every counter, into
+// one RunReport: per-variant metrics, epoch time-series, counter snapshots
+// and fleet totals. The report survives the Simulator that produced it,
+// and its write_* methods are the only writers of a run's results.
 #pragma once
 
 #include <cstdint>
@@ -62,51 +56,6 @@ struct RunReport {
   void write_summary(std::ostream& os) const;
   /// Whole report as one JSON object (counters, summary rates, series).
   void write_json(std::ostream& os) const;
-};
-
-/// Consumer of a finished run; register via Simulator::add_sink(). Sinks
-/// are invoked in registration order from Simulator::finish().
-class MetricsSink {
- public:
-  virtual ~MetricsSink() = default;
-  virtual void consume(const RunReport& report) = 0;
-};
-
-/// Prints RunReport::write_summary to a stream on finish().
-class SummarySink final : public MetricsSink {
- public:
-  explicit SummarySink(std::ostream& os) : os_(&os) {}
-  void consume(const RunReport& report) override;
-
- private:
-  std::ostream* os_;
-};
-
-/// Writes one epoch-series CSV per variant: `<prefix><variant-name>.csv`.
-class SeriesCsvSink final : public MetricsSink {
- public:
-  explicit SeriesCsvSink(std::string prefix) : prefix_(std::move(prefix)) {}
-  void consume(const RunReport& report) override;
-  [[nodiscard]] const std::vector<std::string>& paths() const noexcept {
-    return paths_;
-  }
-
- private:
-  std::string prefix_;
-  std::vector<std::string> paths_;
-};
-
-/// Flushes the process-wide obs::Tracer (if installed) to a JSON file.
-class TraceJsonSink final : public MetricsSink {
- public:
-  explicit TraceJsonSink(std::string path) : path_(std::move(path)) {}
-  void consume(const RunReport& report) override;
-  /// True once a trace file was actually written.
-  [[nodiscard]] bool written() const noexcept { return written_; }
-
- private:
-  std::string path_;
-  bool written_ = false;
 };
 
 }  // namespace starcdn::core

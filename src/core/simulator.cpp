@@ -133,8 +133,6 @@ void Simulator::add_variant(Variant v) {
   variants_.push_back(std::move(vs));
 }
 
-void Simulator::add_sink(MetricsSink& sink) { sinks_.push_back(&sink); }
-
 const VariantMetrics& Simulator::metrics(Variant v) const {
   for (const auto& vs : variants_) {
     if (vs.variant == v) return vs.metrics;
@@ -412,8 +410,6 @@ RunReport Simulator::finish() {
     }
     report.variants.push_back(std::move(vr));
   }
-
-  for (MetricsSink* sink : sinks_) sink->consume(report);
   return report;
 }
 

@@ -152,12 +152,10 @@ class Simulator {
   /// Register a variant before run(); duplicate registration is a no-op.
   void add_variant(Variant v);
 
-  /// Register a sink to be fed the RunReport from finish(). Not owned; the
-  /// sink must outlive the simulator. Sinks fire in registration order.
-  void add_sink(MetricsSink& sink);
-
-  /// Replay a chunked stream (trace::RequestStream) with O(chunk) memory.
-  /// May be called repeatedly to replay a long trace in pieces.
+  /// Replay a chunked stream (trace::RequestStream), the simulator's one
+  /// input, with O(chunk) memory; a materialized trace comes in as a
+  /// trace::VectorStream. May be called repeatedly to replay a long trace
+  /// in pieces.
   ///
   /// Every block passes trace::validate_block before it is used: a
   /// location outside the schedule's cities, a zero size, a non-finite
@@ -182,18 +180,11 @@ class Simulator {
   /// block has been replayed.
   void run(trace::RequestStream& stream);
 
-  /// Replay time-ordered requests (e.g. trace::merge_by_time): streams the
-  /// vector in kDefaultChunkRequests chunks through run(stream).
-  void run(const std::vector<trace::Request>& requests) {
-    trace::VectorStream stream(requests);
-    run(stream);
-  }
-
   /// Close the run: seals each variant's epoch series, checks each
   /// variant's counters with check_conservation (std::logic_error on a
-  /// violation), sums the fleet totals, feeds every registered sink, and
-  /// returns the self-contained RunReport. May be called repeatedly; each
-  /// call re-snapshots (and re-feeds the sinks with) the current totals.
+  /// violation), sums the fleet totals, and returns the self-contained
+  /// RunReport, the run's one output; callers write it. May be called
+  /// repeatedly; each call re-snapshots the current totals.
   RunReport finish();
 
   /// Throws std::out_of_range when the variant is not registered.
@@ -327,7 +318,6 @@ class Simulator {
   net::LatencyModel latency_;
   CacheFactory cache_factory_;
   std::vector<VariantState> variants_;
-  std::vector<MetricsSink*> sinks_;
 };
 
 }  // namespace starcdn::core

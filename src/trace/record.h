@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,14 @@ struct LocationTrace {
 /// Traces for all locations of a scenario (parallel to its city list).
 using MultiTrace = std::vector<LocationTrace>;
 
-/// Merge per-location traces into one globally time-ordered stream.
+/// Stable sort by timestamp: equal timestamps keep their order in
+/// `requests`. The one time-ordering rule, shared by merge_by_time and the
+/// workload stream's per-minute merge.
+void sort_by_time(std::span<Request> requests);
+
+/// Merge per-location traces into one globally time-ordered trace: the
+/// traces concatenated in order, then sort_by_time, so ties go by trace
+/// index, then position.
 [[nodiscard]] std::vector<Request> merge_by_time(const MultiTrace& traces);
 
 enum class TrafficClass : std::uint8_t { kVideo, kWeb, kDownload };

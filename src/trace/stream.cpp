@@ -6,29 +6,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/loser_tree.h"
-
 namespace starcdn::trace {
 
 namespace {
-
-/// Orders live traces by (head timestamp, trace index) — identical to
-/// concatenating in trace order and stable-sorting by timestamp — and ranks
-/// exhausted traces last (among themselves by index, keeping the order
-/// strict and total).
-struct TraceHeadLess {
-  const MultiTrace* traces;
-  const std::vector<std::size_t>* pos;
-  bool operator()(std::size_t a, std::size_t b) const noexcept {
-    const bool ea = (*pos)[a] >= (*traces)[a].requests.size();
-    const bool eb = (*pos)[b] >= (*traces)[b].requests.size();
-    if (ea || eb) return !ea && eb;
-    const double ta = (*traces)[a].requests[(*pos)[a]].timestamp_s;
-    const double tb = (*traces)[b].requests[(*pos)[b]].timestamp_s;
-    if (ta != tb) return ta < tb;
-    return a < b;
-  }
-};
 
 /// Round-trippable text for a double, so an error names the exact value.
 std::string exact(double v) {
@@ -53,41 +33,6 @@ bool VectorStream::next(RequestBlock& out) {
   return true;
 }
 
-struct MultiTraceStream::Merge {
-  explicit Merge(const MultiTrace& traces)
-      : pos(traces.size(), 0), tree(traces.size(), TraceHeadLess{&traces, &pos}) {}
-
-  std::vector<std::size_t> pos;
-  util::LoserTree<TraceHeadLess> tree;
-};
-
-MultiTraceStream::MultiTraceStream(const MultiTrace& traces,
-                                   std::size_t chunk_requests)
-    : traces_(&traces),
-      chunk_(std::max<std::size_t>(1, chunk_requests)),
-      merge_(std::make_unique<Merge>(traces)) {
-  for (const auto& t : traces) total_ += t.requests.size();
-  remaining_ = total_;
-}
-
-MultiTraceStream::~MultiTraceStream() = default;
-
-bool MultiTraceStream::next(RequestBlock& out) {
-  out.clear();
-  if (remaining_ == 0) return false;
-  const auto n =
-      static_cast<std::size_t>(std::min<std::uint64_t>(chunk_, remaining_));
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t s = merge_->tree.winner();
-    out.push_back((*traces_)[s].requests[merge_->pos[s]]);
-    ++merge_->pos[s];
-    merge_->tree.replayed();
-  }
-  remaining_ -= n;
-  return true;
-}
-
 std::vector<Request> collect(RequestStream& stream) {
   std::vector<Request> all;
   if (const auto hint = stream.size_hint()) {
@@ -102,9 +47,23 @@ std::vector<Request> collect(RequestStream& stream) {
   return all;
 }
 
+void sort_by_time(std::span<Request> requests) {
+  std::stable_sort(requests.begin(), requests.end(),
+                   [](const Request& a, const Request& b) {
+                     return a.timestamp_s < b.timestamp_s;
+                   });
+}
+
 std::vector<Request> merge_by_time(const MultiTrace& traces) {
-  MultiTraceStream stream(traces);
-  return collect(stream);
+  std::size_t total = 0;
+  for (const auto& t : traces) total += t.requests.size();
+  std::vector<Request> all;
+  all.reserve(total);
+  for (const auto& t : traces) {
+    all.insert(all.end(), t.requests.begin(), t.requests.end());
+  }
+  sort_by_time(all);
+  return all;
 }
 
 void validate_block(const RequestBlock& block, std::size_t cities,

@@ -6,8 +6,8 @@
 // RequestBlock is a structure-of-arrays chunk: the simulator's stage-1
 // context fan-out walks timestamps and locations only, and SoA keeps those
 // scans dense instead of striding 32-byte AoS records. RequestStream is the
-// producer interface and the only way a trace reaches a consumer; adapters
-// stream vectors and per-location traces, and validate_block is the one
+// producer interface and the only way a trace reaches a consumer;
+// VectorStream adapts a materialized trace, and validate_block is the one
 // check every consumer runs at the stream boundary. DESIGN.md §12 documents
 // the pipeline contract.
 #pragma once
@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -102,32 +101,6 @@ class VectorStream final : public RequestStream {
   const std::vector<Request>* requests_;
   std::size_t chunk_;
   std::size_t pos_ = 0;
-};
-
-/// Adapter: globally time-ordered stream over per-location traces without
-/// building the merged O(trace) copy — a k-way loser-tree merge with a
-/// stable tie-break (timestamp, then trace index, then position), and the
-/// one merge behind merge_by_time.
-/// Does not own the traces; they must outlive the stream.
-class MultiTraceStream final : public RequestStream {
- public:
-  explicit MultiTraceStream(const MultiTrace& traces,
-                            std::size_t chunk_requests = kDefaultChunkRequests);
-  ~MultiTraceStream() override;
-  MultiTraceStream(MultiTraceStream&&) = delete;
-
-  [[nodiscard]] bool next(RequestBlock& out) override;
-  [[nodiscard]] std::optional<std::uint64_t> size_hint() const override {
-    return total_;
-  }
-
- private:
-  struct Merge;  // loser tree + per-trace cursors
-  const MultiTrace* traces_;
-  std::size_t chunk_;
-  std::uint64_t total_ = 0;
-  std::uint64_t remaining_ = 0;
-  std::unique_ptr<Merge> merge_;
 };
 
 /// Drain a stream into a materialized vector (tests and small scales; at

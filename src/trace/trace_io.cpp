@@ -1,10 +1,9 @@
 #include "trace/trace_io.h"
 
-#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
-#include <system_error>
 
 #include "util/csv.h"
 
@@ -112,15 +111,8 @@ template <typename T>
 T parse_field(const std::string& text, const std::string& where,
               const char* name) {
   T v{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec == std::errc::result_out_of_range) {
-    throw std::runtime_error(where + ": " + name + " '" + text +
-                             "' is out of range");
-  }
-  if (ec != std::errc{} || ptr != end) {
-    throw std::runtime_error(where + ": " + name + " '" + text +
-                             "' is not a number");
+  if (const char* why = util::parse_number(text, v)) {
+    throw std::runtime_error(where + ": " + name + " '" + text + "' " + why);
   }
   return v;
 }
@@ -173,7 +165,7 @@ LocationTrace read_csv_trace(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("read_csv_trace: cannot open " + path);
   LocationTrace t;
-  std::string line;
+  std::string line, last_timestamp;
   for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
     if (line_no == 1 || line.empty()) continue;  // header, blank lines
     const auto row = util::parse_csv_line(line);
@@ -192,9 +184,25 @@ LocationTrace read_csv_trace(const std::string& path) {
     r.object = parse_field<ObjectId>(row[1], where(2), "object");
     r.size = parse_field<Bytes>(row[2], where(3), "size");
     r.location = parse_field<std::uint16_t>(row[3], where(4), "location");
+    // LocationTrace's contract: one location, ordered by finite timestamps.
+    if (!std::isfinite(r.timestamp_s)) {
+      throw std::runtime_error(where(1) + ": timestamp_s '" + row[0] +
+                               "' is not finite");
+    }
+    if (t.requests.empty()) {
+      t.location = r.location;
+    } else if (r.timestamp_s < t.requests.back().timestamp_s) {
+      throw std::runtime_error(where(1) + ": timestamp_s '" + row[0] +
+                               "' precedes the previous row's '" +
+                               last_timestamp + "'");
+    } else if (r.location != t.location) {
+      throw std::runtime_error(where(4) + ": location '" + row[3] +
+                               "' differs from the first row's " +
+                               std::to_string(t.location));
+    }
     t.requests.push_back(r);
+    last_timestamp = row[0];
   }
-  if (!t.requests.empty()) t.location = t.requests.front().location;
   return t;
 }
 

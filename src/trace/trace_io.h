@@ -33,8 +33,10 @@ void write_binary_stream(RequestStream& stream, const std::string& path);
 /// CSV with header "timestamp_s,object,size,location".
 void write_csv(const LocationTrace& trace, const std::string& path);
 /// Read write_csv's format. Throws std::runtime_error naming
-/// "path:line:column" on a short row, a field that is not a number, or a
-/// value out of its type's range (a location must fit in u16).
+/// "path:line:column" on a short row, a field that is not a number, a
+/// value out of its type's range (a location must fit in u16), or a row
+/// that breaks LocationTrace's contract: a non-finite timestamp, one below
+/// the previous row's, or a location other than the first row's.
 [[nodiscard]] LocationTrace read_csv_trace(const std::string& path);
 
 }  // namespace starcdn::trace

@@ -113,8 +113,10 @@ WorkloadModel::WorkloadModel(const std::vector<util::City>& cities,
                              const WorkloadParams& params)
     : cities_(&cities), params_(params) {
   if (cities.empty()) throw std::invalid_argument("WorkloadModel: no cities");
-  if (!(params.duration_s > 0.0)) {
-    throw std::invalid_argument("WorkloadModel: duration_s must be positive");
+  if (!(params.duration_s > 0.0) || !std::isfinite(params.duration_s)) {
+    throw std::invalid_argument(
+        "WorkloadModel: duration_s must be positive and finite, got " +
+        std::to_string(params.duration_s));
   }
   build_universe();
   build_city_tables();
@@ -361,14 +363,10 @@ class WorkloadStream final : public RequestStream {
       model_->block(slots[i].city, slots[i].minute,
                     buffer.subspan(slots[i].begin, slots[i].count));
     });
-    // Stable by timestamp: equal timestamps keep the city order, which is
-    // merge_by_time's tie-break.
+    // Equal timestamps keep the city order: merge_by_time's tie-break.
     util::parallel_for(minute_begin.size() - 1, [&](std::size_t m) {
-      std::stable_sort(buffer.begin() + minute_begin[m],
-                       buffer.begin() + minute_begin[m + 1],
-                       [](const Request& a, const Request& b) {
-                         return a.timestamp_s < b.timestamp_s;
-                       });
+      sort_by_time(buffer.subspan(minute_begin[m],
+                                  minute_begin[m + 1] - minute_begin[m]));
     });
   }
 

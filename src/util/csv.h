@@ -5,9 +5,11 @@
 // tests to round-trip generated traces.
 #pragma once
 
+#include <charconv>
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace starcdn::util {
@@ -30,5 +32,18 @@ class CsvWriter {
 /// Read an entire CSV file; returns rows of fields. Throws on open failure.
 [[nodiscard]] std::vector<std::vector<std::string>> read_csv(
     const std::string& path);
+
+/// Parse all of `text` as a T by std::from_chars rules (no leading '+' or
+/// whitespace; a double may spell inf or nan). Returns nullptr on success,
+/// else why `text` was rejected: "is not a number" or "is out of range".
+/// The one number parser behind CSV fields and command-line flags.
+template <typename T>
+[[nodiscard]] const char* parse_number(std::string_view text, T& out) noexcept {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec == std::errc::result_out_of_range) return "is out of range";
+  if (ec != std::errc{} || ptr != end) return "is not a number";
+  return nullptr;
+}
 
 }  // namespace starcdn::util

@@ -4,7 +4,10 @@
 // and require bitwise-identical outputs.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/simulator.h"
 #include "sched/scheduler.h"
@@ -91,7 +94,7 @@ TEST(Determinism, SimulatorIdenticalAcrossThreadCounts) {
   p.requests_per_weight = 4'000;
   p.duration_s = util::kHour.value();
   const trace::WorkloadModel workload(util::paper_cities(), p);
-  const auto requests = trace::merge_by_time(workload.generate());
+  const auto requests = trace::collect(*workload.generate_stream());
   const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{p.duration_s});
 
   const std::vector<core::Variant> variants = {
@@ -108,7 +111,8 @@ TEST(Determinism, SimulatorIdenticalAcrossThreadCounts) {
     cfg.transient_down_prob = 0.02;  // exercise the per-variant outage model
     auto sim = std::make_unique<core::Simulator>(shell, schedule, cfg);
     for (const auto v : variants) sim->add_variant(v);
-    sim->run(requests);
+    trace::VectorStream stream(requests);
+    sim->run(stream);
     return sim;
   };
 
@@ -131,21 +135,28 @@ TEST(Determinism, StreamedChunksMatchWholeRunInParallel) {
   p.requests_per_weight = 2'000;
   p.duration_s = util::kHour.value();
   const trace::WorkloadModel workload(util::paper_cities(), p);
-  const auto requests = trace::merge_by_time(workload.generate());
+  const auto requests = trace::collect(*workload.generate_stream());
   const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{p.duration_s});
 
   core::SimConfig cfg;
   cfg.cache_capacity = util::mib(128);
   core::Simulator whole(shell, schedule, cfg);
   whole.add_variant(core::Variant::kStarCdn);
-  whole.run(requests);
+  trace::VectorStream whole_stream(requests);
+  whole.run(whole_stream);
 
   core::Simulator chunked(shell, schedule, cfg);
   chunked.add_variant(core::Variant::kStarCdn);
   const std::size_t third = requests.size() / 3;
-  chunked.run({requests.begin(), requests.begin() + third});
-  chunked.run({requests.begin() + third, requests.begin() + 2 * third});
-  chunked.run({requests.begin() + 2 * third, requests.end()});
+  for (const auto& [begin, end] :
+       {std::pair{std::size_t{0}, third}, std::pair{third, 2 * third},
+        std::pair{2 * third, requests.size()}}) {
+    const std::vector<trace::Request> piece(
+        requests.begin() + static_cast<std::ptrdiff_t>(begin),
+        requests.begin() + static_cast<std::ptrdiff_t>(end));
+    trace::VectorStream stream(piece);
+    chunked.run(stream);
+  }
 
   const auto& a = whole.metrics(core::Variant::kStarCdn);
   const auto& b = chunked.metrics(core::Variant::kStarCdn);
@@ -193,7 +204,7 @@ TEST(Determinism, ShardedReplayIdenticalAtEveryThreadCount) {
   p.requests_per_weight = 1'500;
   p.duration_s = util::kHour.value();
   const trace::WorkloadModel workload(util::paper_cities(), p);
-  const auto requests = trace::merge_by_time(workload.generate());
+  const auto requests = trace::collect(*workload.generate_stream());
   ASSERT_GT(requests.size(), 10'000u);
 
   const orbit::Constellation healthy{orbit::WalkerParams{}};

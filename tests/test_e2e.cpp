@@ -47,7 +47,9 @@ TEST(EndToEnd, SpaceGenTraceDrivesSimulatorLikeProduction) {
   const auto hit_rate = [&](const trace::MultiTrace& traces) {
     core::Simulator sim(shell, schedule, cfg);
     sim.add_variant(core::Variant::kVanillaLru);
-    sim.run(trace::merge_by_time(traces));
+    const auto requests = trace::merge_by_time(traces);
+    trace::VectorStream stream(requests);
+    sim.run(stream);
     return sim.metrics(core::Variant::kVanillaLru).request_hit_rate();
   };
   const double prod_hr = hit_rate(production);
@@ -69,7 +71,6 @@ TEST(EndToEnd, HeadlineClaimsAtTargetConfiguration) {
   p.requests_per_weight = 30'000;
   p.duration_s = 4 * util::kHour.value();
   const trace::WorkloadModel w(util::paper_cities(), p);
-  const auto requests = trace::merge_by_time(w.generate());
 
   const orbit::Constellation shell{orbit::WalkerParams{}};
   const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{p.duration_s});
@@ -79,7 +80,7 @@ TEST(EndToEnd, HeadlineClaimsAtTargetConfiguration) {
   core::Simulator sim(shell, schedule, cfg);
   sim.add_variant(core::Variant::kStarCdn);
   sim.add_variant(core::Variant::kVanillaLru);
-  sim.run(requests);
+  sim.run(*w.generate_stream());
 
   const auto& star = sim.metrics(core::Variant::kStarCdn);
   const auto& lru = sim.metrics(core::Variant::kVanillaLru);

@@ -127,7 +127,7 @@ class ExtensionSimTest : public ::testing::Test {
     p.duration_s = 2 * util::kHour.value();
     const trace::WorkloadModel workload(util::paper_cities(), p);
     requests_ = new std::vector<trace::Request>(
-        trace::merge_by_time(workload.generate()));
+        trace::collect(*workload.generate_stream()));
     schedule_ = new sched::LinkSchedule(*shell_, util::paper_cities(),
                                         util::Seconds{p.duration_s});
   }
@@ -139,6 +139,12 @@ class ExtensionSimTest : public ::testing::Test {
     schedule_ = nullptr;
     shell_ = nullptr;
   }
+  /// Replay the shared trace into `sim`.
+  static void replay(core::Simulator& sim) {
+    trace::VectorStream stream(*requests_);
+    sim.run(stream);
+  }
+
   static orbit::Constellation* shell_;
   static std::vector<trace::Request>* requests_;
   static sched::LinkSchedule* schedule_;
@@ -156,7 +162,7 @@ TEST_F(ExtensionSimTest, PrefetchMovesSpeculativeBytes) {
   core::Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(core::Variant::kPrefetch);
   sim.add_variant(core::Variant::kStarCdn);
-  sim.run(*requests_);
+  replay(sim);
 
   const auto& pf = sim.metrics(core::Variant::kPrefetch);
   const auto& star = sim.metrics(core::Variant::kStarCdn);
@@ -179,7 +185,7 @@ TEST_F(ExtensionSimTest, PrefetchBeatsPlainHashingSometimesNotRelay) {
   core::Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(core::Variant::kPrefetch);
   sim.add_variant(core::Variant::kHashOnly);
-  sim.run(*requests_);
+  replay(sim);
   // Prefetch is a (wasteful) form of content backflow: it should at least
   // not fall far below hashing-only.
   EXPECT_GT(sim.metrics(core::Variant::kPrefetch).request_hit_rate(),
@@ -195,7 +201,7 @@ TEST_F(ExtensionSimTest, TransientOutagesDegradeGracefully) {
     cfg.transient_down_prob = p;
     core::Simulator sim(*shell_, *schedule_, cfg);
     sim.add_variant(core::Variant::kStarCdn);
-    sim.run(*requests_);
+    replay(sim);
     const auto& m = sim.metrics(core::Variant::kStarCdn);
     EXPECT_EQ(m.hits() + m.misses, m.requests);
     if (p == 0.0) {
@@ -221,7 +227,7 @@ TEST_F(ExtensionSimTest, TransientMissCountTracksProbability) {
   cfg.transient_down_prob = 0.25;
   core::Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(core::Variant::kStarCdn);
-  sim.run(*requests_);
+  replay(sim);
   const auto& m = sim.metrics(core::Variant::kStarCdn);
   const double fraction =
       static_cast<double>(m.transient_misses) / static_cast<double>(m.requests);

@@ -396,7 +396,7 @@ TEST(Tracer, NullTracerIsSafe) {
 
 // ---------------------------------------------------------------------------
 // Simulator-level fixture: a small scenario shared by the determinism,
-// series and sink tests.
+// series and summary tests.
 
 class ObsSimTest : public ::testing::Test {
  protected:
@@ -408,7 +408,7 @@ class ObsSimTest : public ::testing::Test {
     p.duration_s = 1 * util::kHour.value();
     const trace::WorkloadModel workload(util::paper_cities(), p);
     requests_ = new std::vector<trace::Request>(
-        trace::merge_by_time(workload.generate()));
+        trace::collect(*workload.generate_stream()));
     schedule_ = new sched::LinkSchedule(*shell_, util::paper_cities(),
                                         util::Seconds{p.duration_s});
   }
@@ -432,7 +432,8 @@ class ObsSimTest : public ::testing::Test {
 
   static core::RunReport run_report(const core::SimConfig& cfg) {
     core::Simulator sim(*shell_, *schedule_, cfg);
-    sim.run(*requests_);
+    trace::VectorStream stream(*requests_);
+    sim.run(stream);
     return sim.finish();
   }
 
@@ -539,13 +540,10 @@ TEST_F(ObsSimTest, RunReportJsonIsWellFormed) {
   EXPECT_TRUE(root.at("totals").has("requests"));
 }
 
-TEST_F(ObsSimTest, SinksFireOnFinishInRegistrationOrder) {
-  core::Simulator sim(*shell_, *schedule_, small_config());
+TEST_F(ObsSimTest, SummaryNamesVariantsAndRates) {
+  const core::RunReport report = run_report(small_config());
   std::ostringstream summary_out;
-  core::SummarySink summary(summary_out);
-  sim.add_sink(summary);
-  sim.run(*requests_);
-  const core::RunReport report = sim.finish();
+  report.write_summary(summary_out);
   EXPECT_NE(summary_out.str().find("StarCDN"), std::string::npos);
   EXPECT_NE(summary_out.str().find("req hit rate"), std::string::npos);
   EXPECT_GT(report.variant(core::Variant::kStarCdn).metrics.requests, 0u);

@@ -149,7 +149,8 @@ TEST(Replay, ClusterMatchesSimulatorBitForBit) {
                                        util::Seconds{600.0});
     core::Simulator sim(*c.shell, schedule, c.cfg);
     sim.add_variant(core::Variant::kStarCdn);
-    sim.run(requests);
+    trace::VectorStream stream(requests);
+    sim.run(stream);
     const core::RunReport local = sim.finish();
     if (c.cfg.transient_down_prob > 0.0) {
       ASSERT_GT(starcdn(local).transient_misses, 0u) << c.name;

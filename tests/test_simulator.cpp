@@ -19,7 +19,7 @@ class SimulatorTest : public ::testing::Test {
     p.duration_s = 2 * util::kHour.value();
     workload_ = new trace::WorkloadModel(util::paper_cities(), p);
     requests_ = new std::vector<trace::Request>(
-        trace::merge_by_time(workload_->generate()));
+        trace::collect(*workload_->generate_stream()));
     schedule_ = new sched::LinkSchedule(*shell_, util::paper_cities(),
                                         util::Seconds{p.duration_s});
   }
@@ -41,6 +41,12 @@ class SimulatorTest : public ::testing::Test {
     return cfg;
   }
 
+  /// Replay the shared trace into `sim`.
+  static void replay(Simulator& sim) {
+    trace::VectorStream stream(*requests_);
+    sim.run(stream);
+  }
+
   static orbit::Constellation* shell_;
   static trace::WorkloadModel* workload_;
   static std::vector<trace::Request>* requests_;
@@ -56,7 +62,7 @@ TEST_F(SimulatorTest, ConservationInvariants) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
   sim.add_variant(Variant::kVanillaLru);
-  sim.run(*requests_);
+  replay(sim);
   for (const auto v : {Variant::kStarCdn, Variant::kVanillaLru}) {
     const auto& m = sim.metrics(v);
     EXPECT_EQ(m.requests, requests_->size());
@@ -70,7 +76,7 @@ TEST_F(SimulatorTest, ConservationInvariants) {
 TEST_F(SimulatorTest, UplinkEqualsOneMinusByteHitRate) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
-  sim.run(*requests_);
+  replay(sim);
   const auto& m = sim.metrics(Variant::kStarCdn);
   EXPECT_NEAR(m.normalized_uplink(), 1.0 - m.byte_hit_rate(), 1e-12);
 }
@@ -83,7 +89,7 @@ TEST_F(SimulatorTest, VariantOrderingHolds) {
                        Variant::kRelayOnly, Variant::kVanillaLru}) {
     sim.add_variant(v);
   }
-  sim.run(*requests_);
+  replay(sim);
   const double full = sim.metrics(Variant::kStarCdn).request_hit_rate();
   const double hash = sim.metrics(Variant::kHashOnly).request_hit_rate();
   const double relay = sim.metrics(Variant::kRelayOnly).request_hit_rate();
@@ -99,7 +105,7 @@ TEST_F(SimulatorTest, RelayedFetchOnlyInRelayVariants) {
   for (const auto v : {Variant::kStarCdn, Variant::kHashOnly}) {
     sim.add_variant(v);
   }
-  sim.run(*requests_);
+  replay(sim);
   EXPECT_GT(sim.metrics(Variant::kStarCdn).relay_west_hits +
                 sim.metrics(Variant::kStarCdn).relay_east_hits,
             0u);
@@ -112,7 +118,7 @@ TEST_F(SimulatorTest, WestNeighbourDominatesRelays) {
   // recent ground track, so most relayed hits come from the west.
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
-  sim.run(*requests_);
+  replay(sim);
   const auto& m = sim.metrics(Variant::kStarCdn);
   EXPECT_GT(m.relay_west_hits, m.relay_east_hits);
 }
@@ -120,7 +126,7 @@ TEST_F(SimulatorTest, WestNeighbourDominatesRelays) {
 TEST_F(SimulatorTest, RelayAvailabilityTracked) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
-  sim.run(*requests_);
+  replay(sim);
   const auto& m = sim.metrics(Variant::kStarCdn);
   // Table 3's pattern: west-only dominates east-only and both.
   EXPECT_GT(m.relay_west_only_requests, m.relay_east_only_requests);
@@ -133,7 +139,7 @@ TEST_F(SimulatorTest, DisablingEastRelayRemovesEastHits) {
   cfg.relay_east = false;
   Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(Variant::kStarCdn);
-  sim.run(*requests_);
+  replay(sim);
   const auto& m = sim.metrics(Variant::kStarCdn);
   EXPECT_EQ(m.relay_east_hits, 0u);
   EXPECT_GT(m.relay_west_hits, 0u);
@@ -142,7 +148,7 @@ TEST_F(SimulatorTest, DisablingEastRelayRemovesEastHits) {
 TEST_F(SimulatorTest, LatencySamplesCollected) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
-  sim.run(*requests_);
+  replay(sim);
   const auto& lat = sim.metrics(Variant::kStarCdn).latency_ms;
   EXPECT_EQ(lat.count(), requests_->size());
   // Hits cost a couple of GSL+ISL traversals; misses tens of ms.
@@ -156,7 +162,7 @@ TEST_F(SimulatorTest, LatencySamplingCanBeDisabled) {
   cfg.sample_latency = false;
   Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(Variant::kVanillaLru);
-  sim.run(*requests_);
+  replay(sim);
   EXPECT_TRUE(sim.metrics(Variant::kVanillaLru).latency_ms.empty());
 }
 
@@ -165,13 +171,13 @@ TEST_F(SimulatorTest, BiggerCacheNeverHurts) {
   small_cfg.cache_capacity = util::mib(64);
   Simulator small_sim(*shell_, *schedule_, small_cfg);
   small_sim.add_variant(Variant::kVanillaLru);
-  small_sim.run(*requests_);
+  replay(small_sim);
 
   auto big_cfg = small_config();
   big_cfg.cache_capacity = util::gib(4);
   Simulator big_sim(*shell_, *schedule_, big_cfg);
   big_sim.add_variant(Variant::kVanillaLru);
-  big_sim.run(*requests_);
+  replay(big_sim);
 
   EXPECT_GE(big_sim.metrics(Variant::kVanillaLru).request_hit_rate() + 0.001,
             small_sim.metrics(Variant::kVanillaLru).request_hit_rate());
@@ -183,13 +189,13 @@ TEST_F(SimulatorTest, MoreBucketsImproveHashedHitRate) {
   cfg4.buckets = 4;
   Simulator s4(*shell_, *schedule_, cfg4);
   s4.add_variant(Variant::kHashOnly);
-  s4.run(*requests_);
+  replay(s4);
 
   auto cfg9 = small_config();
   cfg9.buckets = 9;
   Simulator s9(*shell_, *schedule_, cfg9);
   s9.add_variant(Variant::kHashOnly);
-  s9.run(*requests_);
+  replay(s9);
 
   EXPECT_GT(s9.metrics(Variant::kHashOnly).request_hit_rate(),
             s4.metrics(Variant::kHashOnly).request_hit_rate());
@@ -200,7 +206,7 @@ TEST_F(SimulatorTest, PerSatelliteTracking) {
   cfg.track_per_satellite = true;
   Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(Variant::kStarCdn);
-  sim.run(*requests_);
+  replay(sim);
   const auto& m = sim.metrics(Variant::kStarCdn);
   ASSERT_EQ(m.sat_requests.size(), static_cast<std::size_t>(shell_->size()));
   std::uint64_t total = 0, hits = 0;
@@ -233,20 +239,25 @@ TEST_F(SimulatorTest, DuplicateVariantRegistrationIsNoop) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
   sim.add_variant(Variant::kStarCdn);
-  sim.run(*requests_);
+  replay(sim);
   EXPECT_EQ(sim.metrics(Variant::kStarCdn).requests, requests_->size());
 }
 
 TEST_F(SimulatorTest, StreamedRunsAccumulate) {
   Simulator whole(*shell_, *schedule_, small_config());
   whole.add_variant(Variant::kStarCdn);
-  whole.run(*requests_);
+  replay(whole);
 
   Simulator chunked(*shell_, *schedule_, small_config());
   chunked.add_variant(Variant::kStarCdn);
   const std::size_t half = requests_->size() / 2;
-  chunked.run({requests_->begin(), requests_->begin() + half});
-  chunked.run({requests_->begin() + half, requests_->end()});
+  const std::vector<trace::Request> first(requests_->begin(),
+                                          requests_->begin() + half);
+  const std::vector<trace::Request> second(requests_->begin() + half,
+                                           requests_->end());
+  trace::VectorStream first_stream(first), second_stream(second);
+  chunked.run(first_stream);
+  chunked.run(second_stream);
 
   EXPECT_EQ(whole.metrics(Variant::kStarCdn).hits(),
             chunked.metrics(Variant::kStarCdn).hits());
@@ -318,7 +329,7 @@ TEST(SimulatorGolden, MetricsBitwiseIdenticalAcrossCacheRewrite) {
   p.requests_per_weight = 2'000;
   p.duration_s = 1'800.0;
   const trace::WorkloadModel workload(util::paper_cities(), p);
-  const auto requests = trace::merge_by_time(workload.generate());
+  const auto requests = trace::collect(*workload.generate_stream());
   const sched::LinkSchedule schedule(shell, util::paper_cities(),
                                      util::Seconds{p.duration_s});
   constexpr Variant kVariants[] = {
@@ -336,7 +347,8 @@ TEST(SimulatorGolden, MetricsBitwiseIdenticalAcrossCacheRewrite) {
     cfg.buckets = 4;
     Simulator sim(shell, schedule, cfg);
     for (const auto v : kVariants) sim.add_variant(v);
-    sim.run(requests);
+    trace::VectorStream stream(requests);
+    sim.run(stream);
     for (const auto v : kVariants) {
       const GoldenRow& g = kGolden[row++];
       ASSERT_EQ(g.policy, policy);
@@ -369,7 +381,6 @@ TEST(SimulatorFailures, KnockedOutConstellationStillServes) {
   p.requests_per_weight = 4'000;
   p.duration_s = util::kHour.value();
   const trace::WorkloadModel w(util::paper_cities(), p);
-  const auto requests = trace::merge_by_time(w.generate());
   const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{p.duration_s});
 
   SimConfig cfg;
@@ -378,10 +389,10 @@ TEST(SimulatorFailures, KnockedOutConstellationStillServes) {
   cfg.track_per_satellite = true;
   Simulator sim(shell, schedule, cfg);
   sim.add_variant(Variant::kStarCdn);
-  sim.run(requests);
+  sim.run(*w.generate_stream());
 
   const auto& m = sim.metrics(Variant::kStarCdn);
-  EXPECT_EQ(m.requests, requests.size());
+  EXPECT_EQ(m.requests, w.total_request_count());
   EXPECT_GT(m.request_hit_rate(), 0.2);
 
   // Fig. 11 structure: some satellites inherit extra bucket slots.
@@ -410,7 +421,9 @@ TEST(Simulator, UplinkMeterUsesScheduleEpoch) {
   Simulator sim(shell, schedule, cfg);
   sim.add_variant(Variant::kVanillaLru);
   const util::Bytes size = util::mib(300);
-  sim.run(std::vector<trace::Request>{{1.0, 42, size, 0}});
+  const std::vector<trace::Request> one{{1.0, 42, size, 0}};
+  trace::VectorStream stream(one);
+  sim.run(stream);
 
   const auto& m = sim.metrics(Variant::kVanillaLru);
   ASSERT_EQ(m.unreachable, 0u);

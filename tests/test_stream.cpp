@@ -1,8 +1,7 @@
 // The streaming trace pipeline's contract (DESIGN.md §12): chunked streams
 // are *bitwise* equivalent to the materialized path — same requests, same
 // order, same simulator metrics — for any chunk size and thread count;
-// and the loser-tree merge reproduces merge_by_time's stable tie-break
-// exactly.
+// and merge_by_time orders by (timestamp, trace index, position).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,7 +17,6 @@
 #include "trace/trace_io.h"
 #include "trace/workload.h"
 #include "util/geo.h"
-#include "util/loser_tree.h"
 #include "util/parallel.h"
 
 namespace starcdn {
@@ -29,79 +27,7 @@ struct ThreadOverrideGuard {
   ~ThreadOverrideGuard() { util::set_parallel_threads(0); }
 };
 
-// --- LoserTree ---------------------------------------------------------------
-
-/// Merge sorted integer sources through the tree, tie-breaking on source
-/// index — the reference is a concatenate + stable_sort.
-std::vector<int> tree_merge(const std::vector<std::vector<int>>& sources) {
-  std::vector<std::size_t> pos(sources.size(), 0);
-  const auto less = [&](std::size_t a, std::size_t b) {
-    const bool ea = pos[a] >= sources[a].size();
-    const bool eb = pos[b] >= sources[b].size();
-    if (ea || eb) return !ea && eb;
-    if (sources[a][pos[a]] != sources[b][pos[b]]) {
-      return sources[a][pos[a]] < sources[b][pos[b]];
-    }
-    return a < b;
-  };
-  util::LoserTree<decltype(less)> tree(sources.size(), less);
-  std::size_t total = 0;
-  for (const auto& s : sources) total += s.size();
-  std::vector<int> out;
-  out.reserve(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    out.push_back(sources[tree.winner()][pos[tree.winner()]]);
-    ++pos[tree.winner()];
-    tree.replayed();
-  }
-  return out;
-}
-
-TEST(LoserTree, MergesSortedSourcesWithStableTieBreak) {
-  const std::vector<std::vector<int>> sources = {
-      {1, 4, 4, 9}, {2, 4, 7}, {}, {0, 4, 4, 4, 12}, {4}};
-  const auto merged = tree_merge(sources);
-  const std::vector<int> expect = {0, 1, 2, 4, 4, 4, 4, 4, 4, 4, 7, 9, 12};
-  EXPECT_EQ(merged, expect);
-}
-
-TEST(LoserTree, SingleAndEmptySourceCounts) {
-  EXPECT_EQ(tree_merge({{3, 5, 8}}), (std::vector<int>{3, 5, 8}));
-  EXPECT_EQ(tree_merge({}), std::vector<int>{});
-  EXPECT_EQ(tree_merge({{}, {}}), std::vector<int>{});
-}
-
-TEST(LoserTree, NonPowerOfTwoSourceCounts) {
-  for (std::size_t k = 1; k <= 9; ++k) {
-    std::vector<std::vector<int>> sources(k);
-    std::vector<int> expect;
-    for (std::size_t s = 0; s < k; ++s) {
-      for (int v = static_cast<int>(s); v < 40; v += static_cast<int>(k)) {
-        sources[s].push_back(v);
-        expect.push_back(v);
-      }
-    }
-    std::sort(expect.begin(), expect.end());
-    EXPECT_EQ(tree_merge(sources), expect) << "k=" << k;
-  }
-}
-
-// --- merge_by_time on the loser tree -----------------------------------------
-
-/// The pre-loser-tree implementation, kept as the ordering reference: the
-/// merge must stay byte-for-byte compatible with concatenation in trace
-/// order + stable sort by timestamp.
-std::vector<trace::Request> legacy_merge(const trace::MultiTrace& traces) {
-  std::vector<trace::Request> all;
-  for (const auto& t : traces) {
-    all.insert(all.end(), t.requests.begin(), t.requests.end());
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const trace::Request& a, const trace::Request& b) {
-                     return a.timestamp_s < b.timestamp_s;
-                   });
-  return all;
-}
+// --- merge_by_time ------------------------------------------------------------
 
 void expect_same_requests(const std::vector<trace::Request>& a,
                           const std::vector<trace::Request>& b) {
@@ -115,8 +41,8 @@ void expect_same_requests(const std::vector<trace::Request>& a,
 }
 
 trace::MultiTrace traces_with_ties() {
-  // Deliberate cross-trace timestamp ties: the stable tie-break (earlier
-  // trace first) is exactly what the loser tree must reproduce.
+  // Deliberate timestamp ties within and across traces, so both halves of
+  // the tie-break (trace index, then position) are exercised.
   trace::MultiTrace traces(3);
   for (std::uint16_t t = 0; t < 3; ++t) {
     traces[t].location = t;
@@ -133,9 +59,33 @@ trace::MultiTrace traces_with_ties() {
   return traces;
 }
 
+/// Checks `merged` against the merge rule itself: it is time-ordered, it is
+/// a permutation of `traces` that keeps each trace's own order, and equal
+/// timestamps go by trace index. Each trace's requests must carry its index
+/// as their location, which is how a merged request names its trace.
+void expect_merge_rule(const trace::MultiTrace& traces,
+                       const std::vector<trace::Request>& merged) {
+  std::vector<std::vector<trace::Request>> by_trace(traces.size());
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    ASSERT_LT(merged[i].location, traces.size()) << "request " << i;
+    by_trace[merged[i].location].push_back(merged[i]);
+    if (i == 0) continue;
+    ASSERT_LE(merged[i - 1].timestamp_s, merged[i].timestamp_s)
+        << "request " << i;
+    if (merged[i - 1].timestamp_s == merged[i].timestamp_s) {
+      ASSERT_LE(merged[i - 1].location, merged[i].location) << "request " << i;
+    }
+  }
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    SCOPED_TRACE("trace " + std::to_string(t));
+    for (const auto& r : traces[t].requests) ASSERT_EQ(r.location, t);
+    expect_same_requests(by_trace[t], traces[t].requests);
+  }
+}
+
 TEST(MergeByTime, PinsLegacyStableOrdering) {
   const auto traces = traces_with_ties();
-  expect_same_requests(trace::merge_by_time(traces), legacy_merge(traces));
+  expect_merge_rule(traces, trace::merge_by_time(traces));
 }
 
 TEST(MergeByTime, WorkloadTracesMatchLegacyOrdering) {
@@ -145,7 +95,7 @@ TEST(MergeByTime, WorkloadTracesMatchLegacyOrdering) {
   p.duration_s = util::kHour.value();
   const trace::WorkloadModel model(util::paper_cities(), p);
   const auto traces = model.generate();
-  expect_same_requests(trace::merge_by_time(traces), legacy_merge(traces));
+  expect_merge_rule(traces, trace::merge_by_time(traces));
 }
 
 // --- Stream adapters ---------------------------------------------------------
@@ -161,20 +111,9 @@ TEST(RequestStream, VectorStreamRoundTripsAtAnyChunk) {
   }
 }
 
-TEST(RequestStream, MultiTraceStreamMatchesMergeByTime) {
-  const auto traces = traces_with_ties();
-  const auto merged = trace::merge_by_time(traces);
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
-                                  trace::kDefaultChunkRequests}) {
-    trace::MultiTraceStream stream(traces, chunk);
-    ASSERT_EQ(stream.size_hint(), merged.size());
-    expect_same_requests(trace::collect(stream), merged);
-  }
-}
-
 TEST(RequestStream, BlocksNeverEmptyAndRespectChunkSize) {
-  const auto traces = traces_with_ties();
-  trace::MultiTraceStream stream(traces, 16);
+  const auto merged = trace::merge_by_time(traces_with_ties());
+  trace::VectorStream stream(merged, 16);
   trace::RequestBlock block;
   std::size_t total = 0;
   while (stream.next(block)) {
@@ -191,7 +130,7 @@ TEST(RequestStream, FileRoundTripPreservesBlocksAndRequests) {
   const auto merged = trace::merge_by_time(traces);
   const std::string path = testing::TempDir() + "stream_roundtrip.bin";
 
-  trace::MultiTraceStream writer_src(traces, 13);
+  trace::VectorStream writer_src(merged, 13);
   trace::write_binary_stream(writer_src, path);
 
   const auto reader = trace::open_binary_stream(path);
@@ -331,16 +270,12 @@ TEST(SimulatorStream, BitwiseMatchesMaterializedAcrossChunksAndThreads) {
     ThreadOverrideGuard guard(threads);
     auto sim = std::make_unique<core::Simulator>(shell, schedule, cfg);
     for (const auto v : variants) sim->add_variant(v);
-    if (chunk == 0) {
-      sim->run(requests);
-    } else {
-      trace::VectorStream stream(requests, chunk);
-      sim->run(stream);
-    }
+    trace::VectorStream stream(requests, chunk);
+    sim->run(stream);
     return sim;
   };
 
-  const auto reference = simulate(1, 0);
+  const auto reference = simulate(1, trace::kDefaultChunkRequests);
   for (const int threads : {1, 4, 8}) {
     for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                     trace::kDefaultChunkRequests}) {
@@ -358,7 +293,7 @@ TEST(SimulatorStream, BitwiseMatchesMaterializedAcrossChunksAndThreads) {
 
 TEST(SimulatorStream, GeneratedStreamMatchesMaterializedEndToEnd) {
   // The full pipeline: generate_stream -> Simulator::run(stream) equals
-  // generate + merge_by_time + run(vector), with no materialization on the
+  // generate + merge_by_time + VectorStream, with no materialization on the
   // stream side.
   const orbit::Constellation shell{orbit::WalkerParams{}};
   const trace::WorkloadModel workload(util::paper_cities(), small_params());
@@ -369,7 +304,9 @@ TEST(SimulatorStream, GeneratedStreamMatchesMaterializedEndToEnd) {
 
   core::Simulator materialized(shell, schedule, cfg);
   materialized.add_variant(core::Variant::kStarCdn);
-  materialized.run(trace::merge_by_time(workload.generate()));
+  const auto requests = trace::merge_by_time(workload.generate());
+  trace::VectorStream vector_stream(requests);
+  materialized.run(vector_stream);
 
   core::Simulator streamed(shell, schedule, cfg);
   streamed.add_variant(core::Variant::kStarCdn);
@@ -409,9 +346,8 @@ std::vector<trace::Request> ordered_requests(std::size_t n) {
   return requests;
 }
 
-/// Run `requests` through `run(vector)` (chunk == 0) or a VectorStream of
-/// `chunk`-request blocks and return the std::invalid_argument message
-/// (empty when the run succeeds).
+/// Run `requests` through a VectorStream of `chunk`-request blocks and
+/// return the std::invalid_argument message (empty when the run succeeds).
 std::string run_error(const std::vector<trace::Request>& requests,
                       std::size_t chunk) {
   static const orbit::Constellation shell{orbit::WalkerParams{}};
@@ -422,12 +358,8 @@ std::string run_error(const std::vector<trace::Request>& requests,
   core::Simulator sim(shell, schedule, cfg);
   sim.add_variant(core::Variant::kStarCdn);
   try {
-    if (chunk == 0) {
-      sim.run(requests);
-    } else {
-      trace::VectorStream stream(requests, chunk);
-      sim.run(stream);
-    }
+    trace::VectorStream stream(requests, chunk);
+    sim.run(stream);
   } catch (const std::invalid_argument& e) {
     return e.what();
   }
@@ -447,7 +379,7 @@ void expect_rejected(const std::vector<trace::Request>& requests,
 TEST(StreamValidation, ValidTracesPassIncludingEqualTimestamps) {
   auto requests = ordered_requests(100);
   for (auto& r : requests) r.timestamp_s = 5.0;  // ties are time-ordered
-  EXPECT_EQ(run_error(requests, 0), "");
+  EXPECT_EQ(run_error(requests, trace::kDefaultChunkRequests), "");
   EXPECT_EQ(run_error(requests, 7), "");
 }
 
@@ -457,7 +389,7 @@ TEST(StreamValidation, RejectsLocationEqualToCityCount) {
   auto requests = ordered_requests(100);
   const auto cities = util::paper_cities().size();
   requests[42].location = static_cast<std::uint16_t>(cities);
-  for (const std::size_t chunk : {std::size_t{0}, std::size_t{16}}) {
+  for (const std::size_t chunk : {trace::kDefaultChunkRequests, std::size_t{16}}) {
     expect_rejected(requests, chunk, "location", "42",
                     std::to_string(cities));
   }
@@ -465,13 +397,13 @@ TEST(StreamValidation, RejectsLocationEqualToCityCount) {
 
 TEST(StreamValidation, RejectsTimestampGoingBackAcrossBlockBoundary) {
   // The decrease sits at the first request of a block, so only the
-  // cross-block half of the check can see it. run(vector) chunks at
-  // kDefaultChunkRequests.
+  // cross-block half of the check can see it.
   const std::size_t n = trace::kDefaultChunkRequests + 8;
   auto requests = ordered_requests(n);
   const std::size_t at = trace::kDefaultChunkRequests;
   requests[at].timestamp_s = 1.25;
-  expect_rejected(requests, 0, "timestamp_s", std::to_string(at), "1.25");
+  expect_rejected(requests, trace::kDefaultChunkRequests, "timestamp_s",
+                  std::to_string(at), "1.25");
   auto small = ordered_requests(40);
   small[16].timestamp_s = 0.0105;
   expect_rejected(small, 16, "timestamp_s", "16", "0.0105");
@@ -480,7 +412,7 @@ TEST(StreamValidation, RejectsTimestampGoingBackAcrossBlockBoundary) {
 TEST(StreamValidation, RejectsNanTimestamp) {
   auto requests = ordered_requests(100);
   requests[9].timestamp_s = std::numeric_limits<double>::quiet_NaN();
-  for (const std::size_t chunk : {std::size_t{0}, std::size_t{4}}) {
+  for (const std::size_t chunk : {trace::kDefaultChunkRequests, std::size_t{4}}) {
     expect_rejected(requests, chunk, "timestamp_s", "9", "nan");
   }
 }
@@ -490,7 +422,7 @@ TEST(StreamValidation, RejectsZeroSize) {
   // breaking the byte-conservation accounting behind every uplink figure.
   auto requests = ordered_requests(100);
   requests[61].size = 0;
-  for (const std::size_t chunk : {std::size_t{0}, std::size_t{8}}) {
+  for (const std::size_t chunk : {trace::kDefaultChunkRequests, std::size_t{8}}) {
     expect_rejected(requests, chunk, "size", "61", "is 0");
   }
 }

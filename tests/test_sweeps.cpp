@@ -73,7 +73,6 @@ TEST_P(TrafficClassTest, StarCdnBeatsLruForEveryClass) {
   p.requests_per_weight = 5'000;
   p.duration_s = util::kHour.value();
   const trace::WorkloadModel w(util::paper_cities(), p);
-  const auto requests = trace::merge_by_time(w.generate());
 
   const orbit::Constellation shell{orbit::WalkerParams{}};
   const sched::LinkSchedule schedule(shell, util::paper_cities(),
@@ -85,7 +84,7 @@ TEST_P(TrafficClassTest, StarCdnBeatsLruForEveryClass) {
   core::Simulator sim(shell, schedule, cfg);
   sim.add_variant(core::Variant::kStarCdn);
   sim.add_variant(core::Variant::kVanillaLru);
-  sim.run(requests);
+  sim.run(*w.generate_stream());
   EXPECT_GT(sim.metrics(core::Variant::kStarCdn).request_hit_rate(),
             sim.metrics(core::Variant::kVanillaLru).request_hit_rate());
 }
@@ -110,7 +109,7 @@ class SimPolicyTest : public ::testing::TestWithParam<cache::Policy> {
     p.duration_s = util::kHour.value();
     const trace::WorkloadModel w(util::paper_cities(), p);
     requests_ = new std::vector<trace::Request>(
-        trace::merge_by_time(w.generate()));
+        trace::collect(*w.generate_stream()));
     schedule_ = new sched::LinkSchedule(*shell_, util::paper_cities(),
                                         util::Seconds{p.duration_s});
   }
@@ -122,6 +121,12 @@ class SimPolicyTest : public ::testing::TestWithParam<cache::Policy> {
     schedule_ = nullptr;
     shell_ = nullptr;
   }
+  /// Replay the shared trace into `sim`.
+  static void replay(core::Simulator& sim) {
+    trace::VectorStream stream(*requests_);
+    sim.run(stream);
+  }
+
   static orbit::Constellation* shell_;
   static std::vector<trace::Request>* requests_;
   static sched::LinkSchedule* schedule_;
@@ -142,7 +147,7 @@ TEST_P(SimPolicyTest, ConservationUnderEveryPolicy) {
   core::Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(core::Variant::kStarCdn);
   sim.add_variant(core::Variant::kVanillaLru);
-  sim.run(*requests_);
+  replay(sim);
   for (const auto v : {core::Variant::kStarCdn, core::Variant::kVanillaLru}) {
     const auto& m = sim.metrics(v);
     EXPECT_EQ(m.requests, requests_->size());
@@ -175,7 +180,6 @@ TEST_P(BucketSweepTest, HashedVariantsValidAtEveryL) {
   p.requests_per_weight = 2'500;
   p.duration_s = util::kHour.value() / 2;
   const trace::WorkloadModel w(util::paper_cities(), p);
-  const auto requests = trace::merge_by_time(w.generate());
   const sched::LinkSchedule schedule(shell, util::paper_cities(),
                                      util::Seconds{p.duration_s});
   core::SimConfig cfg;
@@ -184,7 +188,7 @@ TEST_P(BucketSweepTest, HashedVariantsValidAtEveryL) {
   cfg.sample_latency = false;
   core::Simulator sim(shell, schedule, cfg);
   sim.add_variant(core::Variant::kStarCdn);
-  sim.run(requests);
+  sim.run(*w.generate_stream());
   const auto& m = sim.metrics(core::Variant::kStarCdn);
   EXPECT_EQ(m.hits() + m.misses, m.requests);
   EXPECT_GT(m.request_hit_rate(), 0.0);

@@ -208,6 +208,50 @@ TEST_F(TraceIoTest, CsvLocationMustFitU16) {
   EXPECT_NE(error.find("out of range"), std::string::npos) << error;
 }
 
+TEST_F(TraceIoTest, CsvNonFiniteTimestampRejected) {
+  // A NaN would break the strict weak order merge_by_time sorts by.
+  write_csv_text(
+      "timestamp_s,object,size,location\n"
+      "5,7,1000,0\n"
+      "nan,8,1000,0\n");
+  std::string error = csv_error();
+  EXPECT_NE(error.find(path("csv") + ":3:1"), std::string::npos) << error;
+  EXPECT_NE(error.find("timestamp_s 'nan' is not finite"), std::string::npos)
+      << error;
+
+  write_csv_text("timestamp_s,object,size,location\ninf,7,1000,0\n");
+  error = csv_error();
+  EXPECT_NE(error.find(":2:1: timestamp_s 'inf' is not finite"),
+            std::string::npos)
+      << error;
+}
+
+TEST_F(TraceIoTest, CsvTimestampGoingBackRejected) {
+  write_csv_text(
+      "timestamp_s,object,size,location\n"
+      "5,7,1000,0\n"
+      "5,8,1000,0\n"
+      "1,9,1000,0\n");
+  const std::string error = csv_error();
+  EXPECT_NE(error.find(path("csv") + ":4:1"), std::string::npos) << error;
+  EXPECT_NE(error.find("timestamp_s '1' precedes the previous row's '5'"),
+            std::string::npos)
+      << error;
+}
+
+TEST_F(TraceIoTest, CsvSecondLocationRejected) {
+  write_csv_text(
+      "timestamp_s,object,size,location\n"
+      "1,7,1000,0\n"
+      "2,8,1000,0\n"
+      "3,9,1000,3\n");
+  const std::string error = csv_error();
+  EXPECT_NE(error.find(path("csv") + ":4:4"), std::string::npos) << error;
+  EXPECT_NE(error.find("location '3' differs from the first row's 0"),
+            std::string::npos)
+      << error;
+}
+
 TEST(TraceIo, MissingFilesThrow) {
   EXPECT_THROW((void)open_binary_stream("/nonexistent/trace.bin"),
                std::runtime_error);

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -193,6 +195,16 @@ TEST(Workload, NonPositiveDurationThrows) {
   auto p = tiny_params();
   p.duration_s = 0.0;
   EXPECT_THROW(WorkloadModel(util::paper_cities(), p), std::invalid_argument);
+  // Infinity would reach minutes()'s cast to size_t, which is undefined.
+  p.duration_s = std::numeric_limits<double>::infinity();
+  try {
+    const WorkloadModel w(util::paper_cities(), p);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("duration_s"), std::string::npos) << what;
+    EXPECT_NE(what.find("inf"), std::string::npos) << what;
+  }
 }
 
 TEST(Workload, EmptyCitiesThrows) {
