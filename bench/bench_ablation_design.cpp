@@ -13,16 +13,12 @@ int main(int argc, char** argv) {
   bench::Harness harness(
       argc, argv, "Ablations — prefetch vs relay, east link, policies, outages",
       "Sections 3.2-3.4 (design discussion)");
-  bench::VideoScenario& scenario = harness.scenario();
 
   const auto run = [&](core::SimConfig cfg,
-                       std::initializer_list<core::Variant> variants) {
+                       const std::vector<core::Variant>& variants,
+                       const std::string& tag) {
     cfg.sample_latency = false;
-    auto sim = std::make_unique<core::Simulator>(*scenario.shell,
-                                                 *scenario.schedule, cfg);
-    for (const auto v : variants) sim->add_variant(v);
-    scenario.replay_into(*sim);
-    return sim;
+    return harness.simulate(cfg, variants, "ablation_" + tag);
   };
 
   // (a) Relayed fetch vs proactive prefetch at the target configuration.
@@ -30,14 +26,15 @@ int main(int argc, char** argv) {
     core::SimConfig cfg = harness.sim_config();
     cfg.cache_capacity = util::gib(2);
     cfg.buckets = 9;
-    const auto sim = run(cfg, {core::Variant::kStarCdn,
-                               core::Variant::kPrefetch,
-                               core::Variant::kHashOnly});
+    const auto report = run(cfg,
+                            {core::Variant::kStarCdn, core::Variant::kPrefetch,
+                             core::Variant::kHashOnly},
+                            "prefetch");
     util::TextTable table({"Scheme", "Request HR", "Byte HR",
                            "ISL bytes (TB)", "Speculative bytes (TB)"});
     for (const auto v : {core::Variant::kStarCdn, core::Variant::kPrefetch,
                          core::Variant::kHashOnly}) {
-      const auto& m = sim->metrics(v);
+      const auto& m = report.variant(v).metrics;
       table.add_row({core::to_string(v), util::fmt_pct(m.request_hit_rate()),
                      util::fmt_pct(m.byte_hit_rate()),
                      util::fmt(static_cast<double>(m.isl_bytes) / 1e12, 2),
@@ -58,8 +55,9 @@ int main(int argc, char** argv) {
       cfg.cache_capacity = util::gib(2);
       cfg.buckets = 9;
       cfg.relay_east = east;
-      const auto sim = run(cfg, {core::Variant::kStarCdn});
-      const auto& m = sim->metrics(core::Variant::kStarCdn);
+      const auto report = run(cfg, {core::Variant::kStarCdn},
+                              east ? "east_link" : "west_only");
+      const auto& m = report.variant(core::Variant::kStarCdn).metrics;
       table.add_row({east ? "west + east" : "west only",
                      util::fmt_pct(m.request_hit_rate()),
                      util::fmt_pct(m.byte_hit_rate())});
@@ -82,14 +80,15 @@ int main(int argc, char** argv) {
       cfg.cache_capacity = util::gib(2);
       cfg.buckets = 9;
       cfg.policy = policy;
-      const auto sim = run(cfg, {core::Variant::kStarCdn,
-                                 core::Variant::kVanillaLru});
+      const auto report =
+          run(cfg, {core::Variant::kStarCdn, core::Variant::kVanillaLru},
+              std::string("policy_") + cache::to_string(policy));
+      const auto& star = report.variant(core::Variant::kStarCdn).metrics;
       table.add_row(
-          {cache::to_string(policy),
-           util::fmt_pct(sim->metrics(core::Variant::kStarCdn).request_hit_rate()),
-           util::fmt_pct(sim->metrics(core::Variant::kStarCdn).byte_hit_rate()),
-           util::fmt_pct(
-               sim->metrics(core::Variant::kVanillaLru).request_hit_rate())});
+          {cache::to_string(policy), util::fmt_pct(star.request_hit_rate()),
+           util::fmt_pct(star.byte_hit_rate()),
+           util::fmt_pct(report.variant(core::Variant::kVanillaLru)
+                             .metrics.request_hit_rate())});
     }
     table.print(std::cout, "(c) StarCDN over different eviction policies");
     table.write_csv(harness.out_dir() + "/ablation_policies.csv");
@@ -106,8 +105,9 @@ int main(int argc, char** argv) {
       cfg.cache_capacity = util::gib(2);
       cfg.buckets = 9;
       cfg.transient_down_prob = p;
-      const auto sim = run(cfg, {core::Variant::kStarCdn});
-      const auto& m = sim->metrics(core::Variant::kStarCdn);
+      const auto report = run(cfg, {core::Variant::kStarCdn},
+                              "outage_" + util::fmt(p, 2));
+      const auto& m = report.variant(core::Variant::kStarCdn).metrics;
       table.add_row({util::fmt_pct(p, 0),
                      util::fmt_pct(m.request_hit_rate()),
                      std::to_string(m.transient_misses),

@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -88,12 +87,6 @@ struct VideoScenario {
                 util::paper_cities().size(), schedule->epochs());
   }
 
-  /// Replay the scenario trace into `sim`, streamed from the generator.
-  void replay_into(core::Simulator& sim) const {
-    const auto stream = workload->generate_stream();
-    sim.run(*stream);
-  }
-
   trace::WorkloadParams params;
   std::unique_ptr<trace::WorkloadModel> workload;
   std::unique_ptr<orbit::Constellation> shell;
@@ -126,7 +119,7 @@ capacity_axis() {
 ///   --scale=F      workload request-volume scale factor
 ///   --trace=FILE   record a chrome://tracing JSON timeline to FILE
 ///   --series=PFX   write per-variant epoch-series CSVs under
-///                  DIR/PFX<tag>_<variant>.csv from simulate() calls
+///                  DIR/PFX<tag>_<variant>.csv from every replay
 ///   --rss-budget-mb=N  assert peak RSS <= N MB at exit (exit code 3 on
 ///                  breach); an rss_report.csv lands in --out either way
 ///
@@ -218,17 +211,16 @@ class Harness {
     return cfg;
   }
 
-  /// One-call replay: register `variants`, replay the scenario, finish()
-  /// into a RunReport, and honor --series by dumping per-variant epoch
-  /// CSVs tagged with `tag`.
+  /// Every bench replay: register `variants`, replay `stream`, finish()
+  /// into a RunReport, and honor --series by writing per-variant epoch
+  /// CSVs tagged with `tag` (unique per call; sweep points run at once).
   [[nodiscard]] core::RunReport simulate(
-      core::SimConfig cfg, std::initializer_list<core::Variant> variants,
-      const std::string& tag = "") {
-    if (opts_.seed != 0) cfg.seed = opts_.seed;
-    VideoScenario& s = scenario();
-    core::Simulator sim(*s.shell, *s.schedule, std::move(cfg));
+      const orbit::Constellation& shell, const sched::LinkSchedule& schedule,
+      trace::RequestStream& stream, core::SimConfig cfg,
+      const std::vector<core::Variant>& variants, const std::string& tag) {
+    core::Simulator sim(shell, schedule, std::move(cfg));
     for (const core::Variant v : variants) sim.add_variant(v);
-    s.replay_into(sim);
+    sim.run(stream);
     core::RunReport report = sim.finish();
     if (!opts_.series_prefix.empty()) {
       const auto paths = report.write_series_csv_files(
@@ -237,6 +229,17 @@ class Harness {
       for (const auto& p : paths) std::printf("series: %s\n", p.c_str());
     }
     return report;
+  }
+
+  /// The same over the shared scenario, with the harness seed applied.
+  /// Call scenario() before a sweep: building it is not thread-safe.
+  [[nodiscard]] core::RunReport simulate(
+      core::SimConfig cfg, const std::vector<core::Variant>& variants,
+      const std::string& tag) {
+    if (opts_.seed != 0) cfg.seed = opts_.seed;
+    VideoScenario& s = scenario();
+    return simulate(*s.shell, *s.schedule, *s.workload->generate_stream(),
+                    std::move(cfg), variants, tag);
   }
 
  private:

@@ -11,7 +11,6 @@ int main(int argc, char** argv) {
   bench::Harness harness(argc, argv, "Fig. 10 — latency CDFs",
                          "Fig. 10a/10b, Section 5.3");
   harness.default_scale(0.5);
-  bench::VideoScenario& scenario = harness.scenario();
 
   // Analytic baselines (Cloudflare AIM substitution, DESIGN.md §3).
   const net::LatencyModel latency;
@@ -28,26 +27,23 @@ int main(int argc, char** argv) {
   series["TerrestrialCDN"] = &terrestrial;
   series["Starlink(no cache)"] = &bentpipe;
 
-  std::vector<std::unique_ptr<core::Simulator>> sims;
+  std::map<int, core::RunReport> reports;  // by L; `series` points in here
   for (const int buckets : {4, 9}) {
     core::SimConfig cfg = harness.sim_config();
     cfg.cache_capacity = util::gib(8);
     cfg.buckets = buckets;
-    auto sim = std::make_unique<core::Simulator>(*scenario.shell,
-                                                 *scenario.schedule, cfg);
-    sim->add_variant(core::Variant::kStarCdn);
-    sim->add_variant(core::Variant::kHashOnly);
-    if (buckets == 4) sim->add_variant(core::Variant::kStatic);
-    scenario.replay_into(*sim);
+    std::vector<core::Variant> variants{core::Variant::kStarCdn,
+                                        core::Variant::kHashOnly};
+    if (buckets == 4) variants.push_back(core::Variant::kStatic);
     const std::string l = "L" + std::to_string(buckets);
-    series["StarCDN-" + l] =
-        &sim->metrics(core::Variant::kStarCdn).latency_ms;
-    series["StarCDN-Fetch-" + l] =
-        &sim->metrics(core::Variant::kHashOnly).latency_ms;
-    if (buckets == 4) {
-      series["StaticCache"] = &sim->metrics(core::Variant::kStatic).latency_ms;
-    }
-    sims.push_back(std::move(sim));
+    const core::RunReport& report = reports[buckets] =
+        harness.simulate(cfg, variants, "fig10_" + l);
+    const auto samples = [&](core::Variant v) {
+      return &report.variant(v).metrics.latency_ms;
+    };
+    series["StarCDN-" + l] = samples(core::Variant::kStarCdn);
+    series["StarCDN-Fetch-" + l] = samples(core::Variant::kHashOnly);
+    if (buckets == 4) series["StaticCache"] = samples(core::Variant::kStatic);
   }
 
   std::vector<std::string> header{"quantile"};

@@ -5,6 +5,8 @@
 
 #include "bench_common.h"
 
+#include "core/bucket_mapper.h"
+
 int main(int argc, char** argv) {
   using namespace starcdn;
   bench::Harness harness(
@@ -30,12 +32,13 @@ int main(int argc, char** argv) {
   cfg.buckets = 9;
   cfg.sample_latency = false;
   cfg.track_per_satellite = true;
-  core::Simulator sim(*shell, schedule, cfg);
-  sim.add_variant(core::Variant::kStarCdn);
-  base.replay_into(sim);
+  const core::RunReport report =
+      harness.simulate(*shell, schedule, *base.workload->generate_stream(),
+                       cfg, {core::Variant::kStarCdn}, "fig11");
 
-  const auto& m = sim.metrics(core::Variant::kStarCdn);
-  const auto served = sim.buckets_served_per_satellite();
+  const auto& m = report.variant(core::Variant::kStarCdn).metrics;
+  const auto served =
+      core::BucketMapper(*shell, cfg.buckets).buckets_served_per_satellite();
 
   struct Group {
     std::uint64_t requests = 0, hits = 0;

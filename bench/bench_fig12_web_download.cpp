@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
 
   for (const auto traffic_class :
        {trace::TrafficClass::kWeb, trace::TrafficClass::kDownload}) {
+    const std::string cls = to_string(traffic_class);
     auto params = trace::default_params(traffic_class);
     params.duration_s = util::kDay.value();
     const trace::WorkloadModel workload(util::paper_cities(), params);
@@ -20,7 +21,7 @@ int main(int argc, char** argv) {
     const auto requests = trace::collect(*workload.generate_stream());
     const sched::LinkSchedule schedule(shell, util::paper_cities(),
                                        util::Seconds{params.duration_s});
-    std::printf("\n[%s] %zu requests, %.2f TB\n", to_string(traffic_class),
+    std::printf("\n[%s] %zu requests, %.2f TB\n", cls.c_str(),
                 requests.size(), [&] {
                   double b = 0;
                   for (const auto& r : requests) b += static_cast<double>(r.size);
@@ -48,20 +49,21 @@ int main(int argc, char** argv) {
         cfg.cache_capacity = capacity;
         cfg.buckets = buckets;
         cfg.sample_latency = false;
-        core::Simulator sim(shell, schedule, cfg);
-        sim.add_variant(core::Variant::kStarCdn);
+        std::vector<core::Variant> variants{core::Variant::kStarCdn};
         if (buckets == 9) {
-          sim.add_variant(core::Variant::kStatic);
-          sim.add_variant(core::Variant::kVanillaLru);
+          variants.push_back(core::Variant::kStatic);
+          variants.push_back(core::Variant::kVanillaLru);
         }
         trace::VectorStream stream(requests);
-        sim.run(stream);
-        const auto& m = sim.metrics(core::Variant::kStarCdn);
+        const core::RunReport report = harness.simulate(
+            shell, schedule, stream, cfg, variants,
+            "fig12_" + cls + "_" + label + "_L" + std::to_string(buckets));
+        const auto& m = report.variant(core::Variant::kStarCdn).metrics;
         out["StarCDN L=" + std::to_string(buckets)] = {m.request_hit_rate(),
                                                        m.byte_hit_rate()};
         if (buckets == 9) {
-          const auto& st = sim.metrics(core::Variant::kStatic);
-          const auto& lru = sim.metrics(core::Variant::kVanillaLru);
+          const auto& st = report.variant(core::Variant::kStatic).metrics;
+          const auto& lru = report.variant(core::Variant::kVanillaLru).metrics;
           out["Static"] = {st.request_hit_rate(), st.byte_hit_rate()};
           out["LRU"] = {lru.request_hit_rate(), lru.byte_hit_rate()};
         }
@@ -75,7 +77,6 @@ int main(int argc, char** argv) {
                    util::fmt_pct(out["StarCDN L=4"].second),
                    util::fmt_pct(out["LRU"].second)});
     }
-    const std::string cls = to_string(traffic_class);
     rhr.print(std::cout, "Fig. 12 request hit rate — " + cls);
     bhr.print(std::cout, "Fig. 12 byte hit rate — " + cls);
     rhr.write_csv(harness.out_dir() + "/fig12_rhr_" + cls + ".csv");

@@ -30,17 +30,18 @@ int main(int argc, char** argv) {
                                      util::Seconds{params.duration_s});
 
   const auto fetch_rates = [&](const trace::MultiTrace& traces,
-                               util::Bytes cap) {
+                               util::Bytes cap, const std::string& tag) {
     core::SimConfig sim_cfg;
     sim_cfg.cache_capacity = cap;
     sim_cfg.buckets = 4;
     sim_cfg.sample_latency = false;
-    core::Simulator sim(shell, schedule, sim_cfg);
-    sim.add_variant(core::Variant::kHashOnly);  // StarCDN-Fetch architecture
     const auto requests = trace::merge_by_time(traces);
     trace::VectorStream stream(requests);
-    sim.run(stream);
-    const auto& m = sim.metrics(core::Variant::kHashOnly);
+    const core::RunReport report = harness.simulate(
+        shell, schedule, stream, sim_cfg,
+        {core::Variant::kHashOnly},  // StarCDN-Fetch architecture
+        tag);
+    const auto& m = report.variant(core::Variant::kHashOnly).metrics;
     return std::pair{m.request_hit_rate(), m.byte_hit_rate()};
   };
 
@@ -50,8 +51,8 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<std::string, util::Bytes>> caps = {
       {"20", util::mib(512)}, {"50", util::gib(1)}, {"100", util::gib(2)}};
   for (const auto& [label, cap] : caps) {
-    const auto [pr, pb] = fetch_rates(production, cap);
-    const auto [sr, sb] = fetch_rates(synthetic, cap);
+    const auto [pr, pb] = fetch_rates(production, cap, "fig13_prod_" + label);
+    const auto [sr, sb] = fetch_rates(synthetic, cap, "fig13_synth_" + label);
     rhr_gap += std::abs(pr - sr);
     bhr_gap += std::abs(pb - sb);
     table.add_row({label, util::fmt_pct(pr), util::fmt_pct(sr),

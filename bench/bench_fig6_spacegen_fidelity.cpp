@@ -113,16 +113,16 @@ int main(int argc, char** argv) {
   const sched::LinkSchedule schedule(shell, util::paper_cities(),
                                      util::Seconds{params.duration_s});
   const auto satellite_rates = [&](const trace::MultiTrace& traces,
-                                   util::Bytes cap) {
+                                   util::Bytes cap, const std::string& tag) {
     core::SimConfig sim_cfg;
     sim_cfg.cache_capacity = cap;
     sim_cfg.sample_latency = false;
-    core::Simulator sim(shell, schedule, sim_cfg);
-    sim.add_variant(core::Variant::kVanillaLru);
     const auto requests = trace::merge_by_time(traces);
     trace::VectorStream stream(requests);
-    sim.run(stream);
-    const auto& m = sim.metrics(core::Variant::kVanillaLru);
+    const core::RunReport report = harness.simulate(
+        shell, schedule, stream, sim_cfg, {core::Variant::kVanillaLru},
+        "fig6_" + tag);
+    const auto& m = report.variant(core::Variant::kVanillaLru).metrics;
     return std::pair{m.request_hit_rate(), m.byte_hit_rate()};
   };
   util::TextTable sat_table({"Cache(GB)", "Prod RHR", "Synth RHR", "Prod BHR",
@@ -131,8 +131,8 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<std::string, util::Bytes>> sat_caps = {
       {"20", util::mib(512)}, {"50", util::gib(1)}, {"100", util::gib(2)}};
   for (const auto& [label, cap] : sat_caps) {
-    const auto [pr, pb] = satellite_rates(production, cap);
-    const auto [sr, sb] = satellite_rates(synthetic, cap);
+    const auto [pr, pb] = satellite_rates(production, cap, "prod_" + label);
+    const auto [sr, sb] = satellite_rates(synthetic, cap, "synth_" + label);
     rhr_gap += std::abs(pr - sr);
     bhr_gap += std::abs(pb - sb);
     sat_table.add_row({label, util::fmt_pct(pr), util::fmt_pct(sr),

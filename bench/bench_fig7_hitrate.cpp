@@ -8,7 +8,7 @@ int main(int argc, char** argv) {
   bench::Harness harness(
       argc, argv, "Fig. 7 — hit-rate curves (5 variants, L=4 and L=9)",
       "Fig. 7a-7d, Section 5.2");
-  bench::VideoScenario& scenario = harness.scenario();
+  (void)harness.scenario();  // built before the sweeps share it
 
   struct Cell {
     double rhr[5];
@@ -36,14 +36,15 @@ int main(int argc, char** argv) {
           cfg.cache_capacity = capacity;
           cfg.buckets = buckets;
           cfg.sample_latency = false;
-          core::Simulator sim(*scenario.shell, *scenario.schedule, cfg);
-          for (const auto v : order) sim.add_variant(v);
-          scenario.replay_into(sim);
+          const core::RunReport report = harness.simulate(
+              cfg, order,
+              "fig7_L" + std::to_string(buckets) + "_" + label);
 
           Rows rows{{label}, {label}};
           for (const auto v : order) {
-            rows.rhr.push_back(util::fmt_pct(sim.metrics(v).request_hit_rate()));
-            rows.bhr.push_back(util::fmt_pct(sim.metrics(v).byte_hit_rate()));
+            const auto& m = report.variant(v).metrics;
+            rows.rhr.push_back(util::fmt_pct(m.request_hit_rate()));
+            rows.bhr.push_back(util::fmt_pct(m.byte_hit_rate()));
           }
           return rows;
         });

@@ -7,7 +7,7 @@ int main(int argc, char** argv) {
   bench::Harness harness(
       argc, argv, "Fig. 8 — normalized uplink usage (L=9)",
       "Fig. 8, Section 5.2");
-  bench::VideoScenario& scenario = harness.scenario();
+  (void)harness.scenario();  // built before the sweep shares it
 
   const std::vector<core::Variant> order = {core::Variant::kVanillaLru,
                                             core::Variant::kRelayOnly,
@@ -21,12 +21,12 @@ int main(int argc, char** argv) {
         cfg.cache_capacity = capacity;
         cfg.buckets = 9;
         cfg.sample_latency = false;
-        core::Simulator sim(*scenario.shell, *scenario.schedule, cfg);
-        for (const auto v : order) sim.add_variant(v);
-        scenario.replay_into(sim);
+        const core::RunReport report =
+            harness.simulate(cfg, order, "fig8_" + label);
         std::vector<std::string> row{label};
         for (const auto v : order) {
-          row.push_back(util::fmt_pct(sim.metrics(v).normalized_uplink()));
+          row.push_back(
+              util::fmt_pct(report.variant(v).metrics.normalized_uplink()));
         }
         return row;
       });
@@ -40,10 +40,10 @@ int main(int argc, char** argv) {
     cfg.cache_capacity = util::gib(2);
     cfg.buckets = 9;
     cfg.sample_latency = false;
-    core::Simulator sim(*scenario.shell, *scenario.schedule, cfg);
-    sim.add_variant(core::Variant::kStarCdn);
-    scenario.replay_into(sim);
-    const auto& meter = sim.metrics(core::Variant::kStarCdn).uplink_meter;
+    const core::RunReport report =
+        harness.simulate(cfg, {core::Variant::kStarCdn}, "fig8_budget");
+    const auto& meter =
+        report.variant(core::Variant::kStarCdn).metrics.uplink_meter;
     std::printf(
         "\nGSL budget check (StarCDN): mean %.3f Gbps, peak %.3f Gbps per "
         "satellite-epoch, %llu/%zu cells over the 20 Gbps budget.\n",

@@ -3,6 +3,7 @@
 // function of the number of buckets L.
 #include "bench_common.h"
 
+#include "core/bucket_mapper.h"
 #include "net/latency_model.h"
 
 int main(int argc, char** argv) {
@@ -10,7 +11,7 @@ int main(int argc, char** argv) {
   bench::Harness harness(
       argc, argv, "Fig. 9 — routing latency and hit rate vs bucket count L",
       "Fig. 9, Section 5.3");
-  bench::VideoScenario& scenario = harness.scenario();
+  const orbit::Constellation& shell = *harness.scenario().shell;
   const net::LatencyModel latency;
 
   util::TextTable table({"L", "Worst-case hops", "Worst routing RTT (ms)",
@@ -20,21 +21,21 @@ int main(int argc, char** argv) {
     cfg.cache_capacity = util::gib(1);  // the paper's smallest (10 GB) point
     cfg.buckets = buckets;
     cfg.sample_latency = false;
-    core::Simulator sim(*scenario.shell, *scenario.schedule, cfg);
-    sim.add_variant(core::Variant::kHashOnly);
-    scenario.replay_into(sim);
+    const core::RunReport report = harness.simulate(
+        cfg, {core::Variant::kHashOnly}, "fig9_L" + std::to_string(buckets));
 
-    const int side = sim.mapper().tile_side();
+    const core::BucketMapper mapper(shell, buckets);
+    const int side = mapper.tile_side();
     const int half = side / 2;
     // Worst case: half-tile of inter-orbit hops plus half-tile of
     // intra-orbit hops, each way.
     const double worst_rtt =
         2.0 * latency.grid_hops_delay(half, half).value();
     table.add_row({std::to_string(buckets),
-                   std::to_string(sim.mapper().worst_case_hops()),
+                   std::to_string(mapper.worst_case_hops()),
                    util::fmt(worst_rtt, 1),
-                   util::fmt_pct(
-                       sim.metrics(core::Variant::kHashOnly).request_hit_rate())});
+                   util::fmt_pct(report.variant(core::Variant::kHashOnly)
+                                     .metrics.request_hit_rate())});
   }
   table.print(std::cout, "Fig. 9: latency/hit-rate tradeoff in L");
   table.write_csv(harness.out_dir() + "/fig9_latency_buckets.csv");

@@ -19,21 +19,19 @@ int main(int argc, char** argv) {
                          "Section 4.2 (SpaceGEN at production scale)");
   harness.default_scale(1.0);
 
-  bench::VideoScenario& scenario = harness.scenario();
+  const auto total = harness.scenario().workload->total_request_count();
 
   core::SimConfig cfg = harness.sim_config();
   cfg.cache_capacity = util::gib(8);
   cfg.buckets = 9;
   cfg.sample_latency = false;
-  core::Simulator sim(*scenario.shell, *scenario.schedule, cfg);
-  sim.add_variant(core::Variant::kStarCdn);
 
   bench::WallTimer timer;
-  scenario.replay_into(sim);
+  const core::RunReport report =
+      harness.simulate(cfg, {core::Variant::kStarCdn}, "stream_scale");
   const double wall = timer.seconds();
 
-  const auto& m = sim.metrics(core::Variant::kStarCdn);
-  const auto total = scenario.workload->total_request_count();
+  const auto& m = report.variant(core::Variant::kStarCdn).metrics;
   std::printf(
       "streamed %llu requests in %.1f s (%.2f Mreq/s): request hit rate "
       "%.2f%%, byte hit rate %.2f%%\n",

@@ -41,7 +41,8 @@ int main() {
     core::Simulator sim(shell, schedule, cfg);
     sim.run(*workload.generate_stream());
 
-    const auto& m = sim.metrics(core::Variant::kStarCdn);
+    const core::RunReport report = sim.finish();
+    const auto& m = report.variant(core::Variant::kStarCdn).metrics;
     std::printf("%-18.1f %-10d %-12d %-10.1f %-10.1f %-12.1f\n",
                 fail_fraction * 100.0, shell.active_count(),
                 graph.broken_edge_count(), 100.0 * m.request_hit_rate(),

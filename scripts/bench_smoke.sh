@@ -11,7 +11,9 @@
 #      must stay under ${SMOKE_STREAM_RSS_MB:-1500} MB peak RSS. CI raises
 #      SMOKE_STREAM_SCALE to paper scale (>=100M requests); the default
 #      keeps local runs quick. The rss_report.csv lands in the artifacts.
-#   3. Checks that a malformed numeric flag is rejected: --scale=0,5 must
+#   3. Checks that a sweep bench honours --series too: bench_fig8_uplink
+#      must write at least one epoch-series CSV from its capacity sweep.
+#   4. Checks that a malformed numeric flag is rejected: --scale=0,5 must
 #      exit 2 with the flag named on stderr, not run an empty scenario.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]
@@ -27,7 +29,8 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
   cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release
 fi
 cmake --build "$BUILD" -j "$(nproc)" \
-  --target bench_table3_relay_availability bench_stream_scale
+  --target bench_table3_relay_availability bench_fig8_uplink \
+  bench_stream_scale
 
 mkdir -p "$OUT"
 
@@ -74,6 +77,21 @@ STREAM_RSS_MB=${SMOKE_STREAM_RSS_MB:-1500}
 grep -q '^paper-scale streamed replay' "$OUT/rss_report.csv" ||
   { echo "FAIL: missing streamed-replay row in rss_report.csv"; exit 1; }
 echo "streamed replay OK (scale=$STREAM_SCALE, budget ${STREAM_RSS_MB} MB)"
+
+echo "== sweep bench writes series CSVs (Fig. 8, truncated) =="
+rm -f "$OUT"/smoke_fig8_*.csv
+"$BUILD/bench/bench_fig8_uplink" --epochs=40 --scale=0.05 --threads=2 \
+  --out="$OUT" --series=smoke_fig8_ >"$OUT/fig8.log"
+fig8_count=0
+for f in "$OUT"/smoke_fig8_*.csv; do
+  [ -e "$f" ] || continue
+  head -1 "$f" | grep -q '^epoch,t_end_s,requests,' ||
+    { echo "FAIL: bad series header in $f"; exit 1; }
+  fig8_count=$((fig8_count + 1))
+done
+[ "$fig8_count" -ge 1 ] ||
+  { echo "FAIL: bench_fig8_uplink --series wrote no series CSV"; exit 1; }
+echo "fig8 series CSVs OK ($fig8_count files)"
 
 echo "== malformed numeric flag is rejected =="
 status=0

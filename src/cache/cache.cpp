@@ -53,20 +53,29 @@ std::size_t presize_hint(Bytes capacity, Bytes mean_object_size) noexcept {
   return n < kMaxPresize ? static_cast<std::size_t>(n) : kMaxPresize;
 }
 
-std::unique_ptr<Cache> make_cache(Policy policy, Bytes capacity,
-                                  std::size_t expected_objects) {
-  std::unique_ptr<Cache> cache;
-  switch (policy) {
-    case Policy::kLru: cache = std::make_unique<LruCache>(capacity); break;
-    case Policy::kLfu: cache = std::make_unique<LfuCache>(capacity); break;
-    case Policy::kFifo: cache = std::make_unique<FifoCache>(capacity); break;
-    case Policy::kSieve: cache = std::make_unique<SieveCache>(capacity); break;
-    case Policy::kSlru: cache = std::make_unique<SlruCache>(capacity); break;
-    case Policy::kGdsf: cache = std::make_unique<GdsfCache>(capacity); break;
-  }
-  if (!cache) throw std::invalid_argument("make_cache: unknown policy");
+namespace {
+
+template <typename PolicyCache>
+std::unique_ptr<Cache> presized(Bytes capacity, std::size_t expected_objects) {
+  auto cache = std::make_unique<PolicyCache>(capacity);
   if (expected_objects) cache->reserve(expected_objects);
   return cache;
+}
+
+}  // namespace
+
+std::unique_ptr<Cache> make_cache(Policy policy, Bytes capacity,
+                                  std::size_t expected_objects) {
+  switch (policy) {
+    case Policy::kLru: return presized<LruCache>(capacity, expected_objects);
+    case Policy::kLfu: return presized<LfuCache>(capacity, expected_objects);
+    case Policy::kFifo: return presized<FifoCache>(capacity, expected_objects);
+    case Policy::kSieve:
+      return presized<SieveCache>(capacity, expected_objects);
+    case Policy::kSlru: return presized<SlruCache>(capacity, expected_objects);
+    case Policy::kGdsf: return presized<GdsfCache>(capacity, expected_objects);
+  }
+  throw std::invalid_argument("make_cache: unknown policy");
 }
 
 }  // namespace starcdn::cache

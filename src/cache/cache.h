@@ -77,16 +77,6 @@ class Cache {
   /// no-op apart from a touch.
   virtual void admit(ObjectId id, Bytes size) = 0;
 
-  virtual void erase(ObjectId id) = 0;
-  virtual void clear() = 0;
-
-  /// Pre-size internal storage (entry slab + hash index) for roughly
-  /// `expected_objects` simultaneously-resident objects, so a warm cache
-  /// never reallocates on the serving path. Purely a performance hint:
-  /// behaviour is identical with or without it, and the cache still grows
-  /// past the hint if the workload needs it.
-  virtual void reserve(std::size_t expected_objects) = 0;
-
   /// Up to `n` of the policy's best-retained objects with their sizes —
   /// most-recent for LRU/FIFO/SIEVE, most-frequent for LFU, protected head
   /// for SLRU. Powers the proactive-prefetch baseline (§3.3 of the paper:
@@ -116,14 +106,6 @@ class Cache {
     --count_;
     ++stats_.evictions;
   }
-  void note_erase(Bytes size) noexcept {
-    used_ -= size;
-    --count_;
-  }
-  void reset_usage() noexcept {
-    used_ = 0;
-    count_ = 0;
-  }
 
  private:
   Bytes capacity_;
@@ -132,15 +114,15 @@ class Cache {
   CacheStats stats_;
 };
 
-/// Resident-object estimate for Cache::reserve: capacity over a mean-object
+/// Resident-object estimate for make_cache: capacity over a mean-object
 /// size hint, clamped to 2^20 entries so a pathological hint cannot demand
 /// gigabytes of arena up front. Returns 0 (no pre-sizing) when the hint is 0.
 [[nodiscard]] std::size_t presize_hint(Bytes capacity,
                                        Bytes mean_object_size) noexcept;
 
 /// Factory covering all built-in policies. A non-zero `expected_objects`
-/// pre-sizes the policy's slab and index (see Cache::reserve); callers
-/// typically derive it via presize_hint().
+/// pre-sizes the policy's slab and index (see detail::ArenaCache::reserve);
+/// callers typically derive it via presize_hint().
 [[nodiscard]] std::unique_ptr<Cache> make_cache(Policy policy, Bytes capacity,
                                                 std::size_t expected_objects = 0);
 

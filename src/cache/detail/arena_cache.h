@@ -4,8 +4,8 @@
 // Each policy stores its entries in one `Slab<Entry>` and finds them through
 // one `FlatIndex`; the byte/count bookkeeping in `Cache` moves in lockstep
 // with both. ArenaCache owns that storage and writes the lockstep once:
-// `place` admits an entry (allocate, index, count), `drop` removes one
-// (unindex, count as evicted or erased, release). A policy derives from
+// `place` admits an entry (allocate, index, count), `drop` evicts one
+// (unindex, count the eviction, release). A policy derives from
 // ArenaCache, extends `EntryBase` with its own fields, and keeps only its
 // ordering: which list a placed slot joins, which slot goes next, and how a
 // hit reorders. It must unlink a slot from its own structures before
@@ -37,7 +37,12 @@ class ArenaCache : public Cache {
   [[nodiscard]] bool peek(ObjectId id) const final {
     return index_.contains(id);
   }
-  void reserve(std::size_t expected_objects) final {
+  /// Pre-size the entry slab and hash index for roughly `expected_objects`
+  /// simultaneously-resident objects, so a warm cache never reallocates on
+  /// the serving path. Purely a performance hint: behaviour is identical
+  /// with or without it, and the cache still grows past the hint if the
+  /// workload needs it. make_cache calls it.
+  void reserve(std::size_t expected_objects) {
     slab_.reserve(expected_objects);
     index_.reserve(expected_objects);
   }
@@ -62,23 +67,13 @@ class ArenaCache : public Cache {
     return s;
   }
 
-  /// Unindex and release an already-unlinked slot. `evicted` counts it as an
-  /// eviction; otherwise it is an erase.
-  void drop(std::uint32_t s, bool evicted) noexcept {
+  /// Evict an already-unlinked slot: unindex it, count the eviction and
+  /// release it.
+  void drop(std::uint32_t s) noexcept {
     const Entry& e = slab_[s];
     index_.erase(e.id);
-    if (evicted) {
-      note_evict(e.size);
-    } else {
-      note_erase(e.size);
-    }
+    note_evict(e.size);
     slab_.release(s);
-  }
-
-  void clear_arena() noexcept {
-    slab_.clear();
-    index_.clear();
-    reset_usage();
   }
 
   /// Append `list`'s entries front to back while `out` holds fewer than `n`,

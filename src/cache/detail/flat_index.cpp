@@ -195,11 +195,6 @@ bool FlatIndex::erase(std::uint64_t key) noexcept {
   return true;
 }
 
-void FlatIndex::clear() noexcept {
-  ctrl_.assign(ctrl_.size(), 0);
-  size_ = 0;
-}
-
 void FlatIndex::grow(std::size_t cap) {
   std::vector<Cell> old_cells = std::move(cells_);
   std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);

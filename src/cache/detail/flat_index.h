@@ -52,7 +52,6 @@ class FlatIndex {
   /// Remove `key` (backward-shift); returns false when absent.
   bool erase(std::uint64_t key) noexcept;
 
-  void clear() noexcept;
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t bucket_count() const noexcept {
     return cells_.size();

@@ -74,12 +74,6 @@ class Slab {
     return entries_.size();
   }
 
-  void clear() noexcept {
-    entries_.clear();
-    free_head_ = kNullSlot;
-    free_count_ = 0;
-  }
-
  private:
   std::vector<Entry> entries_;
   std::uint32_t free_head_ = kNullSlot;

@@ -12,8 +12,6 @@ class FifoCache final : public detail::ArenaCache<> {
 
   bool touch(ObjectId id) override { return peek(id); }
   void admit(ObjectId id, Bytes size) override;
-  void erase(ObjectId id) override;
-  void clear() override;
   [[nodiscard]] std::vector<std::pair<ObjectId, Bytes>> hottest(
       std::size_t n) const override;
   [[nodiscard]] Policy policy() const noexcept override {

@@ -30,24 +30,11 @@ void GdsfCache::admit(ObjectId id, Bytes size) {
     // utility, so long-resident entries age out.
     clock_ = victim->first.first;
     queue_.erase(victim);
-    drop(s, /*evicted=*/true);
+    drop(s);
   }
   const std::uint32_t s = place(id, size);
   slab_[s].frequency = 1;
   enqueue(s);
-}
-
-void GdsfCache::erase(ObjectId id) {
-  const std::uint32_t s = slot_of(id);
-  if (s == detail::kNullSlot) return;
-  queue_.erase({slab_[s].utility, id});
-  drop(s, /*evicted=*/false);
-}
-
-void GdsfCache::clear() {
-  clear_arena();
-  queue_.clear();
-  clock_ = 0.0;
 }
 
 std::vector<std::pair<ObjectId, Bytes>> GdsfCache::hottest(

@@ -45,19 +45,12 @@ void LfuCache::admit(ObjectId id, Bytes size) {
   while (!freq_list_.empty() && capacity() - used_bytes() < size) {
     const std::uint32_t victim = nodes_[freq_list_.head].entries.tail;
     unlink(victim);
-    drop(victim, /*evicted=*/true);
+    drop(victim);
   }
   const std::uint32_t node = bucket(1, detail::kNullSlot);
   const std::uint32_t s = place(id, size);
   nodes_[node].entries.push_front(slab_, s);
   slab_[s].node = node;
-}
-
-void LfuCache::erase(ObjectId id) {
-  const std::uint32_t s = slot_of(id);
-  if (s == detail::kNullSlot) return;
-  unlink(s);
-  drop(s, /*evicted=*/false);
 }
 
 std::vector<std::pair<ObjectId, Bytes>> LfuCache::hottest(
@@ -69,12 +62,6 @@ std::vector<std::pair<ObjectId, Bytes>> LfuCache::hottest(
     append(nodes_[node].entries, n, out);
   }
   return out;
-}
-
-void LfuCache::clear() {
-  clear_arena();
-  nodes_.clear();
-  freq_list_.clear();
 }
 
 std::uint64_t LfuCache::frequency(ObjectId id) const {

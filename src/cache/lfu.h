@@ -25,8 +25,6 @@ class LfuCache final : public detail::ArenaCache<detail::LfuEntry> {
 
   bool touch(ObjectId id) override;
   void admit(ObjectId id, Bytes size) override;
-  void erase(ObjectId id) override;
-  void clear() override;
   [[nodiscard]] std::vector<std::pair<ObjectId, Bytes>> hottest(
       std::size_t n) const override;
   [[nodiscard]] Policy policy() const noexcept override { return Policy::kLfu; }

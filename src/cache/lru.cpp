@@ -15,16 +15,9 @@ void LruCache::admit(ObjectId id, Bytes size) {
   while (!list_.empty() && capacity() - used_bytes() < size) {
     const std::uint32_t victim = list_.tail;
     list_.unlink(slab_, victim);
-    drop(victim, /*evicted=*/true);
+    drop(victim);
   }
   list_.push_front(slab_, place(id, size));
-}
-
-void LruCache::erase(ObjectId id) {
-  const std::uint32_t s = slot_of(id);
-  if (s == detail::kNullSlot) return;
-  list_.unlink(slab_, s);
-  drop(s, /*evicted=*/false);
 }
 
 std::vector<std::pair<ObjectId, Bytes>> LruCache::hottest(
@@ -32,11 +25,6 @@ std::vector<std::pair<ObjectId, Bytes>> LruCache::hottest(
   Hot out;
   append(list_, n, out);
   return out;
-}
-
-void LruCache::clear() {
-  clear_arena();
-  list_.clear();
 }
 
 }  // namespace starcdn::cache

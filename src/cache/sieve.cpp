@@ -22,7 +22,7 @@ void SieveCache::evict_one() {
   // Advance the hand before erasing; "toward head", wrapping at the head.
   hand_ = victim == list_.head ? detail::kNullSlot : slab_[victim].prev;
   list_.unlink(slab_, victim);
-  drop(victim, /*evicted=*/true);
+  drop(victim);
 }
 
 void SieveCache::admit(ObjectId id, Bytes size) {
@@ -33,16 +33,6 @@ void SieveCache::admit(ObjectId id, Bytes size) {
   list_.push_front(slab_, s);
 }
 
-void SieveCache::erase(ObjectId id) {
-  const std::uint32_t s = slot_of(id);
-  if (s == detail::kNullSlot) return;
-  if (hand_ == s) {
-    hand_ = s == list_.head ? detail::kNullSlot : slab_[s].prev;
-  }
-  list_.unlink(slab_, s);
-  drop(s, /*evicted=*/false);
-}
-
 std::vector<std::pair<ObjectId, Bytes>> SieveCache::hottest(
     std::size_t n) const {
   // Visited entries first (they survived a sweep), then by insertion order.
@@ -50,12 +40,6 @@ std::vector<std::pair<ObjectId, Bytes>> SieveCache::hottest(
   append(list_, n, out, [](const auto& e) { return e.visited; });
   append(list_, n, out, [](const auto& e) { return !e.visited; });
   return out;
-}
-
-void SieveCache::clear() {
-  clear_arena();
-  list_.clear();
-  hand_ = detail::kNullSlot;
 }
 
 }  // namespace starcdn::cache

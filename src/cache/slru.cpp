@@ -57,18 +57,11 @@ void SlruCache::admit(ObjectId id, Bytes size) {
         probation_.empty() ? protected_.tail : probation_.tail;
     if (victim == detail::kNullSlot) break;
     unlink(victim);
-    drop(victim, /*evicted=*/true);
+    drop(victim);
   }
   const std::uint32_t s = place(id, size);
   slab_[s].is_protected = false;
   probation_.push_front(slab_, s);
-}
-
-void SlruCache::erase(ObjectId id) {
-  const std::uint32_t s = slot_of(id);
-  if (s == detail::kNullSlot) return;
-  unlink(s);
-  drop(s, /*evicted=*/false);
 }
 
 std::vector<std::pair<ObjectId, Bytes>> SlruCache::hottest(
@@ -78,13 +71,6 @@ std::vector<std::pair<ObjectId, Bytes>> SlruCache::hottest(
   append(protected_, n, out);
   append(probation_, n, out);
   return out;
-}
-
-void SlruCache::clear() {
-  clear_arena();
-  probation_.clear();
-  protected_.clear();
-  protected_used_ = 0;
 }
 
 }  // namespace starcdn::cache

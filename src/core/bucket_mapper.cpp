@@ -140,4 +140,17 @@ std::pair<int, int> BucketMapper::hop_split(
 
 int BucketMapper::worst_case_hops() const noexcept { return 2 * (side_ / 2); }
 
+std::vector<int> BucketMapper::buckets_served_per_satellite() const {
+  // Count how many grid slots each active satellite inherits after failure
+  // remapping; a healthy satellite serves exactly its own slot.
+  const orbit::Constellation& c = *constellation_;
+  std::vector<int> served(static_cast<std::size_t>(c.size()), 0);
+  for (int i = 0; i < c.size(); ++i) {
+    if (const auto target = remap(c.id_of(util::SatId{i}))) {
+      ++served[util::as_index(c.index_of(*target))];
+    }
+  }
+  return served;
+}
+
 }  // namespace starcdn::core

@@ -73,6 +73,11 @@ class BucketMapper {
   [[nodiscard]] std::optional<orbit::SatelliteId> remap(
       orbit::SatelliteId nominal) const;
 
+  /// Number of grid slots each active satellite serves after failure
+  /// remapping (1 on a healthy grid), by linear satellite index; Fig. 11's
+  /// x-axis.
+  [[nodiscard]] std::vector<int> buckets_served_per_satellite() const;
+
  private:
   const orbit::Constellation* constellation_;
   int l_;

@@ -133,13 +133,6 @@ void Simulator::add_variant(Variant v) {
   variants_.push_back(std::move(vs));
 }
 
-const VariantMetrics& Simulator::metrics(Variant v) const {
-  for (const auto& vs : variants_) {
-    if (vs.variant == v) return vs.metrics;
-  }
-  throw std::out_of_range("Simulator::metrics: variant not registered");
-}
-
 cache::Cache& Simulator::cache_at(VariantState& vs, SatId sat) {
   auto& slot = vs.caches[util::as_index(sat)];
   if (!slot) {
@@ -386,25 +379,26 @@ void Simulator::run(trace::RequestStream& stream) {
   if (produce_error) std::rethrow_exception(produce_error);
 }
 
-RunReport Simulator::finish() {
+RunReport Simulator::finish() const {
   const obs::TraceSpan span(obs::tracer(), "Simulator::finish", "core");
   RunReport report;
   report.epoch_seconds = schedule_->epoch_duration().value();
   report.seed = config_.seed;
 
   for (const CounterField& c : kCounters) report.totals.emplace_back(c.name, 0);
-  for (auto& vs : variants_) {
-    vs.metrics.uplink_meter.flush();  // no-op unless a run left a partial
-    vs.series.finish(series_row(vs.metrics));  // trailing partial epoch
-    check_conservation(vs.metrics, vs.spec.name);
-
+  for (const auto& vs : variants_) {
     VariantReport vr;
     vr.variant = vs.variant;
     vr.name = vs.spec.name;
     vr.metrics = vs.metrics;
-    vr.series = vs.series.table(report.epoch_seconds);
+    vr.metrics.uplink_meter.flush();  // no-op unless a run left a partial
+    check_conservation(vr.metrics, vs.spec.name);
+    // Seal a copy, so the live series keeps recording if run() continues.
+    obs::EpochSeries series = vs.series;
+    series.finish(series_row(vr.metrics));  // trailing partial epoch
+    vr.series = series.table(report.epoch_seconds);
     for (std::size_t c = 0; c < kCounters.size(); ++c) {
-      const std::uint64_t value = vs.metrics.*kCounters[c].field;
+      const std::uint64_t value = vr.metrics.*kCounters[c].field;
       vr.counters.emplace_back(kCounters[c].name, value);
       report.totals[c].second += value;
     }
@@ -599,18 +593,6 @@ void Simulator::fold(VariantState& vs, const trace::Request& r,
         static_cast<double>(relay_hops) * latency_.params().inter_orbit_hop;
     record(latency_.hit_relayed(gsl, route, relay));
   }
-}
-
-std::vector<int> Simulator::buckets_served_per_satellite() const {
-  // Count how many grid slots each active satellite inherits after failure
-  // remapping; a healthy satellite serves exactly its own slot.
-  std::vector<int> served(static_cast<std::size_t>(constellation_->size()), 0);
-  for (int i = 0; i < constellation_->size(); ++i) {
-    if (const auto target = mapper_.remap(constellation_->id_of(SatId{i}))) {
-      ++served[util::as_index(constellation_->index_of(*target))];
-    }
-  }
-  return served;
 }
 
 }  // namespace starcdn::core

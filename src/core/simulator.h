@@ -180,21 +180,15 @@ class Simulator {
   /// block has been replayed.
   void run(trace::RequestStream& stream);
 
-  /// Close the run: seals each variant's epoch series, checks each
-  /// variant's counters with check_conservation (std::logic_error on a
-  /// violation), sums the fleet totals, and returns the self-contained
-  /// RunReport, the run's one output; callers write it. May be called
-  /// repeatedly; each call re-snapshots the current totals.
-  RunReport finish();
+  /// Snapshot the run: seals a copy of each variant's epoch series,
+  /// checks each variant's counters with check_conservation
+  /// (std::logic_error on a violation), sums the fleet totals, and returns
+  /// the self-contained RunReport, the run's one output; callers write it.
+  /// The simulator is left untouched, so run() may continue and a later
+  /// finish() reports as if this call had never been made.
+  [[nodiscard]] RunReport finish() const;
 
-  /// Throws std::out_of_range when the variant is not registered.
-  [[nodiscard]] const VariantMetrics& metrics(Variant v) const;
-  [[nodiscard]] const BucketMapper& mapper() const noexcept { return mapper_; }
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
-
-  /// Number of bucket slots each active satellite serves after failure
-  /// remapping (1 on a healthy grid); Fig. 11's x-axis.
-  [[nodiscard]] std::vector<int> buckets_served_per_satellite() const;
 
  private:
   /// What the decide stage found for one request; the fold stage turns it

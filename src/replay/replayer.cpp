@@ -159,14 +159,6 @@ void RemoteCache::admit(cache::ObjectId id, util::Bytes size) {
   channel_->send(fill);
 }
 
-void RemoteCache::erase(cache::ObjectId /*id*/) {
-  throw std::logic_error("RemoteCache::erase: no wire message");
-}
-
-void RemoteCache::clear() {
-  throw std::logic_error("RemoteCache::clear: no wire message");
-}
-
 std::vector<std::pair<cache::ObjectId, util::Bytes>> RemoteCache::hottest(
     std::size_t /*n*/) const {
   throw std::logic_error("RemoteCache::hottest: no wire message");

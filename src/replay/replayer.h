@@ -35,9 +35,8 @@ enum class TransportKind : std::uint8_t { kInProcess, kTcp };
 /// wire message:
 ///   touch -> kRequest RPC, peek -> kRelayProbe RPC,
 ///   admit -> one-way kGroundReply (the worker admits the fill).
-/// reserve is a no-op (the worker pre-sizes its own cache). hottest, erase
-/// and clear have no wire message and throw std::logic_error. The proxy
-/// keeps no residency state, so used_bytes() and object_count() stay 0.
+/// hottest has no wire message and throws std::logic_error. The proxy keeps
+/// no residency state, so used_bytes() and object_count() stay 0.
 ///
 /// RPCs block on the reply. A closed channel, or a reply whose request id
 /// is not the one awaited, throws std::runtime_error.
@@ -50,9 +49,6 @@ class RemoteCache final : public cache::Cache {
   [[nodiscard]] bool peek(cache::ObjectId id) const override;
   bool touch(cache::ObjectId id) override;
   void admit(cache::ObjectId id, util::Bytes size) override;
-  void reserve(std::size_t /*expected_objects*/) override {}
-  void erase(cache::ObjectId id) override;
-  void clear() override;
   [[nodiscard]] std::vector<std::pair<cache::ObjectId, util::Bytes>> hottest(
       std::size_t n) const override;
   [[nodiscard]] cache::Policy policy() const noexcept override {

@@ -136,7 +136,6 @@ void WorkloadModel::build_universe() {
   city_w.reserve(cities_->size());
   for (const auto& c : *cities_) city_w.push_back(c.traffic_weight);
   const DiscreteSampler home_sampler(city_w);
-  const ZipfSampler pop_rank(n, params_.zipf_alpha);
 
   // Assign Zipf popularity by giving object i the weight of a random rank;
   // shuffling ranks keeps object ids uncorrelated with popularity.
@@ -155,9 +154,7 @@ void WorkloadModel::build_universe() {
     home_city_[i] = static_cast<std::uint16_t>(home_sampler.sample(rng));
     global_[i] = rng.bernoulli(params_.global_fraction);
     const double reach =
-        rng.pareto(params_.reach_min_km, params_.reach_shape) *
-        (1.0 + params_.reach_pop_boost *
-                   std::log1p(w * static_cast<double>(n)));
+        rng.pareto(params_.reach_min_km, params_.reach_shape);
     reach_km_[i] = static_cast<float>(std::min(reach, 40'000.0));
   }
 }

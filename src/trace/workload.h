@@ -51,9 +51,6 @@ struct WorkloadParams {
   /// an object's weight decays as exp(-distance/reach) from its home city.
   double reach_min_km = 400.0;
   double reach_shape = 0.7;
-  /// Optional popularity boost of reach (0 = popularity-independent; kept
-  /// as an ablation knob).
-  double reach_pop_boost = 0.0;
   /// Fraction of objects that are globally popular regardless of distance
   /// (world-cup finals, OS updates, ...).
   double global_fraction = 0.02;

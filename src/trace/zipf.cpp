@@ -1,33 +1,9 @@
 #include "trace/zipf.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace starcdn::trace {
-
-ZipfSampler::ZipfSampler(std::size_t n, double alpha) {
-  if (n == 0) throw std::invalid_argument("ZipfSampler: n == 0");
-  cdf_.resize(n);
-  double acc = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    acc += 1.0 / std::pow(static_cast<double>(k + 1), alpha);
-    cdf_[k] = acc;
-  }
-  for (auto& v : cdf_) v /= acc;
-  cdf_.back() = 1.0;  // guard against rounding
-}
-
-std::size_t ZipfSampler::sample(util::Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
-}
-
-double ZipfSampler::pmf(std::size_t rank) const {
-  if (rank >= cdf_.size()) return 0.0;
-  return rank == 0 ? cdf_[0] : cdf_[rank] - cdf_[rank - 1];
-}
 
 DiscreteSampler::DiscreteSampler(const std::vector<double>& weights) {
   cdf_.resize(weights.size());

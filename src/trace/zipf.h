@@ -1,8 +1,9 @@
-// Zipf(ian) popularity sampling.
+// Weighted discrete sampling for the workload model.
 //
-// CDN object popularity is famously Zipf-like; the workload model uses this
-// sampler to assign base popularities and to draw i.i.d. requests from
-// per-city popularity tables.
+// CDN object popularity is famously Zipf-like. The workload model gives each
+// object a Zipf base weight directly (workload.cpp) and draws from the
+// resulting per-city popularity tables, the minute weights and the home-city
+// weights with this one sampler.
 #pragma once
 
 #include <cstdint>
@@ -11,22 +12,6 @@
 #include "util/rng.h"
 
 namespace starcdn::trace {
-
-/// Samples ranks 0..n-1 with P(rank k) proportional to 1/(k+1)^alpha.
-/// Precomputes the CDF (O(n) memory); suitable up to a few million ranks.
-class ZipfSampler {
- public:
-  ZipfSampler(std::size_t n, double alpha);
-
-  [[nodiscard]] std::size_t sample(util::Rng& rng) const;
-  [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
-
-  /// Probability mass of a rank.
-  [[nodiscard]] double pmf(std::size_t rank) const;
-
- private:
-  std::vector<double> cdf_;
-};
 
 /// Weighted discrete sampler over arbitrary non-negative weights
 /// (CDF + binary search). Used for per-city object popularity tables.

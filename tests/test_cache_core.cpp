@@ -22,8 +22,6 @@ TEST(FlatIndex, EmptyIndexFindsNothing) {
   EXPECT_FALSE(idx.erase(42));
   EXPECT_EQ(idx.size(), 0u);
   EXPECT_EQ(idx.bucket_count(), 0u);
-  idx.clear();  // clear on a never-used index is a no-op
-  EXPECT_EQ(idx.size(), 0u);
 }
 
 TEST(FlatIndex, InsertFindErase) {
@@ -85,18 +83,6 @@ TEST(FlatIndex, BackwardShiftKeepsClustersReachable) {
       ASSERT_EQ(idx.find(k), std::uint32_t(k)) << "stranded key " << k;
     }
   }
-}
-
-TEST(FlatIndex, ClearKeepsCapacityAndStaysUsable) {
-  FlatIndex idx;
-  for (std::uint64_t k = 0; k < 500; ++k) idx.insert(k, 1);
-  const auto buckets = idx.bucket_count();
-  idx.clear();
-  EXPECT_EQ(idx.size(), 0u);
-  EXPECT_EQ(idx.bucket_count(), buckets);  // arena is retained
-  for (std::uint64_t k = 0; k < 500; ++k) EXPECT_EQ(idx.find(k), kNullSlot);
-  idx.insert(3, 9);
-  EXPECT_EQ(idx.find(3), 9u);
 }
 
 TEST(FlatIndex, RandomizedDifferentialAgainstUnorderedMap) {
@@ -171,16 +157,6 @@ TEST(Slab, SteadyStateChurnsWithoutGrowth) {
   }
   EXPECT_EQ(slab.arena_size(), 64u);
   EXPECT_EQ(slab.live(), 64u);
-}
-
-TEST(Slab, ClearResetsEverything) {
-  Slab<TestEntry> slab;
-  (void)slab.allocate();
-  (void)slab.allocate();
-  slab.clear();
-  EXPECT_EQ(slab.live(), 0u);
-  EXPECT_EQ(slab.arena_size(), 0u);
-  EXPECT_EQ(slab.allocate(), 0u);  // fresh arena starts at slot 0
 }
 
 std::vector<std::uint64_t> ids_front_to_back(const Slab<TestEntry>& slab,

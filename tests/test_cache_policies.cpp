@@ -91,31 +91,6 @@ TEST_P(PolicyTest, ObjectLargerThanCapacityNeverAdmitted) {
   EXPECT_FALSE(c->peek(3));
 }
 
-TEST_P(PolicyTest, EraseRemoves) {
-  auto c = make(100);
-  c->admit(1, 10);
-  c->admit(2, 20);
-  c->erase(1);
-  EXPECT_FALSE(c->peek(1));
-  EXPECT_TRUE(c->peek(2));
-  EXPECT_EQ(c->used_bytes(), 20u);
-  EXPECT_EQ(c->object_count(), 1u);
-  c->erase(99);  // erasing a non-resident is a no-op
-  EXPECT_EQ(c->object_count(), 1u);
-}
-
-TEST_P(PolicyTest, ClearEmptiesEverything) {
-  auto c = make(100);
-  for (ObjectId i = 0; i < 5; ++i) c->admit(i, 10);
-  c->clear();
-  EXPECT_EQ(c->used_bytes(), 0u);
-  EXPECT_EQ(c->object_count(), 0u);
-  for (ObjectId i = 0; i < 5; ++i) EXPECT_FALSE(c->peek(i));
-  // The cache must remain usable after clear.
-  EXPECT_EQ(c->access(7, 10), AccessResult::kMissInserted);
-  EXPECT_EQ(c->access(7, 10), AccessResult::kHit);
-}
-
 TEST_P(PolicyTest, ReAdmitIsIdempotent) {
   auto c = make(100);
   c->admit(1, 10);
@@ -188,11 +163,7 @@ TEST(Lru, VictimOrderTracksTouches) {
 TEST(Lru, VictimOnEmptyCacheIsNullopt) {
   LruCache c(100);
   EXPECT_EQ(c.lru_victim(), std::nullopt);
-  c.admit(1, 10);
-  c.erase(1);
-  EXPECT_EQ(c.lru_victim(), std::nullopt);  // emptied again, still guarded
-  c.admit(2, 10);
-  c.clear();
+  c.admit(1, 1'000);  // too large: never admitted, the cache stays empty
   EXPECT_EQ(c.lru_victim(), std::nullopt);
 }
 
@@ -255,20 +226,6 @@ TEST(Sieve, SweepsWholeListWhenAllVisited) {
   c.admit(4, 10);  // hand clears all bits then evicts the tail (1)
   EXPECT_FALSE(c.peek(1));
   EXPECT_EQ(c.object_count(), 3u);
-}
-
-TEST(Sieve, EraseNextToHandIsSafe) {
-  SieveCache c(40);
-  c.admit(1, 10);
-  c.admit(2, 10);
-  c.admit(3, 10);
-  c.admit(4, 10);
-  c.touch(1);
-  c.admit(5, 10);  // moves hand off the tail
-  c.erase(1);      // erase where the hand may sit
-  c.admit(6, 10);
-  c.admit(7, 10);  // keep evicting; must not crash or corrupt
-  EXPECT_LE(c.used_bytes(), c.capacity());
 }
 
 TEST(Gdsf, SmallPopularBeatsLargeCold) {
@@ -372,8 +329,6 @@ class RefModel {
   virtual bool peek(ObjectId id) const = 0;
   virtual bool touch(ObjectId id) = 0;
   virtual void admit(ObjectId id, Bytes size) = 0;
-  virtual void erase(ObjectId id) = 0;
-  virtual void clear() = 0;
   virtual std::vector<std::pair<ObjectId, Bytes>> hottest(
       std::size_t n) const = 0;
 
@@ -404,14 +359,6 @@ class RefModel {
     used_ -= size;
     --count_;
     ++stats_.evictions;
-  }
-  void note_erase(Bytes size) {
-    used_ -= size;
-    --count_;
-  }
-  void reset_usage() {
-    used_ = 0;
-    count_ = 0;
   }
 
  private:
@@ -446,20 +393,6 @@ class RefLru : public RefModel {
     list_.push_front({id, size});
     index_.emplace(id, list_.begin());
     note_admit(size);
-  }
-
-  void erase(ObjectId id) override {
-    const auto it = index_.find(id);
-    if (it == index_.end()) return;
-    note_erase(it->second->size);
-    list_.erase(it->second);
-    index_.erase(it);
-  }
-
-  void clear() override {
-    list_.clear();
-    index_.clear();
-    reset_usage();
   }
 
   std::vector<std::pair<ObjectId, Bytes>> hottest(
@@ -501,20 +434,6 @@ class RefFifo : public RefModel {
     note_admit(size);
   }
 
-  void erase(ObjectId id) override {
-    const auto it = index_.find(id);
-    if (it == index_.end()) return;
-    note_erase(it->second->size);
-    list_.erase(it->second);
-    index_.erase(it);
-  }
-
-  void clear() override {
-    list_.clear();
-    index_.clear();
-    reset_usage();
-  }
-
   std::vector<std::pair<ObjectId, Bytes>> hottest(
       std::size_t n) const override {
     std::vector<std::pair<ObjectId, Bytes>> out;
@@ -553,25 +472,6 @@ class RefSieve : public RefModel {
     list_.push_front({id, size, false});
     index_.emplace(id, list_.begin());
     note_admit(size);
-  }
-
-  void erase(ObjectId id) override {
-    const auto it = index_.find(id);
-    if (it == index_.end()) return;
-    if (hand_ == it->second) {
-      hand_ =
-          it->second == list_.begin() ? list_.end() : std::prev(it->second);
-    }
-    note_erase(it->second->size);
-    list_.erase(it->second);
-    index_.erase(it);
-  }
-
-  void clear() override {
-    list_.clear();
-    index_.clear();
-    hand_ = list_.end();
-    reset_usage();
   }
 
   std::vector<std::pair<ObjectId, Bytes>> hottest(
@@ -654,22 +554,6 @@ class RefLfu : public RefModel {
     node->entries.push_front({id, size});
     index_.emplace(id, Locator{node, node->entries.begin()});
     note_admit(size);
-  }
-
-  void erase(ObjectId id) override {
-    const auto it = index_.find(id);
-    if (it == index_.end()) return;
-    Locator& loc = it->second;
-    note_erase(loc.entry->size);
-    loc.node->entries.erase(loc.entry);
-    if (loc.node->entries.empty()) freq_list_.erase(loc.node);
-    index_.erase(it);
-  }
-
-  void clear() override {
-    freq_list_.clear();
-    index_.clear();
-    reset_usage();
   }
 
   std::vector<std::pair<ObjectId, Bytes>> hottest(
@@ -764,28 +648,6 @@ class RefSlru : public RefModel {
     note_admit(size);
   }
 
-  void erase(ObjectId id) override {
-    const auto it = index_.find(id);
-    if (it == index_.end()) return;
-    const auto entry_it = it->second;
-    note_erase(entry_it->size);
-    if (entry_it->is_protected) {
-      protected_used_ -= entry_it->size;
-      protected_.erase(entry_it);
-    } else {
-      probation_.erase(entry_it);
-    }
-    index_.erase(it);
-  }
-
-  void clear() override {
-    probation_.clear();
-    protected_.clear();
-    protected_used_ = 0;
-    index_.clear();
-    reset_usage();
-  }
-
   std::vector<std::pair<ObjectId, Bytes>> hottest(
       std::size_t n) const override {
     std::vector<std::pair<ObjectId, Bytes>> out;
@@ -862,21 +724,6 @@ class RefGdsf : public RefModel {
     note_admit(size);
   }
 
-  void erase(ObjectId id) override {
-    const auto it = index_.find(id);
-    if (it == index_.end()) return;
-    queue_.erase({it->second.utility, id});
-    note_erase(it->second.size);
-    index_.erase(it);
-  }
-
-  void clear() override {
-    queue_.clear();
-    index_.clear();
-    clock_ = 0.0;
-    reset_usage();
-  }
-
   std::vector<std::pair<ObjectId, Bytes>> hottest(
       std::size_t n) const override {
     std::vector<std::pair<ObjectId, Bytes>> out;
@@ -918,9 +765,9 @@ std::unique_ptr<RefModel> make_ref(Policy policy, Bytes capacity) {
 
 // Drives the production cache and the reference model through the same
 // adversarial trace: mixed sizes spanning 3 orders of magnitude, oversized
-// rejects, zero-byte objects, erases of hot/cold/absent ids, occasional
-// full clears, direct re-admits — with the observable state compared after
-// every single operation.
+// rejects, zero-byte objects, probes of hot/cold/absent ids, direct
+// re-admits — with the observable state compared after every single
+// operation.
 void run_differential(Policy policy, std::uint64_t seed,
                       std::size_t expected_objects) {
   constexpr Bytes kCapacity = 2'000;
@@ -945,18 +792,12 @@ void run_differential(Policy policy, std::uint64_t seed,
       }
       ASSERT_EQ(real->access(id, size), ref->access(id, size))
           << to_string(policy) << " diverged at step " << step;
-    } else if (op < 88) {
-      real->erase(id);
-      ref->erase(id);
-    } else if (op < 94) {
+    } else if (op < 90) {
       ASSERT_EQ(real->peek(id), ref->peek(id)) << "step " << step;
-    } else if (op < 99) {
+    } else {
       const Bytes size = 1 + rng.below(500);
       real->admit(id, size);  // direct admit: re-admit or fresh, no stats
       ref->admit(id, size);
-    } else {
-      real->clear();
-      ref->clear();
     }
 
     ASSERT_EQ(real->used_bytes(), ref->used_bytes())

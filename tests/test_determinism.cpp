@@ -109,18 +109,18 @@ TEST(Determinism, SimulatorIdenticalAcrossThreadCounts) {
     cfg.buckets = 4;
     cfg.track_per_satellite = true;
     cfg.transient_down_prob = 0.02;  // exercise the per-variant outage model
-    auto sim = std::make_unique<core::Simulator>(shell, schedule, cfg);
-    for (const auto v : variants) sim->add_variant(v);
+    core::Simulator sim(shell, schedule, cfg);
+    for (const auto v : variants) sim.add_variant(v);
     trace::VectorStream stream(requests);
-    sim->run(stream);
-    return sim;
+    sim.run(stream);
+    return sim.finish();
   };
 
-  const auto serial = simulate(1);
-  const auto parallel = simulate(8);
+  const core::RunReport serial = simulate(1);
+  const core::RunReport parallel = simulate(8);
   for (const auto v : variants) {
     SCOPED_TRACE(core::to_string(v));
-    expect_identical(serial->metrics(v), parallel->metrics(v));
+    expect_identical(serial.variant(v).metrics, parallel.variant(v).metrics);
   }
 }
 
@@ -158,8 +158,10 @@ TEST(Determinism, StreamedChunksMatchWholeRunInParallel) {
     chunked.run(stream);
   }
 
-  const auto& a = whole.metrics(core::Variant::kStarCdn);
-  const auto& b = chunked.metrics(core::Variant::kStarCdn);
+  const core::RunReport whole_report = whole.finish();
+  const core::RunReport chunked_report = chunked.finish();
+  const auto& a = whole_report.variant(core::Variant::kStarCdn).metrics;
+  const auto& b = chunked_report.variant(core::Variant::kStarCdn).metrics;
   EXPECT_EQ(a.hits(), b.hits());
   EXPECT_EQ(a.misses, b.misses);
   EXPECT_EQ(a.uplink_bytes, b.uplink_bytes);

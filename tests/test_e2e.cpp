@@ -50,7 +50,9 @@ TEST(EndToEnd, SpaceGenTraceDrivesSimulatorLikeProduction) {
     const auto requests = trace::merge_by_time(traces);
     trace::VectorStream stream(requests);
     sim.run(stream);
-    return sim.metrics(core::Variant::kVanillaLru).request_hit_rate();
+    return sim.finish()
+        .variant(core::Variant::kVanillaLru)
+        .metrics.request_hit_rate();
   };
   const double prod_hr = hit_rate(production);
   const double synth_hr = hit_rate(synthetic);
@@ -82,8 +84,9 @@ TEST(EndToEnd, HeadlineClaimsAtTargetConfiguration) {
   sim.add_variant(core::Variant::kVanillaLru);
   sim.run(*w.generate_stream());
 
-  const auto& star = sim.metrics(core::Variant::kStarCdn);
-  const auto& lru = sim.metrics(core::Variant::kVanillaLru);
+  const core::RunReport report = sim.finish();
+  const auto& star = report.variant(core::Variant::kStarCdn).metrics;
+  const auto& lru = report.variant(core::Variant::kVanillaLru).metrics;
 
   EXPECT_GT(star.request_hit_rate(), lru.request_hit_rate() + 0.05);
   EXPECT_LT(star.normalized_uplink(), lru.normalized_uplink());

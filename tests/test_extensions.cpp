@@ -139,10 +139,11 @@ class ExtensionSimTest : public ::testing::Test {
     schedule_ = nullptr;
     shell_ = nullptr;
   }
-  /// Replay the shared trace into `sim`.
-  static void replay(core::Simulator& sim) {
+  /// Replay the shared trace into `sim` and return its report.
+  static core::RunReport replay(core::Simulator& sim) {
     trace::VectorStream stream(*requests_);
     sim.run(stream);
+    return sim.finish();
   }
 
   static orbit::Constellation* shell_;
@@ -162,10 +163,10 @@ TEST_F(ExtensionSimTest, PrefetchMovesSpeculativeBytes) {
   core::Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(core::Variant::kPrefetch);
   sim.add_variant(core::Variant::kStarCdn);
-  replay(sim);
+  const core::RunReport report = replay(sim);
 
-  const auto& pf = sim.metrics(core::Variant::kPrefetch);
-  const auto& star = sim.metrics(core::Variant::kStarCdn);
+  const auto& pf = report.variant(core::Variant::kPrefetch).metrics;
+  const auto& star = report.variant(core::Variant::kStarCdn).metrics;
   EXPECT_GT(pf.prefetch_bytes, 0u);
   EXPECT_EQ(star.prefetch_bytes, 0u);
   // §3.3: prefetch burns far more ISL bandwidth than miss-triggered relay
@@ -185,11 +186,13 @@ TEST_F(ExtensionSimTest, PrefetchBeatsPlainHashingSometimesNotRelay) {
   core::Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(core::Variant::kPrefetch);
   sim.add_variant(core::Variant::kHashOnly);
-  replay(sim);
+  const core::RunReport report = replay(sim);
   // Prefetch is a (wasteful) form of content backflow: it should at least
   // not fall far below hashing-only.
-  EXPECT_GT(sim.metrics(core::Variant::kPrefetch).request_hit_rate(),
-            sim.metrics(core::Variant::kHashOnly).request_hit_rate() - 0.05);
+  EXPECT_GT(
+      report.variant(core::Variant::kPrefetch).metrics.request_hit_rate(),
+      report.variant(core::Variant::kHashOnly).metrics.request_hit_rate() -
+          0.05);
 }
 
 TEST_F(ExtensionSimTest, TransientOutagesDegradeGracefully) {
@@ -201,8 +204,8 @@ TEST_F(ExtensionSimTest, TransientOutagesDegradeGracefully) {
     cfg.transient_down_prob = p;
     core::Simulator sim(*shell_, *schedule_, cfg);
     sim.add_variant(core::Variant::kStarCdn);
-    replay(sim);
-    const auto& m = sim.metrics(core::Variant::kStarCdn);
+    const core::RunReport report = replay(sim);
+    const auto& m = report.variant(core::Variant::kStarCdn).metrics;
     EXPECT_EQ(m.hits() + m.misses, m.requests);
     if (p == 0.0) {
       EXPECT_EQ(m.transient_misses, 0u);
@@ -227,8 +230,8 @@ TEST_F(ExtensionSimTest, TransientMissCountTracksProbability) {
   cfg.transient_down_prob = 0.25;
   core::Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(core::Variant::kStarCdn);
-  replay(sim);
-  const auto& m = sim.metrics(core::Variant::kStarCdn);
+  const core::RunReport report = replay(sim);
+  const auto& m = report.variant(core::Variant::kStarCdn).metrics;
   const double fraction =
       static_cast<double>(m.transient_misses) / static_cast<double>(m.requests);
   EXPECT_NEAR(fraction, 0.25, 0.05);

@@ -41,10 +41,19 @@ class SimulatorTest : public ::testing::Test {
     return cfg;
   }
 
-  /// Replay the shared trace into `sim`.
-  static void replay(Simulator& sim) {
+  /// The shared trace split in two at its midpoint.
+  static std::pair<std::vector<trace::Request>, std::vector<trace::Request>>
+  halves() {
+    const auto mid = requests_->begin() +
+                     static_cast<std::ptrdiff_t>(requests_->size() / 2);
+    return {{requests_->begin(), mid}, {mid, requests_->end()}};
+  }
+
+  /// Replay the shared trace into `sim` and return its report.
+  static RunReport replay(Simulator& sim) {
     trace::VectorStream stream(*requests_);
     sim.run(stream);
+    return sim.finish();
   }
 
   static orbit::Constellation* shell_;
@@ -62,9 +71,9 @@ TEST_F(SimulatorTest, ConservationInvariants) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
   sim.add_variant(Variant::kVanillaLru);
-  replay(sim);
+  const RunReport report = replay(sim);
   for (const auto v : {Variant::kStarCdn, Variant::kVanillaLru}) {
-    const auto& m = sim.metrics(v);
+    const auto& m = report.variant(v).metrics;
     EXPECT_EQ(m.requests, requests_->size());
     EXPECT_EQ(m.hits() + m.misses, m.requests);
     EXPECT_EQ(m.bytes_hit + m.uplink_bytes, m.bytes_requested);
@@ -76,8 +85,8 @@ TEST_F(SimulatorTest, ConservationInvariants) {
 TEST_F(SimulatorTest, UplinkEqualsOneMinusByteHitRate) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
-  replay(sim);
-  const auto& m = sim.metrics(Variant::kStarCdn);
+  const RunReport report = replay(sim);
+  const auto& m = report.variant(Variant::kStarCdn).metrics;
   EXPECT_NEAR(m.normalized_uplink(), 1.0 - m.byte_hit_rate(), 1e-12);
 }
 
@@ -89,11 +98,14 @@ TEST_F(SimulatorTest, VariantOrderingHolds) {
                        Variant::kRelayOnly, Variant::kVanillaLru}) {
     sim.add_variant(v);
   }
-  replay(sim);
-  const double full = sim.metrics(Variant::kStarCdn).request_hit_rate();
-  const double hash = sim.metrics(Variant::kHashOnly).request_hit_rate();
-  const double relay = sim.metrics(Variant::kRelayOnly).request_hit_rate();
-  const double lru = sim.metrics(Variant::kVanillaLru).request_hit_rate();
+  const RunReport report = replay(sim);
+  const auto rate = [&](Variant v) {
+    return report.variant(v).metrics.request_hit_rate();
+  };
+  const double full = rate(Variant::kStarCdn);
+  const double hash = rate(Variant::kHashOnly);
+  const double relay = rate(Variant::kRelayOnly);
+  const double lru = rate(Variant::kVanillaLru);
   EXPECT_GT(full, hash);
   EXPECT_GT(hash, lru);
   EXPECT_GT(relay, lru);
@@ -105,12 +117,12 @@ TEST_F(SimulatorTest, RelayedFetchOnlyInRelayVariants) {
   for (const auto v : {Variant::kStarCdn, Variant::kHashOnly}) {
     sim.add_variant(v);
   }
-  replay(sim);
-  EXPECT_GT(sim.metrics(Variant::kStarCdn).relay_west_hits +
-                sim.metrics(Variant::kStarCdn).relay_east_hits,
-            0u);
-  EXPECT_EQ(sim.metrics(Variant::kHashOnly).relay_west_hits, 0u);
-  EXPECT_EQ(sim.metrics(Variant::kHashOnly).relay_east_hits, 0u);
+  const RunReport report = replay(sim);
+  const auto& star = report.variant(Variant::kStarCdn).metrics;
+  const auto& hash = report.variant(Variant::kHashOnly).metrics;
+  EXPECT_GT(star.relay_west_hits + star.relay_east_hits, 0u);
+  EXPECT_EQ(hash.relay_west_hits, 0u);
+  EXPECT_EQ(hash.relay_east_hits, 0u);
 }
 
 TEST_F(SimulatorTest, WestNeighbourDominatesRelays) {
@@ -118,16 +130,16 @@ TEST_F(SimulatorTest, WestNeighbourDominatesRelays) {
   // recent ground track, so most relayed hits come from the west.
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
-  replay(sim);
-  const auto& m = sim.metrics(Variant::kStarCdn);
+  const RunReport report = replay(sim);
+  const auto& m = report.variant(Variant::kStarCdn).metrics;
   EXPECT_GT(m.relay_west_hits, m.relay_east_hits);
 }
 
 TEST_F(SimulatorTest, RelayAvailabilityTracked) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
-  replay(sim);
-  const auto& m = sim.metrics(Variant::kStarCdn);
+  const RunReport report = replay(sim);
+  const auto& m = report.variant(Variant::kStarCdn).metrics;
   // Table 3's pattern: west-only dominates east-only and both.
   EXPECT_GT(m.relay_west_only_requests, m.relay_east_only_requests);
   EXPECT_GT(m.relay_west_only_requests, m.relay_both_requests);
@@ -139,8 +151,8 @@ TEST_F(SimulatorTest, DisablingEastRelayRemovesEastHits) {
   cfg.relay_east = false;
   Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(Variant::kStarCdn);
-  replay(sim);
-  const auto& m = sim.metrics(Variant::kStarCdn);
+  const RunReport report = replay(sim);
+  const auto& m = report.variant(Variant::kStarCdn).metrics;
   EXPECT_EQ(m.relay_east_hits, 0u);
   EXPECT_GT(m.relay_west_hits, 0u);
 }
@@ -148,8 +160,8 @@ TEST_F(SimulatorTest, DisablingEastRelayRemovesEastHits) {
 TEST_F(SimulatorTest, LatencySamplesCollected) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
-  replay(sim);
-  const auto& lat = sim.metrics(Variant::kStarCdn).latency_ms;
+  const RunReport report = replay(sim);
+  const auto& lat = report.variant(Variant::kStarCdn).metrics.latency_ms;
   EXPECT_EQ(lat.count(), requests_->size());
   // Hits cost a couple of GSL+ISL traversals; misses tens of ms.
   EXPECT_GT(lat.median(), 3.0);
@@ -162,8 +174,8 @@ TEST_F(SimulatorTest, LatencySamplingCanBeDisabled) {
   cfg.sample_latency = false;
   Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(Variant::kVanillaLru);
-  replay(sim);
-  EXPECT_TRUE(sim.metrics(Variant::kVanillaLru).latency_ms.empty());
+  EXPECT_TRUE(
+      replay(sim).variant(Variant::kVanillaLru).metrics.latency_ms.empty());
 }
 
 TEST_F(SimulatorTest, BiggerCacheNeverHurts) {
@@ -171,16 +183,17 @@ TEST_F(SimulatorTest, BiggerCacheNeverHurts) {
   small_cfg.cache_capacity = util::mib(64);
   Simulator small_sim(*shell_, *schedule_, small_cfg);
   small_sim.add_variant(Variant::kVanillaLru);
-  replay(small_sim);
+  const RunReport small = replay(small_sim);
 
   auto big_cfg = small_config();
   big_cfg.cache_capacity = util::gib(4);
   Simulator big_sim(*shell_, *schedule_, big_cfg);
   big_sim.add_variant(Variant::kVanillaLru);
-  replay(big_sim);
+  const RunReport big = replay(big_sim);
 
-  EXPECT_GE(big_sim.metrics(Variant::kVanillaLru).request_hit_rate() + 0.001,
-            small_sim.metrics(Variant::kVanillaLru).request_hit_rate());
+  EXPECT_GE(big.variant(Variant::kVanillaLru).metrics.request_hit_rate() +
+                0.001,
+            small.variant(Variant::kVanillaLru).metrics.request_hit_rate());
 }
 
 TEST_F(SimulatorTest, MoreBucketsImproveHashedHitRate) {
@@ -189,16 +202,16 @@ TEST_F(SimulatorTest, MoreBucketsImproveHashedHitRate) {
   cfg4.buckets = 4;
   Simulator s4(*shell_, *schedule_, cfg4);
   s4.add_variant(Variant::kHashOnly);
-  replay(s4);
+  const RunReport r4 = replay(s4);
 
   auto cfg9 = small_config();
   cfg9.buckets = 9;
   Simulator s9(*shell_, *schedule_, cfg9);
   s9.add_variant(Variant::kHashOnly);
-  replay(s9);
+  const RunReport r9 = replay(s9);
 
-  EXPECT_GT(s9.metrics(Variant::kHashOnly).request_hit_rate(),
-            s4.metrics(Variant::kHashOnly).request_hit_rate());
+  EXPECT_GT(r9.variant(Variant::kHashOnly).metrics.request_hit_rate(),
+            r4.variant(Variant::kHashOnly).metrics.request_hit_rate());
 }
 
 TEST_F(SimulatorTest, PerSatelliteTracking) {
@@ -206,8 +219,8 @@ TEST_F(SimulatorTest, PerSatelliteTracking) {
   cfg.track_per_satellite = true;
   Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(Variant::kStarCdn);
-  replay(sim);
-  const auto& m = sim.metrics(Variant::kStarCdn);
+  const RunReport report = replay(sim);
+  const auto& m = report.variant(Variant::kStarCdn).metrics;
   ASSERT_EQ(m.sat_requests.size(), static_cast<std::size_t>(shell_->size()));
   std::uint64_t total = 0, hits = 0;
   for (std::size_t i = 0; i < m.sat_requests.size(); ++i) {
@@ -222,8 +235,9 @@ TEST_F(SimulatorTest, PerSatelliteTracking) {
 }
 
 TEST_F(SimulatorTest, BucketsServedHealthyGridIsOnePerSatellite) {
-  Simulator sim(*shell_, *schedule_, small_config());
-  const auto served = sim.buckets_served_per_satellite();
+  const auto served =
+      BucketMapper(*shell_, small_config().buckets)
+          .buckets_served_per_satellite();
   for (int i = 0; i < shell_->size(); ++i) {
     EXPECT_EQ(served[static_cast<std::size_t>(i)], 1);
   }
@@ -232,37 +246,69 @@ TEST_F(SimulatorTest, BucketsServedHealthyGridIsOnePerSatellite) {
 TEST_F(SimulatorTest, UnregisteredVariantThrows) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
-  EXPECT_THROW((void)sim.metrics(Variant::kVanillaLru), std::out_of_range);
+  EXPECT_THROW((void)sim.finish().variant(Variant::kVanillaLru),
+               std::out_of_range);
 }
 
 TEST_F(SimulatorTest, DuplicateVariantRegistrationIsNoop) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
   sim.add_variant(Variant::kStarCdn);
-  replay(sim);
-  EXPECT_EQ(sim.metrics(Variant::kStarCdn).requests, requests_->size());
+  EXPECT_EQ(replay(sim).variant(Variant::kStarCdn).metrics.requests,
+            requests_->size());
 }
 
 TEST_F(SimulatorTest, StreamedRunsAccumulate) {
   Simulator whole(*shell_, *schedule_, small_config());
   whole.add_variant(Variant::kStarCdn);
-  replay(whole);
+  const RunReport whole_report = replay(whole);
 
   Simulator chunked(*shell_, *schedule_, small_config());
   chunked.add_variant(Variant::kStarCdn);
-  const std::size_t half = requests_->size() / 2;
-  const std::vector<trace::Request> first(requests_->begin(),
-                                          requests_->begin() + half);
-  const std::vector<trace::Request> second(requests_->begin() + half,
-                                           requests_->end());
+  const auto [first, second] = halves();
   trace::VectorStream first_stream(first), second_stream(second);
   chunked.run(first_stream);
   chunked.run(second_stream);
+  const RunReport chunked_report = chunked.finish();
 
-  EXPECT_EQ(whole.metrics(Variant::kStarCdn).hits(),
-            chunked.metrics(Variant::kStarCdn).hits());
-  EXPECT_EQ(whole.metrics(Variant::kStarCdn).uplink_bytes,
-            chunked.metrics(Variant::kStarCdn).uplink_bytes);
+  const auto& a = whole_report.variant(Variant::kStarCdn).metrics;
+  const auto& b = chunked_report.variant(Variant::kStarCdn).metrics;
+  EXPECT_EQ(a.hits(), b.hits());
+  EXPECT_EQ(a.uplink_bytes, b.uplink_bytes);
+}
+
+TEST_F(SimulatorTest, FinishIsASnapshot) {
+  // A finish() between two run() calls must leave the simulator as it was:
+  // the final report equals that of a run that never called it, down to
+  // the series rows recorded after it and the latency reservoir.
+  const auto [first, second] = halves();
+  const auto run_halves = [&](bool finish_between) {
+    Simulator sim(*shell_, *schedule_, small_config());
+    sim.add_variant(Variant::kStarCdn);
+    sim.add_variant(Variant::kVanillaLru);
+    trace::VectorStream first_stream(first), second_stream(second);
+    sim.run(first_stream);
+    if (finish_between) {
+      const RunReport mid = sim.finish();
+      EXPECT_EQ(mid.variant(Variant::kStarCdn).metrics.requests, first.size());
+    }
+    sim.run(second_stream);
+    return sim.finish();
+  };
+  const RunReport peeked = run_halves(true);
+  const RunReport plain = run_halves(false);
+
+  EXPECT_EQ(peeked.totals, plain.totals);
+  for (const auto v : {Variant::kStarCdn, Variant::kVanillaLru}) {
+    const VariantReport& a = peeked.variant(v);
+    const VariantReport& b = plain.variant(v);
+    EXPECT_EQ(a.counters, b.counters) << a.name;
+    EXPECT_EQ(a.series.epochs, b.series.epochs) << a.name;
+    EXPECT_EQ(a.series.values, b.series.values) << a.name;
+    EXPECT_EQ(a.metrics.latency_ms.count(), b.metrics.latency_ms.count());
+    EXPECT_EQ(a.metrics.latency_ms.samples(), b.metrics.latency_ms.samples())
+        << a.name;
+  }
 }
 
 // --- Golden regression -------------------------------------------------------
@@ -349,11 +395,12 @@ TEST(SimulatorGolden, MetricsBitwiseIdenticalAcrossCacheRewrite) {
     for (const auto v : kVariants) sim.add_variant(v);
     trace::VectorStream stream(requests);
     sim.run(stream);
+    const RunReport report = sim.finish();
     for (const auto v : kVariants) {
       const GoldenRow& g = kGolden[row++];
       ASSERT_EQ(g.policy, policy);
       ASSERT_EQ(g.variant, v);
-      const auto& m = sim.metrics(v);
+      const auto& m = report.variant(v).metrics;
       const auto label = std::string(cache::to_string(policy)) + "/variant " +
                          std::to_string(static_cast<int>(v));
       EXPECT_EQ(m.local_hits, g.local_hits) << label;
@@ -391,12 +438,14 @@ TEST(SimulatorFailures, KnockedOutConstellationStillServes) {
   sim.add_variant(Variant::kStarCdn);
   sim.run(*w.generate_stream());
 
-  const auto& m = sim.metrics(Variant::kStarCdn);
+  const RunReport report = sim.finish();
+  const auto& m = report.variant(Variant::kStarCdn).metrics;
   EXPECT_EQ(m.requests, w.total_request_count());
   EXPECT_GT(m.request_hit_rate(), 0.2);
 
   // Fig. 11 structure: some satellites inherit extra bucket slots.
-  const auto served = sim.buckets_served_per_satellite();
+  const auto served =
+      BucketMapper(shell, cfg.buckets).buckets_served_per_satellite();
   int multi = 0;
   for (int i = 0; i < shell.size(); ++i) {
     if (!shell.active(util::SatId{i})) {
@@ -425,7 +474,8 @@ TEST(Simulator, UplinkMeterUsesScheduleEpoch) {
   trace::VectorStream stream(one);
   sim.run(stream);
 
-  const auto& m = sim.metrics(Variant::kVanillaLru);
+  const RunReport report = sim.finish();
+  const auto& m = report.variant(Variant::kVanillaLru).metrics;
   ASSERT_EQ(m.unreachable, 0u);
   ASSERT_EQ(m.uplink_meter.throughput_gbps().count(), 1u);
   EXPECT_DOUBLE_EQ(m.uplink_meter.throughput_gbps().mean(),

@@ -268,11 +268,11 @@ TEST(SimulatorStream, BitwiseMatchesMaterializedAcrossChunksAndThreads) {
 
   auto simulate = [&](int threads, std::size_t chunk) {
     ThreadOverrideGuard guard(threads);
-    auto sim = std::make_unique<core::Simulator>(shell, schedule, cfg);
-    for (const auto v : variants) sim->add_variant(v);
+    core::Simulator sim(shell, schedule, cfg);
+    for (const auto v : variants) sim.add_variant(v);
     trace::VectorStream stream(requests, chunk);
-    sim->run(stream);
-    return sim;
+    sim.run(stream);
+    return sim.finish();
   };
 
   const auto reference = simulate(1, trace::kDefaultChunkRequests);
@@ -284,8 +284,8 @@ TEST(SimulatorStream, BitwiseMatchesMaterializedAcrossChunksAndThreads) {
       const auto streamed = simulate(threads, chunk);
       for (const auto v : variants) {
         SCOPED_TRACE(core::to_string(v));
-        expect_identical_metrics(reference->metrics(v),
-                                 streamed->metrics(v));
+        expect_identical_metrics(reference.variant(v).metrics,
+                                 streamed.variant(v).metrics);
       }
     }
   }
@@ -313,8 +313,9 @@ TEST(SimulatorStream, GeneratedStreamMatchesMaterializedEndToEnd) {
   const auto stream = workload.generate_stream(1024);
   streamed.run(*stream);
 
-  expect_identical_metrics(materialized.metrics(core::Variant::kStarCdn),
-                           streamed.metrics(core::Variant::kStarCdn));
+  expect_identical_metrics(
+      materialized.finish().variant(core::Variant::kStarCdn).metrics,
+      streamed.finish().variant(core::Variant::kStarCdn).metrics);
 }
 
 TEST(SimulatorStream, EmptyStreamIsANoOp) {
@@ -327,7 +328,8 @@ TEST(SimulatorStream, EmptyStreamIsANoOp) {
   const std::vector<trace::Request> none;
   trace::VectorStream stream(none, 64);
   sim.run(stream);
-  EXPECT_EQ(sim.metrics(core::Variant::kStarCdn).requests, 0u);
+  EXPECT_EQ(sim.finish().variant(core::Variant::kStarCdn).metrics.requests,
+            0u);
 }
 
 
@@ -441,7 +443,8 @@ TEST(StreamValidation, BlocksBeforeTheBadOneAreFullyReplayed) {
   sim.add_variant(core::Variant::kStarCdn);
   trace::VectorStream stream(requests, 16);
   EXPECT_THROW(sim.run(stream), std::invalid_argument);
-  EXPECT_EQ(sim.metrics(core::Variant::kStarCdn).requests, 32u);
+  EXPECT_EQ(sim.finish().variant(core::Variant::kStarCdn).metrics.requests,
+            32u);
 }
 
 TEST(StreamValidation, ReplayClusterRejectsBadBlocks) {

@@ -85,8 +85,10 @@ TEST_P(TrafficClassTest, StarCdnBeatsLruForEveryClass) {
   sim.add_variant(core::Variant::kStarCdn);
   sim.add_variant(core::Variant::kVanillaLru);
   sim.run(*w.generate_stream());
-  EXPECT_GT(sim.metrics(core::Variant::kStarCdn).request_hit_rate(),
-            sim.metrics(core::Variant::kVanillaLru).request_hit_rate());
+  const core::RunReport report = sim.finish();
+  EXPECT_GT(report.variant(core::Variant::kStarCdn).metrics.request_hit_rate(),
+            report.variant(core::Variant::kVanillaLru)
+                .metrics.request_hit_rate());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClasses, TrafficClassTest,
@@ -121,10 +123,11 @@ class SimPolicyTest : public ::testing::TestWithParam<cache::Policy> {
     schedule_ = nullptr;
     shell_ = nullptr;
   }
-  /// Replay the shared trace into `sim`.
-  static void replay(core::Simulator& sim) {
+  /// Replay the shared trace into `sim` and return its report.
+  static core::RunReport replay(core::Simulator& sim) {
     trace::VectorStream stream(*requests_);
     sim.run(stream);
+    return sim.finish();
   }
 
   static orbit::Constellation* shell_;
@@ -147,15 +150,16 @@ TEST_P(SimPolicyTest, ConservationUnderEveryPolicy) {
   core::Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(core::Variant::kStarCdn);
   sim.add_variant(core::Variant::kVanillaLru);
-  replay(sim);
+  const core::RunReport report = replay(sim);
   for (const auto v : {core::Variant::kStarCdn, core::Variant::kVanillaLru}) {
-    const auto& m = sim.metrics(v);
+    const auto& m = report.variant(v).metrics;
     EXPECT_EQ(m.requests, requests_->size());
     EXPECT_EQ(m.hits() + m.misses, m.requests);
     EXPECT_EQ(m.bytes_hit + m.uplink_bytes, m.bytes_requested);
   }
-  EXPECT_GT(sim.metrics(core::Variant::kStarCdn).request_hit_rate(),
-            sim.metrics(core::Variant::kVanillaLru).request_hit_rate());
+  EXPECT_GT(report.variant(core::Variant::kStarCdn).metrics.request_hit_rate(),
+            report.variant(core::Variant::kVanillaLru)
+                .metrics.request_hit_rate());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, SimPolicyTest,
@@ -189,7 +193,8 @@ TEST_P(BucketSweepTest, HashedVariantsValidAtEveryL) {
   core::Simulator sim(shell, schedule, cfg);
   sim.add_variant(core::Variant::kStarCdn);
   sim.run(*w.generate_stream());
-  const auto& m = sim.metrics(core::Variant::kStarCdn);
+  const core::RunReport report = sim.finish();
+  const auto& m = report.variant(core::Variant::kStarCdn).metrics;
   EXPECT_EQ(m.hits() + m.misses, m.requests);
   EXPECT_GT(m.request_hit_rate(), 0.0);
 }

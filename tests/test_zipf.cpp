@@ -5,49 +5,6 @@
 namespace starcdn::trace {
 namespace {
 
-TEST(Zipf, PmfSumsToOneAndDecreases) {
-  const ZipfSampler z(1'000, 1.0);
-  double total = 0.0;
-  double prev = 1.0;
-  for (std::size_t k = 0; k < z.size(); ++k) {
-    const double p = z.pmf(k);
-    EXPECT_LE(p, prev + 1e-15);
-    prev = p;
-    total += p;
-  }
-  EXPECT_NEAR(total, 1.0, 1e-9);
-  EXPECT_EQ(z.pmf(5'000), 0.0);
-}
-
-TEST(Zipf, HeadDominatesForLargeAlpha) {
-  const ZipfSampler z(100'000, 1.2);
-  // Top 100 ranks should hold a large share of mass at alpha 1.2.
-  double head = 0.0;
-  for (std::size_t k = 0; k < 100; ++k) head += z.pmf(k);
-  EXPECT_GT(head, 0.5);
-}
-
-TEST(Zipf, SampleMatchesPmf) {
-  const ZipfSampler z(50, 0.8);
-  util::Rng rng(3);
-  std::vector<int> counts(50, 0);
-  constexpr int kN = 200'000;
-  for (int i = 0; i < kN; ++i) ++counts[z.sample(rng)];
-  for (std::size_t k = 0; k < 10; ++k) {
-    EXPECT_NEAR(counts[k] / static_cast<double>(kN), z.pmf(k),
-                0.02 * z.pmf(0) + 0.002);
-  }
-}
-
-TEST(Zipf, AlphaZeroIsUniform) {
-  const ZipfSampler z(10, 0.0);
-  for (std::size_t k = 0; k < 10; ++k) EXPECT_NEAR(z.pmf(k), 0.1, 1e-12);
-}
-
-TEST(Zipf, EmptyThrows) {
-  EXPECT_THROW(ZipfSampler(0, 1.0), std::invalid_argument);
-}
-
 TEST(DiscreteSampler, RespectsWeights) {
   const DiscreteSampler s({1.0, 0.0, 3.0});
   util::Rng rng(4);
