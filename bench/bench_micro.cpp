@@ -1,12 +1,15 @@
 // Microbenchmarks (google-benchmark): throughput of the hot paths — cache
-// operations, bucket hashing, orbital propagation, visibility, codec, and
-// the SpaceGEN byte stack — plus a serial-vs-parallel speedup report for
-// the deterministic parallel engine (printed before the gbench table).
+// operations, bucket hashing, orbital propagation, visibility, codec,
+// weighted sampling and the SpaceGEN byte stack — plus a serial-vs-parallel
+// speedup report for the deterministic parallel engine (printed before the
+// gbench table).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <functional>
+#include <vector>
 
 #include "cache/cache.h"
 #include "core/bucket_mapper.h"
@@ -18,6 +21,7 @@
 #include "orbit/visibility.h"
 #include "sched/scheduler.h"
 #include "trace/bytestack.h"
+#include "trace/sampler.h"
 #include "trace/workload.h"
 #include "util/geo.h"
 #include "util/hash.h"
@@ -218,6 +222,20 @@ void BM_GenerateStream(benchmark::State& state) {
                           static_cast<std::int64_t>(total));
 }
 BENCHMARK(BM_GenerateStream)->Arg(10'000)->Arg(50'000)->Unit(benchmark::kMillisecond);
+
+void BM_DiscreteSample(benchmark::State& state) {
+  // One object draw from the video model's largest city table: 181k
+  // Zipf(1.2) weights, sampled through the cutpoint guide table.
+  std::vector<double> weights(181'000);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = std::pow(static_cast<double>(i + 1), -1.2);
+  }
+  const trace::DiscreteSampler sampler(weights);
+  util::Rng rng(7);
+  for (auto _ : state) benchmark::DoNotOptimize(sampler.sample(rng));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DiscreteSample);
 
 void BM_Splitmix(benchmark::State& state) {
   std::uint64_t x = 0;

@@ -66,6 +66,12 @@ WorkloadParams default_params(TrafficClass c) {
   return p;
 }
 
+namespace {
+
+/// Region affinity in [0,1]: 1 for identical region tags, an intermediate
+/// value for the same language family (e.g. "en-us" vs "en-gb"), and a low
+/// floor across regions — the Table 2 effect that different languages
+/// seldom share content.
 double region_affinity(const std::string& a, const std::string& b,
                        const WorkloadParams& params) {
   if (a == b) return 1.0;
@@ -77,18 +83,16 @@ double region_affinity(const std::string& a, const std::string& b,
   return params.cross_region;
 }
 
-namespace {
-
 /// Per-(object, region) crossing gate. Affinity acts as the *probability*
 /// that a piece of content is consumed in a foreign region at all, not as a
 /// popularity dampener: a German user either watches a British show or —
 /// far more often (Table 2) — never touches it. The gate is a deterministic
-/// hash so every city of the same region agrees.
-bool crosses_region(ObjectId id, const std::string& target_region,
+/// hash of (id, fnv1a(region)) so every city of the same region agrees.
+bool crosses_region(ObjectId id, std::uint64_t region_hash,
                     double gate_probability) {
   if (gate_probability >= 1.0) return true;
-  const std::uint64_t h = util::hash_combine(util::splitmix64(id + 0x9e37),
-                                             util::fnv1a(target_region));
+  const std::uint64_t h =
+      util::hash_combine(util::splitmix64(id + 0x9e37), region_hash);
   return static_cast<double>(h >> 11) * 0x1.0p-53 < gate_probability;
 }
 
@@ -161,35 +165,41 @@ void WorkloadModel::build_universe() {
 
 double WorkloadModel::weight(ObjectId id, std::size_t city) const {
   const auto i = static_cast<std::size_t>(id);
-  const auto& cities = *cities_;
   const double base = base_weight_[i];
   if (global_[i]) return base;  // uniform worldwide popularity
   const std::size_t home = home_city_[i];
   if (home == city) return base;
-  const double gate =
-      region_affinity(cities[home].region, cities[city].region, params_);
-  if (!crosses_region(id, cities[city].region, gate)) return 0.0;
-  const double dist =
-      util::haversine(cities[home].coord, cities[city].coord).value();
-  return base * std::exp(-dist / static_cast<double>(reach_km_[i]));
+  const PairConstants& pair = pairs_[home * cities_->size() + city];
+  if (!crosses_region(id, region_hash_[city], pair.affinity)) return 0.0;
+  return base * std::exp(-pair.km / static_cast<double>(reach_km_[i]));
 }
 
 void WorkloadModel::build_city_tables() {
-  city_tables_.resize(cities_->size());
+  const auto& cities = *cities_;
+  for (const auto& home : cities) {
+    for (const auto& city : cities) {
+      pairs_.push_back({region_affinity(home.region, city.region, params_),
+                        util::haversine(home.coord, city.coord).value()});
+    }
+    region_hash_.push_back(util::fnv1a(home.region));
+  }
   // Weights below this fraction of the object's base weight are treated as
   // out of reach; keeps tables compact and models "content not offered".
   constexpr double kCutoff = 1e-3;
-  for (std::size_t c = 0; c < cities_->size(); ++c) {
-    CityTable& t = city_tables_[c];
+  std::vector<std::optional<CityTable>> tables(cities.size());
+  util::parallel_for(cities.size(), [&](std::size_t c) {
+    std::vector<ObjectId> objects;
+    std::vector<double> weights;
     for (std::size_t i = 0; i < sizes_.size(); ++i) {
       const double w = weight(static_cast<ObjectId>(i), c);
       if (w > kCutoff * static_cast<double>(base_weight_[i])) {
-        t.objects.push_back(static_cast<ObjectId>(i));
-        t.weights.push_back(w);
+        objects.push_back(static_cast<ObjectId>(i));
+        weights.push_back(w);
       }
     }
-    t.sampler = std::make_unique<DiscreteSampler>(t.weights);
-  }
+    tables[c].emplace(std::move(objects), DiscreteSampler(weights));
+  });
+  for (auto& t : tables) city_tables_.push_back(std::move(*t));
 }
 
 std::size_t WorkloadModel::minutes() const noexcept {
@@ -253,7 +263,7 @@ void WorkloadModel::block(std::size_t city, std::size_t minute,
   });
   const CityTable& t = city_tables_[city];
   for (Request& r : out) {
-    r.object = t.objects[t.sampler->sample(rng)];
+    r.object = t.objects[t.sampler.sample(rng)];
     r.size = sizes_[static_cast<std::size_t>(r.object)];
     r.location = static_cast<std::uint16_t>(city);
   }

@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "trace/record.h"
+#include "trace/sampler.h"
 #include "trace/stream.h"
-#include "trace/zipf.h"
 #include "util/geo.h"
 #include "util/rng.h"
 
@@ -93,11 +93,10 @@ class WorkloadModel {
   [[nodiscard]] double weight(ObjectId id, std::size_t city) const;
 
   /// A city's popularity table: the objects it requests, with non-negligible
-  /// weight, and the matching sampler over `weights`.
+  /// weight, and a sampler over their weight(object, city).
   struct CityTable {
     std::vector<ObjectId> objects;
-    std::vector<double> weights;
-    std::unique_ptr<DiscreteSampler> sampler;
+    DiscreteSampler sampler;
   };
   [[nodiscard]] const CityTable& city_table(std::size_t city) const {
     return city_tables_[city];
@@ -164,16 +163,15 @@ class WorkloadModel {
   std::vector<std::uint16_t> home_city_;
   std::vector<bool> global_;
 
+  struct PairConstants {  // what weight() needs of a (home, city) pair
+    double affinity;
+    double km;
+  };
+  std::vector<PairConstants> pairs_;        // [home * cities + city]
+  std::vector<std::uint64_t> region_hash_;  // fnv1a(region) per city
+
   std::vector<CityTable> city_tables_;
 };
-
-/// Region affinity in [0,1]: 1 for identical region tags, an intermediate
-/// value for the same language family (e.g. "en-us" vs "en-gb"), and a low
-/// floor across regions — the Table 2 effect that different languages
-/// seldom share content.
-[[nodiscard]] double region_affinity(const std::string& a,
-                                     const std::string& b,
-                                     const WorkloadParams& params);
 
 // --- Overlap analytics (Table 2 / Fig. 2) -----------------------------------
 

@@ -267,20 +267,22 @@ TEST(WorkloadDistribution, ObjectCountsFollowCityTable) {
   ChiSquare x;
   for (std::size_t c = 0; c < cities.size(); ++c) {
     const auto& table = w.city_table(c);
+    std::vector<double> table_weights;
+    for (const ObjectId id : table.objects) {
+      table_weights.push_back(w.weight(id, c));
+    }
     std::vector<std::size_t> order(table.objects.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::partial_sort(order.begin(), order.begin() + kTop, order.end(),
                       [&](std::size_t a, std::size_t b) {
-                        return table.weights[a] > table.weights[b];
+                        return table_weights[a] > table_weights[b];
                       });
     // Categories: the kTop heaviest objects, then everything else.
     std::vector<double> weights(kTop + 1, 0.0);
     std::vector<std::size_t> category(w.object_count(), kTop);
-    for (std::size_t i = 0; i < table.objects.size(); ++i) {
-      weights[kTop] += table.weights[i];
-    }
+    for (const double tw : table_weights) weights[kTop] += tw;
     for (std::size_t k = 0; k < kTop; ++k) {
-      weights[k] = table.weights[order[k]];
+      weights[k] = table_weights[order[k]];
       weights[kTop] -= weights[k];
       category[table.objects[order[k]]] = k;
     }
