@@ -201,12 +201,16 @@ BENCHMARK(BM_MergeByTime)->Arg(10'000)->Arg(50'000)->Unit(benchmark::kMillisecon
 
 void BM_GenerateStream(benchmark::State& state) {
   // End-to-end trace generation: the stream splits each city's requests
-  // over minutes, then emits per-(city, minute) blocks in time order as
-  // chunked SoA blocks, never materializing the trace.
+  // over minutes, then makes each minute's draws and (timestamp, city)
+  // order straight into chunked SoA blocks, never materializing the trace.
+  // day=0 is a 20k-object hour; day=1 is perfbench's video scale, 300k
+  // objects over a full day (rpw=600000 is video_starcdn's 6.72M requests).
   auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 20'000;
   p.requests_per_weight = static_cast<std::size_t>(state.range(0));
-  p.duration_s = util::kHour.value();
+  if (state.range(1) == 0) {
+    p.object_count = 20'000;
+    p.duration_s = util::kHour.value();
+  }
   const trace::WorkloadModel workload(util::paper_cities(), p);
   std::uint64_t total = 0;
   for (auto _ : state) {
@@ -221,11 +225,19 @@ void BM_GenerateStream(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(total));
 }
-BENCHMARK(BM_GenerateStream)->Arg(10'000)->Arg(50'000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GenerateStream)
+    ->ArgNames({"rpw", "day"})
+    ->Args({10'000, 0})
+    ->Args({50'000, 0})
+    ->Args({600'000, 1})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DiscreteSample(benchmark::State& state) {
-  // One object draw from the video model's largest city table: 181k
-  // Zipf(1.2) weights, sampled through the cutpoint guide table.
+  // One draw from a 181k-entry Zipf(1.2) table, the size of the video
+  // model's largest city table. A lone table stays in cache across draws,
+  // so this is the guide lookup's own cost; BM_DiscreteSampleCityTables
+  // shows what a draw costs when the tables do not fit in cache.
   std::vector<double> weights(181'000);
   for (std::size_t i = 0; i < weights.size(); ++i) {
     weights[i] = std::pow(static_cast<double>(i + 1), -1.2);
@@ -236,6 +248,36 @@ void BM_DiscreteSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DiscreteSample);
+
+void BM_DiscreteSampleCityTables(benchmark::State& state) {
+  // Object draws as the stream makes them: a block of draws from each of
+  // the video model's nine city tables (89k-181k entries) in turn, one
+  // sample() per draw (batched=0) or one sample_n() per block (batched=1).
+  // A block is about one city's requests in one minute at video_starcdn's
+  // scale.
+  static const trace::WorkloadModel model(
+      util::paper_cities(), trace::default_params(trace::TrafficClass::kVideo));
+  constexpr std::size_t kBlock = 512;
+  const bool batched = state.range(0) != 0;
+  const std::size_t cities = model.cities().size();
+  std::vector<std::uint32_t> out(kBlock);
+  util::Rng rng(7);
+  for (auto _ : state) {
+    for (std::size_t c = 0; c < cities; ++c) {
+      const trace::DiscreteSampler& sampler = model.city_table(c).sampler;
+      if (batched) {
+        sampler.sample_n(rng, out);
+      } else {
+        for (auto& o : out) o = static_cast<std::uint32_t>(sampler.sample(rng));
+      }
+      benchmark::DoNotOptimize(out.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cities * kBlock));
+}
+BENCHMARK(BM_DiscreteSampleCityTables)->ArgName("batched")->Arg(0)->Arg(1);
 
 void BM_Splitmix(benchmark::State& state) {
   std::uint64_t x = 0;

@@ -33,13 +33,42 @@ DiscreteSampler::DiscreteSampler(const std::vector<double>& weights) {
   }
 }
 
-std::size_t DiscreteSampler::index_of(double u) const noexcept {
-  const std::size_t n = cdf_.size();
-  std::size_t k = guide_[std::min(
-      n - 1, static_cast<std::size_t>(u / total_ * static_cast<double>(n)))];
-  while (k > 0 && cdf_[k - 1] > u) --k;
-  while (k + 1 < n && cdf_[k] <= u) ++k;
-  return k;
+namespace {
+
+/// Draws per prefetch group: enough misses in flight to hide most of the
+/// latency, few enough that the group's lines stay in L1.
+constexpr std::size_t kGroup = 32;
+
+}  // namespace
+
+void DiscreteSampler::index_n(std::span<const double> u,
+                              std::span<std::uint32_t> out) const noexcept {
+  for (std::size_t base = 0; base < u.size(); base += kGroup) {
+    const std::size_t m = std::min(kGroup, u.size() - base);
+    const double* g = u.data() + base;
+    std::uint32_t* k = out.data() + base;
+    for (std::size_t i = 0; i < m; ++i) {
+      k[i] = static_cast<std::uint32_t>(slot(g[i]));
+      __builtin_prefetch(&guide_[k[i]]);
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      k[i] = guide_[k[i]];
+      __builtin_prefetch(&cdf_[k[i]]);
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      k[i] = static_cast<std::uint32_t>(walk(k[i], g[i]));
+    }
+  }
+}
+
+void DiscreteSampler::sample_n(util::Rng& rng,
+                               std::span<std::uint32_t> out) const {
+  double u[kGroup] = {};
+  for (std::size_t base = 0; base < out.size(); base += kGroup) {
+    const std::size_t m = std::min(kGroup, out.size() - base);
+    for (std::size_t i = 0; i < m; ++i) u[i] = rng.uniform() * total_;
+    index_n({u, m}, out.subspan(base, m));
+  }
 }
 
 }  // namespace starcdn::trace

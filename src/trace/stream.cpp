@@ -54,6 +54,30 @@ void sort_by_time(std::span<Request> requests) {
                    });
 }
 
+void sort_minute(std::span<const TimeKey> in, double start, double end,
+                 std::span<TimeKey> out) {
+  const std::size_t n = in.size();
+  if (n == 0) return;
+  const double last = static_cast<double>(n - 1);
+  const double scale = static_cast<double>(n) / (end - start);
+  const auto bucket = [&](double t) {
+    return static_cast<std::size_t>(
+        std::min(last, std::max(0.0, (t - start) * scale)));
+  };
+  std::vector<std::size_t> begin(n + 1, 0);
+  for (const TimeKey& k : in) ++begin[bucket(k.timestamp_s) + 1];
+  for (std::size_t q = 0; q < n; ++q) begin[q + 1] += begin[q];
+  for (const TimeKey& k : in) out[begin[bucket(k.timestamp_s)]++] = k;
+  for (std::size_t i = 1; i < n; ++i) {
+    const TimeKey k = out[i];
+    std::size_t j = i;
+    for (; j > 0 && out[j - 1].timestamp_s > k.timestamp_s; --j) {
+      out[j] = out[j - 1];
+    }
+    out[j] = k;
+  }
+}
+
 std::vector<Request> merge_by_time(const MultiTrace& traces) {
   std::size_t total = 0;
   for (const auto& t : traces) total += t.requests.size();

@@ -53,6 +53,25 @@ class RequestBlock {
     location.reserve(n);
   }
 
+  void resize(std::size_t n) {
+    timestamp_s.resize(n);
+    object.resize(n);
+    size.resize(n);
+    location.resize(n);
+  }
+
+  /// Append `count` requests of `from`, starting at its request `begin`.
+  void append(const RequestBlock& from, std::size_t begin, std::size_t count) {
+    const auto copy = [&](auto& to, const auto& column) {
+      const auto first = column.begin() + static_cast<std::ptrdiff_t>(begin);
+      to.insert(to.end(), first, first + static_cast<std::ptrdiff_t>(count));
+    };
+    copy(timestamp_s, from.timestamp_s);
+    copy(object, from.object);
+    copy(size, from.size);
+    copy(location, from.location);
+  }
+
   void push_back(const Request& r) {
     timestamp_s.push_back(r.timestamp_s);
     object.push_back(r.object);

@@ -100,6 +100,9 @@ bool crosses_region(ObjectId id, std::uint64_t region_hash,
 /// does not depend on the thread count.
 constexpr std::size_t kCountRun = std::size_t{1} << 15;
 
+/// Object draws per prefetch group in draw_block.
+constexpr std::size_t kDrawGroup = 32;
+
 /// Purposes of keyed_rng streams, so count runs and blocks never share one.
 constexpr std::uint64_t kCountStream = 1;
 constexpr std::uint64_t kBlockStream = 2;
@@ -235,8 +238,9 @@ std::vector<std::uint32_t> WorkloadModel::minute_counts(std::size_t city,
     auto& h = histograms[run];
     h.assign(minute.size(), 0);
     util::Rng rng = keyed_rng(params_.seed, kCountStream, city, run);
-    const std::size_t draws = std::min(kCountRun, n - run * kCountRun);
-    for (std::size_t i = 0; i < draws; ++i) ++h[minute.sample(rng)];
+    std::vector<std::uint32_t> draws(std::min(kCountRun, n - run * kCountRun));
+    minute.sample_n(rng, draws);
+    for (const std::uint32_t m : draws) ++h[m];
   });
   std::vector<std::uint32_t> counts(minute.size(), 0);
   for (const auto& h : histograms) {
@@ -245,27 +249,42 @@ std::vector<std::uint32_t> WorkloadModel::minute_counts(std::size_t city,
   return counts;
 }
 
-void WorkloadModel::block(std::size_t city, std::size_t minute,
-                          std::span<Request> out) const {
+std::pair<double, double> WorkloadModel::minute_bounds(
+    std::size_t minute) const noexcept {
   const double start = static_cast<double>(minute) * util::kMinute.value();
-  const double end =
-      std::min(start + util::kMinute.value(), params_.duration_s);
+  return {start, std::min(start + util::kMinute.value(), params_.duration_s)};
+}
+
+void WorkloadModel::draw_block(std::size_t city, std::size_t minute,
+                               std::span<double> offsets,
+                               std::span<ObjectId> objects,
+                               std::span<Bytes> sizes) const {
+  const auto [start, end] = minute_bounds(minute);
   // Rounding can land start + u * length on `end`; stopping one ulp short
   // keeps every block strictly inside its minute, so minutes never
   // interleave and a per-city trace needs no global sort.
   const double last = std::nextafter(end, start);
   util::Rng rng = keyed_rng(params_.seed, kBlockStream, city, minute);
-  for (Request& r : out) {
-    r.timestamp_s = std::min(last, start + rng.uniform() * (end - start));
+  for (double& t : offsets) {
+    t = std::min(last, start + rng.uniform() * (end - start));
   }
-  std::sort(out.begin(), out.end(), [](const Request& a, const Request& b) {
-    return a.timestamp_s < b.timestamp_s;
-  });
-  const CityTable& t = city_tables_[city];
-  for (Request& r : out) {
-    r.object = t.objects[t.sampler.sample(rng)];
-    r.size = sizes_[static_cast<std::size_t>(r.object)];
-    r.location = static_cast<std::uint16_t>(city);
+  // Object draws in groups, each group's objects[] and sizes_[] lines
+  // prefetched before they are read: the tables do not stay in cache.
+  const CityTable& table = city_tables_[city];
+  std::uint32_t index[kDrawGroup] = {};
+  for (std::size_t base = 0; base < objects.size(); base += kDrawGroup) {
+    const std::size_t m = std::min(kDrawGroup, objects.size() - base);
+    table.sampler.sample_n(rng, {index, m});
+    for (std::size_t i = 0; i < m; ++i) {
+      __builtin_prefetch(&table.objects[index[i]]);
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      objects[base + i] = table.objects[index[i]];
+      __builtin_prefetch(&sizes_[static_cast<std::size_t>(objects[base + i])]);
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      sizes[base + i] = sizes_[static_cast<std::size_t>(objects[base + i])];
+    }
   }
 }
 
@@ -280,9 +299,17 @@ LocationTrace WorkloadModel::generate_city(std::size_t city,
   out.location = static_cast<std::uint16_t>(city);
   out.location_name = (*cities_)[city].name;
   out.requests.resize(n_requests);
-  const std::span<Request> requests(out.requests);
   util::parallel_for(counts.size(), [&](std::size_t m) {
-    block(city, m, requests.subspan(begin[m], counts[m]));
+    const std::size_t k = counts[m];
+    std::vector<double> offsets(k);
+    std::vector<ObjectId> objects(k);
+    std::vector<Bytes> sizes(k);
+    draw_block(city, m, offsets, objects, sizes);
+    std::sort(offsets.begin(), offsets.end());
+    for (std::size_t j = 0; j < k; ++j) {
+      out.requests[begin[m] + j] = {offsets[j], objects[j], sizes[j],
+                                    out.location};
+    }
   });
   return out;
 }
@@ -310,8 +337,8 @@ MultiTrace WorkloadModel::generate() const {
   return out;
 }
 
-/// generate_stream's producer: the blocks of a few minutes at a time, each
-/// minute's cities merged by (timestamp, city).
+/// generate_stream's producer: a few minutes at a time, each minute's
+/// cities ordered by (timestamp, city) into a staged block.
 class WorkloadStream final : public RequestStream {
  public:
   WorkloadStream(const WorkloadModel& model, std::size_t chunk_requests)
@@ -332,8 +359,11 @@ class WorkloadStream final : public RequestStream {
         std::min<std::uint64_t>(chunk_, total_ - emitted_));
     out.reserve(want);
     while (out.count() < want) {
-      if (pos_ == buffer_.size()) fill();
-      out.push_back(buffer_[pos_++]);
+      if (pos_ == staged_.count()) fill();
+      const std::size_t take =
+          std::min(want - out.count(), staged_.count() - pos_);
+      out.append(staged_, pos_, take);
+      pos_ += take;
     }
     emitted_ += want;
     return true;
@@ -344,37 +374,59 @@ class WorkloadStream final : public RequestStream {
   }
 
  private:
-  struct Slot {
-    std::size_t city, minute, begin, count;
-  };
-
-  /// Generate the next minutes holding at least one chunk (or the rest of
-  /// the trace) into buffer_: minute-major, cities ascending inside each.
+  /// Stage the next minutes holding at least one chunk (or the rest of the
+  /// trace), minute-major, each minute made by its own task.
   void fill() {
-    std::vector<Slot> slots;
+    const std::size_t first = next_minute_;
     std::vector<std::size_t> minute_begin{0};
     std::size_t n = 0;
     while (n < chunk_ && next_minute_ < model_->minutes()) {
-      for (std::size_t c = 0; c < counts_.size(); ++c) {
-        const std::size_t k = counts_[c][next_minute_];
-        if (k > 0) slots.push_back({c, next_minute_, n, k});
-        n += k;
-      }
+      for (const auto& counts : counts_) n += counts[next_minute_];
       minute_begin.push_back(n);
       ++next_minute_;
     }
-    buffer_.resize(n);
+    staged_.resize(n);
     pos_ = 0;
-    const std::span<Request> buffer(buffer_);
-    util::parallel_for(slots.size(), [&](std::size_t i) {
-      model_->block(slots[i].city, slots[i].minute,
-                    buffer.subspan(slots[i].begin, slots[i].count));
+    util::parallel_for(minute_begin.size() - 1, [&](std::size_t i) {
+      stage_minute(first + i, minute_begin[i]);
     });
-    // Equal timestamps keep the city order: merge_by_time's tie-break.
-    util::parallel_for(minute_begin.size() - 1, [&](std::size_t m) {
-      sort_by_time(buffer.subspan(minute_begin[m],
-                                  minute_begin[m + 1] - minute_begin[m]));
-    });
+  }
+
+  /// Every city's requests in `minute`, ordered by (timestamp, city) into
+  /// staged_ from index `at`. City c's j-th appearance takes c's j-th
+  /// object draw: equal timestamps within a city are the same double, so
+  /// this is the rank draw_block gave each draw.
+  void stage_minute(std::size_t minute, std::size_t at) {
+    const std::size_t cities = counts_.size();
+    std::vector<std::size_t> cursor(cities + 1, 0);
+    for (std::size_t c = 0; c < cities; ++c) {
+      cursor[c + 1] = cursor[c] + counts_[c][minute];
+    }
+    const std::size_t n = cursor[cities];
+    std::vector<double> offsets(n);
+    std::vector<ObjectId> objects(n);
+    std::vector<Bytes> sizes(n);
+    std::vector<TimeKey> keys(n);
+    for (std::size_t c = 0; c < cities; ++c) {
+      const std::size_t b = cursor[c], k = cursor[c + 1] - b;
+      model_->draw_block(c, minute, std::span(offsets).subspan(b, k),
+                         std::span(objects).subspan(b, k),
+                         std::span(sizes).subspan(b, k));
+      for (std::size_t i = b; i < b + k; ++i) {
+        keys[i] = {offsets[i], static_cast<std::uint32_t>(c)};
+      }
+    }
+    std::vector<TimeKey> sorted(n);
+    const auto [start, end] = model_->minute_bounds(minute);
+    sort_minute(keys, start, end, sorted);
+    for (std::size_t p = 0; p < n; ++p) {
+      const TimeKey& key = sorted[p];
+      const std::size_t j = cursor[key.tag]++;
+      staged_.timestamp_s[at + p] = key.timestamp_s;
+      staged_.object[at + p] = objects[j];
+      staged_.size[at + p] = sizes[j];
+      staged_.location[at + p] = static_cast<std::uint16_t>(key.tag);
+    }
   }
 
   const WorkloadModel* model_;
@@ -383,7 +435,7 @@ class WorkloadStream final : public RequestStream {
   std::uint64_t total_ = 0;
   std::uint64_t emitted_ = 0;
   std::size_t next_minute_ = 0;
-  std::vector<Request> buffer_;
+  RequestBlock staged_;
   std::size_t pos_ = 0;
 };
 

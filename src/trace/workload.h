@@ -24,6 +24,7 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "trace/record.h"
@@ -115,7 +116,8 @@ class WorkloadModel {
   [[nodiscard]] MultiTrace generate() const;
 
   /// One city's time-ordered trace of `n_requests`: its multinomial minute
-  /// counts, then the city's blocks concatenated in minute order.
+  /// counts, then per minute a draw_block with its offsets sorted, the
+  /// blocks concatenated in minute order.
   [[nodiscard]] LocationTrace generate_city(std::size_t city,
                                             std::size_t n_requests) const;
 
@@ -128,10 +130,11 @@ class WorkloadModel {
   /// The whole trace in global time order, in blocks of `chunk_requests`:
   /// bitwise equal to merge_by_time(generate()) for any chunk size and
   /// thread count. Opening it splits every city's count over the minutes;
-  /// each refill then generates the blocks of the next minutes holding at
-  /// least one chunk (in parallel) and merges the cities inside each minute
-  /// by (timestamp, city) — merge_by_time's tie-break. Minutes never
-  /// interleave, so memory is O(chunk + one minute) for any trace length.
+  /// each refill then makes the next minutes holding at least one chunk, in
+  /// parallel over minutes: every city's draws, then sort_minute orders the
+  /// minute by (timestamp, city), merge_by_time's tie-break, straight into
+  /// a staged RequestBlock. Minutes never interleave, so memory is
+  /// O(chunk + one minute) for any trace length.
   /// The stream keeps a reference to this model; the model must outlive it.
   [[nodiscard]] std::unique_ptr<RequestStream> generate_stream(
       std::size_t chunk_requests = kDefaultChunkRequests) const;
@@ -146,12 +149,19 @@ class WorkloadModel {
   [[nodiscard]] std::vector<std::uint32_t> minute_counts(std::size_t city,
                                                          std::size_t n) const;
 
-  /// The one generation routine: `out.size()` requests of `city` inside
-  /// `minute`, in time order. Offsets are uniform in the minute and sorted;
-  /// objects are drawn from the city table. The draws come from an RNG keyed
-  /// by (seed, city, minute), so a block is the same whoever asks for it.
-  void block(std::size_t city, std::size_t minute,
-             std::span<Request> out) const;
+  /// [start, end) of `minute`: the last minute ends at duration_s.
+  [[nodiscard]] std::pair<double, double> minute_bounds(
+      std::size_t minute) const noexcept;
+
+  /// The one generation routine: the draws of `offsets.size()` requests of
+  /// `city` inside `minute`, from an RNG keyed by (seed, city, minute), so a
+  /// block is the same whoever asks for it. offsets[i] is the i-th uniform
+  /// offset in the minute, in draw order; objects[j] (from the city table)
+  /// and sizes[j] belong to the request whose offset ranks j-th by time.
+  /// All three spans have the same length.
+  void draw_block(std::size_t city, std::size_t minute,
+                  std::span<double> offsets, std::span<ObjectId> objects,
+                  std::span<Bytes> sizes) const;
 
   const std::vector<util::City>* cities_;
   WorkloadParams params_;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -59,77 +60,139 @@ TEST(DiscreteSampler, OverflowingSumThrows) {
   EXPECT_EQ(rejection({big, 0.0}), "");
 }
 
-/// index_of(u) must equal min(upper_bound(cdf, u), n - 1) over a CDF this
-/// test accumulates itself: at 10^6 uniform draws, at every CDF value and
-/// every guide cutpoint j / n * total with their neighbouring doubles, and
-/// at 0, one ulp below the total and the total.
-void expect_matches_upper_bound(const std::vector<double>& weights,
-                                std::uint64_t seed, int draws = 1'000'000) {
+/// The table's CDF, accumulated here the way the sampler accumulates it.
+std::vector<double> cdf_of(const std::vector<double>& weights) {
   std::vector<double> cdf;
   double acc = 0.0;
   for (const double w : weights) cdf.push_back(acc += std::max(0.0, w));
-  const double total = acc;
-  const DiscreteSampler s(weights);
-  const auto expected = [&](double u) {
-    const auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
-    return std::min(static_cast<std::size_t>(it - cdf.begin()),
-                    cdf.size() - 1);
-  };
-  std::size_t mismatches = 0;
-  const auto check = [&](double u) {
-    if (s.index_of(u) != expected(u) && ++mismatches <= 5) {
-      ADD_FAILURE() << "u = " << u << ": got " << s.index_of(u)
-                    << ", upper_bound gives " << expected(u);
-    }
-  };
+  return cdf;
+}
+
+/// min(upper_bound(cdf, u), n - 1): what every lookup must return.
+std::size_t expected_index(const std::vector<double>& cdf, double u) {
+  const auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
+  return std::min(static_cast<std::size_t>(it - cdf.begin()), cdf.size() - 1);
+}
+
+/// The points where a guided lookup can go wrong: `draws` uniform draws,
+/// every CDF value and every guide cutpoint j / n * total with their
+/// neighbouring doubles, and 0, one ulp below the total and the total.
+std::vector<double> lookup_points(const std::vector<double>& cdf,
+                                  std::uint64_t seed, int draws) {
+  const double total = cdf.back();
+  std::vector<double> points;
   util::Rng rng(seed);
-  for (int i = 0; i < draws; ++i) check(rng.uniform() * total);
-  const auto check_around = [&](double x) {
-    check(x);
-    check(std::nextafter(x, 0.0));
-    if (x < total) check(std::nextafter(x, total));
+  for (int i = 0; i < draws; ++i) points.push_back(rng.uniform() * total);
+  const auto around = [&](double x) {
+    points.push_back(x);
+    points.push_back(std::nextafter(x, 0.0));
+    if (x < total) points.push_back(std::nextafter(x, total));
   };
   const auto n = static_cast<double>(cdf.size());
   for (std::size_t j = 0; j < cdf.size(); ++j) {
-    check_around(cdf[j]);
-    check_around(static_cast<double>(j) / n * total);
+    around(cdf[j]);
+    around(static_cast<double>(j) / n * total);
   }
-  check(0.0);
-  check(std::nextafter(total, 0.0));
-  check(total);
+  points.push_back(0.0);
+  points.push_back(std::nextafter(total, 0.0));
+  points.push_back(total);
+  return points;
+}
+
+/// `got[i]` must equal expected_index(cdf, points[i]); reports the first
+/// five mismatches.
+void expect_indices(const std::vector<double>& cdf,
+                    const std::vector<double>& points,
+                    const std::vector<std::size_t>& got) {
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (got[i] != expected_index(cdf, points[i]) && ++mismatches <= 5) {
+      ADD_FAILURE() << "u = " << points[i] << ": got " << got[i]
+                    << ", upper_bound gives " << expected_index(cdf, points[i]);
+    }
+  }
   EXPECT_EQ(mismatches, 0u);
 }
 
-TEST(DiscreteSampler, GuideMatchesUpperBound) {
+struct Table {
+  std::vector<double> weights;
+  std::uint64_t seed;
+  int draws = 1'000'000;
+};
+
+/// Tables that stress the guide: adversarial shapes and the video model's
+/// largest city table.
+std::vector<Table> guide_tables() {
+  std::vector<Table> tables;
   // Leading, interior and trailing zeros.
-  expect_matches_upper_bound({0, 0, 1, 0, 2, 0, 0, 3, 0, 0}, 1);
+  tables.push_back({{0, 0, 1, 0, 2, 0, 0, 3, 0, 0}, 1});
   // Long runs of equal CDF values: one weight every 97 entries.
   std::vector<double> runs(10'000, 0.0);
   for (std::size_t i = 50; i < runs.size(); i += 97) {
     runs[i] = i % 3 == 0 ? 1.0 : 2.0;
   }
-  expect_matches_upper_bound(runs, 2);
+  tables.push_back({runs, 2});
   // Equal weights put CDF values on guide cutpoints, where rounding can
   // start a lookup one slot past the answer (n = 3: u = 1 - ulp lands in
   // slot 1, whose first entry above 1/3 * 3 is index 1, not 0).
-  expect_matches_upper_bound(std::vector<double>(1'000, 1.0), 7);
+  tables.push_back({std::vector<double>(1'000, 1.0), 7});
   for (std::size_t n = 2; n <= 64; ++n) {
-    expect_matches_upper_bound(std::vector<double>(n, 1.0), n, 10'000);
+    tables.push_back({std::vector<double>(n, 1.0), n, 10'000});
   }
   // A single weight.
-  expect_matches_upper_bound({5.0}, 3);
+  tables.push_back({{5.0}, 3});
   // Weights from 1e-300 to 1e300, ascending, then the same descending.
   std::vector<double> wide;
   for (int e = -300; e <= 300; ++e) wide.push_back(std::pow(10.0, e));
-  expect_matches_upper_bound(wide, 4);
+  tables.push_back({wide, 4});
   std::reverse(wide.begin(), wide.end());
-  expect_matches_upper_bound(wide, 5);
+  tables.push_back({wide, 5});
   // The video model's largest city table: 181k Zipf(1.2) weights.
   std::vector<double> zipf(181'000);
   for (std::size_t i = 0; i < zipf.size(); ++i) {
     zipf[i] = std::pow(static_cast<double>(i + 1), -1.2);
   }
-  expect_matches_upper_bound(zipf, 6);
+  tables.push_back({zipf, 6});
+  return tables;
+}
+
+TEST(DiscreteSampler, GuideMatchesUpperBound) {
+  for (const Table& t : guide_tables()) {
+    SCOPED_TRACE("table of " + std::to_string(t.weights.size()));
+    const DiscreteSampler s(t.weights);
+    const std::vector<double> cdf = cdf_of(t.weights);
+    const std::vector<double> points = lookup_points(cdf, t.seed, t.draws);
+    std::vector<std::size_t> got;
+    for (const double u : points) got.push_back(s.index_of(u));
+    expect_indices(cdf, points, got);
+  }
+}
+
+/// The batched lookups: index_n at every lookup point of every guide table,
+/// and sample_n over spans around the prefetch group of 32 against the
+/// same number of sample() calls, leaving the RNG in the same state.
+TEST(DiscreteSampler, SampleNMatchesSample) {
+  for (const Table& t : guide_tables()) {
+    SCOPED_TRACE("table of " + std::to_string(t.weights.size()));
+    const DiscreteSampler s(t.weights);
+    const std::vector<double> cdf = cdf_of(t.weights);
+    const std::vector<double> points = lookup_points(cdf, t.seed, t.draws);
+    std::vector<std::uint32_t> batch(points.size());
+    s.index_n(points, batch);
+    expect_indices(cdf, points, {batch.begin(), batch.end()});
+
+    for (const std::size_t len :
+         std::vector<std::size_t>{0, 1, 31, 32, 33, 1000}) {
+      SCOPED_TRACE("span of " + std::to_string(len));
+      util::Rng batched(t.seed), single(t.seed);
+      std::vector<std::uint32_t> out(len);
+      s.sample_n(batched, out);
+      for (std::size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(out[i], s.sample(single)) << "draw " << i;
+      }
+      EXPECT_EQ(batched(), single());
+    }
+  }
 }
 
 }  // namespace
