@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
   // (a) Relayed fetch vs proactive prefetch at the target configuration.
   {
-    core::SimConfig cfg = harness.sim_config();
+    core::SimConfig cfg;
     cfg.cache_capacity = util::gib(2);
     cfg.buckets = 9;
     const auto report = run(cfg,
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   {
     util::TextTable table({"Relay links", "Request HR", "Byte HR"});
     for (const bool east : {true, false}) {
-      core::SimConfig cfg = harness.sim_config();
+      core::SimConfig cfg;
       cfg.cache_capacity = util::gib(2);
       cfg.buckets = 9;
       cfg.relay_east = east;
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
          {cache::Policy::kLru, cache::Policy::kLfu, cache::Policy::kFifo,
           cache::Policy::kSieve, cache::Policy::kSlru,
           cache::Policy::kGdsf}) {
-      core::SimConfig cfg = harness.sim_config();
+      core::SimConfig cfg;
       cfg.cache_capacity = util::gib(2);
       cfg.buckets = 9;
       cfg.policy = policy;
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
     util::TextTable table({"Outage probability", "Request HR",
                            "Transient misses", "Uplink usage"});
     for (const double p : {0.0, 0.01, 0.05, 0.15}) {
-      core::SimConfig cfg = harness.sim_config();
+      core::SimConfig cfg;
       cfg.cache_capacity = util::gib(2);
       cfg.buckets = 9;
       cfg.transient_down_prob = p;

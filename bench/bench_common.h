@@ -14,11 +14,13 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/run_report.h"
+#include "core/scenario.h"
 #include "core/simulator.h"
 #include "obs/tracer.h"
 #include "orbit/constellation.h"
@@ -60,38 +62,6 @@ inline void banner(const std::string& what, const std::string& paper_ref) {
             << "# Paper reference: " << paper_ref << "\n"
             << "################################################\n";
 }
-
-/// The evaluation scenario shared by the hit-rate/latency benches:
-/// the paper's nine cities, the 72x18 Starlink shell, a one-day video
-/// trace, and a 15-second link schedule. Heavyweight members are built
-/// once and reused across capacity sweeps. The trace is never
-/// materialized: each replay pulls chunked blocks from
-/// `workload->generate_stream()`, so trace memory stays O(chunk)
-/// regardless of --scale.
-struct VideoScenario {
-  explicit VideoScenario(util::Seconds duration = util::kDay,
-                         double scale = 1.0, std::uint64_t seed = 0) {
-    params = trace::default_params(trace::TrafficClass::kVideo);
-    params.duration_s = duration.value();
-    params.requests_per_weight = static_cast<std::size_t>(
-        static_cast<double>(params.requests_per_weight) * scale);
-    if (seed != 0) params.seed = seed;
-    workload = std::make_unique<trace::WorkloadModel>(util::paper_cities(),
-                                                      params);
-    shell = std::make_unique<orbit::Constellation>(orbit::WalkerParams{});
-    schedule = std::make_unique<sched::LinkSchedule>(
-        *shell, util::paper_cities(), duration);
-    std::printf("scenario: %llu requests (streamed) over %zu cities, "
-                "%zu epochs\n",
-                static_cast<unsigned long long>(workload->total_request_count()),
-                util::paper_cities().size(), schedule->epochs());
-  }
-
-  trace::WorkloadParams params;
-  std::unique_ptr<trace::WorkloadModel> workload;
-  std::unique_ptr<orbit::Constellation> shell;
-  std::unique_ptr<sched::LinkSchedule> schedule;
-};
 
 /// Capacity axis used for the hit-rate curves. The paper sweeps 10-100 GB
 /// against ~430 GB/day of per-satellite traffic; we sweep the same
@@ -181,19 +151,36 @@ class Harness {
     return out_dir() + "/" + file;
   }
 
-  /// The shared evaluation scenario, built lazily so geometry-only
-  /// benches never pay for trace generation. --epochs / --scale / --seed
-  /// shape it.
-  [[nodiscard]] VideoScenario& scenario() {
-    if (!scenario_) {
-      const util::Seconds duration =
-          opts_.epochs != 0
-              ? util::Seconds{15.0 * static_cast<double>(opts_.epochs)}
-              : util::kDay;
-      scenario_ = std::make_unique<VideoScenario>(duration, opts_.scale,
-                                                  opts_.seed);
+  /// The shared evaluation recipe: the paper's nine cities, the 72x18
+  /// shell and a video day, shaped by --epochs / --scale / --seed. Benches
+  /// change fields (a fail fraction, say) before building it.
+  [[nodiscard]] core::Scenario recipe() const {
+    core::Scenario s;
+    if (opts_.epochs != 0) {
+      s.workload.duration_s = 15.0 * static_cast<double>(opts_.epochs);
     }
+    s.workload.requests_per_weight = static_cast<std::size_t>(
+        static_cast<double>(s.workload.requests_per_weight) * opts_.scale);
+    if (opts_.seed != 0) s.workload.seed = opts_.seed;
+    return s;
+  }
+
+  /// The shared scenario: `r` built on the first call and reused by every
+  /// later one, with its scenario: line printed. Built lazily so
+  /// geometry-only benches never pay for trace generation. Passing a
+  /// recipe after the first call throws std::logic_error.
+  const core::Scenario::Built& scenario(const core::Scenario& r) {
+    if (scenario_) throw std::logic_error("Harness: scenario already built");
+    scenario_ = std::make_unique<core::Scenario::Built>(r.build());
+    std::printf("scenario: %llu requests (streamed) over %zu cities, "
+                "%zu epochs\n",
+                static_cast<unsigned long long>(
+                    scenario_->model->total_request_count()),
+                r.cities->size(), scenario_->schedule->epochs());
     return *scenario_;
+  }
+  const core::Scenario::Built& scenario() {
+    return scenario_ ? *scenario_ : scenario(recipe());
   }
 
   /// Bench-chosen scenario scale, honored unless --scale was passed.
@@ -203,23 +190,17 @@ class Harness {
     return *this;
   }
 
-  /// Base SimConfig with the harness seed applied; benches layer their
-  /// per-point settings on top (or use SimConfig::Builder directly).
-  [[nodiscard]] core::SimConfig sim_config() const {
-    core::SimConfig cfg;
-    if (opts_.seed != 0) cfg.seed = opts_.seed;
-    return cfg;
-  }
-
-  /// Every bench replay: register `variants`, replay `stream`, finish()
-  /// into a RunReport, and honor --series by writing per-variant epoch
-  /// CSVs tagged with `tag` (unique per call; sweep points run at once).
+  /// Every bench replay: replay `stream` over `s`'s shell and schedule with
+  /// `variants` and --seed applied to `cfg`, finish() into a RunReport, and
+  /// honor --series by writing per-variant epoch CSVs tagged with `tag`
+  /// (unique per call; sweep points run at once).
   [[nodiscard]] core::RunReport simulate(
-      const orbit::Constellation& shell, const sched::LinkSchedule& schedule,
-      trace::RequestStream& stream, core::SimConfig cfg,
-      const std::vector<core::Variant>& variants, const std::string& tag) {
-    core::Simulator sim(shell, schedule, std::move(cfg));
-    for (const core::Variant v : variants) sim.add_variant(v);
+      const core::Scenario::Built& s, trace::RequestStream& stream,
+      core::SimConfig cfg, const std::vector<core::Variant>& variants,
+      const std::string& tag) {
+    if (opts_.seed != 0) cfg.seed = opts_.seed;
+    cfg.variants = variants;
+    core::Simulator sim(*s.shell, *s.schedule, std::move(cfg));
     sim.run(stream);
     core::RunReport report = sim.finish();
     if (!opts_.series_prefix.empty()) {
@@ -231,15 +212,14 @@ class Harness {
     return report;
   }
 
-  /// The same over the shared scenario, with the harness seed applied.
-  /// Call scenario() before a sweep: building it is not thread-safe.
+  /// The same over the shared scenario's streamed trace. Call scenario()
+  /// before a sweep: building it is not thread-safe.
   [[nodiscard]] core::RunReport simulate(
       core::SimConfig cfg, const std::vector<core::Variant>& variants,
       const std::string& tag) {
-    if (opts_.seed != 0) cfg.seed = opts_.seed;
-    VideoScenario& s = scenario();
-    return simulate(*s.shell, *s.schedule, *s.workload->generate_stream(),
-                    std::move(cfg), variants, tag);
+    const core::Scenario::Built& s = scenario();
+    return simulate(s, *s.model->generate_stream(), std::move(cfg), variants,
+                    tag);
   }
 
  private:
@@ -329,7 +309,7 @@ class Harness {
   Options opts_;
   std::string what_;
   bool scale_set_ = false;
-  std::unique_ptr<VideoScenario> scenario_;
+  std::unique_ptr<core::Scenario::Built> scenario_;
   std::unique_ptr<obs::Tracer> tracer_;
 };
 

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
 
   std::map<int, core::RunReport> reports;  // by L; `series` points in here
   for (const int buckets : {4, 9}) {
-    core::SimConfig cfg = harness.sim_config();
+    core::SimConfig cfg;
     cfg.cache_capacity = util::gib(8);
     cfg.buckets = buckets;
     std::vector<core::Variant> variants{core::Variant::kStarCdn,

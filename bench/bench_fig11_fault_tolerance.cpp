@@ -14,31 +14,23 @@ int main(int argc, char** argv) {
       "Fig. 11, Section 5.4");
 
   // Knock out 9.7% of slots (126 of 1296) as in §5.4.
-  auto shell = std::make_unique<orbit::Constellation>(orbit::WalkerParams{});
-  util::Rng rng(2025);
-  shell->knock_out_random(0.097, rng);
+  core::Scenario recipe = harness.recipe();
+  recipe.fail_fraction = 0.097;
+  recipe.failure_seed = 2025;
+  const core::Scenario::Built& s = harness.scenario(recipe);
+  const orbit::Constellation& shell = *s.shell;
 
-  // Reuse the trace; rebuild the schedule against the degraded shell.
-  const auto& o = harness.opts();
-  const util::Seconds duration =
-      o.epochs != 0 ? util::Seconds{15.0 * static_cast<double>(o.epochs)}
-                    : util::kDay;
-  const bench::VideoScenario base(duration, o.scale, o.seed);
-  const sched::LinkSchedule schedule(*shell, util::paper_cities(),
-                                     util::Seconds{base.params.duration_s});
-
-  core::SimConfig cfg = harness.sim_config();
+  core::SimConfig cfg;
   cfg.cache_capacity = util::gib(8);  // the paper's 50 GB point
   cfg.buckets = 9;
   cfg.sample_latency = false;
   cfg.track_per_satellite = true;
   const core::RunReport report =
-      harness.simulate(*shell, schedule, *base.workload->generate_stream(),
-                       cfg, {core::Variant::kStarCdn}, "fig11");
+      harness.simulate(cfg, {core::Variant::kStarCdn}, "fig11");
 
   const auto& m = report.variant(core::Variant::kStarCdn).metrics;
   const auto served =
-      core::BucketMapper(*shell, cfg.buckets).buckets_served_per_satellite();
+      core::BucketMapper(shell, cfg.buckets).buckets_served_per_satellite();
 
   struct Group {
     std::uint64_t requests = 0, hits = 0;
@@ -46,9 +38,9 @@ int main(int argc, char** argv) {
     int satellites = 0;
   };
   std::map<int, Group> groups;
-  for (int i = 0; i < shell->size(); ++i) {
+  for (int i = 0; i < shell.size(); ++i) {
     const auto idx = static_cast<std::size_t>(i);
-    if (!shell->active(util::SatId{i}) || m.sat_requests[idx] == 0) continue;
+    if (!shell.active(util::SatId{i}) || m.sat_requests[idx] == 0) continue;
     Group& g = groups[served[idx]];
     g.requests += m.sat_requests[idx];
     g.hits += m.sat_hits[idx];

@@ -9,18 +9,14 @@ int main(int argc, char** argv) {
       argc, argv, "Fig. 12 — web and download traffic classes",
       "Fig. 12a-12d, Section 5.5");
 
-  const orbit::Constellation shell{orbit::WalkerParams{}};
-
   for (const auto traffic_class :
        {trace::TrafficClass::kWeb, trace::TrafficClass::kDownload}) {
     const std::string cls = to_string(traffic_class);
-    auto params = trace::default_params(traffic_class);
-    params.duration_s = util::kDay.value();
-    const trace::WorkloadModel workload(util::paper_cities(), params);
+    core::Scenario recipe;
+    recipe.workload = trace::default_params(traffic_class);
+    const core::Scenario::Built s = recipe.build();
     // Replayed once per (capacity, L) point: generate it once.
-    const auto requests = trace::collect(*workload.generate_stream());
-    const sched::LinkSchedule schedule(shell, util::paper_cities(),
-                                       util::Seconds{params.duration_s});
+    const auto requests = trace::collect(*s.model->generate_stream());
     std::printf("\n[%s] %zu requests, %.2f TB\n", cls.c_str(),
                 requests.size(), [&] {
                   double b = 0;
@@ -45,7 +41,7 @@ int main(int argc, char** argv) {
       // Static/LRU are L-independent and taken from the first.
       std::map<std::string, std::pair<double, double>> out;
       for (const int buckets : {9, 4}) {
-        core::SimConfig cfg = harness.sim_config();
+        core::SimConfig cfg;
         cfg.cache_capacity = capacity;
         cfg.buckets = buckets;
         cfg.sample_latency = false;
@@ -56,7 +52,7 @@ int main(int argc, char** argv) {
         }
         trace::VectorStream stream(requests);
         const core::RunReport report = harness.simulate(
-            shell, schedule, stream, cfg, variants,
+            s, stream, cfg, variants,
             "fig12_" + cls + "_" + label + "_L" + std::to_string(buckets));
         const auto& m = report.variant(core::Variant::kStarCdn).metrics;
         out["StarCDN L=" + std::to_string(buckets)] = {m.request_hit_rate(),

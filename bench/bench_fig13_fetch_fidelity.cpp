@@ -11,12 +11,11 @@ int main(int argc, char** argv) {
       argc, argv, "Fig. 13 — fidelity under StarCDN-Fetch emulation",
       "Fig. 13a-13d, Appendix A.2");
 
-  auto params = trace::default_params(trace::TrafficClass::kVideo);
-  params.object_count = 120'000;
-  params.requests_per_weight = 60'000;
-  params.duration_s = util::kDay.value();
-  const trace::WorkloadModel workload(util::paper_cities(), params);
-  const auto production = workload.generate();
+  core::Scenario recipe;
+  recipe.workload.object_count = 120'000;
+  recipe.workload.requests_per_weight = 60'000;
+  const core::Scenario::Built s = recipe.build();
+  const auto production = s.model->generate();
 
   const auto gen = trace::SpaceGen::fit(production);
   trace::SpaceGenConfig cfg;
@@ -24,10 +23,6 @@ int main(int argc, char** argv) {
   for (const auto& t : production) max_len = std::max(max_len, t.requests.size());
   cfg.target_requests_per_location = max_len;
   const auto synthetic = gen.generate(cfg);
-
-  const orbit::Constellation shell{orbit::WalkerParams{}};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(),
-                                     util::Seconds{params.duration_s});
 
   const auto fetch_rates = [&](const trace::MultiTrace& traces,
                                util::Bytes cap, const std::string& tag) {
@@ -38,7 +33,7 @@ int main(int argc, char** argv) {
     const auto requests = trace::merge_by_time(traces);
     trace::VectorStream stream(requests);
     const core::RunReport report = harness.simulate(
-        shell, schedule, stream, sim_cfg,
+        s, stream, sim_cfg,
         {core::Variant::kHashOnly},  // StarCDN-Fetch architecture
         tag);
     const auto& m = report.variant(core::Variant::kHashOnly).metrics;

@@ -46,12 +46,11 @@ int main(int argc, char** argv) {
       "Fig. 6a-6f, Section 4.3");
 
   // Production trace (our Akamai substitution) at a moderate scale.
-  auto params = trace::default_params(trace::TrafficClass::kVideo);
-  params.object_count = 120'000;
-  params.requests_per_weight = 60'000;
-  params.duration_s = util::kDay.value();
-  const trace::WorkloadModel workload(util::paper_cities(), params);
-  const auto production = workload.generate();
+  core::Scenario recipe;
+  recipe.workload.object_count = 120'000;
+  recipe.workload.requests_per_weight = 60'000;
+  const core::Scenario::Built scenario = recipe.build();
+  const auto production = scenario.model->generate();
 
   // Fit SpaceGEN and regenerate a trace of comparable volume.
   const auto gen = trace::SpaceGen::fit(production);
@@ -109,9 +108,6 @@ int main(int argc, char** argv) {
   }
 
   // --- Fig. 6e/6f: satellite LRU hit-rate curves -----------------------------
-  const orbit::Constellation shell{orbit::WalkerParams{}};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(),
-                                     util::Seconds{params.duration_s});
   const auto satellite_rates = [&](const trace::MultiTrace& traces,
                                    util::Bytes cap, const std::string& tag) {
     core::SimConfig sim_cfg;
@@ -120,7 +116,7 @@ int main(int argc, char** argv) {
     const auto requests = trace::merge_by_time(traces);
     trace::VectorStream stream(requests);
     const core::RunReport report = harness.simulate(
-        shell, schedule, stream, sim_cfg, {core::Variant::kVanillaLru},
+        scenario, stream, sim_cfg, {core::Variant::kVanillaLru},
         "fig6_" + tag);
     const auto& m = report.variant(core::Variant::kVanillaLru).metrics;
     return std::pair{m.request_hit_rate(), m.byte_hit_rate()};

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     const auto points = bench::sweep_capacity_axis(
         ("fig7 L=" + std::to_string(buckets)).c_str(),
         [&](const std::string& label, util::Bytes capacity) {
-          core::SimConfig cfg = harness.sim_config();
+          core::SimConfig cfg;
           cfg.cache_capacity = capacity;
           cfg.buckets = buckets;
           cfg.sample_latency = false;

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
                          "StarCDN-Fetch", "StarCDN"});
   auto rows = bench::sweep_capacity_axis(
       "fig8", [&](const std::string& label, util::Bytes capacity) {
-        core::SimConfig cfg = harness.sim_config();
+        core::SimConfig cfg;
         cfg.cache_capacity = capacity;
         cfg.buckets = 9;
         cfg.sample_latency = false;
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   {
     // Physical-budget check (Table 1: each GSL carries 20 Gbps): peak
     // per-satellite-epoch uplink throughput must stay far below capacity.
-    core::SimConfig cfg = harness.sim_config();
+    core::SimConfig cfg;
     cfg.cache_capacity = util::gib(2);
     cfg.buckets = 9;
     cfg.sample_latency = false;

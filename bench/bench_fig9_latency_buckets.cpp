@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   util::TextTable table({"L", "Worst-case hops", "Worst routing RTT (ms)",
                          "Request hit rate @ small cache"});
   for (const int buckets : {1, 4, 9, 16, 25}) {
-    core::SimConfig cfg = harness.sim_config();
+    core::SimConfig cfg;
     cfg.cache_capacity = util::gib(1);  // the paper's smallest (10 GB) point
     cfg.buckets = buckets;
     cfg.sample_latency = false;

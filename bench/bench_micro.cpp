@@ -14,6 +14,7 @@
 #include "cache/cache.h"
 #include "core/bucket_mapper.h"
 #include "core/metrics.h"
+#include "core/scenario.h"
 #include "core/simulator.h"
 #include "net/codec.h"
 #include "obs/series.h"
@@ -338,18 +339,22 @@ void report_parallel_speedup() {
   std::printf("\n=== parallel engine speedup (STARCDN_THREADS=%d) ===\n",
               threads);
 
-  const orbit::Constellation shell{orbit::WalkerParams{}};
-  const double horizon_s = 2 * util::kHour.value();
+  core::Scenario recipe;
+  recipe.workload.object_count = 50'000;
+  recipe.workload.requests_per_weight = 40'000;
+  recipe.workload.duration_s = 2 * util::kHour.value();
+  const core::Scenario::Built s = recipe.build();
+  const auto requests = trace::collect(*s.model->generate_stream());
 
   auto build_schedule = [&](int n) {
     util::set_parallel_threads(n);
-    const double s = time_s([&] {
-      const sched::LinkSchedule schedule(shell, util::paper_cities(),
+    const double t = time_s([&] {
+      const sched::LinkSchedule schedule(*s.shell, util::paper_cities(),
                                          util::kDay);
       benchmark::DoNotOptimize(&schedule);
     });
     util::set_parallel_threads(0);
-    return s;
+    return t;
   };
   const double sched_serial = build_schedule(1);
   const double sched_parallel = build_schedule(threads);
@@ -357,28 +362,17 @@ void report_parallel_speedup() {
               "speedup %.2fx\n",
               sched_serial, sched_parallel, sched_serial / sched_parallel);
 
-  auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 50'000;
-  p.requests_per_weight = 40'000;
-  p.duration_s = horizon_s;
-  const trace::WorkloadModel workload(util::paper_cities(), p);
-  const auto requests = trace::collect(*workload.generate_stream());
-  const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{horizon_s});
-
   auto simulate = [&](int n) {
     util::set_parallel_threads(n);
     core::SimConfig cfg;
     cfg.cache_capacity = util::mib(512);
-    core::Simulator sim(shell, schedule, cfg);
-    for (const auto v :
-         {core::Variant::kStarCdn, core::Variant::kHashOnly,
-          core::Variant::kRelayOnly, core::Variant::kVanillaLru}) {
-      sim.add_variant(v);
-    }
+    cfg.variants = {core::Variant::kStarCdn, core::Variant::kHashOnly,
+                    core::Variant::kRelayOnly, core::Variant::kVanillaLru};
+    core::Simulator sim(*s.shell, *s.schedule, cfg);
     trace::VectorStream stream(requests);
-    const double s = time_s([&] { sim.run(stream); });
+    const double t = time_s([&] { sim.run(stream); });
     util::set_parallel_threads(0);
-    return s;
+    return t;
   };
   const double sim_serial = simulate(1);
   const double sim_parallel = simulate(threads);

@@ -9,11 +9,11 @@ namespace {
 
 using namespace starcdn;
 
-trace::WorkloadParams base_params() {
-  auto wp = trace::default_params(trace::TrafficClass::kVideo);
-  wp.duration_s = 12 * util::kHour.value();
-  wp.requests_per_weight = 75'000;
-  return wp;
+core::Scenario baseline() {
+  core::Scenario s;
+  s.workload.duration_s = 12 * util::kHour.value();
+  s.workload.requests_per_weight = 75'000;
+  return s;
 }
 
 }  // namespace
@@ -25,22 +25,14 @@ int main(int argc, char** argv) {
 
   util::TextTable table({"Perturbation", "StarCDN RHR", "LRU RHR", "Gap"});
   // Replays one perturbed scenario and adds its row.
-  const auto add = [&](const std::string& name,
-                       const trace::WorkloadParams& wp,
-                       const orbit::WalkerParams& shell_params,
-                       double min_elevation_deg) {
-    const trace::WorkloadModel workload(util::paper_cities(), wp);
-    const orbit::Constellation shell{shell_params};
-    sched::SchedulerParams sp;
-    sp.min_elevation = util::Degrees{min_elevation_deg};
-    const sched::LinkSchedule schedule(shell, util::paper_cities(),
-                                       util::Seconds{wp.duration_s}, sp);
+  const auto add = [&](const std::string& name, const core::Scenario& recipe) {
+    const core::Scenario::Built s = recipe.build();
     core::SimConfig cfg;
     cfg.cache_capacity = util::gib(2);
     cfg.buckets = 9;
     cfg.sample_latency = false;
     const core::RunReport report = harness.simulate(
-        shell, schedule, *workload.generate_stream(), cfg,
+        s, *s.model->generate_stream(), cfg,
         {core::Variant::kStarCdn, core::Variant::kVanillaLru},
         "sensitivity_" + std::to_string(table.rows()));
     const double star =
@@ -52,31 +44,32 @@ int main(int argc, char** argv) {
     std::printf("  done: %s\n", name.c_str());
   };
 
-  const orbit::WalkerParams full_shell;
-  add("baseline (alpha=1.2, 25 deg mask)", base_params(), full_shell, 25.0);
-
+  add("baseline (alpha=1.2, 25 deg mask)", baseline());
   for (const double alpha : {0.9, 1.05, 1.35}) {
-    auto wp = base_params();
-    wp.zipf_alpha = alpha;
-    add("zipf alpha = " + util::fmt(alpha, 2), wp, full_shell, 25.0);
+    auto r = baseline();
+    r.workload.zipf_alpha = alpha;
+    add("zipf alpha = " + util::fmt(alpha, 2), r);
   }
   {
-    auto wp = base_params();
-    wp.cross_region = 0.05;
-    wp.same_language_family = 0.1;
-    add("highly regional content", wp, full_shell, 25.0);
+    auto r = baseline();
+    r.workload.cross_region = 0.05;
+    r.workload.same_language_family = 0.1;
+    add("highly regional content", r);
   }
   {
-    auto wp = base_params();
-    wp.global_fraction = 0.3;
-    add("30% global content", wp, full_shell, 25.0);
+    auto r = baseline();
+    r.workload.global_fraction = 0.3;
+    add("30% global content", r);
   }
-  add("40 deg elevation mask", base_params(), full_shell, 40.0);
   {
-    orbit::WalkerParams sparse;
-    sparse.planes = 36;
-    sparse.slots_per_plane = 18;
-    add("half-density shell (36x18)", base_params(), sparse, 25.0);
+    auto r = baseline();
+    r.scheduler.min_elevation = util::Degrees{40.0};
+    add("40 deg elevation mask", r);
+  }
+  {
+    auto r = baseline();
+    r.shell.planes = 36;
+    add("half-density shell (36x18)", r);
   }
 
   table.print(std::cout, "Sensitivity sweep (StarCDN L=9 vs naive LRU)");

@@ -19,9 +19,9 @@ int main(int argc, char** argv) {
                          "Section 4.2 (SpaceGEN at production scale)");
   harness.default_scale(1.0);
 
-  const auto total = harness.scenario().workload->total_request_count();
+  const auto total = harness.scenario().model->total_request_count();
 
-  core::SimConfig cfg = harness.sim_config();
+  core::SimConfig cfg;
   cfg.cache_capacity = util::gib(8);
   cfg.buckets = 9;
   cfg.sample_latency = false;

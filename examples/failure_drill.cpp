@@ -5,32 +5,31 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "core/scenario.h"
 #include "core/simulator.h"
 #include "net/isl_graph.h"
-#include "trace/workload.h"
-#include "util/geo.h"
 
 int main() {
   using namespace starcdn;
 
-  auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 60'000;
-  p.requests_per_weight = 30'000;
-  p.duration_s = 6 * util::kHour.value();
-  const trace::WorkloadModel workload(util::paper_cities(), p);
-  std::printf("workload: %" PRIu64 " requests over %.0f hours\n\n",
-              workload.total_request_count(),
-              p.duration_s / util::kHour.value());
+  core::Scenario recipe;
+  recipe.workload.object_count = 60'000;
+  recipe.workload.requests_per_weight = 30'000;
+  recipe.workload.duration_s = 6 * util::kHour.value();
+  recipe.failure_seed = 1234;
 
-  std::printf("%-18s %-10s %-12s %-10s %-10s %-12s\n", "failed fraction",
-              "active", "broken ISLs", "RHR", "BHR", "uplink save");
   for (const double fail_fraction : {0.0, 0.05, 0.097, 0.20, 0.35}) {
-    orbit::Constellation shell{orbit::WalkerParams{}};
-    util::Rng rng(1234);
-    if (fail_fraction > 0.0) shell.knock_out_random(fail_fraction, rng);
+    recipe.fail_fraction = fail_fraction;
+    const core::Scenario::Built s = recipe.build();
+    const orbit::Constellation& shell = *s.shell;
     const net::IslGraph graph(shell);
-    const sched::LinkSchedule schedule(shell, util::paper_cities(),
-                                       util::Seconds{p.duration_s});
+    if (fail_fraction == 0.0) {  // first row: the workload and the header
+      std::printf("workload: %" PRIu64 " requests over %.0f hours\n\n",
+                  s.model->total_request_count(),
+                  recipe.workload.duration_s / util::kHour.value());
+      std::printf("%-18s %-10s %-12s %-10s %-10s %-12s\n", "failed fraction",
+                  "active", "broken ISLs", "RHR", "BHR", "uplink save");
+    }
 
     const auto cfg = core::SimConfig::Builder{}
                          .cache_capacity(util::gib(4))
@@ -38,8 +37,8 @@ int main() {
                          .sample_latency(false)
                          .variant(core::Variant::kStarCdn)
                          .build();
-    core::Simulator sim(shell, schedule, cfg);
-    sim.run(*workload.generate_stream());
+    core::Simulator sim(shell, *s.schedule, cfg);
+    sim.run(*s.model->generate_stream());
 
     const core::RunReport report = sim.finish();
     const auto& m = report.variant(core::Variant::kStarCdn).metrics;

@@ -3,40 +3,32 @@
 //
 //   $ ./quickstart
 //
-// Walks through the whole public API in ~60 lines: city list -> workload ->
-// constellation -> link schedule -> simulator -> run report.
+// Walks through the whole public API in ~60 lines: scenario (workload,
+// constellation, link schedule) -> simulator -> run report.
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
 
+#include "core/scenario.h"
 #include "core/simulator.h"
-#include "orbit/constellation.h"
-#include "sched/scheduler.h"
-#include "trace/workload.h"
-#include "util/geo.h"
 
 int main() {
   using namespace starcdn;
 
-  // 1. A content workload for the paper's nine trace cities (video class).
-  const auto& cities = util::paper_cities();
-  trace::WorkloadParams wp = trace::default_params(trace::TrafficClass::kVideo);
-  wp.object_count = 60'000;
-  wp.requests_per_weight = 20'000;
-  wp.duration_s = 6 * util::kHour.value();
-  const trace::WorkloadModel workload(cities, wp);
+  // 1. The scenario: a video workload for the paper's nine trace cities,
+  //    the Starlink 53-degree shell (72 planes x 18 slots at 550 km) and
+  //    its 15-second link schedule (Starlink's reconfigure rate).
+  core::Scenario recipe;
+  recipe.workload.object_count = 60'000;
+  recipe.workload.requests_per_weight = 20'000;
+  recipe.workload.duration_s = 6 * util::kHour.value();
+  const core::Scenario::Built s = recipe.build();
   std::printf("workload: %" PRIu64 " requests over %zu cities\n",
-              workload.total_request_count(), cities.size());
-
-  // 2. The Starlink 53-degree shell: 72 planes x 18 slots at 550 km.
-  const orbit::Constellation shell{orbit::WalkerParams{}};
-
-  // 3. Precompute the 15-second link schedule (Starlink reconfigure rate).
-  const sched::LinkSchedule schedule(shell, cities, util::Seconds{wp.duration_s});
+              s.model->total_request_count(), recipe.cities->size());
   std::printf("schedule: %zu epochs, %.1f satellites visible on average\n",
-              schedule.epochs(), schedule.mean_candidates());
+              s.schedule->epochs(), s.schedule->mean_candidates());
 
-  // 4. Simulate StarCDN (L=4 buckets, relayed fetch) vs naive LRU. The
+  // 2. Simulate StarCDN (L=4 buckets, relayed fetch) vs naive LRU. The
   //    Builder validates the settings before anything heavyweight runs.
   const auto cfg = core::SimConfig::Builder{}
                        .cache_capacity(util::gib(2))
@@ -44,10 +36,10 @@ int main() {
                        .variants({core::Variant::kVanillaLru,
                                   core::Variant::kStarCdn})
                        .build();
-  core::Simulator sim(shell, schedule, cfg);
-  sim.run(*workload.generate_stream());  // generated as it is replayed
+  core::Simulator sim(*s.shell, *s.schedule, cfg);
+  sim.run(*s.model->generate_stream());  // generated as it is replayed
 
-  // 5. finish() seals the run into a self-contained report: totals,
+  // 3. finish() seals the run into a self-contained report: totals,
   //    latency quantiles, and a per-epoch time-series per variant.
   const core::RunReport report = sim.finish();
   for (const auto v : {core::Variant::kVanillaLru, core::Variant::kStarCdn}) {

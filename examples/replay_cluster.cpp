@@ -11,9 +11,8 @@
 #include <iostream>
 
 #include "core/run_report.h"
+#include "core/scenario.h"
 #include "replay/replayer.h"
-#include "trace/workload.h"
-#include "util/geo.h"
 
 int main(int argc, char** argv) {
   using namespace starcdn;
@@ -21,17 +20,13 @@ int main(int argc, char** argv) {
   const bool use_tcp = argc < 2 || std::strcmp(argv[1], "tcp") == 0;
 
   // A compact shell keeps the worker count (= thread count) reasonable.
-  orbit::WalkerParams shell_params;
-  shell_params.planes = 8;
-  shell_params.slots_per_plane = 6;
-  const orbit::Constellation shell{shell_params};
-
-  auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 20'000;
-  p.requests_per_weight = 6'000;
-  p.duration_s = util::kHour.value();
-  const trace::WorkloadModel workload(util::paper_cities(), p);
-  const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{p.duration_s});
+  core::Scenario recipe;
+  recipe.shell.planes = 8;
+  recipe.shell.slots_per_plane = 6;
+  recipe.workload.object_count = 20'000;
+  recipe.workload.requests_per_weight = 6'000;
+  recipe.workload.duration_s = util::kHour.value();
+  const core::Scenario::Built s = recipe.build();
 
   const auto cfg = core::SimConfig::Builder{}
                        .cache_capacity(util::gib(1))
@@ -42,13 +37,14 @@ int main(int argc, char** argv) {
 
   // Stream the trace straight from the generator: the replay never holds
   // more than one chunk of requests in memory.
-  const auto stream = workload.generate_stream();
+  const auto stream = s.model->generate_stream();
   std::printf(
       "spawning %d cache workers over %s, streaming %llu requests...\n",
-      shell.size(), use_tcp ? "TCP loopback" : "in-process queues",
-      static_cast<unsigned long long>(workload.total_request_count()));
+      s.shell->size(), use_tcp ? "TCP loopback" : "in-process queues",
+      static_cast<unsigned long long>(s.model->total_request_count()));
   const auto t0 = std::chrono::steady_clock::now();
-  const auto report = replay_cluster(shell, schedule, *stream, cfg, transport);
+  const auto report =
+      replay_cluster(*s.shell, *s.schedule, *stream, cfg, transport);
   const auto elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
                            .count();

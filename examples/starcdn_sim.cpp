@@ -31,11 +31,10 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/scenario.h"
 #include "core/simulator.h"
 #include "obs/tracer.h"
-#include "trace/workload.h"
 #include "util/csv.h"
-#include "util/geo.h"
 
 namespace {
 
@@ -133,21 +132,16 @@ int main(int argc, char** argv) {
   obs::Tracer tracer;
   if (!trace_path.empty()) obs::set_tracer(&tracer);
   try {
-    const auto& cities = global ? util::global_cities() : util::paper_cities();
-    auto params = trace::default_params(traffic_class);
-    params.duration_s = hours * util::kHour.value();
-    params.requests_per_weight = static_cast<std::size_t>(
-        static_cast<double>(params.requests_per_weight) * scale);
-    if (seed != 0) params.seed = seed;
-    const trace::WorkloadModel workload(cities, params);
-
-    orbit::Constellation shell{orbit::WalkerParams{}};
-    if (fail_fraction > 0.0) {
-      util::Rng rng(4242);
-      shell.knock_out_random(fail_fraction, rng);
-    }
-    const sched::LinkSchedule schedule(shell, cities,
-                                       util::Seconds{params.duration_s});
+    core::Scenario recipe;
+    if (global) recipe.cities = &util::global_cities();
+    recipe.workload = trace::default_params(traffic_class);
+    recipe.workload.duration_s = hours * util::kHour.value();
+    recipe.workload.requests_per_weight = static_cast<std::size_t>(
+        static_cast<double>(recipe.workload.requests_per_weight) * scale);
+    if (seed != 0) recipe.workload.seed = seed;
+    recipe.fail_fraction = fail_fraction;
+    recipe.failure_seed = 4242;
+    const core::Scenario::Built s = recipe.build();
 
     core::SimConfig::Builder builder;
     builder.cache_capacity(util::gib(capacity_gib))
@@ -163,15 +157,15 @@ int main(int argc, char** argv) {
       variants.push_back(parse_variant(tok));
       builder.variant(variants.back());
     }
-    core::Simulator sim(shell, schedule, builder.build());
+    core::Simulator sim(*s.shell, *s.schedule, builder.build());
 
     std::printf(
         "class=%s cities=%zu requests=%" PRIu64 " cache=%.1fGiB L=%d "
         "policy=%s fail=%.1f%% transient=%.1f%%\n",
-        cls.c_str(), cities.size(), workload.total_request_count(),
+        cls.c_str(), recipe.cities->size(), s.model->total_request_count(),
         capacity_gib, buckets, policy.c_str(), 100 * fail_fraction,
         100 * transient_prob);
-    sim.run(*workload.generate_stream());
+    sim.run(*s.model->generate_stream());
     const core::RunReport report = sim.finish();
 
     // The report is the run's one output: summary to stdout, optional

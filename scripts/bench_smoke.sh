@@ -15,6 +15,10 @@
 #      must write at least one epoch-series CSV from its capacity sweep.
 #   4. Checks that a malformed numeric flag is rejected: --scale=0,5 must
 #      exit 2 with the flag named on stderr, not run an empty scenario.
+#   5. Runs the examples: quickstart, replay_cluster over in-process
+#      queues, and starcdn_sim with all six variants, failures and
+#      transient outages; each must exit 0 and print a row per variant.
+#      starcdn_sim --fail-fraction nan must exit 1.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]
 # Artifacts land in ${SMOKE_OUT:-smoke_artifacts}.
@@ -30,7 +34,7 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
 fi
 cmake --build "$BUILD" -j "$(nproc)" \
   --target bench_table3_relay_availability bench_fig8_uplink \
-  bench_stream_scale
+  bench_stream_scale quickstart replay_cluster starcdn_sim
 
 mkdir -p "$OUT"
 
@@ -102,5 +106,33 @@ status=0
 grep -q -- '--scale' "$OUT/bad_flag.err" ||
   { echo "FAIL: --scale=0,5 error does not name the flag"; exit 1; }
 echo "bad flag OK: $(head -1 "$OUT/bad_flag.err")"
+
+echo "== examples =="
+EXAMPLES=$(cd "$BUILD/examples" && pwd)
+# Fails unless every named variant starts a row of the summary in $1.
+expect_rows() {
+  local log=$1
+  shift
+  for v in "$@"; do
+    grep -q "^$v *|" "$log" ||
+      { echo "FAIL: no $v row in $log"; exit 1; }
+  done
+}
+(cd "$OUT" && "$EXAMPLES/quickstart") >"$OUT/quickstart.log"
+grep -q '^VanillaLRU .*request hit rate' "$OUT/quickstart.log" &&
+  grep -q '^StarCDN .*request hit rate' "$OUT/quickstart.log" ||
+  { echo "FAIL: quickstart printed no variant rows"; exit 1; }
+"$EXAMPLES/replay_cluster" inproc >"$OUT/replay_cluster.log"
+expect_rows "$OUT/replay_cluster.log" StarCDN
+"$EXAMPLES/starcdn_sim" --variants static,lru,hash,relay,starcdn,prefetch \
+  --hours 1 --scale 0.05 --fail-fraction 0.05 --transient-prob 0.02 \
+  >"$OUT/starcdn_sim.log"
+expect_rows "$OUT/starcdn_sim.log" StaticCache VanillaLRU StarCDN-Fetch \
+  StarCDN-Hashing StarCDN StarCDN-Prefetch
+status=0
+"$EXAMPLES/starcdn_sim" --fail-fraction nan >/dev/null 2>&1 || status=$?
+[ "$status" -eq 1 ] ||
+  { echo "FAIL: --fail-fraction nan exited $status, expected 1"; exit 1; }
+echo "examples OK"
 
 echo "bench smoke OK; artifacts in $OUT/"

@@ -91,12 +91,12 @@ Simulator::Simulator(const orbit::Constellation& constellation,
       tr->instant("sat_failed", "failure", std::move(args));
     }
   }
-  for (const Variant v : config_.variants) add_variant(v);
+  for (const Variant v : config_.variants) register_variant(v);
 }
 
-void Simulator::add_variant(Variant v) {
+void Simulator::register_variant(Variant v) {
   for (const auto& vs : variants_) {
-    if (vs.variant == v) return;
+    if (vs.variant == v) return;  // registering twice is a no-op
   }
   VariantState vs;
   vs.variant = v;
@@ -104,14 +104,11 @@ void Simulator::add_variant(Variant v) {
   // Per-variant deterministic streams. The transient model is seeded
   // identically for every variant so they all observe the same outage
   // schedule; the latency-sampling RNG is variant-specific so streams stay
-  // independent when variants replay concurrently. A variant registered
-  // mid-stream picks up the shared request-counter position.
+  // independent when variants replay concurrently.
   vs.transient = TransientFailureModel(config_.transient_down_prob,
                                        config_.transient_window,
                                        config_.seed ^ 0xfa11u);
   vs.rng = util::Rng(config_.seed ^ static_cast<std::uint64_t>(v));
-  vs.request_counter =
-      variants_.empty() ? 0 : variants_.front().request_counter;
   vs.series = obs::EpochSeries(series_columns());
   vs.metrics.uplink_meter = net::UplinkMeter(schedule_->epoch_duration());
   vs.reach =

@@ -3,7 +3,7 @@
 // Replays a multi-location request trace against a constellation with
 // per-satellite edge caches under one or more architecture variants. Each
 // variant is a VariantSpec row (variant.cpp holds the paper's taxonomy),
-// resolved once in add_variant together with its per-slot reach table
+// resolved once at construction together with its per-slot reach table
 // (coupling.h); the replay reads those and never the Variant enum.
 //
 // All variants of one run share the precomputed link schedule, so they see
@@ -63,8 +63,9 @@ struct SimConfig {
   double transient_down_prob = 0.0;
   util::Seconds transient_window{300.0};
   std::uint64_t seed = 1234;
-  /// Variants registered by the Simulator constructor (add_variant can
-  /// still add more afterwards). Populated by Builder::variants().
+  /// The variants a Simulator replays, registered by its constructor in
+  /// this order; a repeated variant is registered once. Populated by
+  /// Builder::variants().
   std::vector<Variant> variants;
 
   /// Throws std::invalid_argument on out-of-range fields (also run by the
@@ -137,7 +138,8 @@ class SimConfig::Builder {
 class Simulator {
  public:
   /// Validates `config` (SimConfig::validate) and registers
-  /// config.variants. Throws std::invalid_argument on a bad config.
+  /// config.variants, the only way a variant enters a run. Throws
+  /// std::invalid_argument on a bad config.
   ///
   /// `cache_factory` builds each satellite slot's cache the first time a
   /// variant touches the slot; empty means a local cache of config.policy
@@ -148,9 +150,6 @@ class Simulator {
             const sched::LinkSchedule& schedule, SimConfig config,
             net::LatencyModelParams latency_params = {},
             CacheFactory cache_factory = {});
-
-  /// Register a variant before run(); duplicate registration is a no-op.
-  void add_variant(Variant v);
 
   /// Replay a chunked stream (trace::RequestStream), the simulator's one
   /// input, with O(chunk) memory; a materialized trace comes in as a
@@ -210,7 +209,7 @@ class Simulator {
   static constexpr int kSlots = 3;
 
   /// Everything a variant replay touches lives here, so variants share no
-  /// mutable state. `spec` and `reach` are fixed at add_variant and only
+  /// mutable state. `spec` and `reach` are fixed at construction and only
   /// read afterwards. The decide stage owns `caches` and `prefetch_epoch`
   /// (split further across bins of coupling groups); the fold stage owns
   /// the rest. The RNG stream is derived from (config.seed, variant) and
@@ -260,6 +259,10 @@ class Simulator {
     util::SatId owner = util::kNoSat;  // hashed serving sat (fc.sat if none)
     util::Millis route{0.0};     // fc -> owner grid routing delay
   };
+
+  /// Constructor step: resolve `v`'s spec, reach table and state; a
+  /// variant already registered is skipped.
+  void register_variant(Variant v);
 
   /// Stage-1 fan-out over one chunk: each slot is a pure function of the
   /// request index, seeded by `counter_base` (the shared request-counter

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/units.h"
 
@@ -94,6 +95,13 @@ int Constellation::active_count() const noexcept {
 }
 
 void Constellation::knock_out_random(double fraction, util::Rng& rng) {
+  // llround of NaN or infinity is unspecified; the size_t cast then clamps
+  // to every active slot, so reject it here instead.
+  if (!std::isfinite(fraction)) {
+    throw std::invalid_argument(
+        "Constellation::knock_out_random: fraction must be finite; got " +
+        std::to_string(fraction));
+  }
   if (fraction <= 0.0) return;
   // Clamp to the currently-active population: asking for more knockouts
   // than there are active satellites (repeated calls, or a TLE-built shell

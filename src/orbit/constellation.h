@@ -90,7 +90,9 @@ class Constellation {
   [[nodiscard]] int active_count() const noexcept;
 
   /// Mark `fraction` of slots inactive, chosen uniformly (fault
-  /// experiments, Fig. 11). Deterministic given `rng`.
+  /// experiments, Fig. 11). Deterministic given `rng`. A fraction above 1
+  /// knocks out every active slot; a NaN or infinite one throws
+  /// std::invalid_argument.
   void knock_out_random(double fraction, util::Rng& rng);
   void set_active(SatelliteId id, bool active_flag) noexcept;
 

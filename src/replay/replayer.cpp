@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/transport.h"
@@ -186,13 +187,15 @@ core::RunReport replay_cluster(const orbit::Constellation& constellation,
   }();
 
   // Declared after the cluster so the proxies die before the channels close.
+  // An empty variant list means {kStarCdn}; a repeat registers once.
+  core::SimConfig star = config;
+  star.variants.push_back(core::Variant::kStarCdn);
   core::Simulator sim(
-      constellation, schedule, config, {}, [&](util::SatId sat) {
+      constellation, schedule, std::move(star), {}, [&](util::SatId sat) {
         return std::make_unique<RemoteCache>(
             *cluster.channels[util::as_index(sat)], config.policy,
             config.cache_capacity);
       });
-  sim.add_variant(core::Variant::kStarCdn);
   sim.run(stream);
 
   // Graceful shutdown so worker caches drain deterministically.

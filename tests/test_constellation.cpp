@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "orbit/tle.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -85,6 +88,16 @@ TEST(Constellation, KnockOutIsDeterministic) {
   a.knock_out_random(0.25, ra);
   b.knock_out_random(0.25, rb);
   for (int i = 0; i < a.size(); ++i) EXPECT_EQ(a.active(util::SatId{i}), b.active(util::SatId{i}));
+}
+
+TEST(Constellation, KnockOutRejectsNonFiniteFraction) {
+  // llround(NaN) cast to size_t would clamp to every active slot.
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Constellation c{small_shell()};
+    util::Rng rng(5);
+    EXPECT_THROW(c.knock_out_random(bad, rng), std::invalid_argument) << bad;
+    EXPECT_EQ(c.active_count(), c.size()) << bad;
+  }
 }
 
 TEST(Constellation, SetActiveToggle) {

@@ -9,11 +9,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/scenario.h"
 #include "core/simulator.h"
-#include "sched/scheduler.h"
 #include "trace/stream.h"
-#include "trace/workload.h"
-#include "util/geo.h"
 #include "util/parallel.h"
 
 namespace starcdn {
@@ -88,14 +86,12 @@ void expect_identical(const core::VariantMetrics& a,
 }
 
 TEST(Determinism, SimulatorIdenticalAcrossThreadCounts) {
-  const orbit::Constellation shell{orbit::WalkerParams{}};
-  auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 10'000;
-  p.requests_per_weight = 4'000;
-  p.duration_s = util::kHour.value();
-  const trace::WorkloadModel workload(util::paper_cities(), p);
-  const auto requests = trace::collect(*workload.generate_stream());
-  const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{p.duration_s});
+  core::Scenario recipe;
+  recipe.workload.object_count = 10'000;
+  recipe.workload.requests_per_weight = 4'000;
+  recipe.workload.duration_s = util::kHour.value();
+  const core::Scenario::Built s = recipe.build();
+  const auto requests = trace::collect(*s.model->generate_stream());
 
   const std::vector<core::Variant> variants = {
       core::Variant::kStatic, core::Variant::kStarCdn,
@@ -109,8 +105,8 @@ TEST(Determinism, SimulatorIdenticalAcrossThreadCounts) {
     cfg.buckets = 4;
     cfg.track_per_satellite = true;
     cfg.transient_down_prob = 0.02;  // exercise the per-variant outage model
-    core::Simulator sim(shell, schedule, cfg);
-    for (const auto v : variants) sim.add_variant(v);
+    cfg.variants = variants;
+    core::Simulator sim(*s.shell, *s.schedule, cfg);
     trace::VectorStream stream(requests);
     sim.run(stream);
     return sim.finish();
@@ -129,24 +125,21 @@ TEST(Determinism, StreamedChunksMatchWholeRunInParallel) {
   // one whole-trace run: per-variant request counters keep the user
   // rotation aligned across run() calls.
   ThreadOverrideGuard guard(8);
-  const orbit::Constellation shell{orbit::WalkerParams{}};
-  auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 5'000;
-  p.requests_per_weight = 2'000;
-  p.duration_s = util::kHour.value();
-  const trace::WorkloadModel workload(util::paper_cities(), p);
-  const auto requests = trace::collect(*workload.generate_stream());
-  const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{p.duration_s});
+  core::Scenario recipe;
+  recipe.workload.object_count = 5'000;
+  recipe.workload.requests_per_weight = 2'000;
+  recipe.workload.duration_s = util::kHour.value();
+  const core::Scenario::Built s = recipe.build();
+  const auto requests = trace::collect(*s.model->generate_stream());
 
   core::SimConfig cfg;
   cfg.cache_capacity = util::mib(128);
-  core::Simulator whole(shell, schedule, cfg);
-  whole.add_variant(core::Variant::kStarCdn);
+  cfg.variants = {core::Variant::kStarCdn};
+  core::Simulator whole(*s.shell, *s.schedule, cfg);
   trace::VectorStream whole_stream(requests);
   whole.run(whole_stream);
 
-  core::Simulator chunked(shell, schedule, cfg);
-  chunked.add_variant(core::Variant::kStarCdn);
+  core::Simulator chunked(*s.shell, *s.schedule, cfg);
   const std::size_t third = requests.size() / 3;
   for (const auto& [begin, end] :
        {std::pair{std::size_t{0}, third}, std::pair{third, 2 * third},
@@ -201,27 +194,19 @@ TEST(Determinism, ShardedReplayIdenticalAtEveryThreadCount) {
   // coupling groups whose number follows the thread count, and pipelines
   // blocks through produce / decide / fold. Neither may show in any
   // output: every scenario below must match its 1-thread run bitwise.
-  auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 4'000;
-  p.requests_per_weight = 1'500;
-  p.duration_s = util::kHour.value();
-  const trace::WorkloadModel workload(util::paper_cities(), p);
-  const auto requests = trace::collect(*workload.generate_stream());
+  core::Scenario recipe;
+  recipe.workload.object_count = 4'000;
+  recipe.workload.requests_per_weight = 1'500;
+  recipe.workload.duration_s = util::kHour.value();
+  const core::Scenario::Built healthy = recipe.build();
+  recipe.fail_fraction = 0.1;
+  recipe.failure_seed = 97;
+  const core::Scenario::Built failed = recipe.build();
+  const auto requests = trace::collect(*healthy.model->generate_stream());
   ASSERT_GT(requests.size(), 10'000u);
 
-  const orbit::Constellation healthy{orbit::WalkerParams{}};
-  orbit::Constellation failed{orbit::WalkerParams{}};
-  util::Rng rng(97);
-  failed.knock_out_random(0.1, rng);
-  const sched::LinkSchedule healthy_schedule(healthy, util::paper_cities(),
-                                             util::Seconds{p.duration_s});
-  const sched::LinkSchedule failed_schedule(failed, util::paper_cities(),
-                                            util::Seconds{p.duration_s});
-
   for (const bool with_failures : {false, true}) {
-    const orbit::Constellation& shell = with_failures ? failed : healthy;
-    const sched::LinkSchedule& schedule =
-        with_failures ? failed_schedule : healthy_schedule;
+    const core::Scenario::Built& s = with_failures ? failed : healthy;
     for (const cache::Policy policy :
          {cache::Policy::kLru, cache::Policy::kGdsf}) {
       for (const int buckets : {4, 9}) {
@@ -246,7 +231,7 @@ TEST(Determinism, ShardedReplayIdenticalAtEveryThreadCount) {
             cfg.transient_down_prob = 0.05;
             cfg.transient_window = util::Seconds{120.0};
           }
-          core::Simulator sim(shell, schedule, cfg);
+          core::Simulator sim(*s.shell, *s.schedule, cfg);
           trace::VectorStream stream(requests, 1'500);  // many pipeline steps
           sim.run(stream);
           return sim.finish();

@@ -3,22 +3,21 @@
 // through the whole pipeline.
 #include <gtest/gtest.h>
 
+#include "core/scenario.h"
 #include "core/simulator.h"
 #include "trace/spacegen.h"
-#include "trace/workload.h"
-#include "util/geo.h"
 
 namespace starcdn {
 namespace {
 
 TEST(EndToEnd, SpaceGenTraceDrivesSimulatorLikeProduction) {
   // 1. Production workload.
-  auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 15'000;
-  p.requests_per_weight = 8'000;
-  p.duration_s = 2 * util::kHour.value();
-  const trace::WorkloadModel w(util::paper_cities(), p);
-  const auto production = w.generate();
+  core::Scenario recipe;
+  recipe.workload.object_count = 15'000;
+  recipe.workload.requests_per_weight = 8'000;
+  recipe.workload.duration_s = 2 * util::kHour.value();
+  const core::Scenario::Built s = recipe.build();
+  const auto production = s.model->generate();
 
   // 2. Fit SpaceGEN and regenerate a synthetic trace of similar length.
   const auto gen = trace::SpaceGen::fit(production);
@@ -34,19 +33,19 @@ TEST(EndToEnd, SpaceGenTraceDrivesSimulatorLikeProduction) {
     }
   }
   for (auto& t : synthetic) {
-    for (auto& r : t.requests) r.timestamp_s *= p.duration_s / (max_ts + 1.0);
+    for (auto& r : t.requests) {
+      r.timestamp_s *= recipe.workload.duration_s / (max_ts + 1.0);
+    }
   }
 
   // 3. Simulate both against the same constellation (the Fig. 6e/6f check).
-  const orbit::Constellation shell{orbit::WalkerParams{}};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{p.duration_s});
   core::SimConfig cfg;
   cfg.cache_capacity = util::mib(512);
   cfg.sample_latency = false;
+  cfg.variants = {core::Variant::kVanillaLru};
 
   const auto hit_rate = [&](const trace::MultiTrace& traces) {
-    core::Simulator sim(shell, schedule, cfg);
-    sim.add_variant(core::Variant::kVanillaLru);
+    core::Simulator sim(*s.shell, *s.schedule, cfg);
     const auto requests = trace::merge_by_time(traces);
     trace::VectorStream stream(requests);
     sim.run(stream);
@@ -68,21 +67,18 @@ TEST(EndToEnd, HeadlineClaimsAtTargetConfiguration) {
   // §5 headline numbers (scaled): StarCDN lifts the hit rate well above
   // naive LRU, saves a large fraction of uplink, and improves median
   // latency over bent-pipe Starlink by >2x.
-  auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 40'000;
-  p.requests_per_weight = 30'000;
-  p.duration_s = 4 * util::kHour.value();
-  const trace::WorkloadModel w(util::paper_cities(), p);
+  core::Scenario recipe;
+  recipe.workload.object_count = 40'000;
+  recipe.workload.requests_per_weight = 30'000;
+  recipe.workload.duration_s = 4 * util::kHour.value();
+  const core::Scenario::Built s = recipe.build();
 
-  const orbit::Constellation shell{orbit::WalkerParams{}};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{p.duration_s});
   core::SimConfig cfg;
   cfg.cache_capacity = util::gib(1);
   cfg.buckets = 9;
-  core::Simulator sim(shell, schedule, cfg);
-  sim.add_variant(core::Variant::kStarCdn);
-  sim.add_variant(core::Variant::kVanillaLru);
-  sim.run(*w.generate_stream());
+  cfg.variants = {core::Variant::kStarCdn, core::Variant::kVanillaLru};
+  core::Simulator sim(*s.shell, *s.schedule, cfg);
+  sim.run(*s.model->generate_stream());
 
   const core::RunReport report = sim.finish();
   const auto& star = report.variant(core::Variant::kStarCdn).metrics;

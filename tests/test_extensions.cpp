@@ -7,6 +7,7 @@
 #include "cache/lru.h"
 #include "cache/slru.h"
 #include "core/failure.h"
+#include "core/scenario.h"
 #include "core/simulator.h"
 #include "trace/workload.h"
 #include "util/geo.h"
@@ -119,51 +120,35 @@ TEST(TransientFailure, DeterministicForSeed) {
 
 class ExtensionSimTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    shell_ = new orbit::Constellation{orbit::WalkerParams{}};
-    auto p = trace::default_params(trace::TrafficClass::kVideo);
-    p.object_count = 20'000;
-    p.requests_per_weight = 10'000;
-    p.duration_s = 2 * util::kHour.value();
-    const trace::WorkloadModel workload(util::paper_cities(), p);
-    requests_ = new std::vector<trace::Request>(
-        trace::collect(*workload.generate_stream()));
-    schedule_ = new sched::LinkSchedule(*shell_, util::paper_cities(),
-                                        util::Seconds{p.duration_s});
+  /// Built on first use and shared by every test.
+  static const core::Scenario::Built& scenario() {
+    static const core::Scenario::Built built = [] {
+      core::Scenario recipe;
+      recipe.workload.object_count = 20'000;
+      recipe.workload.requests_per_weight = 10'000;
+      recipe.workload.duration_s = 2 * util::kHour.value();
+      return recipe.build();
+    }();
+    return built;
   }
-  static void TearDownTestSuite() {
-    delete requests_;
-    delete schedule_;
-    delete shell_;
-    requests_ = nullptr;
-    schedule_ = nullptr;
-    shell_ = nullptr;
-  }
-  /// Replay the shared trace into `sim` and return its report.
-  static core::RunReport replay(core::Simulator& sim) {
-    trace::VectorStream stream(*requests_);
+  /// Replay the shared trace under `cfg` and return its report.
+  static core::RunReport replay(const core::SimConfig& cfg) {
+    static const auto requests =
+        trace::collect(*scenario().model->generate_stream());
+    core::Simulator sim(*scenario().shell, *scenario().schedule, cfg);
+    trace::VectorStream stream(requests);
     sim.run(stream);
     return sim.finish();
   }
-
-  static orbit::Constellation* shell_;
-  static std::vector<trace::Request>* requests_;
-  static sched::LinkSchedule* schedule_;
 };
-
-orbit::Constellation* ExtensionSimTest::shell_ = nullptr;
-std::vector<trace::Request>* ExtensionSimTest::requests_ = nullptr;
-sched::LinkSchedule* ExtensionSimTest::schedule_ = nullptr;
 
 TEST_F(ExtensionSimTest, PrefetchMovesSpeculativeBytes) {
   core::SimConfig cfg;
   cfg.cache_capacity = util::mib(256);
   cfg.buckets = 4;
   cfg.sample_latency = false;
-  core::Simulator sim(*shell_, *schedule_, cfg);
-  sim.add_variant(core::Variant::kPrefetch);
-  sim.add_variant(core::Variant::kStarCdn);
-  const core::RunReport report = replay(sim);
+  cfg.variants = {core::Variant::kPrefetch, core::Variant::kStarCdn};
+  const core::RunReport report = replay(cfg);
 
   const auto& pf = report.variant(core::Variant::kPrefetch).metrics;
   const auto& star = report.variant(core::Variant::kStarCdn).metrics;
@@ -183,10 +168,8 @@ TEST_F(ExtensionSimTest, PrefetchBeatsPlainHashingSometimesNotRelay) {
   cfg.cache_capacity = util::mib(256);
   cfg.buckets = 4;
   cfg.sample_latency = false;
-  core::Simulator sim(*shell_, *schedule_, cfg);
-  sim.add_variant(core::Variant::kPrefetch);
-  sim.add_variant(core::Variant::kHashOnly);
-  const core::RunReport report = replay(sim);
+  cfg.variants = {core::Variant::kPrefetch, core::Variant::kHashOnly};
+  const core::RunReport report = replay(cfg);
   // Prefetch is a (wasteful) form of content backflow: it should at least
   // not fall far below hashing-only.
   EXPECT_GT(
@@ -202,9 +185,8 @@ TEST_F(ExtensionSimTest, TransientOutagesDegradeGracefully) {
     cfg.buckets = 4;
     cfg.sample_latency = false;
     cfg.transient_down_prob = p;
-    core::Simulator sim(*shell_, *schedule_, cfg);
-    sim.add_variant(core::Variant::kStarCdn);
-    const core::RunReport report = replay(sim);
+    cfg.variants = {core::Variant::kStarCdn};
+    const core::RunReport report = replay(cfg);
     const auto& m = report.variant(core::Variant::kStarCdn).metrics;
     EXPECT_EQ(m.hits() + m.misses, m.requests);
     if (p == 0.0) {
@@ -228,9 +210,8 @@ TEST_F(ExtensionSimTest, TransientMissCountTracksProbability) {
   cfg.buckets = 4;
   cfg.sample_latency = false;
   cfg.transient_down_prob = 0.25;
-  core::Simulator sim(*shell_, *schedule_, cfg);
-  sim.add_variant(core::Variant::kStarCdn);
-  const core::RunReport report = replay(sim);
+  cfg.variants = {core::Variant::kStarCdn};
+  const core::RunReport report = replay(cfg);
   const auto& m = report.variant(core::Variant::kStarCdn).metrics;
   const double fraction =
       static_cast<double>(m.transient_misses) / static_cast<double>(m.requests);

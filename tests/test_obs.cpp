@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/run_report.h"
+#include "core/scenario.h"
 #include "core/simulator.h"
 #include "obs/series.h"
 #include "obs/tracer.h"
@@ -400,25 +401,16 @@ TEST(Tracer, NullTracerIsSafe) {
 
 class ObsSimTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    shell_ = new orbit::Constellation{orbit::WalkerParams{}};
-    auto p = trace::default_params(trace::TrafficClass::kVideo);
-    p.object_count = 10'000;
-    p.requests_per_weight = 4'000;
-    p.duration_s = 1 * util::kHour.value();
-    const trace::WorkloadModel workload(util::paper_cities(), p);
-    requests_ = new std::vector<trace::Request>(
-        trace::collect(*workload.generate_stream()));
-    schedule_ = new sched::LinkSchedule(*shell_, util::paper_cities(),
-                                        util::Seconds{p.duration_s});
-  }
-  static void TearDownTestSuite() {
-    delete requests_;
-    delete schedule_;
-    delete shell_;
-    requests_ = nullptr;
-    schedule_ = nullptr;
-    shell_ = nullptr;
+  /// Built on first use and shared by every test.
+  static const core::Scenario::Built& scenario() {
+    static const core::Scenario::Built built = [] {
+      core::Scenario recipe;
+      recipe.workload.object_count = 10'000;
+      recipe.workload.requests_per_weight = 4'000;
+      recipe.workload.duration_s = 1 * util::kHour.value();
+      return recipe.build();
+    }();
+    return built;
   }
 
   static core::SimConfig small_config() {
@@ -431,20 +423,14 @@ class ObsSimTest : public ::testing::Test {
   }
 
   static core::RunReport run_report(const core::SimConfig& cfg) {
-    core::Simulator sim(*shell_, *schedule_, cfg);
-    trace::VectorStream stream(*requests_);
+    static const auto requests =
+        trace::collect(*scenario().model->generate_stream());
+    core::Simulator sim(*scenario().shell, *scenario().schedule, cfg);
+    trace::VectorStream stream(requests);
     sim.run(stream);
     return sim.finish();
   }
-
-  static orbit::Constellation* shell_;
-  static std::vector<trace::Request>* requests_;
-  static sched::LinkSchedule* schedule_;
 };
-
-orbit::Constellation* ObsSimTest::shell_ = nullptr;
-std::vector<trace::Request>* ObsSimTest::requests_ = nullptr;
-sched::LinkSchedule* ObsSimTest::schedule_ = nullptr;
 
 void expect_reports_bitwise_equal(const core::RunReport& a,
                                   const core::RunReport& b) {

@@ -8,30 +8,27 @@
 #include <string>
 #include <vector>
 
+#include "core/scenario.h"
 #include "core/simulator.h"
-#include "trace/workload.h"
-#include "util/geo.h"
 #include "util/parallel.h"
-#include "util/rng.h"
 
 namespace starcdn::replay {
 namespace {
 
-/// Small cluster so the TCP mode stays cheap: 6x4 grid = 24 workers.
-orbit::WalkerParams small_shell() {
-  orbit::WalkerParams p;
-  p.planes = 6;
-  p.slots_per_plane = 4;
-  return p;
+/// Small cluster so the TCP mode stays cheap: 6x4 grid = 24 workers, over
+/// ten minutes.
+core::Scenario small_scenario() {
+  core::Scenario s;
+  s.shell.planes = 6;
+  s.shell.slots_per_plane = 4;
+  s.workload.object_count = 2'000;
+  s.workload.duration_s = 600.0;
+  return s;
 }
 
-std::vector<trace::Request> small_requests() {
-  auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 2'000;
-  p.duration_s = 600.0;
-  const trace::WorkloadModel w(util::paper_cities(), p);
+std::vector<trace::Request> small_requests(const trace::WorkloadModel& w) {
   std::vector<trace::Request> reqs;
-  for (std::size_t c = 0; c < util::paper_cities().size(); ++c) {
+  for (std::size_t c = 0; c < w.cities().size(); ++c) {
     const auto t = w.generate_city(c, 400);
     reqs.insert(reqs.end(), t.requests.begin(), t.requests.end());
   }
@@ -51,13 +48,12 @@ core::SimConfig config_at(util::Bytes capacity) {
   return core::SimConfig::Builder{}.cache_capacity(capacity).build();
 }
 
-core::RunReport cluster(const orbit::Constellation& shell,
-                        const sched::LinkSchedule& schedule,
+core::RunReport cluster(const core::Scenario::Built& s,
                         const std::vector<trace::Request>& requests,
                         const core::SimConfig& cfg,
                         TransportKind transport = TransportKind::kInProcess) {
   trace::VectorStream stream(requests);
-  return replay_cluster(shell, schedule, stream, cfg, transport);
+  return replay_cluster(*s.shell, *s.schedule, stream, cfg, transport);
 }
 
 const core::VariantMetrics& starcdn(const core::RunReport& report) {
@@ -65,12 +61,10 @@ const core::VariantMetrics& starcdn(const core::RunReport& report) {
 }
 
 TEST(Replay, InProcessBasicAccounting) {
-  const orbit::Constellation shell{small_shell()};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{600.0});
-  const auto requests = small_requests();
+  const core::Scenario::Built s = small_scenario().build();
+  const auto requests = small_requests(*s.model);
 
-  const auto report =
-      cluster(shell, schedule, requests, config_at(util::mib(512)));
+  const auto report = cluster(s, requests, config_at(util::mib(512)));
   ASSERT_EQ(report.variants.size(), 1u);
   const core::VariantMetrics& m = starcdn(report);
   EXPECT_EQ(m.requests, requests.size());
@@ -84,40 +78,36 @@ TEST(Replay, TcpModeMatchesInProcessBitForBit) {
   // The paper's replayer uses TCP between per-satellite processes; our two
   // transports must produce identical results — the protocol, not the
   // transport, determines caching behaviour.
-  const orbit::Constellation shell{small_shell()};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{600.0});
-  const auto requests = small_requests();
+  const core::Scenario::Built s = small_scenario().build();
+  const auto requests = small_requests(*s.model);
   const auto cfg = config_at(util::mib(256));
 
-  const auto a =
-      cluster(shell, schedule, requests, cfg, TransportKind::kInProcess);
-  const auto b = cluster(shell, schedule, requests, cfg, TransportKind::kTcp);
+  const auto a = cluster(s, requests, cfg, TransportKind::kInProcess);
+  const auto b = cluster(s, requests, cfg, TransportKind::kTcp);
   EXPECT_EQ(a.variants.at(0).counters, b.variants.at(0).counters);
 }
 
 TEST(Replay, RelayImprovesHitRate) {
-  const orbit::Constellation shell{small_shell()};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{600.0});
-  const auto requests = small_requests();
+  const core::Scenario::Built s = small_scenario().build();
+  const auto requests = small_requests(*s.model);
 
   const auto with_relay = config_at(util::mib(128));
   auto no_east = with_relay;
   no_east.relay_east = false;
 
-  const auto full = cluster(shell, schedule, requests, with_relay);
-  const auto west_only = cluster(shell, schedule, requests, no_east);
+  const auto full = cluster(s, requests, with_relay);
+  const auto west_only = cluster(s, requests, no_east);
   EXPECT_GE(starcdn(full).hits(), starcdn(west_only).hits());
   EXPECT_GT(starcdn(full).relay_west_hits + starcdn(full).relay_east_hits,
             0u);
 }
 
 TEST(Replay, DeterministicAcrossRuns) {
-  const orbit::Constellation shell{small_shell()};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{600.0});
-  const auto requests = small_requests();
+  const core::Scenario::Built s = small_scenario().build();
+  const auto requests = small_requests(*s.model);
   const auto cfg = config_at(util::mib(64));
-  const auto a = cluster(shell, schedule, requests, cfg);
-  const auto b = cluster(shell, schedule, requests, cfg);
+  const auto a = cluster(s, requests, cfg);
+  const auto b = cluster(s, requests, cfg);
   EXPECT_EQ(a.variants.at(0).counters, b.variants.at(0).counters);
   EXPECT_EQ(starcdn(a).latency_ms.samples(), starcdn(b).latency_ms.samples());
 }
@@ -125,16 +115,17 @@ TEST(Replay, DeterministicAcrossRuns) {
 // One request pipeline: the cluster is the simulator over remote caches, so
 // where the caches live must not change a single counter or latency sample.
 TEST(Replay, ClusterMatchesSimulatorBitForBit) {
-  const auto requests = small_requests();
-  const orbit::Constellation healthy{small_shell()};
-  orbit::Constellation failed{small_shell()};
-  util::Rng rng(7);
-  failed.knock_out_random(0.1, rng);
-  ASSERT_LT(failed.active_count(), failed.size());
+  core::Scenario recipe = small_scenario();
+  const core::Scenario::Built healthy = recipe.build();
+  recipe.fail_fraction = 0.1;
+  recipe.failure_seed = 7;
+  const core::Scenario::Built failed = recipe.build();
+  ASSERT_LT(failed.shell->active_count(), failed.shell->size());
+  const auto requests = small_requests(*healthy.model);
 
   struct Case {
     const char* name;
-    const orbit::Constellation* shell;
+    const core::Scenario::Built* scenario;
     core::SimConfig cfg;
   };
   auto outages = config_at(util::mib(128));
@@ -145,10 +136,9 @@ TEST(Replay, ClusterMatchesSimulatorBitForBit) {
                         {"failed+transient", &failed, outages}};
 
   for (const Case& c : cases) {
-    const sched::LinkSchedule schedule(*c.shell, util::paper_cities(),
-                                       util::Seconds{600.0});
-    core::Simulator sim(*c.shell, schedule, c.cfg);
-    sim.add_variant(core::Variant::kStarCdn);
+    core::SimConfig star = c.cfg;
+    star.variants = {core::Variant::kStarCdn};
+    core::Simulator sim(*c.scenario->shell, *c.scenario->schedule, star);
     trace::VectorStream stream(requests);
     sim.run(stream);
     const core::RunReport local = sim.finish();
@@ -162,8 +152,7 @@ TEST(Replay, ClusterMatchesSimulatorBitForBit) {
                      (transport == TransportKind::kTcp ? " tcp" : " inproc") +
                      " threads=" + std::to_string(threads));
         const ThreadOverrideGuard guard(threads);
-        const auto remote =
-            cluster(*c.shell, schedule, requests, c.cfg, transport);
+        const auto remote = cluster(*c.scenario, requests, c.cfg, transport);
         ASSERT_EQ(remote.variants.size(), 1u);
         EXPECT_EQ(remote.variants[0].counters, local.variants[0].counters);
         EXPECT_EQ(starcdn(remote).latency_ms.count(),
@@ -176,15 +165,13 @@ TEST(Replay, ClusterMatchesSimulatorBitForBit) {
 }
 
 TEST(Replay, RejectsVariantsOtherThanStarCdn) {
-  const orbit::Constellation shell{small_shell()};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(),
-                                     util::Seconds{600.0});
+  const core::Scenario::Built s = small_scenario().build();
   const std::vector<trace::Request> none;
   auto cfg = core::SimConfig::Builder{}
                  .variants({core::Variant::kStarCdn, core::Variant::kHashOnly})
                  .build();
   try {
-    (void)cluster(shell, schedule, none, cfg);
+    (void)cluster(s, none, cfg);
     ADD_FAILURE() << "two variants accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("SimConfig::variants"),
@@ -192,7 +179,7 @@ TEST(Replay, RejectsVariantsOtherThanStarCdn) {
         << e.what();
   }
   cfg.variants = {core::Variant::kStarCdn};
-  EXPECT_EQ(starcdn(cluster(shell, schedule, none, cfg)).requests, 0u);
+  EXPECT_EQ(starcdn(cluster(s, none, cfg)).requests, 0u);
 }
 
 TEST(Replay, RemoteCacheRejectsAMismatchedReplyId) {

@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "trace/workload.h"
-#include "util/geo.h"
+#include "core/scenario.h"
 
 namespace starcdn::core {
 namespace {
@@ -11,27 +10,21 @@ namespace {
 /// Shared fixture: a small-but-real scenario so each test stays fast.
 class SimulatorTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    shell_ = new orbit::Constellation{orbit::WalkerParams{}};
-    auto p = trace::default_params(trace::TrafficClass::kVideo);
-    p.object_count = 20'000;
-    p.requests_per_weight = 10'000;
-    p.duration_s = 2 * util::kHour.value();
-    workload_ = new trace::WorkloadModel(util::paper_cities(), p);
-    requests_ = new std::vector<trace::Request>(
-        trace::collect(*workload_->generate_stream()));
-    schedule_ = new sched::LinkSchedule(*shell_, util::paper_cities(),
-                                        util::Seconds{p.duration_s});
+  /// Built on first use and shared by every test.
+  static const Scenario::Built& scenario() {
+    static const Scenario::Built built = [] {
+      Scenario recipe;
+      recipe.workload.object_count = 20'000;
+      recipe.workload.requests_per_weight = 10'000;
+      recipe.workload.duration_s = 2 * util::kHour.value();
+      return recipe.build();
+    }();
+    return built;
   }
-  static void TearDownTestSuite() {
-    delete requests_;
-    delete workload_;
-    delete schedule_;
-    delete shell_;
-    requests_ = nullptr;
-    workload_ = nullptr;
-    schedule_ = nullptr;
-    shell_ = nullptr;
+  static const std::vector<trace::Request>& requests() {
+    static const auto all =
+        trace::collect(*scenario().model->generate_stream());
+    return all;
   }
 
   static SimConfig small_config() {
@@ -41,40 +34,35 @@ class SimulatorTest : public ::testing::Test {
     return cfg;
   }
 
+  /// A simulator over the shared scenario replaying `variants`.
+  static Simulator simulator(SimConfig cfg, std::vector<Variant> variants) {
+    cfg.variants = std::move(variants);
+    return Simulator(*scenario().shell, *scenario().schedule, std::move(cfg));
+  }
+
   /// The shared trace split in two at its midpoint.
   static std::pair<std::vector<trace::Request>, std::vector<trace::Request>>
   halves() {
-    const auto mid = requests_->begin() +
-                     static_cast<std::ptrdiff_t>(requests_->size() / 2);
-    return {{requests_->begin(), mid}, {mid, requests_->end()}};
+    const auto mid = requests().begin() +
+                     static_cast<std::ptrdiff_t>(requests().size() / 2);
+    return {{requests().begin(), mid}, {mid, requests().end()}};
   }
 
   /// Replay the shared trace into `sim` and return its report.
   static RunReport replay(Simulator& sim) {
-    trace::VectorStream stream(*requests_);
+    trace::VectorStream stream(requests());
     sim.run(stream);
     return sim.finish();
   }
-
-  static orbit::Constellation* shell_;
-  static trace::WorkloadModel* workload_;
-  static std::vector<trace::Request>* requests_;
-  static sched::LinkSchedule* schedule_;
 };
 
-orbit::Constellation* SimulatorTest::shell_ = nullptr;
-trace::WorkloadModel* SimulatorTest::workload_ = nullptr;
-std::vector<trace::Request>* SimulatorTest::requests_ = nullptr;
-sched::LinkSchedule* SimulatorTest::schedule_ = nullptr;
-
 TEST_F(SimulatorTest, ConservationInvariants) {
-  Simulator sim(*shell_, *schedule_, small_config());
-  sim.add_variant(Variant::kStarCdn);
-  sim.add_variant(Variant::kVanillaLru);
+  Simulator sim =
+      simulator(small_config(), {Variant::kStarCdn, Variant::kVanillaLru});
   const RunReport report = replay(sim);
   for (const auto v : {Variant::kStarCdn, Variant::kVanillaLru}) {
     const auto& m = report.variant(v).metrics;
-    EXPECT_EQ(m.requests, requests_->size());
+    EXPECT_EQ(m.requests, requests().size());
     EXPECT_EQ(m.hits() + m.misses, m.requests);
     EXPECT_EQ(m.bytes_hit + m.uplink_bytes, m.bytes_requested);
     EXPECT_GT(m.hits(), 0u);
@@ -83,8 +71,7 @@ TEST_F(SimulatorTest, ConservationInvariants) {
 }
 
 TEST_F(SimulatorTest, UplinkEqualsOneMinusByteHitRate) {
-  Simulator sim(*shell_, *schedule_, small_config());
-  sim.add_variant(Variant::kStarCdn);
+  Simulator sim = simulator(small_config(), {Variant::kStarCdn});
   const RunReport report = replay(sim);
   const auto& m = report.variant(Variant::kStarCdn).metrics;
   EXPECT_NEAR(m.normalized_uplink(), 1.0 - m.byte_hit_rate(), 1e-12);
@@ -93,11 +80,9 @@ TEST_F(SimulatorTest, UplinkEqualsOneMinusByteHitRate) {
 TEST_F(SimulatorTest, VariantOrderingHolds) {
   // The paper's headline ordering at any reasonable configuration:
   // StarCDN > hashing-only > vanilla LRU (Fig. 7).
-  Simulator sim(*shell_, *schedule_, small_config());
-  for (const auto v : {Variant::kStarCdn, Variant::kHashOnly,
-                       Variant::kRelayOnly, Variant::kVanillaLru}) {
-    sim.add_variant(v);
-  }
+  Simulator sim =
+      simulator(small_config(), {Variant::kStarCdn, Variant::kHashOnly,
+                                 Variant::kRelayOnly, Variant::kVanillaLru});
   const RunReport report = replay(sim);
   const auto rate = [&](Variant v) {
     return report.variant(v).metrics.request_hit_rate();
@@ -113,10 +98,8 @@ TEST_F(SimulatorTest, VariantOrderingHolds) {
 }
 
 TEST_F(SimulatorTest, RelayedFetchOnlyInRelayVariants) {
-  Simulator sim(*shell_, *schedule_, small_config());
-  for (const auto v : {Variant::kStarCdn, Variant::kHashOnly}) {
-    sim.add_variant(v);
-  }
+  Simulator sim =
+      simulator(small_config(), {Variant::kStarCdn, Variant::kHashOnly});
   const RunReport report = replay(sim);
   const auto& star = report.variant(Variant::kStarCdn).metrics;
   const auto& hash = report.variant(Variant::kHashOnly).metrics;
@@ -128,16 +111,14 @@ TEST_F(SimulatorTest, RelayedFetchOnlyInRelayVariants) {
 TEST_F(SimulatorTest, WestNeighbourDominatesRelays) {
   // §3.3/Fig. 3: the west inter-orbit neighbour traces the requester's
   // recent ground track, so most relayed hits come from the west.
-  Simulator sim(*shell_, *schedule_, small_config());
-  sim.add_variant(Variant::kStarCdn);
+  Simulator sim = simulator(small_config(), {Variant::kStarCdn});
   const RunReport report = replay(sim);
   const auto& m = report.variant(Variant::kStarCdn).metrics;
   EXPECT_GT(m.relay_west_hits, m.relay_east_hits);
 }
 
 TEST_F(SimulatorTest, RelayAvailabilityTracked) {
-  Simulator sim(*shell_, *schedule_, small_config());
-  sim.add_variant(Variant::kStarCdn);
+  Simulator sim = simulator(small_config(), {Variant::kStarCdn});
   const RunReport report = replay(sim);
   const auto& m = report.variant(Variant::kStarCdn).metrics;
   // Table 3's pattern: west-only dominates east-only and both.
@@ -149,8 +130,7 @@ TEST_F(SimulatorTest, RelayAvailabilityTracked) {
 TEST_F(SimulatorTest, DisablingEastRelayRemovesEastHits) {
   auto cfg = small_config();
   cfg.relay_east = false;
-  Simulator sim(*shell_, *schedule_, cfg);
-  sim.add_variant(Variant::kStarCdn);
+  Simulator sim = simulator(cfg, {Variant::kStarCdn});
   const RunReport report = replay(sim);
   const auto& m = report.variant(Variant::kStarCdn).metrics;
   EXPECT_EQ(m.relay_east_hits, 0u);
@@ -158,11 +138,10 @@ TEST_F(SimulatorTest, DisablingEastRelayRemovesEastHits) {
 }
 
 TEST_F(SimulatorTest, LatencySamplesCollected) {
-  Simulator sim(*shell_, *schedule_, small_config());
-  sim.add_variant(Variant::kStarCdn);
+  Simulator sim = simulator(small_config(), {Variant::kStarCdn});
   const RunReport report = replay(sim);
   const auto& lat = report.variant(Variant::kStarCdn).metrics.latency_ms;
-  EXPECT_EQ(lat.count(), requests_->size());
+  EXPECT_EQ(lat.count(), requests().size());
   // Hits cost a couple of GSL+ISL traversals; misses tens of ms.
   EXPECT_GT(lat.median(), 3.0);
   EXPECT_LT(lat.median(), 80.0);
@@ -172,8 +151,7 @@ TEST_F(SimulatorTest, LatencySamplesCollected) {
 TEST_F(SimulatorTest, LatencySamplingCanBeDisabled) {
   auto cfg = small_config();
   cfg.sample_latency = false;
-  Simulator sim(*shell_, *schedule_, cfg);
-  sim.add_variant(Variant::kVanillaLru);
+  Simulator sim = simulator(cfg, {Variant::kVanillaLru});
   EXPECT_TRUE(
       replay(sim).variant(Variant::kVanillaLru).metrics.latency_ms.empty());
 }
@@ -181,14 +159,12 @@ TEST_F(SimulatorTest, LatencySamplingCanBeDisabled) {
 TEST_F(SimulatorTest, BiggerCacheNeverHurts) {
   auto small_cfg = small_config();
   small_cfg.cache_capacity = util::mib(64);
-  Simulator small_sim(*shell_, *schedule_, small_cfg);
-  small_sim.add_variant(Variant::kVanillaLru);
+  Simulator small_sim = simulator(small_cfg, {Variant::kVanillaLru});
   const RunReport small = replay(small_sim);
 
   auto big_cfg = small_config();
   big_cfg.cache_capacity = util::gib(4);
-  Simulator big_sim(*shell_, *schedule_, big_cfg);
-  big_sim.add_variant(Variant::kVanillaLru);
+  Simulator big_sim = simulator(big_cfg, {Variant::kVanillaLru});
   const RunReport big = replay(big_sim);
 
   EXPECT_GE(big.variant(Variant::kVanillaLru).metrics.request_hit_rate() +
@@ -200,14 +176,12 @@ TEST_F(SimulatorTest, MoreBucketsImproveHashedHitRate) {
   // §5.2.1: L=9 beats L=4 in hit rate (bigger effective cache).
   auto cfg4 = small_config();
   cfg4.buckets = 4;
-  Simulator s4(*shell_, *schedule_, cfg4);
-  s4.add_variant(Variant::kHashOnly);
+  Simulator s4 = simulator(cfg4, {Variant::kHashOnly});
   const RunReport r4 = replay(s4);
 
   auto cfg9 = small_config();
   cfg9.buckets = 9;
-  Simulator s9(*shell_, *schedule_, cfg9);
-  s9.add_variant(Variant::kHashOnly);
+  Simulator s9 = simulator(cfg9, {Variant::kHashOnly});
   const RunReport r9 = replay(s9);
 
   EXPECT_GT(r9.variant(Variant::kHashOnly).metrics.request_hit_rate(),
@@ -217,11 +191,11 @@ TEST_F(SimulatorTest, MoreBucketsImproveHashedHitRate) {
 TEST_F(SimulatorTest, PerSatelliteTracking) {
   auto cfg = small_config();
   cfg.track_per_satellite = true;
-  Simulator sim(*shell_, *schedule_, cfg);
-  sim.add_variant(Variant::kStarCdn);
+  Simulator sim = simulator(cfg, {Variant::kStarCdn});
   const RunReport report = replay(sim);
   const auto& m = report.variant(Variant::kStarCdn).metrics;
-  ASSERT_EQ(m.sat_requests.size(), static_cast<std::size_t>(shell_->size()));
+  ASSERT_EQ(m.sat_requests.size(),
+            static_cast<std::size_t>(scenario().shell->size()));
   std::uint64_t total = 0, hits = 0;
   for (std::size_t i = 0; i < m.sat_requests.size(); ++i) {
     total += m.sat_requests[i];
@@ -236,35 +210,31 @@ TEST_F(SimulatorTest, PerSatelliteTracking) {
 
 TEST_F(SimulatorTest, BucketsServedHealthyGridIsOnePerSatellite) {
   const auto served =
-      BucketMapper(*shell_, small_config().buckets)
+      BucketMapper(*scenario().shell, small_config().buckets)
           .buckets_served_per_satellite();
-  for (int i = 0; i < shell_->size(); ++i) {
+  for (int i = 0; i < scenario().shell->size(); ++i) {
     EXPECT_EQ(served[static_cast<std::size_t>(i)], 1);
   }
 }
 
 TEST_F(SimulatorTest, UnregisteredVariantThrows) {
-  Simulator sim(*shell_, *schedule_, small_config());
-  sim.add_variant(Variant::kStarCdn);
+  Simulator sim = simulator(small_config(), {Variant::kStarCdn});
   EXPECT_THROW((void)sim.finish().variant(Variant::kVanillaLru),
                std::out_of_range);
 }
 
 TEST_F(SimulatorTest, DuplicateVariantRegistrationIsNoop) {
-  Simulator sim(*shell_, *schedule_, small_config());
-  sim.add_variant(Variant::kStarCdn);
-  sim.add_variant(Variant::kStarCdn);
+  Simulator sim =
+      simulator(small_config(), {Variant::kStarCdn, Variant::kStarCdn});
   EXPECT_EQ(replay(sim).variant(Variant::kStarCdn).metrics.requests,
-            requests_->size());
+            requests().size());
 }
 
 TEST_F(SimulatorTest, StreamedRunsAccumulate) {
-  Simulator whole(*shell_, *schedule_, small_config());
-  whole.add_variant(Variant::kStarCdn);
+  Simulator whole = simulator(small_config(), {Variant::kStarCdn});
   const RunReport whole_report = replay(whole);
 
-  Simulator chunked(*shell_, *schedule_, small_config());
-  chunked.add_variant(Variant::kStarCdn);
+  Simulator chunked = simulator(small_config(), {Variant::kStarCdn});
   const auto [first, second] = halves();
   trace::VectorStream first_stream(first), second_stream(second);
   chunked.run(first_stream);
@@ -283,9 +253,8 @@ TEST_F(SimulatorTest, FinishIsASnapshot) {
   // the series rows recorded after it and the latency reservoir.
   const auto [first, second] = halves();
   const auto run_halves = [&](bool finish_between) {
-    Simulator sim(*shell_, *schedule_, small_config());
-    sim.add_variant(Variant::kStarCdn);
-    sim.add_variant(Variant::kVanillaLru);
+    Simulator sim = simulator(small_config(),
+                              {Variant::kStarCdn, Variant::kVanillaLru});
     trace::VectorStream first_stream(first), second_stream(second);
     sim.run(first_stream);
     if (finish_between) {
@@ -369,16 +338,13 @@ TEST(SimulatorGolden, MetricsBitwiseIdenticalAcrossCacheRewrite) {
     {Policy::kGdsf, Variant(5), 2833u, 8699u, 0u, 0u, 10868u, 0u, 141925790838u, 232351352955u, 351818750658u, 245042495663u, 0u},
   };
 
-  const orbit::Constellation shell{orbit::WalkerParams{}};
-  auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 5'000;
-  p.requests_per_weight = 2'000;
-  p.duration_s = 1'800.0;
-  const trace::WorkloadModel workload(util::paper_cities(), p);
-  const auto requests = trace::collect(*workload.generate_stream());
-  const sched::LinkSchedule schedule(shell, util::paper_cities(),
-                                     util::Seconds{p.duration_s});
-  constexpr Variant kVariants[] = {
+  Scenario recipe;
+  recipe.workload.object_count = 5'000;
+  recipe.workload.requests_per_weight = 2'000;
+  recipe.workload.duration_s = 1'800.0;
+  const Scenario::Built s = recipe.build();
+  const auto requests = trace::collect(*s.model->generate_stream());
+  const std::vector<Variant> kVariants = {
       Variant::kStatic,   Variant::kVanillaLru, Variant::kHashOnly,
       Variant::kRelayOnly, Variant::kStarCdn,   Variant::kPrefetch,
   };
@@ -391,8 +357,8 @@ TEST(SimulatorGolden, MetricsBitwiseIdenticalAcrossCacheRewrite) {
     cfg.policy = policy;
     cfg.cache_capacity = util::mib(64);
     cfg.buckets = 4;
-    Simulator sim(shell, schedule, cfg);
-    for (const auto v : kVariants) sim.add_variant(v);
+    cfg.variants = kVariants;
+    Simulator sim(*s.shell, *s.schedule, cfg);
     trace::VectorStream stream(requests);
     sim.run(stream);
     const RunReport report = sim.finish();
@@ -420,27 +386,26 @@ TEST(SimulatorGolden, MetricsBitwiseIdenticalAcrossCacheRewrite) {
 }
 
 TEST(SimulatorFailures, KnockedOutConstellationStillServes) {
-  orbit::Constellation shell{orbit::WalkerParams{}};
-  util::Rng rng(7);
-  shell.knock_out_random(0.097, rng);  // the paper's out-of-slot rate
-  auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 10'000;
-  p.requests_per_weight = 4'000;
-  p.duration_s = util::kHour.value();
-  const trace::WorkloadModel w(util::paper_cities(), p);
-  const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{p.duration_s});
+  Scenario recipe;
+  recipe.workload.object_count = 10'000;
+  recipe.workload.requests_per_weight = 4'000;
+  recipe.workload.duration_s = util::kHour.value();
+  recipe.fail_fraction = 0.097;  // the paper's out-of-slot rate
+  recipe.failure_seed = 7;
+  const Scenario::Built s = recipe.build();
+  const orbit::Constellation& shell = *s.shell;
 
   SimConfig cfg;
   cfg.cache_capacity = util::mib(256);
   cfg.buckets = 9;
   cfg.track_per_satellite = true;
-  Simulator sim(shell, schedule, cfg);
-  sim.add_variant(Variant::kStarCdn);
-  sim.run(*w.generate_stream());
+  cfg.variants = {Variant::kStarCdn};
+  Simulator sim(shell, *s.schedule, cfg);
+  sim.run(*s.model->generate_stream());
 
   const RunReport report = sim.finish();
   const auto& m = report.variant(Variant::kStarCdn).metrics;
-  EXPECT_EQ(m.requests, w.total_request_count());
+  EXPECT_EQ(m.requests, s.model->total_request_count());
   EXPECT_GT(m.request_hit_rate(), 0.2);
 
   // Fig. 11 structure: some satellites inherit extra bucket slots.
@@ -467,8 +432,8 @@ TEST(Simulator, UplinkMeterUsesScheduleEpoch) {
                                      util::Seconds{120.0}, params);
   SimConfig cfg;
   cfg.sample_latency = false;
+  cfg.variants = {Variant::kVanillaLru};
   Simulator sim(shell, schedule, cfg);
-  sim.add_variant(Variant::kVanillaLru);
   const util::Bytes size = util::mib(300);
   const std::vector<trace::Request> one{{1.0, 42, size, 0}};
   trace::VectorStream stream(one);

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/scenario.h"
 #include "core/simulator.h"
 #include "replay/replayer.h"
 #include "sched/scheduler.h"
@@ -309,11 +310,10 @@ void expect_identical_metrics(const core::VariantMetrics& a,
 }
 
 TEST(SimulatorStream, BitwiseMatchesMaterializedAcrossChunksAndThreads) {
-  const orbit::Constellation shell{orbit::WalkerParams{}};
-  const trace::WorkloadModel workload(util::paper_cities(), small_params());
-  const auto requests = trace::merge_by_time(workload.generate());
-  const sched::LinkSchedule schedule(shell, util::paper_cities(),
-                                     util::Seconds{small_params().duration_s});
+  core::Scenario recipe;
+  recipe.workload = small_params();
+  const core::Scenario::Built s = recipe.build();
+  const auto requests = trace::merge_by_time(s.model->generate());
 
   const std::vector<core::Variant> variants = {
       core::Variant::kStatic,     core::Variant::kStarCdn,
@@ -323,11 +323,11 @@ TEST(SimulatorStream, BitwiseMatchesMaterializedAcrossChunksAndThreads) {
   cfg.cache_capacity = util::mib(64);
   cfg.buckets = 4;
   cfg.transient_down_prob = 0.02;
+  cfg.variants = variants;
 
   auto simulate = [&](int threads, std::size_t chunk) {
     ThreadOverrideGuard guard(threads);
-    core::Simulator sim(shell, schedule, cfg);
-    for (const auto v : variants) sim.add_variant(v);
+    core::Simulator sim(*s.shell, *s.schedule, cfg);
     trace::VectorStream stream(requests, chunk);
     sim.run(stream);
     return sim.finish();
@@ -353,22 +353,20 @@ TEST(SimulatorStream, GeneratedStreamMatchesMaterializedEndToEnd) {
   // The full pipeline: generate_stream -> Simulator::run(stream) equals
   // generate + merge_by_time + VectorStream, with no materialization on the
   // stream side.
-  const orbit::Constellation shell{orbit::WalkerParams{}};
-  const trace::WorkloadModel workload(util::paper_cities(), small_params());
-  const sched::LinkSchedule schedule(shell, util::paper_cities(),
-                                     util::Seconds{small_params().duration_s});
+  core::Scenario recipe;
+  recipe.workload = small_params();
+  const core::Scenario::Built s = recipe.build();
   core::SimConfig cfg;
   cfg.cache_capacity = util::mib(64);
+  cfg.variants = {core::Variant::kStarCdn};
 
-  core::Simulator materialized(shell, schedule, cfg);
-  materialized.add_variant(core::Variant::kStarCdn);
-  const auto requests = trace::merge_by_time(workload.generate());
+  core::Simulator materialized(*s.shell, *s.schedule, cfg);
+  const auto requests = trace::merge_by_time(s.model->generate());
   trace::VectorStream vector_stream(requests);
   materialized.run(vector_stream);
 
-  core::Simulator streamed(shell, schedule, cfg);
-  streamed.add_variant(core::Variant::kStarCdn);
-  const auto stream = workload.generate_stream(1024);
+  core::Simulator streamed(*s.shell, *s.schedule, cfg);
+  const auto stream = s.model->generate_stream(1024);
   streamed.run(*stream);
 
   expect_identical_metrics(
@@ -381,8 +379,8 @@ TEST(SimulatorStream, EmptyStreamIsANoOp) {
   const sched::LinkSchedule schedule(shell, util::paper_cities(),
                                      util::Seconds{30 * 60.0});
   core::SimConfig cfg;
+  cfg.variants = {core::Variant::kStarCdn};
   core::Simulator sim(shell, schedule, cfg);
-  sim.add_variant(core::Variant::kStarCdn);
   const std::vector<trace::Request> none;
   trace::VectorStream stream(none, 64);
   sim.run(stream);
@@ -415,8 +413,8 @@ std::string run_error(const std::vector<trace::Request>& requests,
                                             util::Seconds{30 * 60.0});
   core::SimConfig cfg;
   cfg.cache_capacity = util::mib(64);
+  cfg.variants = {core::Variant::kStarCdn};
   core::Simulator sim(shell, schedule, cfg);
-  sim.add_variant(core::Variant::kStarCdn);
   try {
     trace::VectorStream stream(requests, chunk);
     sim.run(stream);
@@ -497,8 +495,8 @@ TEST(StreamValidation, BlocksBeforeTheBadOneAreFullyReplayed) {
   requests[40].size = 0;
   core::SimConfig cfg;
   cfg.cache_capacity = util::mib(64);
+  cfg.variants = {core::Variant::kStarCdn};
   core::Simulator sim(shell, schedule, cfg);
-  sim.add_variant(core::Variant::kStarCdn);
   trace::VectorStream stream(requests, 16);
   EXPECT_THROW(sim.run(stream), std::invalid_argument);
   EXPECT_EQ(sim.finish().variant(core::Variant::kStarCdn).metrics.requests,

@@ -6,6 +6,7 @@
 
 #include <unordered_map>
 
+#include "core/scenario.h"
 #include "core/simulator.h"
 #include "trace/spacegen.h"
 #include "trace/workload.h"
@@ -68,23 +69,19 @@ TEST_P(TrafficClassTest, SpaceGenRoundTripsTheClass) {
 }
 
 TEST_P(TrafficClassTest, StarCdnBeatsLruForEveryClass) {
-  auto p = trace::default_params(GetParam());
-  p.object_count = 10'000;
-  p.requests_per_weight = 5'000;
-  p.duration_s = util::kHour.value();
-  const trace::WorkloadModel w(util::paper_cities(), p);
-
-  const orbit::Constellation shell{orbit::WalkerParams{}};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(),
-                                     util::Seconds{p.duration_s});
+  core::Scenario recipe;
+  recipe.workload = trace::default_params(GetParam());
+  recipe.workload.object_count = 10'000;
+  recipe.workload.requests_per_weight = 5'000;
+  recipe.workload.duration_s = util::kHour.value();
+  const core::Scenario::Built s = recipe.build();
   core::SimConfig cfg;
   cfg.cache_capacity = util::mib(128);
   cfg.buckets = 9;
   cfg.sample_latency = false;
-  core::Simulator sim(shell, schedule, cfg);
-  sim.add_variant(core::Variant::kStarCdn);
-  sim.add_variant(core::Variant::kVanillaLru);
-  sim.run(*w.generate_stream());
+  cfg.variants = {core::Variant::kStarCdn, core::Variant::kVanillaLru};
+  core::Simulator sim(*s.shell, *s.schedule, cfg);
+  sim.run(*s.model->generate_stream());
   const core::RunReport report = sim.finish();
   EXPECT_GT(report.variant(core::Variant::kStarCdn).metrics.request_hit_rate(),
             report.variant(core::Variant::kVanillaLru)
@@ -103,41 +100,30 @@ INSTANTIATE_TEST_SUITE_P(AllClasses, TrafficClassTest,
 
 class SimPolicyTest : public ::testing::TestWithParam<cache::Policy> {
  protected:
-  static void SetUpTestSuite() {
-    shell_ = new orbit::Constellation{orbit::WalkerParams{}};
-    auto p = trace::default_params(trace::TrafficClass::kVideo);
-    p.object_count = 15'000;
-    p.requests_per_weight = 6'000;
-    p.duration_s = util::kHour.value();
-    const trace::WorkloadModel w(util::paper_cities(), p);
-    requests_ = new std::vector<trace::Request>(
-        trace::collect(*w.generate_stream()));
-    schedule_ = new sched::LinkSchedule(*shell_, util::paper_cities(),
-                                        util::Seconds{p.duration_s});
+  /// Built on first use and shared by every test.
+  static const core::Scenario::Built& scenario() {
+    static const core::Scenario::Built built = [] {
+      core::Scenario recipe;
+      recipe.workload.object_count = 15'000;
+      recipe.workload.requests_per_weight = 6'000;
+      recipe.workload.duration_s = util::kHour.value();
+      return recipe.build();
+    }();
+    return built;
   }
-  static void TearDownTestSuite() {
-    delete requests_;
-    delete schedule_;
-    delete shell_;
-    requests_ = nullptr;
-    schedule_ = nullptr;
-    shell_ = nullptr;
+  static const std::vector<trace::Request>& requests() {
+    static const auto all =
+        trace::collect(*scenario().model->generate_stream());
+    return all;
   }
-  /// Replay the shared trace into `sim` and return its report.
-  static core::RunReport replay(core::Simulator& sim) {
-    trace::VectorStream stream(*requests_);
+  /// Replay the shared trace under `cfg` and return its report.
+  static core::RunReport replay(const core::SimConfig& cfg) {
+    core::Simulator sim(*scenario().shell, *scenario().schedule, cfg);
+    trace::VectorStream stream(requests());
     sim.run(stream);
     return sim.finish();
   }
-
-  static orbit::Constellation* shell_;
-  static std::vector<trace::Request>* requests_;
-  static sched::LinkSchedule* schedule_;
 };
-
-orbit::Constellation* SimPolicyTest::shell_ = nullptr;
-std::vector<trace::Request>* SimPolicyTest::requests_ = nullptr;
-sched::LinkSchedule* SimPolicyTest::schedule_ = nullptr;
 
 TEST_P(SimPolicyTest, ConservationUnderEveryPolicy) {
   // §3.2: "our consistent hashing scheme accommodates any cache
@@ -147,13 +133,11 @@ TEST_P(SimPolicyTest, ConservationUnderEveryPolicy) {
   cfg.cache_capacity = util::mib(128);
   cfg.buckets = 4;
   cfg.sample_latency = false;
-  core::Simulator sim(*shell_, *schedule_, cfg);
-  sim.add_variant(core::Variant::kStarCdn);
-  sim.add_variant(core::Variant::kVanillaLru);
-  const core::RunReport report = replay(sim);
+  cfg.variants = {core::Variant::kStarCdn, core::Variant::kVanillaLru};
+  const core::RunReport report = replay(cfg);
   for (const auto v : {core::Variant::kStarCdn, core::Variant::kVanillaLru}) {
     const auto& m = report.variant(v).metrics;
-    EXPECT_EQ(m.requests, requests_->size());
+    EXPECT_EQ(m.requests, requests().size());
     EXPECT_EQ(m.hits() + m.misses, m.requests);
     EXPECT_EQ(m.bytes_hit + m.uplink_bytes, m.bytes_requested);
   }
@@ -178,21 +162,18 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, SimPolicyTest,
 class BucketSweepTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BucketSweepTest, HashedVariantsValidAtEveryL) {
-  const orbit::Constellation shell{orbit::WalkerParams{}};
-  auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 8'000;
-  p.requests_per_weight = 2'500;
-  p.duration_s = util::kHour.value() / 2;
-  const trace::WorkloadModel w(util::paper_cities(), p);
-  const sched::LinkSchedule schedule(shell, util::paper_cities(),
-                                     util::Seconds{p.duration_s});
+  core::Scenario recipe;
+  recipe.workload.object_count = 8'000;
+  recipe.workload.requests_per_weight = 2'500;
+  recipe.workload.duration_s = util::kHour.value() / 2;
+  const core::Scenario::Built s = recipe.build();
   core::SimConfig cfg;
   cfg.cache_capacity = util::mib(128);
   cfg.buckets = GetParam();
   cfg.sample_latency = false;
-  core::Simulator sim(shell, schedule, cfg);
-  sim.add_variant(core::Variant::kStarCdn);
-  sim.run(*w.generate_stream());
+  cfg.variants = {core::Variant::kStarCdn};
+  core::Simulator sim(*s.shell, *s.schedule, cfg);
+  sim.run(*s.model->generate_stream());
   const core::RunReport report = sim.finish();
   const auto& m = report.variant(core::Variant::kStarCdn).metrics;
   EXPECT_EQ(m.hits() + m.misses, m.requests);
