@@ -151,11 +151,10 @@ class Harness {
     return out_dir() + "/" + file;
   }
 
-  /// The shared evaluation recipe: the paper's nine cities, the 72x18
-  /// shell and a video day, shaped by --epochs / --scale / --seed. Benches
-  /// change fields (a fail fraction, say) before building it.
-  [[nodiscard]] core::Scenario recipe() const {
-    core::Scenario s;
+  /// `s` shaped by --epochs / --scale / --seed: the horizon, the request
+  /// volume and the workload seed. Benches set their own fields first and
+  /// pass the recipe through here, so every bench honours the three flags.
+  [[nodiscard]] core::Scenario shaped(core::Scenario s) const {
     if (opts_.epochs != 0) {
       s.workload.duration_s = 15.0 * static_cast<double>(opts_.epochs);
     }
@@ -164,6 +163,11 @@ class Harness {
     if (opts_.seed != 0) s.workload.seed = opts_.seed;
     return s;
   }
+
+  /// The shared evaluation recipe: the paper's nine cities, the 72x18
+  /// shell and a video day, shaped by the flags. Benches change fields (a
+  /// fail fraction, say) before building it.
+  [[nodiscard]] core::Scenario recipe() const { return shaped({}); }
 
   /// The shared scenario: `r` built on the first call and reused by every
   /// later one, with its scenario: line printed. Built lazily so

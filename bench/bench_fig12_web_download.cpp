@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
     const std::string cls = to_string(traffic_class);
     core::Scenario recipe;
     recipe.workload = trace::default_params(traffic_class);
-    const core::Scenario::Built s = recipe.build();
+    const core::Scenario::Built s = harness.shaped(recipe).build();
     // Replayed once per (capacity, L) point: generate it once.
     const auto requests = trace::collect(*s.model->generate_stream());
     std::printf("\n[%s] %zu requests, %.2f TB\n", cls.c_str(),

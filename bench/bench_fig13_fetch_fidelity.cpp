@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   core::Scenario recipe;
   recipe.workload.object_count = 120'000;
   recipe.workload.requests_per_weight = 60'000;
-  const core::Scenario::Built s = recipe.build();
+  const core::Scenario::Built s = harness.shaped(recipe).build();
   const auto production = s.model->generate();
 
   const auto gen = trace::SpaceGen::fit(production);

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   core::Scenario recipe;
   recipe.workload.object_count = 120'000;
   recipe.workload.requests_per_weight = 60'000;
-  const core::Scenario::Built scenario = recipe.build();
+  const core::Scenario::Built scenario = harness.shaped(recipe).build();
   const auto production = scenario.model->generate();
 
   // Fit SpaceGEN and regenerate a trace of comparable volume.

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   util::TextTable table({"Perturbation", "StarCDN RHR", "LRU RHR", "Gap"});
   // Replays one perturbed scenario and adds its row.
   const auto add = [&](const std::string& name, const core::Scenario& recipe) {
-    const core::Scenario::Built s = recipe.build();
+    const core::Scenario::Built s = harness.shaped(recipe).build();
     core::SimConfig cfg;
     cfg.cache_capacity = util::gib(2);
     cfg.buckets = 9;

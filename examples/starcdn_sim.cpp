@@ -50,6 +50,14 @@ core::Variant parse_variant(const std::string& name) {
   throw std::invalid_argument("unknown variant: " + name);
 }
 
+trace::TrafficClass parse_class(const std::string& name) {
+  using enum trace::TrafficClass;
+  for (const auto c : {kVideo, kWeb, kDownload}) {
+    if (name == trace::to_string(c)) return c;
+  }
+  throw std::invalid_argument("'" + name + "' is not video, web or download");
+}
+
 /// All of `text` as a T; a double must also be finite.
 template <typename T>
 T number(const std::string& text) {
@@ -82,7 +90,8 @@ double fraction(const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string cls = "video", variants_arg = "starcdn,lru", policy = "lru";
+  trace::TrafficClass traffic_class = trace::TrafficClass::kVideo;
+  std::string variants_arg = "starcdn,lru", policy = "lru";
   std::string csv_path, series_prefix, trace_path, json_path;
   double capacity_gib = 2.0, hours = 6.0, scale = 0.25;
   double fail_fraction = 0.0, transient_prob = 0.0;
@@ -97,7 +106,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     try {
-      if (a == "--class") cls = next();
+      if (a == "--class") traffic_class = parse_class(next());
       else if (a == "--variants") variants_arg = next();
       else if (a == "--capacity-gib") capacity_gib = positive(next());
       else if (a == "--buckets") buckets = number<int>(next());
@@ -122,10 +131,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-
-  trace::TrafficClass traffic_class = trace::TrafficClass::kVideo;
-  if (cls == "web") traffic_class = trace::TrafficClass::kWeb;
-  else if (cls == "download") traffic_class = trace::TrafficClass::kDownload;
 
   // Tracing observes phase structure only; install before schedule
   // construction so LinkSchedule::build lands on the timeline.
@@ -162,9 +167,9 @@ int main(int argc, char** argv) {
     std::printf(
         "class=%s cities=%zu requests=%" PRIu64 " cache=%.1fGiB L=%d "
         "policy=%s fail=%.1f%% transient=%.1f%%\n",
-        cls.c_str(), recipe.cities->size(), s.model->total_request_count(),
-        capacity_gib, buckets, policy.c_str(), 100 * fail_fraction,
-        100 * transient_prob);
+        trace::to_string(traffic_class), recipe.cities->size(),
+        s.model->total_request_count(), capacity_gib, buckets, policy.c_str(),
+        100 * fail_fraction, 100 * transient_prob);
     sim.run(*s.model->generate_stream());
     const core::RunReport report = sim.finish();
 
@@ -191,7 +196,8 @@ int main(int argc, char** argv) {
              "bhr", "uplink", "p50_ms", "p95_ms"});
       for (const auto v : variants) {
         const auto& m = report.variant(v).metrics;
-        w.row({core::to_string(v), cls, std::to_string(capacity_gib),
+        w.row({core::to_string(v), trace::to_string(traffic_class),
+               std::to_string(capacity_gib),
                std::to_string(buckets), policy,
                std::to_string(m.request_hit_rate()),
                std::to_string(m.byte_hit_rate()),

@@ -15,10 +15,14 @@
 #      must write at least one epoch-series CSV from its capacity sweep.
 #   4. Checks that a malformed numeric flag is rejected: --scale=0,5 must
 #      exit 2 with the flag named on stderr, not run an empty scenario.
+#      Checks that --seed reaches a bench that builds its own recipe:
+#      bench_fig12_web_download must print different tables for --seed=7
+#      and --seed=0.
 #   5. Runs the examples: quickstart, replay_cluster over in-process
 #      queues, and starcdn_sim with all six variants, failures and
 #      transient outages; each must exit 0 and print a row per variant.
-#      starcdn_sim --fail-fraction nan must exit 1.
+#      starcdn_sim --fail-fraction nan and --class vidoe must exit 1, the
+#      latter naming the value.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]
 # Artifacts land in ${SMOKE_OUT:-smoke_artifacts}.
@@ -34,7 +38,8 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
 fi
 cmake --build "$BUILD" -j "$(nproc)" \
   --target bench_table3_relay_availability bench_fig8_uplink \
-  bench_stream_scale quickstart replay_cluster starcdn_sim
+  bench_fig12_web_download bench_stream_scale quickstart replay_cluster \
+  starcdn_sim
 
 mkdir -p "$OUT"
 
@@ -107,6 +112,19 @@ grep -q -- '--scale' "$OUT/bad_flag.err" ||
   { echo "FAIL: --scale=0,5 error does not name the flag"; exit 1; }
 echo "bad flag OK: $(head -1 "$OUT/bad_flag.err")"
 
+echo "== --seed reaches a bench's own recipe (Fig. 12, truncated) =="
+for seed in 0 7; do
+  "$BUILD/bench/bench_fig12_web_download" --epochs=40 --scale=0.05 \
+    --threads=2 --seed="$seed" --out="$OUT" >"$OUT/fig12_seed$seed.log"
+  grep '|' "$OUT/fig12_seed$seed.log" >"$OUT/fig12_seed$seed.tables"
+done
+if cmp -s "$OUT/fig12_seed0.tables" "$OUT/fig12_seed7.tables"; then
+  echo "FAIL: bench_fig12_web_download printed the same tables for" \
+    "--seed=7 and --seed=0"
+  exit 1
+fi
+echo "fig12 --seed OK"
+
 echo "== examples =="
 EXAMPLES=$(cd "$BUILD/examples" && pwd)
 # Fails unless every named variant starts a row of the summary in $1.
@@ -133,6 +151,13 @@ status=0
 "$EXAMPLES/starcdn_sim" --fail-fraction nan >/dev/null 2>&1 || status=$?
 [ "$status" -eq 1 ] ||
   { echo "FAIL: --fail-fraction nan exited $status, expected 1"; exit 1; }
+status=0
+"$EXAMPLES/starcdn_sim" --class vidoe >/dev/null 2>"$OUT/bad_class.err" ||
+  status=$?
+[ "$status" -eq 1 ] ||
+  { echo "FAIL: --class vidoe exited $status, expected 1"; exit 1; }
+grep -q "vidoe" "$OUT/bad_class.err" ||
+  { echo "FAIL: --class vidoe error does not name the value"; exit 1; }
 echo "examples OK"
 
 echo "bench smoke OK; artifacts in $OUT/"

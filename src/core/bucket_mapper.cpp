@@ -1,7 +1,9 @@
 #include "core/bucket_mapper.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/hash.h"
 
@@ -14,25 +16,66 @@ int wrap(int v, int n) noexcept {
   return v < 0 ? v + n : v;
 }
 
-/// Minimal toroidal distance and its signed direction.
+/// Minimal toroidal distance.
 int toroidal_abs(int d, int n) noexcept {
   d = wrap(d, n);
   return std::min(d, n - d);
 }
 
+/// First active slot on the Manhattan rings |dp| + |ds| = r around `at`, by
+/// ascending r, then dp, -ds before +ds; kNoSat if no slot is active.
+util::SatId nearest_active(const orbit::Constellation& c,
+                           orbit::SatelliteId at) {
+  const int max_r = c.planes() / 2 + c.slots_per_plane() / 2;
+  for (int r = 1; r <= max_r; ++r) {
+    for (int dp = -r; dp <= r; ++dp) {
+      const int rem = r - std::abs(dp);
+      for (int ds = -rem; ds <= rem; ds += std::max(2 * rem, 1)) {
+        const util::SatId cand = c.index_of(
+            orbit::grid_id(wrap(at.plane.value() + dp, c.planes()),
+                           wrap(at.slot.value() + ds, c.slots_per_plane())));
+        if (c.active(cand)) return cand;
+      }
+    }
+  }
+  return util::kNoSat;
+}
+
 }  // namespace
 
-BucketMapper::BucketMapper(const orbit::Constellation& constellation,
-                           int buckets)
-    : constellation_(&constellation), l_(buckets) {
-  side_ = static_cast<int>(std::lround(std::sqrt(static_cast<double>(buckets))));
-  if (side_ * side_ != buckets || buckets <= 0) {
+BucketMapper::BucketMapper(const orbit::Constellation& c, int buckets)
+    : constellation_(&c), l_(buckets) {
+  side_ = tile_side_of(buckets);
+  if (side_ == 0) {
     throw std::invalid_argument(
         "BucketMapper: bucket count must be a positive perfect square");
   }
-  remap_cache_ =
-      std::vector<std::atomic<int>>(static_cast<std::size_t>(constellation.size()));
-  for (auto& entry : remap_cache_) entry.store(-2, std::memory_order_relaxed);
+  if (side_ > std::min(c.planes(), c.slots_per_plane())) {
+    throw std::invalid_argument("BucketMapper: L = " + std::to_string(buckets) +
+                                " tiles wider than the " +
+                                std::to_string(c.planes()) + "x" +
+                                std::to_string(c.slots_per_plane()) + " shell");
+  }
+  for (util::SatId i{0}; i.value() < c.size(); ++i) {
+    remap_.push_back(c.active(i) ? i : nearest_active(c, c.id_of(i)));
+  }
+  for (util::SatId i{0}; i.value() < c.size(); ++i) {
+    const orbit::SatelliteId from = c.id_of(i);
+    for (util::BucketId b{0}; b.value() < l_; ++b) {
+      Route r{remap_[util::as_index(c.index_of(nominal_owner(from, b)))]};
+      if (r.owner != util::kNoSat) {
+        const auto [inter, intra] = hop_split(from, c.id_of(r.owner));
+        r.inter = static_cast<std::uint16_t>(inter);
+        r.intra = static_cast<std::uint16_t>(intra);
+      }
+      routes_.push_back(r);
+    }
+  }
+}
+
+int BucketMapper::tile_side_of(int buckets) noexcept {
+  const long side = std::lround(std::sqrt(std::max(buckets, 0)));
+  return buckets > 0 && side * side == buckets ? static_cast<int>(side) : 0;
 }
 
 util::BucketId BucketMapper::bucket_of_object(
@@ -51,63 +94,18 @@ orbit::SatelliteId BucketMapper::nominal_owner(
     orbit::SatelliteId from, util::BucketId bucket) const noexcept {
   const int bp = bucket.value() / side_;  // required plane residue (mod side)
   const int bs = bucket.value() % side_;  // required slot residue (mod side)
+  // The coordinate with the right residue nearest `cur`: `fwd` steps ahead
+  // or `back` steps behind, ahead on a tie.
   const auto nearest = [&](int cur, int residue, int n) {
-    // Candidate coordinates with the right residue on either side of `cur`.
-    const int fwd = wrap(residue - cur, side_);        // 0..side-1 steps ahead
-    const int back = side_ - fwd;                      // steps behind
-    const int cand_fwd = wrap(cur + fwd, n);
-    const int cand_back = wrap(cur - back, n);
-    if (fwd == 0) return cand_fwd;
-    return toroidal_abs(fwd, n) <= toroidal_abs(back, n) ? cand_fwd
-                                                         : cand_back;
+    const int fwd = wrap(residue - cur, side_);  // 0..side-1
+    const int back = side_ - fwd;
+    return fwd == 0 || toroidal_abs(fwd, n) <= toroidal_abs(back, n)
+               ? wrap(cur + fwd, n)
+               : wrap(cur - back, n);
   };
   return orbit::grid_id(
       nearest(from.plane.value(), bp, constellation_->planes()),
       nearest(from.slot.value(), bs, constellation_->slots_per_plane()));
-}
-
-std::optional<orbit::SatelliteId> BucketMapper::remap(
-    orbit::SatelliteId nominal) const {
-  const auto& c = *constellation_;
-  const util::SatId idx = c.index_of(nominal);
-  std::atomic<int>& slot = remap_cache_[util::as_index(idx)];
-  const int cached = slot.load(std::memory_order_relaxed);
-  if (cached != -2) {
-    if (cached == -1) return std::nullopt;
-    return c.id_of(util::SatId{cached});
-  }
-  if (c.active(idx)) {
-    slot.store(idx.value(), std::memory_order_relaxed);
-    return nominal;
-  }
-  // Ring search by grid distance; deterministic scan order so every
-  // requester resolves the same substitute (§3.4: "the next available
-  // satellite").
-  const int max_r = c.planes() / 2 + c.slots_per_plane() / 2;
-  for (int r = 1; r <= max_r; ++r) {
-    for (int dp = -r; dp <= r; ++dp) {
-      const int rem = r - std::abs(dp);
-      for (const int ds : rem == 0 ? std::vector<int>{0}
-                                   : std::vector<int>{-rem, rem}) {
-        const orbit::SatelliteId cand =
-            orbit::grid_id(wrap(nominal.plane.value() + dp, c.planes()),
-                           wrap(nominal.slot.value() + ds,
-                                c.slots_per_plane()));
-        const util::SatId cidx = c.index_of(cand);
-        if (c.active(cidx)) {
-          slot.store(cidx.value(), std::memory_order_relaxed);
-          return cand;
-        }
-      }
-    }
-  }
-  slot.store(-1, std::memory_order_relaxed);
-  return std::nullopt;
-}
-
-std::optional<orbit::SatelliteId> BucketMapper::owner(
-    orbit::SatelliteId from, util::BucketId bucket) const {
-  return remap(nominal_owner(from, bucket));
 }
 
 std::optional<orbit::SatelliteId> BucketMapper::west_replica(
@@ -118,16 +116,13 @@ std::optional<orbit::SatelliteId> BucketMapper::west_replica(
   // westward relative to the planes, so the trailing neighbour is the one
   // `side_` planes in the +RAAN direction.
   const auto target = remap(constellation_->plane_offset(owner_sat, side_));
-  if (target && !(*target == owner_sat)) return target;
-  return std::nullopt;
+  return target && !(*target == owner_sat) ? target : std::nullopt;
 }
 
 std::optional<orbit::SatelliteId> BucketMapper::east_replica(
     orbit::SatelliteId owner_sat) const {
-  const auto target =
-      remap(constellation_->plane_offset(owner_sat, -side_));
-  if (target && !(*target == owner_sat)) return target;
-  return std::nullopt;
+  const auto target = remap(constellation_->plane_offset(owner_sat, -side_));
+  return target && !(*target == owner_sat) ? target : std::nullopt;
 }
 
 std::pair<int, int> BucketMapper::hop_split(
@@ -143,12 +138,9 @@ int BucketMapper::worst_case_hops() const noexcept { return 2 * (side_ / 2); }
 std::vector<int> BucketMapper::buckets_served_per_satellite() const {
   // Count how many grid slots each active satellite inherits after failure
   // remapping; a healthy satellite serves exactly its own slot.
-  const orbit::Constellation& c = *constellation_;
-  std::vector<int> served(static_cast<std::size_t>(c.size()), 0);
-  for (int i = 0; i < c.size(); ++i) {
-    if (const auto target = remap(c.id_of(util::SatId{i}))) {
-      ++served[util::as_index(c.index_of(*target))];
-    }
+  std::vector<int> served(remap_.size(), 0);
+  for (const util::SatId target : remap_) {
+    if (target != util::kNoSat) ++served[util::as_index(target)];
   }
   return served;
 }

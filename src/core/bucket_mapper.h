@@ -9,10 +9,12 @@
 // neighbour traces (almost) the requester's ground track one period
 // earlier (Fig. 3). When the nominal owner of a bucket is out of slot, the
 // bucket remaps to the nearest active satellite, which then serves
-// multiple buckets (§3.4, evaluated in Fig. 11).
+// multiple buckets (§3.4, evaluated in Fig. 11). All of it is a function of
+// the shell and L, so the constructor resolves it into tables that later
+// calls only read; the shell must not change while the mapper lives.
 #pragma once
 
-#include <atomic>
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -25,8 +27,19 @@ namespace starcdn::core {
 
 class BucketMapper {
  public:
-  /// `buckets` must be a perfect square (the paper uses L = 4 and L = 9).
+  /// A bucket's owner after remapping (kNoSat if every slot is down) and
+  /// the (inter, intra) hop split to it from the first-contact slot.
+  struct Route {
+    util::SatId owner = util::kNoSat;
+    std::uint16_t inter = 0, intra = 0;
+  };
+
+  /// `buckets` must be a perfect square (the paper uses L = 4 and L = 9) with
+  /// sqrt(L) <= min(planes, slots per plane); else std::invalid_argument.
   BucketMapper(const orbit::Constellation& constellation, int buckets);
+
+  /// sqrt(L) if L is a positive perfect square, else 0.
+  [[nodiscard]] static int tile_side_of(int buckets) noexcept;
 
   [[nodiscard]] int buckets() const noexcept { return l_; }
   [[nodiscard]] int tile_side() const noexcept { return side_; }
@@ -44,12 +57,18 @@ class BucketMapper {
   [[nodiscard]] orbit::SatelliteId nominal_owner(
       orbit::SatelliteId from, util::BucketId bucket) const noexcept;
 
-  /// Actual owner after failure remapping: the nominal owner if active,
-  /// otherwise the nearest active satellite (deterministic ring search, a
-  /// pure function of the nominal owner so all requesters agree). Returns
-  /// nullopt only if the whole constellation is down.
+  /// Route of `bucket` from any first-contact slot: one table read.
+  [[nodiscard]] Route route(util::SatId from,
+                            util::BucketId bucket) const noexcept {
+    return routes_[util::as_index(from) * static_cast<std::size_t>(l_) +
+                   util::as_index(bucket)];
+  }
+
+  /// remap(nominal_owner(from, bucket)); `from` must be a slot of the shell.
   [[nodiscard]] std::optional<orbit::SatelliteId> owner(
-      orbit::SatelliteId from, util::BucketId bucket) const;
+      orbit::SatelliteId from, util::BucketId bucket) const {
+    return sat(route(constellation_->index_of(from), bucket).owner);
+  }
 
   /// Same-bucket replicas for relayed fetch: `side_` planes west / east of
   /// `owner_sat` (remapped if inactive). Never returns `owner_sat` itself.
@@ -67,11 +86,13 @@ class BucketMapper {
   /// 2 * floor(side/2) on a healthy grid (Fig. 9's x-axis relation).
   [[nodiscard]] int worst_case_hops() const noexcept;
 
-  /// Remap target for an arbitrary (possibly inactive) slot: the nearest
-  /// active satellite by grid distance, deterministic tie-break. Exposed
-  /// for the fault-tolerance experiments.
+  /// Remap target of any slot: itself if active, else the first active slot
+  /// of a fixed Manhattan-ring scan, so all requesters agree on it (§3.4:
+  /// "the next available satellite"). Nullopt if no slot is active.
   [[nodiscard]] std::optional<orbit::SatelliteId> remap(
-      orbit::SatelliteId nominal) const;
+      orbit::SatelliteId nominal) const {
+    return sat(remap_[util::as_index(constellation_->index_of(nominal))]);
+  }
 
   /// Number of grid slots each active satellite serves after failure
   /// remapping (1 on a healthy grid), by linear satellite index; Fig. 11's
@@ -79,15 +100,17 @@ class BucketMapper {
   [[nodiscard]] std::vector<int> buckets_served_per_satellite() const;
 
  private:
+  [[nodiscard]] std::optional<orbit::SatelliteId> sat(util::SatId idx) const {
+    if (idx == util::kNoSat) return std::nullopt;
+    return constellation_->id_of(idx);
+  }
+
   const orbit::Constellation* constellation_;
   int l_;
   int side_;
-  // Memoized remap targets (linear index -> remapped index; -2 unknown,
-  // -1 unreachable). The topology is fixed for the mapper's lifetime, so
-  // entries never invalidate. Each entry is a relaxed atomic: the value is
-  // a pure function of the topology, so concurrent fills (e.g. variant
-  // threads in Simulator::run) can only ever race to write the same value.
-  mutable std::vector<std::atomic<int>> remap_cache_;
+  std::vector<util::SatId> remap_;  // per slot: remap target or kNoSat
+  std::vector<Route> routes_;       // per (first-contact slot, bucket)
 };
+static_assert(sizeof(BucketMapper::Route) <= 8);
 
 }  // namespace starcdn::core

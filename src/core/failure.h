@@ -27,8 +27,6 @@ class TransientFailureModel {
                                  std::uint64_t seed = 0x7e57ab1e) noexcept
       : p_(down_probability), window_s_(window.value()), seed_(seed) {}
 
-  [[nodiscard]] double down_probability() const noexcept { return p_; }
-
   [[nodiscard]] bool down(util::SatId sat, util::Seconds t) const noexcept {
     if (p_ <= 0.0) return false;
     const auto window = static_cast<std::uint64_t>(t.value() / window_s_);
@@ -36,11 +34,6 @@ class TransientFailureModel {
         util::splitmix64(seed_ + static_cast<std::uint64_t>(sat.value())),
         util::splitmix64(window));
     return static_cast<double>(h >> 11) * 0x1.0p-53 < p_;
-  }
-
-  /// Expected fraction of satellite-time down (== down_probability).
-  [[nodiscard]] double expected_downtime_fraction() const noexcept {
-    return p_;
   }
 
  private:

@@ -25,13 +25,6 @@ namespace {
   throw std::invalid_argument("SimConfig: " + what);
 }
 
-bool perfect_square(int n) noexcept {
-  if (n < 1) return false;
-  int r = 0;
-  while ((r + 1) * (r + 1) <= n) ++r;
-  return r * r == n;
-}
-
 SimConfig validated(SimConfig config) {
   config.validate();
   return config;
@@ -41,7 +34,7 @@ SimConfig validated(SimConfig config) {
 
 void SimConfig::validate() const {
   if (cache_capacity == 0) bad_config("cache_capacity must be positive");
-  if (!perfect_square(buckets)) {
+  if (BucketMapper::tile_side_of(buckets) == 0) {
     bad_config("buckets must be a positive perfect square (the replica "
                "grid tiles L = s*s orbital slots); got " +
                std::to_string(buckets));
@@ -182,17 +175,16 @@ void Simulator::build_context(const trace::RequestBlock& block,
     if (need_static) {
       c.fc_static = schedule_->first_contact(EpochIdx{0}, city, user);
     }
-    // The hashed lookup (bucket -> owner -> hop split) is shared by every
+    // The hashed route (one table read per request) is shared by every
     // hashed variant, so it is resolved once here.
     c.owner = c.fc.sat;
     c.route = util::Millis{0.0};
     if (need_owner && c.fc.sat.value() >= 0) {
-      const orbit::SatelliteId fc_id = constellation_->id_of(c.fc.sat);
-      const util::BucketId bucket = mapper_.bucket_of_object(block.object[i]);
-      if (const auto owner = mapper_.owner(fc_id, bucket)) {
-        c.owner = constellation_->index_of(*owner);
-        const auto [inter, intra] = mapper_.hop_split(fc_id, *owner);
-        c.route = latency_.grid_hops_delay(inter, intra);
+      const BucketMapper::Route r =
+          mapper_.route(c.fc.sat, mapper_.bucket_of_object(block.object[i]));
+      if (r.owner != util::kNoSat) {
+        c.owner = r.owner;
+        c.route = latency_.grid_hops_delay(r.inter, r.intra);
       }
     }
   });

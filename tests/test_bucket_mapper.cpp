@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "util/rng.h"
 
@@ -24,6 +28,9 @@ TEST(BucketMapper, RejectsNonSquareBucketCounts) {
   EXPECT_NO_THROW(BucketMapper(c, 1));
   EXPECT_NO_THROW(BucketMapper(c, 4));
   EXPECT_NO_THROW(BucketMapper(c, 9));
+  // The tile side sqrt(L) must fit the 12x6 shell.
+  EXPECT_THROW(BucketMapper(c, 49), std::invalid_argument);
+  EXPECT_NO_THROW(BucketMapper(c, 36));
 }
 
 TEST(BucketMapper, ObjectHashingUniform) {
@@ -189,6 +196,99 @@ TEST(BucketMapper, HopSplitToroidal) {
   const auto [i2, a2] = m.hop_split({0, 0}, {6, 3});
   EXPECT_EQ(i2, 6);
   EXPECT_EQ(a2, 3);
+}
+
+// A plain reference for the mapper's tables, written from the model rather
+// than the implementation: a Manhattan-ring scan in the same order, the
+// nearest coordinate of each residue, and toroidal hop counts.
+struct Reference {
+  const orbit::Constellation& c;
+  int side;
+
+  static int wrap(int v, int n) { return ((v % n) + n) % n; }
+  static int hops(int d, int n) { return std::min(wrap(d, n), wrap(-d, n)); }
+
+  std::optional<orbit::SatelliteId> remap(orbit::SatelliteId at) const {
+    if (c.active(at)) return at;
+    for (int r = 1; r <= c.planes() / 2 + c.slots_per_plane() / 2; ++r) {
+      for (int dp = -r; dp <= r; ++dp) {
+        const int rem = r - std::abs(dp);
+        for (const int ds : {-rem, rem}) {
+          const orbit::SatelliteId cand =
+              orbit::grid_id(wrap(at.plane.value() + dp, c.planes()),
+                             wrap(at.slot.value() + ds, c.slots_per_plane()));
+          if (c.active(cand)) return cand;
+        }
+      }
+    }
+    return std::nullopt;
+  }
+
+  // Nearest coordinate congruent to `residue` mod side; ahead on a tie.
+  int nearest(int cur, int residue, int n) const {
+    for (int d = 0;; ++d) {
+      if (wrap(cur + d, n) % side == residue) return wrap(cur + d, n);
+      if (wrap(cur - d, n) % side == residue) return wrap(cur - d, n);
+    }
+  }
+
+  std::optional<orbit::SatelliteId> owner(orbit::SatelliteId from,
+                                          int bucket) const {
+    return remap(orbit::grid_id(
+        nearest(from.plane.value(), bucket / side, c.planes()),
+        nearest(from.slot.value(), bucket % side, c.slots_per_plane())));
+  }
+
+  std::optional<orbit::SatelliteId> replica(orbit::SatelliteId o,
+                                            int dp) const {
+    const auto t = remap(orbit::grid_id(wrap(o.plane.value() + dp, c.planes()),
+                                        o.slot.value()));
+    if (t && *t == o) return std::nullopt;
+    return t;
+  }
+};
+
+TEST(BucketMapper, RouteTableMatchesReference) {
+  // The paper's 72x18 shell, healthy and with 9.7% (§5.4) and 35% of its
+  // slots out; L = 4 and L = 9 tile it evenly.
+  for (const double failed : {0.0, 0.097, 0.35}) {
+    orbit::Constellation c{orbit::WalkerParams{}};
+    util::Rng rng(2025);
+    c.knock_out_random(failed, rng);
+    for (const int L : {4, 9}) {
+      SCOPED_TRACE("failed=" + std::to_string(failed) +
+                   " L=" + std::to_string(L));
+      const BucketMapper m(c, L);
+      const Reference ref{c, m.tile_side()};
+      for (int i = 0; i < c.size(); ++i) {
+        const util::SatId idx{i};
+        const orbit::SatelliteId from = c.id_of(idx);
+        ASSERT_EQ(m.remap(from), ref.remap(from)) << "slot " << i;
+        ASSERT_EQ(m.west_replica(from), ref.replica(from, ref.side))
+            << "west replica of slot " << i;
+        ASSERT_EQ(m.east_replica(from), ref.replica(from, -ref.side))
+            << "east replica of slot " << i;
+        for (int b = 0; b < L; ++b) {
+          const util::BucketId bucket{b};
+          const auto want = ref.owner(from, b);
+          ASSERT_TRUE(want.has_value());
+          ASSERT_EQ(m.owner(from, bucket), want)
+              << "slot " << i << " bucket " << b;
+          const BucketMapper::Route got = m.route(idx, bucket);
+          ASSERT_EQ(got.owner, c.index_of(*want))
+              << "slot " << i << " bucket " << b;
+          ASSERT_EQ(got.inter, Reference::hops(want->plane.value() -
+                                                   from.plane.value(),
+                                               c.planes()))
+              << "slot " << i << " bucket " << b;
+          ASSERT_EQ(got.intra, Reference::hops(want->slot.value() -
+                                                   from.slot.value(),
+                                               c.slots_per_plane()))
+              << "slot " << i << " bucket " << b;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
