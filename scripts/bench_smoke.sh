@@ -18,7 +18,10 @@
 #      Checks that --seed reaches a bench that builds its own recipe:
 #      bench_fig12_web_download must print different tables for --seed=7
 #      and --seed=0.
-#   5. Runs the examples: quickstart, replay_cluster over in-process
+#   5. Checks thread-count invariance on the Release binary:
+#      bench_ablation_design (prefetch, six policies, transient outages)
+#      must print identical tables at --threads=1 and --threads=4.
+#   6. Runs the examples: quickstart, replay_cluster over in-process
 #      queues, and starcdn_sim with all six variants, failures and
 #      transient outages; each must exit 0 and print a row per variant.
 #      starcdn_sim --fail-fraction nan and --class vidoe must exit 1, the
@@ -38,8 +41,8 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
 fi
 cmake --build "$BUILD" -j "$(nproc)" \
   --target bench_table3_relay_availability bench_fig8_uplink \
-  bench_fig12_web_download bench_stream_scale quickstart replay_cluster \
-  starcdn_sim
+  bench_fig12_web_download bench_ablation_design bench_stream_scale \
+  quickstart replay_cluster starcdn_sim
 
 mkdir -p "$OUT"
 
@@ -124,6 +127,22 @@ if cmp -s "$OUT/fig12_seed0.tables" "$OUT/fig12_seed7.tables"; then
   exit 1
 fi
 echo "fig12 --seed OK"
+
+echo "== tables do not depend on the thread count (ablation, truncated) =="
+for threads in 1 4; do
+  "$BUILD/bench/bench_ablation_design" --epochs=40 --scale=0.05 \
+    --threads="$threads" --out="$OUT" >"$OUT/ablation_t$threads.log"
+  grep '|' "$OUT/ablation_t$threads.log" >"$OUT/ablation_t$threads.tables"
+done
+[ -s "$OUT/ablation_t1.tables" ] ||
+  { echo "FAIL: bench_ablation_design printed no table lines"; exit 1; }
+if ! cmp -s "$OUT/ablation_t1.tables" "$OUT/ablation_t4.tables"; then
+  echo "FAIL: bench_ablation_design tables differ between --threads=1 and 4"
+  diff "$OUT/ablation_t1.tables" "$OUT/ablation_t4.tables" | head -20
+  exit 1
+fi
+echo "ablation tables identical at 1 and 4 threads" \
+  "($(wc -l <"$OUT/ablation_t1.tables") lines)"
 
 echo "== examples =="
 EXAMPLES=$(cd "$BUILD/examples" && pwd)

@@ -98,33 +98,31 @@ void Simulator::register_variant(Variant v) {
   // identically for every variant so they all observe the same outage
   // schedule; the latency-sampling RNG is variant-specific so streams stay
   // independent when variants replay concurrently.
-  vs.transient = TransientFailureModel(config_.transient_down_prob,
-                                       config_.transient_window,
-                                       config_.seed ^ 0xfa11u);
-  vs.rng = util::Rng(config_.seed ^ static_cast<std::uint64_t>(v));
-  vs.series = obs::EpochSeries(series_columns());
-  vs.metrics.uplink_meter = net::UplinkMeter(schedule_->epoch_duration());
+  vs.decide.transient = TransientFailureModel(config_.transient_down_prob,
+                                              config_.transient_window,
+                                              config_.seed ^ 0xfa11u);
+  vs.fold.rng = util::Rng(config_.seed ^ static_cast<std::uint64_t>(v));
+  vs.fold.series = obs::EpochSeries(series_columns());
+  vs.fold.metrics.uplink_meter =
+      net::UplinkMeter(schedule_->epoch_duration());
   vs.reach =
       reach_table(*constellation_, mapper_, vs.spec, config_.relay_east);
   vs.groups = coupling_groups(vs.reach);
-  vs.group_load.assign(vs.groups.count, 0);
-  vs.caches.resize(static_cast<std::size_t>(constellation_->size()));
-  if (vs.spec.prefetch) {
-    vs.prefetch_epoch.assign(static_cast<std::size_t>(constellation_->size()),
-                             ~0u);
-  }
+  vs.fold.group_load.assign(vs.groups.count, 0);
+  const auto n = static_cast<std::size_t>(constellation_->size());
+  vs.decide.caches.resize(n);
+  if (vs.spec.prefetch) vs.decide.prefetch_epoch.assign(n, ~0u);
   if (config_.track_per_satellite) {
-    const auto n = static_cast<std::size_t>(constellation_->size());
-    vs.metrics.sat_requests.assign(n, 0);
-    vs.metrics.sat_hits.assign(n, 0);
-    vs.metrics.sat_bytes_requested.assign(n, 0);
-    vs.metrics.sat_bytes_hit.assign(n, 0);
+    vs.fold.metrics.sat_requests.assign(n, 0);
+    vs.fold.metrics.sat_hits.assign(n, 0);
+    vs.fold.metrics.sat_bytes_requested.assign(n, 0);
+    vs.fold.metrics.sat_bytes_hit.assign(n, 0);
   }
   variants_.push_back(std::move(vs));
 }
 
-cache::Cache& Simulator::cache_at(VariantState& vs, SatId sat) {
-  auto& slot = vs.caches[util::as_index(sat)];
+cache::Cache& Simulator::cache_at(DecideState& ds, SatId sat) {
+  auto& slot = ds.caches[util::as_index(sat)];
   if (!slot) {
     slot = cache_factory_
                ? cache_factory_(sat)
@@ -136,15 +134,15 @@ cache::Cache& Simulator::cache_at(VariantState& vs, SatId sat) {
   return *slot;
 }
 
-void Simulator::note_sat(VariantState& vs, SatId sat,
-                         const trace::Request& r, bool hit) {
+void Simulator::note_sat(FoldState& fs, SatId sat, const trace::Request& r,
+                         bool hit) {
   if (!config_.track_per_satellite) return;
   const auto i = util::as_index(sat);
-  ++vs.metrics.sat_requests[i];
-  vs.metrics.sat_bytes_requested[i] += r.size;
+  ++fs.metrics.sat_requests[i];
+  fs.metrics.sat_bytes_requested[i] += r.size;
   if (hit) {
-    ++vs.metrics.sat_hits[i];
-    vs.metrics.sat_bytes_hit[i] += r.size;
+    ++fs.metrics.sat_hits[i];
+    fs.metrics.sat_bytes_hit[i] += r.size;
   }
 }
 
@@ -192,12 +190,12 @@ void Simulator::build_context(const trace::RequestBlock& block,
 
 void Simulator::repack(VariantState& vs, std::size_t bins) {
   vs.bins = bins;
-  vs.bin_seconds.resize(bins, 0.0);
+  vs.decide.bin_seconds.resize(bins, 0.0);
   if (bins > 1) {
     // Greedy longest-processing-time packing: heaviest group first, into
     // the lightest bin. Before any request is folded every group weighs
     // its satellite count.
-    std::vector<std::uint64_t> weight = vs.group_load;
+    std::vector<std::uint64_t> weight = vs.fold.group_load;
     if (std::all_of(weight.begin(), weight.end(),
                     [](std::uint64_t w) { return w == 0; })) {
       for (const std::uint32_t g : vs.groups.group_of) ++weight[g];
@@ -216,31 +214,32 @@ void Simulator::repack(VariantState& vs, std::size_t bins) {
       bin_of_group[g] = static_cast<std::uint16_t>(lightest);
       fill[lightest] += weight[g];
     }
-    vs.bin_of.resize(vs.groups.group_of.size());
-    for (std::size_t s = 0; s < vs.bin_of.size(); ++s) {
-      vs.bin_of[s] = bin_of_group[vs.groups.group_of[s]];
+    vs.decide.bin_of.resize(vs.groups.group_of.size());
+    for (std::size_t s = 0; s < vs.decide.bin_of.size(); ++s) {
+      vs.decide.bin_of[s] = bin_of_group[vs.groups.group_of[s]];
     }
   }
-  std::fill(vs.group_load.begin(), vs.group_load.end(), 0);
+  std::fill(vs.fold.group_load.begin(), vs.fold.group_load.end(), 0);
 }
 
-void Simulator::decide_bin(VariantState& vs, int slot, std::size_t bin,
-                           const trace::RequestBlock& block,
+void Simulator::decide_bin(const VariantPlan& vp, DecideState& ds, int slot,
+                           std::size_t bin, const trace::RequestBlock& block,
                            const std::vector<RequestContext>& ctx) {
-  const obs::TraceSpan span(obs::tracer(), vs.spec.name, "variant");
-  std::vector<Outcome>& out = vs.outcome[slot];
-  std::vector<util::Bytes>& pre = vs.prefetched[slot];
+  const obs::TraceSpan span(obs::tracer(), vp.spec.name, "variant");
+  std::vector<Outcome>& out = ds.outcome[slot];
+  std::vector<util::Bytes>& pre = ds.prefetched[slot];
   util::Bytes unused = 0;
-  const bool prefetching = vs.spec.prefetch;
+  const bool prefetching = vp.spec.prefetch;
   for (std::size_t i = 0; i < block.count(); ++i) {
-    if (vs.bins > 1) {
+    if (vp.bins > 1) {
       // Stable partition: this bin's requests, in trace order. Requests
       // without a serving satellite touch no cache; bin 0 records them.
-      const SatId s = serving_of(vs, ctx[i]);
-      const std::size_t b = s.value() < 0 ? 0 : vs.bin_of[util::as_index(s)];
+      const SatId s = serving_of(vp, ctx[i]);
+      const std::size_t b = s.value() < 0 ? 0 : ds.bin_of[util::as_index(s)];
       if (b != bin) continue;
     }
-    out[i] = decide(vs, block.at(i), ctx[i], prefetching ? pre[i] : unused);
+    out[i] = decide(vp, ds, block.at(i), ctx[i],
+                    prefetching ? pre[i] : unused);
   }
 }
 
@@ -278,7 +277,7 @@ void Simulator::run(trace::RequestStream& stream) {
   trace::StreamPosition pos;
   // Chunk-base bookkeeping: the rotation seed advances by block length, so
   // terminals rotate the same way however the stream chops the trace.
-  std::uint64_t bases[kSlots] = {variants_.front().request_counter, 0, 0};
+  std::uint64_t bases[kSlots] = {variants_[0].fold.request_counter, 0, 0};
   const auto produce = [&](int b) {
     if (!stream.next(blocks[b]) || blocks[b].empty()) return false;
     trace::validate_block(blocks[b], schedule_->cities(), pos);
@@ -313,12 +312,13 @@ void Simulator::run(trace::RequestStream& stream) {
     if (deciding) tasks.push_back({Task::kProduce, 0, 0, &produce_seconds});
     for (std::size_t v = 0; v < variants_.size(); ++v) {
       VariantState& vs = variants_[v];
-      if (folding) tasks.push_back({Task::kFold, v, 0, &vs.fold_seconds});
+      if (folding) tasks.push_back({Task::kFold, v, 0, &vs.fold.fold_seconds});
       if (!deciding) continue;
-      vs.outcome[cur].resize(blocks[cur].count());
-      if (vs.spec.prefetch) vs.prefetched[cur].resize(blocks[cur].count());
+      DecideState& ds = vs.decide;
+      ds.outcome[cur].resize(blocks[cur].count());
+      if (vs.spec.prefetch) ds.prefetched[cur].resize(blocks[cur].count());
       for (std::size_t b = 0; b < vs.bins; ++b) {
-        tasks.push_back({Task::kDecide, v, b, &vs.bin_seconds[b]});
+        tasks.push_back({Task::kDecide, v, b, &ds.bin_seconds[b]});
       }
     }
     std::stable_sort(tasks.begin(), tasks.end(),
@@ -327,6 +327,7 @@ void Simulator::run(trace::RequestStream& stream) {
                      });
     util::parallel_tasks(tasks.size(), [&](std::size_t t) {
       const Task& task = tasks[t];
+      VariantState& vs = variants_[task.variant];
       const auto start = std::chrono::steady_clock::now();
       switch (task.kind) {
         case Task::kProduce:
@@ -338,12 +339,12 @@ void Simulator::run(trace::RequestStream& stream) {
           }
           break;
         case Task::kDecide:
-          decide_bin(variants_[task.variant], cur, task.bin, blocks[cur],
-                     ctxs[cur]);
+          decide_bin(vs, vs.decide, cur, task.bin, blocks[cur], ctxs[cur]);
           break;
         case Task::kFold:
-          fold_variant(variants_[task.variant], prev, blocks[prev],
-                       ctxs[prev], task.variant == 0, marked[task.variant]);
+          fold_variant(vs, vs.fold, vs.decide.outcome[prev],
+                       vs.decide.prefetched[prev], blocks[prev], ctxs[prev],
+                       task.variant == 0, marked[task.variant]);
           break;
       }
       *task.seconds = std::chrono::duration<double>(
@@ -363,7 +364,7 @@ void Simulator::run(trace::RequestStream& stream) {
     // One trailing fold per run() call: flushing per block would split a
     // (satellite, epoch) uplink cell at chunk boundaries and skew the
     // throughput statistics.
-    vs.metrics.uplink_meter.flush();
+    vs.fold.metrics.uplink_meter.flush();
   }
   if (produce_error) std::rethrow_exception(produce_error);
 }
@@ -379,11 +380,11 @@ RunReport Simulator::finish() const {
     VariantReport vr;
     vr.variant = vs.variant;
     vr.name = vs.spec.name;
-    vr.metrics = vs.metrics;
+    vr.metrics = vs.fold.metrics;
     vr.metrics.uplink_meter.flush();  // no-op unless a run left a partial
     check_conservation(vr.metrics, vs.spec.name);
     // Seal a copy, so the live series keeps recording if run() continues.
-    obs::EpochSeries series = vs.series;
+    obs::EpochSeries series = vs.fold.series;
     series.finish(series_row(vr.metrics));  // trailing partial epoch
     vr.series = series.table(report.epoch_seconds);
     for (std::size_t c = 0; c < kCounters.size(); ++c) {
@@ -396,22 +397,22 @@ RunReport Simulator::finish() const {
   return report;
 }
 
-util::Bytes Simulator::maybe_prefetch(VariantState& vs, SatId serving,
-                                      EpochIdx epoch) {
+util::Bytes Simulator::maybe_prefetch(const VariantPlan& vp, DecideState& ds,
+                                      SatId serving, EpochIdx epoch) {
   // The §3.3 alternative design: on entering a new scheduler epoch, a
   // satellite speculatively pulls the hottest objects of its trailing
   // ("west") same-bucket replica — the satellite that just served the
   // region this one is flying into. Prefetched bytes burn ISL bandwidth
   // and cache space whether or not they are ever requested; the ablation
   // bench quantifies why the paper prefers miss-triggered relay.
-  auto& stamp = vs.prefetch_epoch[util::as_index(serving)];
+  auto& stamp = ds.prefetch_epoch[util::as_index(serving)];
   if (stamp == epoch.value()) return 0;
   stamp = static_cast<std::uint32_t>(epoch.value());
-  const SatId west = vs.reach[util::as_index(serving)].prefetch_from;
+  const SatId west = vp.reach[util::as_index(serving)].prefetch_from;
   if (west == util::kNoSat) return 0;
-  auto& replica_slot = vs.caches[util::as_index(west)];
+  auto& replica_slot = ds.caches[util::as_index(west)];
   if (!replica_slot) return 0;  // neighbour has served nothing yet
-  cache::Cache& own = cache_at(vs, serving);
+  cache::Cache& own = cache_at(ds, serving);
   util::Bytes pulled = 0;
   for (const auto& [id, size] :
        replica_slot->hottest(kPrefetchObjectsPerEpoch)) {
@@ -422,21 +423,22 @@ util::Bytes Simulator::maybe_prefetch(VariantState& vs, SatId serving,
   return pulled;
 }
 
-Simulator::Outcome Simulator::decide(VariantState& vs, const trace::Request& r,
+Simulator::Outcome Simulator::decide(const VariantPlan& vp, DecideState& ds,
+                                     const trace::Request& r,
                                      const RequestContext& c,
                                      util::Bytes& prefetched) {
   prefetched = 0;
-  const SatId fc = first_contact(vs, c).sat;
+  const SatId fc = first_contact(vp, c).sat;
   if (fc.value() < 0) return Outcome::kUnreachable;
-  const SatId serving = serving_of(vs, c);
+  const SatId serving = serving_of(vp, c);
 
   // Transient cache-server outage (§3.4): report a miss and go to ground;
   // nothing is cached and no remapping happens.
-  if (vs.transient.down(serving, util::Seconds{r.timestamp_s})) {
+  if (ds.transient.down(serving, util::Seconds{r.timestamp_s})) {
     return Outcome::kTransient;
   }
-  if (vs.spec.prefetch) prefetched = maybe_prefetch(vs, serving, c.epoch);
-  cache::Cache& serving_cache = cache_at(vs, serving);
+  if (vp.spec.prefetch) prefetched = maybe_prefetch(vp, ds, serving, c.epoch);
+  cache::Cache& serving_cache = cache_at(ds, serving);
   if (serving_cache.touch(r.object)) {
     return serving == fc ? Outcome::kLocalHit : Outcome::kRoutedHit;
   }
@@ -444,10 +446,10 @@ Simulator::Outcome Simulator::decide(VariantState& vs, const trace::Request& r,
   // Relayed fetch (§3.3): probe the reach row's replicas (none unless the
   // variant relays); a hit is served from the west one when both hold the
   // object, and the owner caches it.
-  const Reach& reach = vs.reach[util::as_index(serving)];
+  const Reach& reach = vp.reach[util::as_index(serving)];
   const auto holder = [&](SatId sat) -> cache::Cache* {
     if (sat == util::kNoSat) return nullptr;
-    cache::Cache* cache = vs.caches[util::as_index(sat)].get();
+    cache::Cache* cache = ds.caches[util::as_index(sat)].get();
     return cache != nullptr && cache->peek(r.object) ? cache : nullptr;
   };
   cache::Cache* const west = holder(reach.west);
@@ -464,35 +466,35 @@ Simulator::Outcome Simulator::decide(VariantState& vs, const trace::Request& r,
   return Outcome::kMiss;
 }
 
-void Simulator::fold_variant(VariantState& vs, int slot,
+void Simulator::fold_variant(const VariantPlan& vp, FoldState& fs,
+                             std::span<const Outcome> out,
+                             std::span<const util::Bytes> pre,
                              const trace::RequestBlock& block,
                              const std::vector<RequestContext>& ctx,
                              bool trace_epochs, std::uint64_t& marked_epoch) {
-  const obs::TraceSpan span(obs::tracer(), vs.spec.name, "variant");
+  const obs::TraceSpan span(obs::tracer(), vp.spec.name, "variant");
   obs::Tracer* const tr = trace_epochs ? obs::tracer() : nullptr;
-  const bool frozen = vs.spec.frozen;
-  const bool prefetching = vs.spec.prefetch;
-  const std::vector<Outcome>& out = vs.outcome[slot];
+  const bool frozen = vp.spec.frozen;
+  const bool prefetching = vp.spec.prefetch;
   for (std::size_t i = 0; i < block.count(); ++i) {
-    ++vs.request_counter;
+    ++fs.request_counter;
     const std::uint64_t real = ctx[i].epoch.value();
-    vs.series.advance_to(real, series_row(vs.metrics));
+    fs.series.advance_to(real, series_row(fs.metrics));
     if (tr != nullptr && real != marked_epoch) {
       marked_epoch = real;
       tr->instant("epoch", "sim", {obs::arg("epoch", real)});
     }
     // Handover accounting rides on the shared stage-1 context; a frozen
     // mapping never hands over by construction.
-    if (!frozen && ctx[i].handover) ++vs.metrics.handovers;
-    fold(vs, block.at(i), ctx[i], out[i],
-         prefetching ? vs.prefetched[slot][i] : 0);
+    if (!frozen && ctx[i].handover) ++fs.metrics.handovers;
+    fold(vp, fs, block.at(i), ctx[i], out[i], prefetching ? pre[i] : 0);
   }
 }
 
-void Simulator::fold(VariantState& vs, const trace::Request& r,
-                     const RequestContext& c, Outcome o,
-                     util::Bytes prefetched) {
-  VariantMetrics& m = vs.metrics;
+void Simulator::fold(const VariantPlan& vp, FoldState& fs,
+                     const trace::Request& r, const RequestContext& c,
+                     Outcome o, util::Bytes prefetched) {
+  VariantMetrics& m = fs.metrics;
   ++m.requests;
   m.bytes_requested += r.size;
   const bool sample = config_.sample_latency;
@@ -504,23 +506,23 @@ void Simulator::fold(VariantState& vs, const trace::Request& r,
     ++m.misses;
     m.uplink_bytes += r.size;
     if (sample) {
-      record(latency_.bentpipe_starlink(latency_.params().default_gsl, vs.rng));
+      record(latency_.bentpipe_starlink(latency_.params().default_gsl, fs.rng));
     }
     return;
   }
 
-  const util::Millis gsl{first_contact(vs, c).gsl_one_way_ms};
-  const util::Millis route = vs.spec.hashed ? c.route : util::Millis{0.0};
-  const SatId serving = serving_of(vs, c);
-  if (vs.bins > 1) {
-    ++vs.group_load[vs.groups.group_of[util::as_index(serving)]];
+  const util::Millis gsl{first_contact(vp, c).gsl_one_way_ms};
+  const util::Millis route = vp.spec.hashed ? c.route : util::Millis{0.0};
+  const SatId serving = serving_of(vp, c);
+  if (vp.bins > 1) {
+    ++fs.group_load[vp.groups.group_of[util::as_index(serving)]];
   }
   const auto ground = [&] {
     ++m.misses;
     m.uplink_bytes += r.size;
     m.uplink_meter.add(serving, c.epoch, r.size);
     if (sample) {
-      record(latency_.miss(gsl, route, latency_.params().default_gsl, vs.rng));
+      record(latency_.miss(gsl, route, latency_.params().default_gsl, fs.rng));
     }
   };
 
@@ -542,14 +544,14 @@ void Simulator::fold(VariantState& vs, const trace::Request& r,
       ++m.routed_hits;
       m.isl_bytes += r.size;
     }
-    note_sat(vs, serving, r, true);
+    note_sat(fs, serving, r, true);
     if (sample) {
       record(route.value() > 0.0 ? latency_.hit_routed(gsl, route)
                                  : latency_.hit_local(gsl));
     }
     return;
   }
-  note_sat(vs, serving, r, false);
+  note_sat(fs, serving, r, false);
   if (o == Outcome::kMiss) {
     ground();
     return;
@@ -577,7 +579,7 @@ void Simulator::fold(VariantState& vs, const trace::Request& r,
   m.isl_bytes += r.size;
   if (sample) {
     const int relay_hops =
-        vs.spec.relay == Relay::kReplicas ? mapper_.tile_side() : 1;
+        vp.spec.relay == Relay::kReplicas ? mapper_.tile_side() : 1;
     const util::Millis relay =
         static_cast<double>(relay_hops) * latency_.params().inter_orbit_hop;
     record(latency_.hit_relayed(gsl, route, relay));

@@ -17,6 +17,7 @@
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cache/cache.h"
@@ -33,6 +34,7 @@
 #include "trace/record.h"
 #include "trace/stream.h"
 #include "util/ids.h"
+#include "util/parallel.h"
 #include "util/units.h"
 
 namespace starcdn::core {
@@ -208,40 +210,50 @@ class Simulator {
   /// Blocks in flight: one produced, one decided, one folded per step.
   static constexpr int kSlots = 3;
 
-  /// Everything a variant replay touches lives here, so variants share no
-  /// mutable state. `spec` and `reach` are fixed at construction and only
-  /// read afterwards. The decide stage owns `caches` and `prefetch_epoch`
-  /// (split further across bins of coupling groups); the fold stage owns
-  /// the rest. The RNG stream is derived from (config.seed, variant) and
-  /// the request counter advances in lockstep across variants, making
-  /// results independent of both thread count and which other variants
-  /// are registered.
-  struct VariantState {
+  /// A variant's replay state, split by the stage that writes it so that no
+  /// field one stage writes per request shares a cache line with a field
+  /// another stage reads per request (DESIGN.md, "Cache-line ownership").
+  /// Variants share no mutable state. The RNG stream is derived from
+  /// (config.seed, variant) and the request counter advances in lockstep
+  /// across variants, making results independent of both thread count and
+  /// which other variants are registered.
+  ///
+  /// The read-only part: fixed at construction (`bins` at run start).
+  struct VariantPlan {
     Variant variant;
     VariantSpec spec;
     std::vector<Reach> reach;  // per satellite slot
-    /// Written per request by the fold stage while decide tasks read
-    /// `spec`; its own cache line keeps that from false sharing.
-    alignas(64) VariantMetrics metrics;
-    obs::EpochSeries series;  // per-epoch snapshots of the metrics
+    CouplingGroups groups;
+    std::size_t bins = 1;
+  };
+  /// Written by the decide tasks, each bin on its own coupling groups.
+  struct alignas(util::kCacheLine) DecideState {
     std::vector<std::unique_ptr<cache::Cache>> caches;  // per satellite slot
     std::vector<std::uint32_t> prefetch_epoch;          // spec.prefetch only
     TransientFailureModel transient{0.0};  // same outage schedule per variant
-    util::Rng rng;                         // latency sampling stream
-    std::uint64_t request_counter = 0;     // drives user-terminal rotation
-
-    CouplingGroups groups;
     /// Decide bin per satellite slot (read only when bins > 1), repacked
     /// between steps from the requests each group served in the last
     /// folded block.
     std::vector<std::uint16_t> bin_of;
-    std::size_t bins = 1;
-    std::vector<std::uint64_t> group_load;  // fold-stage request counts
-    std::vector<double> bin_seconds;        // last decide time per bin
-    double fold_seconds = 0.0;              // last fold time
-    /// Decide-stage output per block slot, read by the fold stage.
+    std::vector<double> bin_seconds;  // last decide time per bin
+    /// Output per block slot, read by the fold stage a step later.
     std::vector<Outcome> outcome[kSlots];
     std::vector<util::Bytes> prefetched[kSlots];  // spec.prefetch only
+  };
+  /// Written by the variant's one fold task, in trace order.
+  struct alignas(util::kCacheLine) FoldState {
+    VariantMetrics metrics;
+    obs::EpochSeries series;                // per-epoch metric snapshots
+    util::Rng rng;                          // latency sampling stream
+    std::uint64_t request_counter = 0;      // drives user-terminal rotation
+    std::vector<std::uint64_t> group_load;  // requests per coupling group
+    double fold_seconds = 0.0;              // last fold time
+  };
+  static_assert(alignof(DecideState) == util::kCacheLine);
+  static_assert(alignof(FoldState) == util::kCacheLine);
+  struct VariantState : VariantPlan {
+    DecideState decide;
+    FoldState fold;
   };
 
   /// Shared per-request context, hoisted out of the variant loop (stage 1):
@@ -272,12 +284,12 @@ class Simulator {
                      bool need_owner, std::vector<RequestContext>& ctx);
 
   [[nodiscard]] static const sched::Candidate& first_contact(
-      const VariantState& vs, const RequestContext& c) noexcept {
-    return vs.spec.frozen ? c.fc_static : c.fc;
+      const VariantPlan& vp, const RequestContext& c) noexcept {
+    return vp.spec.frozen ? c.fc_static : c.fc;
   }
   [[nodiscard]] static util::SatId serving_of(
-      const VariantState& vs, const RequestContext& c) noexcept {
-    return vs.spec.hashed ? c.owner : first_contact(vs, c).sat;
+      const VariantPlan& vp, const RequestContext& c) noexcept {
+    return vp.spec.hashed ? c.owner : first_contact(vp, c).sat;
   }
 
   /// Spread the coupling groups over `bins` decide bins (longest
@@ -286,26 +298,30 @@ class Simulator {
 
   /// Decide stage for one bin of one variant: every request of the block
   /// whose serving satellite falls in `bin`, in trace order.
-  void decide_bin(VariantState& vs, int slot, std::size_t bin,
-                  const trace::RequestBlock& block,
+  void decide_bin(const VariantPlan& vp, DecideState& ds, int slot,
+                  std::size_t bin, const trace::RequestBlock& block,
                   const std::vector<RequestContext>& ctx);
-  Outcome decide(VariantState& vs, const trace::Request& r,
-                 const RequestContext& c, util::Bytes& prefetched);
-  util::Bytes maybe_prefetch(VariantState& vs, util::SatId serving,
-                             util::EpochIdx epoch);
-  cache::Cache& cache_at(VariantState& vs, util::SatId sat);
+  Outcome decide(const VariantPlan& vp, DecideState& ds,
+                 const trace::Request& r, const RequestContext& c,
+                 util::Bytes& prefetched);
+  util::Bytes maybe_prefetch(const VariantPlan& vp, DecideState& ds,
+                             util::SatId serving, util::EpochIdx epoch);
+  cache::Cache& cache_at(DecideState& ds, util::SatId sat);
 
-  /// Fold stage for one variant over one block, strictly in trace order.
+  /// Fold stage for one variant over one block, strictly in trace order,
+  /// from the decide stage's `out` and `pre` for that block.
   /// `trace_epochs` is set for one variant only (or the trace timeline
   /// would repeat per worker); `marked_epoch` carries its epoch-instant
   /// dedup across chunks.
-  void fold_variant(VariantState& vs, int slot,
+  void fold_variant(const VariantPlan& vp, FoldState& fs,
+                    std::span<const Outcome> out,
+                    std::span<const util::Bytes> pre,
                     const trace::RequestBlock& block,
                     const std::vector<RequestContext>& ctx, bool trace_epochs,
                     std::uint64_t& marked_epoch);
-  void fold(VariantState& vs, const trace::Request& r,
+  void fold(const VariantPlan& vp, FoldState& fs, const trace::Request& r,
             const RequestContext& c, Outcome o, util::Bytes prefetched);
-  void note_sat(VariantState& vs, util::SatId sat, const trace::Request& r,
+  void note_sat(FoldState& fs, util::SatId sat, const trace::Request& r,
                 bool hit);
 
   const orbit::Constellation* constellation_;

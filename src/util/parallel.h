@@ -28,6 +28,12 @@
 
 namespace starcdn::util {
 
+/// Bytes per cache line on the targets we build for (x86-64, and the
+/// common arm64 cores). State that concurrent tasks write goes on lines of
+/// its own (`alignas(kCacheLine)`) so no task's writes invalidate a line
+/// another task reads.
+inline constexpr std::size_t kCacheLine = 64;
+
 /// Reusable fixed-size pool of worker threads draining a shared task queue.
 /// Most callers want `parallel_for` instead of submitting tasks directly.
 class ThreadPool {

@@ -120,6 +120,50 @@ TEST(Determinism, SimulatorIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(Determinism, VariantIndependentOfCoRegisteredVariants) {
+  // Each variant owns its RNG stream (seeded per variant) and a request
+  // counter that advances in lockstep across variants, so a variant
+  // replayed alone must match its own report from a run that registers
+  // every variant, at any thread count.
+  core::Scenario recipe;
+  recipe.workload.object_count = 5'000;
+  recipe.workload.requests_per_weight = 2'000;
+  recipe.workload.duration_s = util::kHour.value();
+  const core::Scenario::Built s = recipe.build();
+  const auto requests = trace::collect(*s.model->generate_stream());
+
+  const std::vector<core::Variant> variants = {
+      core::Variant::kStatic, core::Variant::kVanillaLru,
+      core::Variant::kHashOnly, core::Variant::kRelayOnly,
+      core::Variant::kStarCdn, core::Variant::kPrefetch};
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadOverrideGuard guard(threads);
+    const auto simulate = [&](std::vector<core::Variant> registered) {
+      core::SimConfig cfg;
+      cfg.cache_capacity = util::mib(256);
+      cfg.buckets = 4;
+      cfg.track_per_satellite = true;
+      cfg.transient_down_prob = 0.02;
+      cfg.variants = std::move(registered);
+      core::Simulator sim(*s.shell, *s.schedule, cfg);
+      trace::VectorStream stream(requests, 3'000);
+      sim.run(stream);
+      return sim.finish();
+    };
+    const core::RunReport together = simulate(variants);
+    for (const auto v : variants) {
+      SCOPED_TRACE(core::to_string(v));
+      const core::RunReport alone = simulate({v});
+      const core::VariantReport& a = alone.variant(v);
+      const core::VariantReport& b = together.variant(v);
+      expect_identical(a.metrics, b.metrics);
+      EXPECT_EQ(a.counters, b.counters);
+      EXPECT_EQ(a.metrics.latency_ms.samples(), b.metrics.latency_ms.samples());
+    }
+  }
+}
+
 TEST(Determinism, StreamedChunksMatchWholeRunInParallel) {
   // Streaming a trace in chunks under the parallel engine must agree with
   // one whole-trace run: per-variant request counters keep the user
