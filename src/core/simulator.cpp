@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -58,13 +57,11 @@ SimConfig SimConfig::Builder::build() const {
 
 Simulator::Simulator(const orbit::Constellation& constellation,
                      const sched::LinkSchedule& schedule, SimConfig config,
-                     net::LatencyModelParams latency_params,
                      CacheFactory cache_factory)
     : constellation_(&constellation),
       schedule_(&schedule),
       config_(validated(std::move(config))),
       mapper_(constellation, config_.buckets),
-      latency_(latency_params),
       cache_factory_(std::move(cache_factory)) {
   // Surface the constellation's failure remapping in the trace timeline:
   // one instant per inactive satellite, tagged with the slot that absorbs
@@ -108,7 +105,6 @@ void Simulator::register_variant(Variant v) {
   vs.reach =
       reach_table(*constellation_, mapper_, vs.spec, config_.relay_east);
   vs.groups = coupling_groups(vs.reach);
-  vs.fold.group_load.assign(vs.groups.count, 0);
   const auto n = static_cast<std::size_t>(constellation_->size());
   vs.decide.caches.resize(n);
   if (vs.spec.prefetch) vs.decide.prefetch_epoch.assign(n, ~0u);
@@ -188,40 +184,6 @@ void Simulator::build_context(const trace::RequestBlock& block,
   });
 }
 
-void Simulator::repack(VariantState& vs, std::size_t bins) {
-  vs.bins = bins;
-  vs.decide.bin_seconds.resize(bins, 0.0);
-  if (bins > 1) {
-    // Greedy longest-processing-time packing: heaviest group first, into
-    // the lightest bin. Before any request is folded every group weighs
-    // its satellite count.
-    std::vector<std::uint64_t> weight = vs.fold.group_load;
-    if (std::all_of(weight.begin(), weight.end(),
-                    [](std::uint64_t w) { return w == 0; })) {
-      for (const std::uint32_t g : vs.groups.group_of) ++weight[g];
-    }
-    std::vector<std::uint32_t> order(vs.groups.count);
-    std::iota(order.begin(), order.end(), 0U);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return weight[a] > weight[b];
-                     });
-    std::vector<std::uint64_t> fill(bins, 0);
-    std::vector<std::uint16_t> bin_of_group(vs.groups.count);
-    for (const std::uint32_t g : order) {
-      const auto lightest = static_cast<std::size_t>(
-          std::min_element(fill.begin(), fill.end()) - fill.begin());
-      bin_of_group[g] = static_cast<std::uint16_t>(lightest);
-      fill[lightest] += weight[g];
-    }
-    vs.decide.bin_of.resize(vs.groups.group_of.size());
-    for (std::size_t s = 0; s < vs.decide.bin_of.size(); ++s) {
-      vs.decide.bin_of[s] = bin_of_group[vs.groups.group_of[s]];
-    }
-  }
-  std::fill(vs.fold.group_load.begin(), vs.fold.group_load.end(), 0);
-}
-
 void Simulator::decide_bin(const VariantPlan& vp, DecideState& ds, int slot,
                            std::size_t bin, const trace::RequestBlock& block,
                            const std::vector<RequestContext>& ctx) {
@@ -235,7 +197,8 @@ void Simulator::decide_bin(const VariantPlan& vp, DecideState& ds, int slot,
       // Stable partition: this bin's requests, in trace order. Requests
       // without a serving satellite touch no cache; bin 0 records them.
       const SatId s = serving_of(vp, ctx[i]);
-      const std::size_t b = s.value() < 0 ? 0 : ds.bin_of[util::as_index(s)];
+      const std::size_t b =
+          s.value() < 0 ? 0 : vp.groups.group_of[util::as_index(s)] % vp.bins;
       if (b != bin) continue;
     }
     out[i] = decide(vp, ds, block.at(i), ctx[i],
@@ -264,7 +227,8 @@ void Simulator::run(trace::RequestStream& stream) {
   // thread a single bin replays every request with no partition filter.
   const auto threads = static_cast<std::size_t>(util::parallel_threads());
   for (auto& vs : variants_) {
-    repack(vs, std::min<std::size_t>(threads, vs.groups.count));
+    vs.bins = std::min<std::size_t>(threads, vs.groups.count);
+    vs.decide.bin_seconds.resize(vs.bins, 0.0);
   }
 
   // Triple buffer: step k folds block k - 1, decides block k and produces
@@ -352,12 +316,6 @@ void Simulator::run(trace::RequestStream& stream) {
                           .count();
     });
     if (pulled) ++produced;
-    // Rebalance the bins on the requests each group just folded.
-    if (folding) {
-      for (auto& vs : variants_) {
-        if (vs.bins > 1) repack(vs, vs.bins);
-      }
-    }
   }
 
   for (auto& vs : variants_) {
@@ -514,9 +472,6 @@ void Simulator::fold(const VariantPlan& vp, FoldState& fs,
   const util::Millis gsl{first_contact(vp, c).gsl_one_way_ms};
   const util::Millis route = vp.spec.hashed ? c.route : util::Millis{0.0};
   const SatId serving = serving_of(vp, c);
-  if (vp.bins > 1) {
-    ++fs.group_load[vp.groups.group_of[util::as_index(serving)]];
-  }
   const auto ground = [&] {
     ++m.misses;
     m.uplink_bytes += r.size;

@@ -49,13 +49,12 @@ using CacheFactory =
 struct SimConfig {
   cache::Policy policy = cache::Policy::kLru;
   util::Bytes cache_capacity = util::gib(20);
-  /// Mean-object-size hint used to pre-size each satellite cache's entry
-  /// slab and hash index at creation (cache_capacity / hint resident
-  /// objects, see cache::presize_hint), so warm caches never reallocate on
-  /// the serving path. Purely a performance knob — results are identical
-  /// for any value; 0 disables pre-sizing. The default matches the video
-  /// workload's mean object size.
-  util::Bytes mean_object_size_hint = util::mib(16);
+  /// Mean object size used to pre-size each satellite cache's entry slab
+  /// and hash index at creation (cache_capacity / hint resident objects,
+  /// see cache::presize_hint), so warm caches never reallocate on the
+  /// serving path. It only sizes memory, so results do not depend on it;
+  /// it matches the video workload's mean object size.
+  static constexpr util::Bytes mean_object_size_hint = util::mib(16);
   int buckets = 4;          // L, perfect square; used by hash variants
   bool relay_east = true;   // keep the bidirectional east link (§3.3)
   bool sample_latency = true;
@@ -95,10 +94,6 @@ class SimConfig::Builder {
   Builder& policy(cache::Policy p) { cfg_.policy = p; return *this; }
   Builder& cache_capacity(util::Bytes b) {
     cfg_.cache_capacity = b;
-    return *this;
-  }
-  Builder& mean_object_size_hint(util::Bytes b) {
-    cfg_.mean_object_size_hint = b;
     return *this;
   }
   Builder& buckets(int l) { cfg_.buckets = l; return *this; }
@@ -150,7 +145,6 @@ class Simulator {
   /// for the slot's worker process.
   Simulator(const orbit::Constellation& constellation,
             const sched::LinkSchedule& schedule, SimConfig config,
-            net::LatencyModelParams latency_params = {},
             CacheFactory cache_factory = {});
 
   /// Replay a chunked stream (trace::RequestStream), the simulator's one
@@ -219,6 +213,7 @@ class Simulator {
   /// which other variants are registered.
   ///
   /// The read-only part: fixed at construction (`bins` at run start).
+  /// Coupling group g replays in decide bin g % bins for the whole run.
   struct VariantPlan {
     Variant variant;
     VariantSpec spec;
@@ -231,10 +226,6 @@ class Simulator {
     std::vector<std::unique_ptr<cache::Cache>> caches;  // per satellite slot
     std::vector<std::uint32_t> prefetch_epoch;          // spec.prefetch only
     TransientFailureModel transient{0.0};  // same outage schedule per variant
-    /// Decide bin per satellite slot (read only when bins > 1), repacked
-    /// between steps from the requests each group served in the last
-    /// folded block.
-    std::vector<std::uint16_t> bin_of;
     std::vector<double> bin_seconds;  // last decide time per bin
     /// Output per block slot, read by the fold stage a step later.
     std::vector<Outcome> outcome[kSlots];
@@ -243,11 +234,10 @@ class Simulator {
   /// Written by the variant's one fold task, in trace order.
   struct alignas(util::kCacheLine) FoldState {
     VariantMetrics metrics;
-    obs::EpochSeries series;                // per-epoch metric snapshots
-    util::Rng rng;                          // latency sampling stream
-    std::uint64_t request_counter = 0;      // drives user-terminal rotation
-    std::vector<std::uint64_t> group_load;  // requests per coupling group
-    double fold_seconds = 0.0;              // last fold time
+    obs::EpochSeries series;            // per-epoch metric snapshots
+    util::Rng rng;                      // latency sampling stream
+    std::uint64_t request_counter = 0;  // drives user-terminal rotation
+    double fold_seconds = 0.0;          // last fold time
   };
   static_assert(alignof(DecideState) == util::kCacheLine);
   static_assert(alignof(FoldState) == util::kCacheLine);
@@ -291,10 +281,6 @@ class Simulator {
       const VariantPlan& vp, const RequestContext& c) noexcept {
     return vp.spec.hashed ? c.owner : first_contact(vp, c).sat;
   }
-
-  /// Spread the coupling groups over `bins` decide bins (longest
-  /// processing time first, by group_load, which it then resets).
-  static void repack(VariantState& vs, std::size_t bins);
 
   /// Decide stage for one bin of one variant: every request of the block
   /// whose serving satellite falls in `bin`, in trace order.

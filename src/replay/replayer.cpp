@@ -191,7 +191,7 @@ core::RunReport replay_cluster(const orbit::Constellation& constellation,
   core::SimConfig star = config;
   star.variants.push_back(core::Variant::kStarCdn);
   core::Simulator sim(
-      constellation, schedule, std::move(star), {}, [&](util::SatId sat) {
+      constellation, schedule, std::move(star), [&](util::SatId sat) {
         return std::make_unique<RemoteCache>(
             *cluster.channels[util::as_index(sat)], config.policy,
             config.cache_capacity);

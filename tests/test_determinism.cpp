@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/coupling.h"
 #include "core/scenario.h"
 #include "core/simulator.h"
 #include "trace/stream.h"
@@ -249,6 +250,38 @@ TEST(Determinism, ShardedReplayIdenticalAtEveryThreadCount) {
   const auto requests = trace::collect(*healthy.model->generate_stream());
   ASSERT_GT(requests.size(), 10'000u);
 
+  const auto check = [&](const core::Scenario::Built& s,
+                         cache::Policy policy, int buckets, bool flaky) {
+    const auto simulate = [&](int threads) {
+      ThreadOverrideGuard guard(threads);
+      auto cfg = core::SimConfig::Builder{}
+                     .policy(policy)
+                     .cache_capacity(util::mib(256))
+                     .buckets(buckets)
+                     .track_per_satellite(true)
+                     .variants({core::Variant::kStatic,
+                                core::Variant::kVanillaLru,
+                                core::Variant::kHashOnly,
+                                core::Variant::kRelayOnly,
+                                core::Variant::kStarCdn,
+                                core::Variant::kPrefetch})
+                     .build();
+      if (flaky) {
+        cfg.transient_down_prob = 0.05;
+        cfg.transient_window = util::Seconds{120.0};
+      }
+      core::Simulator sim(*s.shell, *s.schedule, cfg);
+      trace::VectorStream stream(requests, 1'500);  // many pipeline steps
+      sim.run(stream);
+      return sim.finish();
+    };
+    const core::RunReport serial = simulate(1);
+    for (const int threads : {2, 3, 4, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      expect_bitwise_equal(serial, simulate(threads));
+    }
+  };
+
   for (const bool with_failures : {false, true}) {
     const core::Scenario::Built& s = with_failures ? failed : healthy;
     for (const cache::Policy policy :
@@ -257,37 +290,29 @@ TEST(Determinism, ShardedReplayIdenticalAtEveryThreadCount) {
         SCOPED_TRACE(std::string(with_failures ? "failed" : "healthy") +
                      " policy=" + std::to_string(static_cast<int>(policy)) +
                      " L=" + std::to_string(buckets));
-        const auto simulate = [&](int threads) {
-          ThreadOverrideGuard guard(threads);
-          auto cfg = core::SimConfig::Builder{}
-                         .policy(policy)
-                         .cache_capacity(util::mib(256))
-                         .buckets(buckets)
-                         .track_per_satellite(true)
-                         .variants({core::Variant::kStatic,
-                                    core::Variant::kVanillaLru,
-                                    core::Variant::kHashOnly,
-                                    core::Variant::kRelayOnly,
-                                    core::Variant::kStarCdn,
-                                    core::Variant::kPrefetch})
-                         .build();
-          if (with_failures) {
-            cfg.transient_down_prob = 0.05;
-            cfg.transient_window = util::Seconds{120.0};
-          }
-          core::Simulator sim(*s.shell, *s.schedule, cfg);
-          trace::VectorStream stream(requests, 1'500);  // many pipeline steps
-          sim.run(stream);
-          return sim.finish();
-        };
-        const core::RunReport serial = simulate(1);
-        for (const int threads : {2, 3, 4, 8}) {
-          SCOPED_TRACE("threads=" + std::to_string(threads));
-          expect_bitwise_equal(serial, simulate(threads));
-        }
+        check(s, policy, buckets, with_failures);
       }
     }
   }
+
+  // A 6 x 3 shell at L = 4, whose relaying variants couple into fewer
+  // groups than 8 threads: there the bin count is the group count, so
+  // group g replays alone in bin g.
+  SCOPED_TRACE("6x3 shell L=4");
+  recipe.shell.planes = 6;
+  recipe.shell.slots_per_plane = 3;
+  recipe.fail_fraction = 0.0;
+  const core::Scenario::Built tiny = recipe.build();
+  const core::BucketMapper mapper(*tiny.shell, 4);
+  for (const core::Variant v :
+       {core::Variant::kRelayOnly, core::Variant::kStarCdn,
+        core::Variant::kPrefetch}) {
+    const auto groups = core::coupling_groups(core::reach_table(
+        *tiny.shell, mapper, core::variant_spec(v), /*relay_east=*/true));
+    EXPECT_GT(groups.count, 1u) << core::to_string(v);
+    EXPECT_LT(groups.count, 8u) << core::to_string(v);
+  }
+  check(tiny, cache::Policy::kLru, 4, /*flaky=*/true);
 }
 
 TEST(Determinism, KnockOutClampTerminates) {
