@@ -5,7 +5,10 @@
 #   1. Runs one figure bench (Table 3) truncated via --epochs, with the
 #      epoch time-series CSVs and the chrome://tracing JSON enabled, and
 #      sanity-checks the artifacts (CSV header, trace JSON parses and
-#      contains traceEvents).
+#      contains traceEvents). Every variant span must name its stage
+#      (decide or fold), and every decide span a bin below
+#      min(2, groups.<variant>); the decide and fold ns per request of
+#      each variant are printed.
 #   2. Runs the streamed-replay RSS gate: bench_stream_scale generates and
 #      replays the video trace in SoA chunks without materializing it and
 #      must stay under ${SMOKE_STREAM_RSS_MB:-1500} MB peak RSS. CI raises
@@ -66,8 +69,8 @@ for f in "$OUT"/smoke_table3_*.csv; do
 done
 [ "$series_count" -ge 3 ] ||
   { echo "FAIL: expected >=3 series CSVs, got $series_count"; exit 1; }
-python3 - "$OUT/table3_trace.json" <<'EOF'
-import json, sys
+python3 - "$OUT/table3_trace.json" "$OUT" <<'EOF'
+import collections, csv, glob, json, os, sys
 with open(sys.argv[1]) as f:
     trace = json.load(f)
 events = trace["traceEvents"]
@@ -78,6 +81,37 @@ assert phases <= {"X", "i"}, f"unexpected phases: {phases}"
 names = {e["name"] for e in events}
 for expected in ("Simulator::run", "epoch"):
     assert expected in names, f"missing event {expected}: {sorted(names)[:10]}"
+# Variant spans say which stage they time; a decide span's bin is below
+# the bin count, min(threads, groups) at --threads=2.
+groups = {}
+for e in events:
+    if e["name"] == "Simulator::run":
+        for key, value in e.get("args", {}).items():
+            if key.startswith("groups."):
+                name = key[len("groups."):]
+                groups[name] = min(groups.get(name, value), value)
+busy_us = collections.defaultdict(float)
+for e in events:
+    if e.get("cat") != "variant" or e["ph"] != "X":
+        continue
+    args = e.get("args", {})
+    stage = args.get("stage")
+    assert stage in ("decide", "fold"), f"{e['name']} span stage {stage!r}"
+    if stage == "decide":
+        bins = min(2, groups[e["name"]])
+        assert "bin" in args and args["bin"] < bins, \
+            f"{e['name']} decide span bin {args.get('bin')} of {bins}"
+    busy_us[(e["name"], stage)] += e["dur"]
+# Requests per variant: the per-epoch rows of its series CSVs.
+requests = collections.Counter()
+for path in glob.glob(os.path.join(sys.argv[2], "smoke_table3_*.csv")):
+    name = os.path.basename(path)[:-len(".csv")].rsplit("_", 1)[1]
+    with open(path) as f:
+        requests[name] += sum(int(row["requests"]) for row in csv.DictReader(f))
+assert busy_us, "no variant spans in the trace"
+for (name, stage), us in sorted(busy_us.items()):
+    assert requests[name] > 0, f"no series CSV rows for {name}"
+    print(f"  {name} {stage}: {us * 1e3 / requests[name]:.1f} ns/request")
 print(f"trace OK: {len(events)} events, phases {sorted(phases)}")
 EOF
 echo "series CSVs OK ($series_count files)"

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "core/bucket_mapper.h"
@@ -51,5 +53,34 @@ struct CouplingGroups {
 /// VanillaLRU, StarCDN-Fetch) leaves every slot its own group. Labels
 /// follow the first slot of each group in index order.
 [[nodiscard]] CouplingGroups coupling_groups(const std::vector<Reach>& reach);
+
+/// The decide bin of a request served at `serving`, from a per-slot table
+/// of group % bins; bin 0 takes the requests with no serving satellite.
+[[nodiscard]] inline std::uint32_t request_bin(
+    util::SatId serving, std::span<const std::uint32_t> slot_bin) noexcept {
+  return serving.value() < 0 ? 0 : slot_bin[util::as_index(serving)];
+}
+
+/// One block's request indices, stably sorted by decide bin: bin b's
+/// requests ascend in order[start[b], start[b + 1]). Reused across blocks.
+struct BinPartition {
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> start;
+
+  /// Counting sort of the requests by their request_bin `key` (each below
+  /// `bins`): one pass counts and one scatters.
+  void sort(std::span<const std::uint32_t> key, std::size_t bins) {
+    // Bin b is counted at b + 2, so after the prefix sum start[b + 1] is
+    // bin b's start; the scatter walks it on to bin b + 1's start.
+    start.assign(bins + 2, 0);
+    for (const std::uint32_t b : key) ++start[b + 2];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    order.resize(key.size());
+    for (std::uint32_t i = 0; const auto b : key) order[start[b + 1]++] = i++;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> bin(std::size_t b) const {
+    return {order.data() + start[b], order.data() + start[b + 1]};
+  }
+};
 
 }  // namespace starcdn::core

@@ -91,6 +91,8 @@ void Simulator::register_variant(Variant v) {
   VariantState vs;
   vs.variant = v;
   vs.spec = variant_spec(v);
+  need_static_ = need_static_ || vs.spec.frozen;
+  need_owner_ = need_owner_ || vs.spec.hashed;
   // Per-variant deterministic streams. The transient model is seeded
   // identically for every variant so they all observe the same outage
   // schedule; the latency-sampling RNG is variant-specific so streams stay
@@ -115,6 +117,7 @@ void Simulator::register_variant(Variant v) {
     vs.fold.metrics.sat_bytes_hit.assign(n, 0);
   }
   variants_.push_back(std::move(vs));
+  bin_keys_.emplace_back();
 }
 
 cache::Cache& Simulator::cache_at(DecideState& ds, SatId sat) {
@@ -143,13 +146,16 @@ void Simulator::note_sat(FoldState& fs, SatId sat, const trace::Request& r,
 }
 
 void Simulator::build_context(const trace::RequestBlock& block,
-                              std::uint64_t counter_base, bool need_static,
-                              bool need_owner,
-                              std::vector<RequestContext>& ctx) {
+                              std::uint64_t counter_base,
+                              std::vector<RequestContext>& ctx,
+                              std::vector<BinPartition>& parts) {
   const obs::TraceSpan stage1_span(obs::tracer(), "stage1_context", "core");
   const auto users_per_city =
       static_cast<std::uint64_t>(schedule_->params().users_per_city);
   ctx.resize(block.count());
+  for (std::size_t v = 0; v < variants_.size(); ++v) {
+    if (variants_[v].bins > 1) bin_keys_[v].resize(block.count());
+  }
   util::parallel_for(block.count(), [&](std::size_t i) {
     RequestContext& c = ctx[i];
     c.epoch = schedule_->epoch_of(util::Seconds{block.timestamp_s[i]});
@@ -166,14 +172,14 @@ void Simulator::build_context(const trace::RequestBlock& block,
           EpochIdx{c.epoch.value() - 1}, city, user);
       c.handover = prev.sat.value() != c.fc.sat.value();
     }
-    if (need_static) {
+    if (need_static_) {
       c.fc_static = schedule_->first_contact(EpochIdx{0}, city, user);
     }
     // The hashed route (one table read per request) is shared by every
     // hashed variant, so it is resolved once here.
     c.owner = c.fc.sat;
     c.route = util::Millis{0.0};
-    if (need_owner && c.fc.sat.value() >= 0) {
+    if (need_owner_ && c.fc.sat.value() >= 0) {
       const BucketMapper::Route r =
           mapper_.route(c.fc.sat, mapper_.bucket_of_object(block.object[i]));
       if (r.owner != util::kNoSat) {
@@ -181,28 +187,38 @@ void Simulator::build_context(const trace::RequestBlock& block,
         c.route = latency_.grid_hops_delay(r.inter, r.intra);
       }
     }
+    for (std::size_t v = 0; v < variants_.size(); ++v) {
+      const VariantPlan& vp = variants_[v];
+      if (vp.bins > 1) {
+        bin_keys_[v][i] = request_bin(serving_of(vp, c), vp.bin_of);
+      }
+    }
   });
+  for (std::size_t v = 0; v < variants_.size(); ++v) {
+    if (variants_[v].bins > 1) parts[v].sort(bin_keys_[v], variants_[v].bins);
+  }
 }
 
 void Simulator::decide_bin(const VariantPlan& vp, DecideState& ds, int slot,
                            std::size_t bin, const trace::RequestBlock& block,
-                           const std::vector<RequestContext>& ctx) {
-  const obs::TraceSpan span(obs::tracer(), vp.spec.name, "variant");
+                           const std::vector<RequestContext>& ctx,
+                           const BinPartition& part) {
+  obs::TraceSpan span(obs::tracer(), vp.spec.name, "variant");
+  if (obs::tracer() != nullptr) {
+    span.set_args({obs::arg("stage", "decide"),
+                   obs::arg("bin", static_cast<std::uint64_t>(bin))});
+  }
   std::vector<Outcome>& out = ds.outcome[slot];
   std::vector<util::Bytes>& pre = ds.prefetched[slot];
   util::Bytes unused = 0;
-  const bool prefetching = vp.spec.prefetch;
-  for (std::size_t i = 0; i < block.count(); ++i) {
-    if (vp.bins > 1) {
-      // Stable partition: this bin's requests, in trace order. Requests
-      // without a serving satellite touch no cache; bin 0 records them.
-      const SatId s = serving_of(vp, ctx[i]);
-      const std::size_t b =
-          s.value() < 0 ? 0 : vp.groups.group_of[util::as_index(s)] % vp.bins;
-      if (b != bin) continue;
-    }
+  const auto one = [&, prefetching = vp.spec.prefetch](std::size_t i) {
     out[i] = decide(vp, ds, block.at(i), ctx[i],
                     prefetching ? pre[i] : unused);
+  };
+  if (vp.bins == 1) {
+    for (std::size_t i = 0; i < block.count(); ++i) one(i);
+  } else {
+    for (const std::uint32_t i : part.bin(bin)) one(i);
   }
 }
 
@@ -217,17 +233,13 @@ void Simulator::run(trace::RequestStream& stream) {
   obs::TraceSpan run_span(obs::tracer(), "Simulator::run", "core",
                           std::move(run_args));
 
-  bool need_static = false;
-  bool need_owner = false;
-  for (const auto& vs : variants_) {
-    need_static = need_static || vs.spec.frozen;
-    need_owner = need_owner || vs.spec.hashed;
-  }
   // One decide bin per thread (no more than there are groups); at one
-  // thread a single bin replays every request with no partition filter.
+  // thread a single bin replays every request with no partition.
   const auto threads = static_cast<std::size_t>(util::parallel_threads());
   for (auto& vs : variants_) {
     vs.bins = std::min<std::size_t>(threads, vs.groups.count);
+    vs.bin_of = vs.groups.group_of;
+    for (std::uint32_t& b : vs.bin_of) b %= vs.bins;
     vs.decide.bin_seconds.resize(vs.bins, 0.0);
   }
 
@@ -238,6 +250,8 @@ void Simulator::run(trace::RequestStream& stream) {
   // join at the end of each step hands the slots on race-free.
   trace::RequestBlock blocks[kSlots];
   std::vector<RequestContext> ctxs[kSlots];
+  std::vector<BinPartition> parts[kSlots];  // per variant
+  for (auto& p : parts) p.resize(variants_.size());
   trace::StreamPosition pos;
   // Chunk-base bookkeeping: the rotation seed advances by block length, so
   // terminals rotate the same way however the stream chops the trace.
@@ -245,7 +259,7 @@ void Simulator::run(trace::RequestStream& stream) {
   const auto produce = [&](int b) {
     if (!stream.next(blocks[b]) || blocks[b].empty()) return false;
     trace::validate_block(blocks[b], schedule_->cities(), pos);
-    build_context(blocks[b], bases[b], need_static, need_owner, ctxs[b]);
+    build_context(blocks[b], bases[b], ctxs[b], parts[b]);
     bases[(b + 1) % kSlots] = bases[b] + blocks[b].count();
     return true;
   };
@@ -303,7 +317,8 @@ void Simulator::run(trace::RequestStream& stream) {
           }
           break;
         case Task::kDecide:
-          decide_bin(vs, vs.decide, cur, task.bin, blocks[cur], ctxs[cur]);
+          decide_bin(vs, vs.decide, cur, task.bin, blocks[cur], ctxs[cur],
+                     parts[cur][task.variant]);
           break;
         case Task::kFold:
           fold_variant(vs, vs.fold, vs.decide.outcome[prev],
@@ -430,7 +445,8 @@ void Simulator::fold_variant(const VariantPlan& vp, FoldState& fs,
                              const trace::RequestBlock& block,
                              const std::vector<RequestContext>& ctx,
                              bool trace_epochs, std::uint64_t& marked_epoch) {
-  const obs::TraceSpan span(obs::tracer(), vp.spec.name, "variant");
+  obs::TraceSpan span(obs::tracer(), vp.spec.name, "variant");
+  if (obs::tracer() != nullptr) span.set_args({obs::arg("stage", "fold")});
   obs::Tracer* const tr = trace_epochs ? obs::tracer() : nullptr;
   const bool frozen = vp.spec.frozen;
   const bool prefetching = vp.spec.prefetch;

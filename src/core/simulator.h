@@ -159,7 +159,8 @@ class Simulator {
   ///
   /// Sharded, pipelined replay (DESIGN.md, "Sharded replay"). Each block
   /// goes through three stages, each on a different block at once:
-  ///   produce — pull the block, validate it, build its stage-1 context;
+  ///   produce — pull the block, validate it, build its stage-1 context
+  ///             and its decide-bin partition;
   ///   decide  — every cache decision, one task per (variant, bin of
   ///             coupling groups): caches are disjoint across bins and each
   ///             bin walks its requests in trace order;
@@ -212,14 +213,15 @@ class Simulator {
   /// across variants, making results independent of both thread count and
   /// which other variants are registered.
   ///
-  /// The read-only part: fixed at construction (`bins` at run start).
-  /// Coupling group g replays in decide bin g % bins for the whole run.
+  /// The read-only part: fixed at construction (`bins`, `bin_of` at run
+  /// start). Coupling group g replays in decide bin g % bins for the run.
   struct VariantPlan {
     Variant variant;
     VariantSpec spec;
     std::vector<Reach> reach;  // per satellite slot
     CouplingGroups groups;
     std::size_t bins = 1;
+    std::vector<std::uint32_t> bin_of;  // per slot: group % bins
   };
   /// Written by the decide tasks, each bin on its own coupling groups.
   struct alignas(util::kCacheLine) DecideState {
@@ -268,10 +270,11 @@ class Simulator {
 
   /// Stage-1 fan-out over one chunk: each slot is a pure function of the
   /// request index, seeded by `counter_base` (the shared request-counter
-  /// position at the chunk's first request).
+  /// position at the chunk's first request); then its decide partitions.
   void build_context(const trace::RequestBlock& block,
-                     std::uint64_t counter_base, bool need_static,
-                     bool need_owner, std::vector<RequestContext>& ctx);
+                     std::uint64_t counter_base,
+                     std::vector<RequestContext>& ctx,
+                     std::vector<BinPartition>& parts);
 
   [[nodiscard]] static const sched::Candidate& first_contact(
       const VariantPlan& vp, const RequestContext& c) noexcept {
@@ -282,11 +285,12 @@ class Simulator {
     return vp.spec.hashed ? c.owner : first_contact(vp, c).sat;
   }
 
-  /// Decide stage for one bin of one variant: every request of the block
-  /// whose serving satellite falls in `bin`, in trace order.
+  /// Decide stage for one bin of one variant, in trace order: `part`'s
+  /// requests in `bin`, or every request of the block if there is one bin.
   void decide_bin(const VariantPlan& vp, DecideState& ds, int slot,
                   std::size_t bin, const trace::RequestBlock& block,
-                  const std::vector<RequestContext>& ctx);
+                  const std::vector<RequestContext>& ctx,
+                  const BinPartition& part);
   Outcome decide(const VariantPlan& vp, DecideState& ds,
                  const trace::Request& r, const RequestContext& c,
                  util::Bytes& prefetched);
@@ -317,6 +321,10 @@ class Simulator {
   net::LatencyModel latency_;
   CacheFactory cache_factory_;
   std::vector<VariantState> variants_;
+  bool need_static_ = false;  // a frozen variant: epoch-0 first contacts
+  bool need_owner_ = false;   // a hashed variant: bucket owners and routes
+  /// Produce-stage scratch: per variant, each request's decide bin.
+  std::vector<std::vector<std::uint32_t>> bin_keys_;
 };
 
 }  // namespace starcdn::core

@@ -4,13 +4,17 @@
 // coupling group. The reach table is checked against an independent
 // computation from the mapper and the constellation, on a healthy grid
 // and after random failures, and the groups are checked for closure over
-// it.
+// it. The decide stage's per-block partition is checked against the bin
+// rule it stands for.
 #include "core/coupling.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -143,6 +147,57 @@ TEST(CouplingGroups, HealthyGridSplitsIntoManyGroups) {
   EXPECT_EQ(count(Variant::kStatic), slots);
   EXPECT_EQ(count(Variant::kVanillaLru), slots);
   EXPECT_EQ(count(Variant::kHashOnly), slots);
+}
+
+TEST(BinPartition, EveryRequestOnceInItsServingGroupsBin) {
+  // StarCDN on the healthy shell at L = 9 couples slots into 54 groups;
+  // a tenth of the requests have no serving satellite. One partition is
+  // rebuilt for every bin count and block length, as the produce stage
+  // reuses it block after block.
+  const orbit::Constellation shell{orbit::WalkerParams{}};
+  const BucketMapper mapper(shell, 9);
+  const CouplingGroups g = coupling_groups(
+      reach_table(shell, mapper, variant_spec(Variant::kStarCdn), true));
+  ASSERT_GT(g.count, 8U);
+  util::Rng rng(5);
+  BinPartition part;
+  for (const std::size_t bins : {2, 3, 4, 7}) {
+    for (const std::size_t n : {0, 1, 4'096, 9'999}) {
+      SCOPED_TRACE("bins=" + std::to_string(bins) + " n=" + std::to_string(n));
+      std::vector<util::SatId> serving(n);
+      for (util::SatId& s : serving) {
+        s = rng.bernoulli(0.1) ? util::kNoSat
+                               : util::SatId{static_cast<int>(
+                                     rng.below(g.group_of.size()))};
+      }
+      std::vector<std::uint32_t> slot_bin(g.group_of.size());
+      for (std::size_t s = 0; s < slot_bin.size(); ++s) {
+        slot_bin[s] = g.group_of[s] % static_cast<std::uint32_t>(bins);
+      }
+      std::vector<std::uint32_t> key(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        key[i] = request_bin(serving[i], slot_bin);
+      }
+      part.sort(key, bins);
+      ASSERT_GE(part.start.size(), bins + 1);
+      ASSERT_EQ(part.start[bins], n);
+      std::vector<int> seen(n, 0);
+      for (std::size_t b = 0; b < bins; ++b) {
+        const std::span<const std::uint32_t> in = part.bin(b);
+        EXPECT_TRUE(std::is_sorted(in.begin(), in.end())) << "bin " << b;
+        for (const std::uint32_t i : in) {
+          ASSERT_LT(i, n);
+          ++seen[i];
+          const util::SatId s = serving[i];
+          const std::size_t want =
+              s == util::kNoSat ? 0 : g.group_of[util::as_index(s)] % bins;
+          EXPECT_EQ(b, want) << "request " << i;
+        }
+      }
+      EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+                static_cast<std::ptrdiff_t>(n));
+    }
+  }
 }
 
 }  // namespace

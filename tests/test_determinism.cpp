@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -239,6 +240,8 @@ TEST(Determinism, ShardedReplayIdenticalAtEveryThreadCount) {
   // coupling groups whose number follows the thread count, and pipelines
   // blocks through produce / decide / fold. Neither may show in any
   // output: every scenario below must match its 1-thread run bitwise.
+  // Some scenario must have requests with no satellite in view, which
+  // the partition sends to bin 0.
   core::Scenario recipe;
   recipe.workload.object_count = 4'000;
   recipe.workload.requests_per_weight = 1'500;
@@ -250,6 +253,7 @@ TEST(Determinism, ShardedReplayIdenticalAtEveryThreadCount) {
   const auto requests = trace::collect(*healthy.model->generate_stream());
   ASSERT_GT(requests.size(), 10'000u);
 
+  std::uint64_t unreachable = 0;
   const auto check = [&](const core::Scenario::Built& s,
                          cache::Policy policy, int buckets, bool flaky) {
     const auto simulate = [&](int threads) {
@@ -276,6 +280,9 @@ TEST(Determinism, ShardedReplayIdenticalAtEveryThreadCount) {
       return sim.finish();
     };
     const core::RunReport serial = simulate(1);
+    for (const auto& [name, value] : serial.totals) {
+      if (name == "unreachable") unreachable += value;
+    }
     for (const int threads : {2, 3, 4, 8}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       expect_bitwise_equal(serial, simulate(threads));
@@ -313,6 +320,7 @@ TEST(Determinism, ShardedReplayIdenticalAtEveryThreadCount) {
     EXPECT_LT(groups.count, 8u) << core::to_string(v);
   }
   check(tiny, cache::Policy::kLru, 4, /*flaky=*/true);
+  EXPECT_GT(unreachable, 0u);
 }
 
 TEST(Determinism, KnockOutClampTerminates) {
