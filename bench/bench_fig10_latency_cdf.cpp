@@ -17,9 +17,10 @@ int main(int argc, char** argv) {
   util::Rng rng(99);
   util::QuantileSampler terrestrial, bentpipe;
   for (int i = 0; i < 200'000; ++i) {
-    terrestrial.add(latency.terrestrial_cdn(rng).value());
+    terrestrial.add(latency.terrestrial_cdn(rng.normal_draw()).value());
     bentpipe.add(
-        latency.bentpipe_starlink(latency.params().default_gsl, rng).value());
+        latency.bentpipe_starlink(latency.params().default_gsl,
+                                  rng.normal_draw()).value());
   }
 
   // Simulated StarCDN variants.

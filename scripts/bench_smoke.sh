@@ -23,10 +23,13 @@
 #      and --seed=0.
 #   5. Checks thread-count invariance on the Release binaries:
 #      bench_ablation_design (prefetch, six policies, transient outages)
-#      must print identical tables at --threads=1 and --threads=4, and
+#      must print identical tables at --threads=1 and --threads=4,
 #      bench_fig11_fault_tolerance at --threads=1 and --threads=3 (on its
 #      9.7%-failed shell the failure remap coarsens StarCDN into 137
-#      coupling groups, which 3 bins split unevenly).
+#      coupling groups, which 3 bins split unevenly), and
+#      bench_fig8_uplink at --threads=1 and --threads=4, tables and the
+#      "GSL budget check" line (the uplink meter's mean, peak, overloaded
+#      cells and cell count) alike.
 #   6. Runs the examples: quickstart, replay_cluster over in-process
 #      queues, and starcdn_sim with all six variants, failures and
 #      transient outages; each must exit 0 and print a row per variant.
@@ -167,14 +170,16 @@ fi
 echo "fig12 --seed OK"
 
 echo "== tables do not depend on the thread count (truncated) =="
-# Fails unless bench $1 prints the same non-empty '|' table lines at
-# --threads=1 and --threads=$2.
+# Fails unless bench $1 prints the same non-empty '|' table lines (and
+# "GSL budget check" line, where it prints one) at --threads=1 and
+# --threads=$2.
 same_tables() {
   local bench=$1 threads=$2 t
   for t in 1 "$threads"; do
     "$BUILD/bench/$bench" --epochs=40 --scale=0.05 --threads="$t" \
       --out="$OUT" >"$OUT/${bench}_t$t.log"
-    grep '|' "$OUT/${bench}_t$t.log" >"$OUT/${bench}_t$t.tables"
+    grep -e '|' -e '^GSL budget check' "$OUT/${bench}_t$t.log" \
+      >"$OUT/${bench}_t$t.tables"
   done
   [ -s "$OUT/${bench}_t1.tables" ] ||
     { echo "FAIL: $bench printed no table lines"; exit 1; }
@@ -188,6 +193,9 @@ same_tables() {
 }
 same_tables bench_ablation_design 4
 same_tables bench_fig11_fault_tolerance 3
+same_tables bench_fig8_uplink 4
+grep -q '^GSL budget check' "$OUT/bench_fig8_uplink_t1.tables" ||
+  { echo "FAIL: bench_fig8_uplink printed no GSL budget check line"; exit 1; }
 
 echo "== examples =="
 EXAMPLES=$(cd "$BUILD/examples" && pwd)

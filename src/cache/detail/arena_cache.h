@@ -12,6 +12,7 @@
 // `drop`, because releasing a slot reuses its `next` link.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -74,6 +75,17 @@ class ArenaCache : public Cache {
     index_.erase(e.id);
     note_evict(e.size);
     slab_.release(s);
+  }
+
+  /// The output of a hottest(n) walk, reserved. The walk is a chain of
+  /// dependent loads through a cache another satellite left cold; while n
+  /// covers at least half the arena (2n entries) the walk touches most of
+  /// its lines anyway, so all of them are prefetched at once first.
+  [[nodiscard]] Hot begin_hottest(std::size_t n) const {
+    Hot out;
+    out.reserve(std::min(n, object_count()));
+    if (slab_.arena_size() <= 2 * n) slab_.prefetch();
+    return out;
   }
 
   /// Append `list`'s entries front to back while `out` holds fewer than `n`,

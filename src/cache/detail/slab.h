@@ -26,6 +26,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/parallel.h"
+
 namespace starcdn::cache::detail {
 
 inline constexpr std::uint32_t kNullSlot = 0xFFFFFFFFu;
@@ -72,6 +74,15 @@ class Slab {
   }
   [[nodiscard]] std::size_t arena_size() const noexcept {
     return entries_.size();
+  }
+
+  /// Prefetch every cache line of the arena.
+  void prefetch() const noexcept {
+    const auto* bytes = reinterpret_cast<const char*>(entries_.data());
+    const std::size_t end = entries_.size() * sizeof(Entry);
+    for (std::size_t at = 0; at < end; at += util::kCacheLine) {
+      __builtin_prefetch(bytes + at);
+    }
   }
 
  private:

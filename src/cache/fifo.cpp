@@ -14,7 +14,7 @@ void FifoCache::admit(ObjectId id, Bytes size) {
 
 std::vector<std::pair<ObjectId, Bytes>> FifoCache::hottest(
     std::size_t n) const {
-  Hot out;
+  Hot out = begin_hottest(n);
   append(list_, n, out);
   return out;
 }

@@ -39,7 +39,7 @@ void GdsfCache::admit(ObjectId id, Bytes size) {
 
 std::vector<std::pair<ObjectId, Bytes>> GdsfCache::hottest(
     std::size_t n) const {
-  Hot out;
+  Hot out = begin_hottest(n);
   for (auto it = queue_.rbegin(); it != queue_.rend() && out.size() < n;
        ++it) {
     out.emplace_back(slab_[it->second].id, slab_[it->second].size);

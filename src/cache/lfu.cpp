@@ -56,7 +56,7 @@ void LfuCache::admit(ObjectId id, Bytes size) {
 std::vector<std::pair<ObjectId, Bytes>> LfuCache::hottest(
     std::size_t n) const {
   // Walk frequency nodes from highest to lowest, recency order within each.
-  Hot out;
+  Hot out = begin_hottest(n);
   for (std::uint32_t node = freq_list_.tail;
        node != detail::kNullSlot && out.size() < n; node = nodes_[node].prev) {
     append(nodes_[node].entries, n, out);

@@ -22,7 +22,7 @@ void LruCache::admit(ObjectId id, Bytes size) {
 
 std::vector<std::pair<ObjectId, Bytes>> LruCache::hottest(
     std::size_t n) const {
-  Hot out;
+  Hot out = begin_hottest(n);
   append(list_, n, out);
   return out;
 }

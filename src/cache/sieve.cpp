@@ -36,7 +36,7 @@ void SieveCache::admit(ObjectId id, Bytes size) {
 std::vector<std::pair<ObjectId, Bytes>> SieveCache::hottest(
     std::size_t n) const {
   // Visited entries first (they survived a sweep), then by insertion order.
-  Hot out;
+  Hot out = begin_hottest(n);
   append(list_, n, out, [](const auto& e) { return e.visited; });
   append(list_, n, out, [](const auto& e) { return !e.visited; });
   return out;

@@ -67,7 +67,7 @@ void SlruCache::admit(ObjectId id, Bytes size) {
 std::vector<std::pair<ObjectId, Bytes>> SlruCache::hottest(
     std::size_t n) const {
   // Protected (re-referenced) objects first, then probation.
-  Hot out;
+  Hot out = begin_hottest(n);
   append(protected_, n, out);
   append(probation_, n, out);
   return out;

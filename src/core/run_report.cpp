@@ -53,16 +53,12 @@ std::vector<obs::SeriesTable::Derived> core_series_derived(
   return derived;
 }
 
-const VariantReport* RunReport::find(Variant v) const noexcept {
-  for (const auto& vr : variants) {
-    if (vr.variant == v) return &vr;
-  }
-  return nullptr;
-}
-
 const VariantReport& RunReport::variant(Variant v) const {
-  if (const VariantReport* vr = find(v)) return *vr;
-  throw std::out_of_range("RunReport::variant: variant not in report");
+  for (const auto& vr : variants) {
+    if (vr.variant == v) return vr;
+  }
+  throw std::out_of_range(std::string("RunReport::variant: ") + to_string(v) +
+                          " not in report");
 }
 
 void RunReport::write_series_csv(Variant v, std::ostream& os) const {

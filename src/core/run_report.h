@@ -42,8 +42,8 @@ struct RunReport {
   /// Cross-variant totals: each kCounters entry summed over the variants.
   std::vector<std::pair<std::string, std::uint64_t>> totals;
 
-  [[nodiscard]] const VariantReport* find(Variant v) const noexcept;
-  /// Throws std::out_of_range when the variant was not registered.
+  /// Throws std::out_of_range naming the variant when it was not
+  /// registered.
   [[nodiscard]] const VariantReport& variant(Variant v) const;
 
   /// Epoch time-series CSV for one variant, with derived rate columns.

@@ -153,8 +153,11 @@ void Simulator::build_context(const trace::RequestBlock& block,
   const auto users_per_city =
       static_cast<std::uint64_t>(schedule_->params().users_per_city);
   ctx.resize(block.count());
+  const auto sorts = [this](std::size_t v) {
+    return variants_[v].bins > 1 && variants_[v].part_of == v;
+  };
   for (std::size_t v = 0; v < variants_.size(); ++v) {
-    if (variants_[v].bins > 1) bin_keys_[v].resize(block.count());
+    if (sorts(v)) bin_keys_[v].resize(block.count());
   }
   util::parallel_for(block.count(), [&](std::size_t i) {
     RequestContext& c = ctx[i];
@@ -188,14 +191,14 @@ void Simulator::build_context(const trace::RequestBlock& block,
       }
     }
     for (std::size_t v = 0; v < variants_.size(); ++v) {
-      const VariantPlan& vp = variants_[v];
-      if (vp.bins > 1) {
+      if (sorts(v)) {
+        const VariantPlan& vp = variants_[v];
         bin_keys_[v][i] = request_bin(serving_of(vp, c), vp.bin_of);
       }
     }
   });
   for (std::size_t v = 0; v < variants_.size(); ++v) {
-    if (variants_[v].bins > 1) parts[v].sort(bin_keys_[v], variants_[v].bins);
+    if (sorts(v)) parts[v].sort(bin_keys_[v], variants_[v].bins);
   }
 }
 
@@ -241,6 +244,17 @@ void Simulator::run(trace::RequestStream& stream) {
     vs.bin_of = vs.groups.group_of;
     for (std::uint32_t& b : vs.bin_of) b %= vs.bins;
     vs.decide.bin_seconds.resize(vs.bins, 0.0);
+  }
+  // Variants that serve each request at the same slot and bin the slots
+  // alike share one partition, keyed and sorted for the first of them.
+  for (auto vs = variants_.begin(); vs != variants_.end(); ++vs) {
+    const auto alike = [&](const VariantPlan& up) {
+      return up.spec.hashed == vs->spec.hashed &&
+             up.spec.frozen == vs->spec.frozen && up.bins == vs->bins &&
+             up.bin_of == vs->bin_of;
+    };
+    vs->part_of =
+        std::find_if(variants_.begin(), vs, alike) - variants_.begin();
   }
 
   // Triple buffer: step k folds block k - 1, decides block k and produces
@@ -318,7 +332,7 @@ void Simulator::run(trace::RequestStream& stream) {
           break;
         case Task::kDecide:
           decide_bin(vs, vs.decide, cur, task.bin, blocks[cur], ctxs[cur],
-                     parts[cur][task.variant]);
+                     parts[cur][vs.part_of]);
           break;
         case Task::kFold:
           fold_variant(vs, vs.fold, vs.decide.outcome[prev],
@@ -472,7 +486,13 @@ void Simulator::fold(const VariantPlan& vp, FoldState& fs,
   ++m.requests;
   m.bytes_requested += r.size;
   const bool sample = config_.sample_latency;
-  const auto record = [&](util::Millis ms) { m.latency_ms.add(ms.value()); };
+  // The reservoir picks a sample's cell before it sees the value, so a
+  // dropped sample is counted but never computed. A sampled leg's draw is
+  // still taken first, so the stream is the same whichever samples are kept.
+  const auto record = [&](auto latency) {
+    if (double* cell = m.latency_ms.next_slot()) *cell = latency().value();
+  };
+  const util::Millis default_gsl = latency_.params().default_gsl;
 
   if (o == Outcome::kUnreachable) {
     // Coverage gap: served bent-pipe from the ground via a remote link.
@@ -480,7 +500,8 @@ void Simulator::fold(const VariantPlan& vp, FoldState& fs,
     ++m.misses;
     m.uplink_bytes += r.size;
     if (sample) {
-      record(latency_.bentpipe_starlink(latency_.params().default_gsl, fs.rng));
+      const util::Rng::NormalDraw d = fs.rng.normal_draw();
+      record([&] { return latency_.bentpipe_starlink(default_gsl, d); });
     }
     return;
   }
@@ -493,7 +514,8 @@ void Simulator::fold(const VariantPlan& vp, FoldState& fs,
     m.uplink_bytes += r.size;
     m.uplink_meter.add(serving, c.epoch, r.size);
     if (sample) {
-      record(latency_.miss(gsl, route, latency_.params().default_gsl, fs.rng));
+      const util::Rng::NormalDraw d = fs.rng.normal_draw();
+      record([&] { return latency_.miss(gsl, route, default_gsl, d); });
     }
   };
 
@@ -517,8 +539,10 @@ void Simulator::fold(const VariantPlan& vp, FoldState& fs,
     }
     note_sat(fs, serving, r, true);
     if (sample) {
-      record(route.value() > 0.0 ? latency_.hit_routed(gsl, route)
-                                 : latency_.hit_local(gsl));
+      record([&] {
+        return route.value() > 0.0 ? latency_.hit_routed(gsl, route)
+                                   : latency_.hit_local(gsl);
+      });
     }
     return;
   }
@@ -549,11 +573,13 @@ void Simulator::fold(const VariantPlan& vp, FoldState& fs,
   m.bytes_hit += r.size;
   m.isl_bytes += r.size;
   if (sample) {
-    const int relay_hops =
-        vp.spec.relay == Relay::kReplicas ? mapper_.tile_side() : 1;
-    const util::Millis relay =
-        static_cast<double>(relay_hops) * latency_.params().inter_orbit_hop;
-    record(latency_.hit_relayed(gsl, route, relay));
+    record([&] {
+      const int relay_hops =
+          vp.spec.relay == Relay::kReplicas ? mapper_.tile_side() : 1;
+      const util::Millis relay =
+          static_cast<double>(relay_hops) * latency_.params().inter_orbit_hop;
+      return latency_.hit_relayed(gsl, route, relay);
+    });
   }
 }
 

@@ -213,8 +213,9 @@ class Simulator {
   /// across variants, making results independent of both thread count and
   /// which other variants are registered.
   ///
-  /// The read-only part: fixed at construction (`bins`, `bin_of` at run
-  /// start). Coupling group g replays in decide bin g % bins for the run.
+  /// The read-only part: fixed at construction (`bins`, `bin_of` and
+  /// `part_of` at run start). Coupling group g replays in decide bin
+  /// g % bins for the run.
   struct VariantPlan {
     Variant variant;
     VariantSpec spec;
@@ -222,6 +223,7 @@ class Simulator {
     CouplingGroups groups;
     std::size_t bins = 1;
     std::vector<std::uint32_t> bin_of;  // per slot: group % bins
+    std::size_t part_of = 0;  // the variant whose partition decide reads
   };
   /// Written by the decide tasks, each bin on its own coupling groups.
   struct alignas(util::kCacheLine) DecideState {
@@ -323,7 +325,8 @@ class Simulator {
   std::vector<VariantState> variants_;
   bool need_static_ = false;  // a frozen variant: epoch-0 first contacts
   bool need_owner_ = false;   // a hashed variant: bucket owners and routes
-  /// Produce-stage scratch: per variant, each request's decide bin.
+  /// Produce-stage scratch: per variant that sorts a partition (part_of
+  /// names itself), each request's decide bin.
   std::vector<std::vector<std::uint32_t>> bin_keys_;
 };
 

@@ -6,11 +6,11 @@
 // statistics: mean/peak per-satellite uplink rate and the number of
 // (satellite, epoch) cells that would have exceeded the link budget.
 // Requests must be fed in non-decreasing epoch order (the simulator's
-// natural replay order).
+// natural replay order). After warm-up neither add() nor flush() allocates.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "util/ids.h"
 #include "util/stats.h"
@@ -26,7 +26,8 @@ class UplinkMeter {
       : epoch_s_(epoch_duration.value()),
         capacity_gbps_(util::to_gbps(link_capacity)) {}
 
-  /// Record an origin fetch of `bytes` through `sat`'s GSL.
+  /// Record an origin fetch of `bytes` through `sat`'s GSL; a zero-byte
+  /// fetch opens no cell.
   void add(util::SatId sat, util::EpochIdx epoch, util::Bytes bytes);
 
   /// Fold any still-buffered epoch into the statistics.
@@ -52,7 +53,8 @@ class UplinkMeter {
   double epoch_s_;
   double capacity_gbps_;
   std::size_t current_epoch_ = 0;
-  std::unordered_map<util::SatId, util::Bytes> epoch_bytes_;
+  std::vector<util::Bytes> epoch_bytes_;  // per slot, grown on demand
+  std::vector<util::SatId> touched_;      // slots with bytes, first touch
   util::RunningStats stats_;
   std::uint64_t overloads_ = 0;
   util::Bytes total_ = 0;

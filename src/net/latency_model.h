@@ -75,22 +75,30 @@ class LatencyModel {
   /// a sampled terrestrial origin leg, then forwarded to the user.
   [[nodiscard]] util::Millis miss(util::Millis gsl, util::Millis route,
                                   util::Millis gs_gsl,
-                                  util::Rng& rng) const noexcept {
+                                  util::Rng::NormalDraw d) const noexcept {
     return 2.0 * (gsl + route + gs_gsl) +
-           util::Millis{rng.lognormal(p_.origin_leg_mu, p_.origin_leg_sigma)};
+           util::Millis{util::Rng::lognormal_of(d, p_.origin_leg_mu,
+                                                p_.origin_leg_sigma)};
+  }
+  [[nodiscard]] util::Millis miss(util::Millis gsl, util::Millis route,
+                                  util::Millis gs_gsl,
+                                  util::Rng& rng) const noexcept {
+    return miss(gsl, route, gs_gsl, rng.normal_draw());
   }
 
   /// Baseline: terrestrial user hitting a proximal terrestrial CDN edge.
-  [[nodiscard]] util::Millis terrestrial_cdn(util::Rng& rng) const noexcept {
-    return util::Millis{rng.lognormal(p_.terrestrial_mu, p_.terrestrial_sigma)};
+  [[nodiscard]] util::Millis terrestrial_cdn(
+      util::Rng::NormalDraw d) const noexcept {
+    return util::Millis{util::Rng::lognormal_of(d, p_.terrestrial_mu,
+                                                p_.terrestrial_sigma)};
   }
 
   /// Baseline: Starlink bent pipe to a terrestrial CDN (no space cache);
   /// two GSL traversals (up, down) plus the far terrestrial leg.
-  [[nodiscard]] util::Millis bentpipe_starlink(util::Millis gsl,
-                                               util::Rng& rng) const noexcept {
-    return 2.0 * gsl +
-           util::Millis{rng.lognormal(p_.bentpipe_leg_mu, p_.bentpipe_leg_sigma)};
+  [[nodiscard]] util::Millis bentpipe_starlink(
+      util::Millis gsl, util::Rng::NormalDraw d) const noexcept {
+    return 2.0 * gsl + util::Millis{util::Rng::lognormal_of(
+                           d, p_.bentpipe_leg_mu, p_.bentpipe_leg_sigma)};
   }
 
  private:

@@ -77,18 +77,36 @@ class Rng {
 
   [[nodiscard]] bool bernoulli(double p) noexcept { return uniform() < p; }
 
+  /// The two uniforms one Box–Muller normal consumes; u1 is in (0, 1],
+  /// which avoids log(0). A braced list draws them left to right.
+  struct NormalDraw {
+    double u1, u2;
+  };
+  [[nodiscard]] NormalDraw normal_draw() noexcept {
+    return {1.0 - uniform(), uniform()};
+  }
+
+  /// Box–Muller transform of one draw: a caller can take the draw to keep
+  /// its stream in step and transform it only when the value is needed.
+  [[nodiscard]] static double normal_of(NormalDraw d, double mean = 0.0,
+                                        double stddev = 1.0) noexcept {
+    const double z = std::sqrt(-2.0 * std::log(d.u1)) *
+                     std::cos(2.0 * std::numbers::pi * d.u2);
+    return mean + stddev * z;
+  }
+  [[nodiscard]] static double lognormal_of(NormalDraw d, double mu,
+                                           double sigma) noexcept {
+    return std::exp(normal_of(d, mu, sigma));
+  }
+
   /// Standard normal via Box–Muller (cached second value omitted to stay
   /// stateless; cost is acceptable at simulation scale).
   [[nodiscard]] double normal(double mean = 0.0, double stddev = 1.0) noexcept {
-    const double u1 = 1.0 - uniform();  // (0, 1], avoids log(0)
-    const double u2 = uniform();
-    const double z =
-        std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
-    return mean + stddev * z;
+    return normal_of(normal_draw(), mean, stddev);
   }
 
   [[nodiscard]] double lognormal(double mu, double sigma) noexcept {
-    return std::exp(normal(mu, sigma));
+    return lognormal_of(normal_draw(), mu, sigma);
   }
 
   [[nodiscard]] double exponential(double rate) noexcept {

@@ -37,18 +37,17 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-void QuantileSampler::add(double x) {
+double* QuantileSampler::next_slot() {
   ++total_;
-  if (max_samples_ == 0 || samples_.size() < max_samples_) {
-    samples_.push_back(x);
-  } else {
-    // Algorithm R reservoir sampling with an internal splitmix stream so the
-    // sampler stays deterministic without threading an Rng through metrics.
-    reservoir_state_ = splitmix64(reservoir_state_ + total_);
-    const std::size_t slot = reservoir_state_ % total_;
-    if (slot < max_samples_) samples_[slot] = x;
-  }
   sorted_ = false;
+  if (max_samples_ == 0 || samples_.size() < max_samples_) {
+    return &samples_.emplace_back();
+  }
+  // Algorithm R reservoir sampling with an internal splitmix stream so the
+  // sampler stays deterministic without threading an Rng through metrics.
+  reservoir_state_ = splitmix64(reservoir_state_ + total_);
+  const std::size_t slot = reservoir_state_ % total_;
+  return slot < max_samples_ ? &samples_[slot] : nullptr;
 }
 
 void QuantileSampler::ensure_sorted() const {

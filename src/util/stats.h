@@ -41,7 +41,13 @@ class QuantileSampler {
   explicit QuantileSampler(std::size_t max_samples = 0) noexcept
       : max_samples_(max_samples) {}
 
-  void add(double x);
+  /// Count one sample and return its cell, or nullptr when the reservoir
+  /// drops it: Algorithm R picks the cell from the count alone, so a caller
+  /// can skip computing a dropped sample. Write the cell before the next call.
+  [[nodiscard]] double* next_slot();
+  void add(double x) {
+    if (double* slot = next_slot()) *slot = x;
+  }
 
   /// Quantile in [0, 1]; linear interpolation between order statistics.
   [[nodiscard]] double quantile(double q) const;

@@ -92,7 +92,8 @@ TEST(EndToEnd, HeadlineClaimsAtTargetConfiguration) {
   util::Rng rng(5);
   util::QuantileSampler bentpipe;
   for (int i = 0; i < 20'000; ++i) {
-    bentpipe.add(lat.bentpipe_starlink(util::Millis{2.94}, rng).value());
+    bentpipe.add(
+        lat.bentpipe_starlink(util::Millis{2.94}, rng.normal_draw()).value());
   }
   EXPECT_LT(star.latency_ms.median() * 2.0, bentpipe.median());
 }

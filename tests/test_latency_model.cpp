@@ -40,8 +40,9 @@ TEST(LatencyModel, BaselineMediansMatchPaper) {
   util::Rng rng(2);
   util::QuantileSampler terrestrial, bentpipe;
   for (int i = 0; i < 50'000; ++i) {
-    terrestrial.add(m.terrestrial_cdn(rng).value());
-    bentpipe.add(m.bentpipe_starlink(util::Millis{2.94}, rng).value());
+    terrestrial.add(m.terrestrial_cdn(rng.normal_draw()).value());
+    bentpipe.add(
+        m.bentpipe_starlink(util::Millis{2.94}, rng.normal_draw()).value());
   }
   EXPECT_GT(terrestrial.median(), 4.0);
   EXPECT_LT(terrestrial.median(), 20.0);
@@ -55,7 +56,10 @@ TEST(LatencyModel, StarCdnHitBeatsBentPipe) {
   const LatencyModel m;
   util::Rng rng(3);
   util::QuantileSampler bentpipe;
-  for (int i = 0; i < 20'000; ++i) bentpipe.add(m.bentpipe_starlink(util::Millis{2.94}, rng).value());
+  for (int i = 0; i < 20'000; ++i) {
+    bentpipe.add(
+        m.bentpipe_starlink(util::Millis{2.94}, rng.normal_draw()).value());
+  }
   const double routed_hit =
       m.hit_routed(util::Millis{2.94}, m.grid_hops_delay(2, 0)).value();
   EXPECT_LT(routed_hit, bentpipe.median() / 2.0);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "util/stats.h"
 
 namespace starcdn::util {
@@ -65,6 +68,23 @@ TEST(Rng, NormalMoments) {
   for (int i = 0; i < 100'000; ++i) s.add(rng.normal(10.0, 2.0));
   EXPECT_NEAR(s.mean(), 10.0, 0.05);
   EXPECT_NEAR(s.stddev(), 2.0, 0.05);
+}
+
+TEST(Rng, NormalIsTransformOfDraw) {
+  // normal() is normal_of(normal_draw()): split, the values agree bitwise
+  // and the two generators end in the same state.
+  Rng whole(42), split(42);
+  for (int i = 0; i < 10'000; ++i) {
+    const double a = whole.normal(3.4, 0.45);
+    const double b = Rng::normal_of(split.normal_draw(), 3.4, 0.45);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+        << "draw " << i;
+  }
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(Rng::lognormal_of(split.normal_draw(), 2.2, 0.55),
+              whole.lognormal(2.2, 0.55));
+  }
+  EXPECT_EQ(whole(), split());
 }
 
 TEST(Rng, LognormalMedian) {

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <ios>
+#include <vector>
+
 #include "core/scenario.h"
+#include "util/hash.h"
 
 namespace starcdn::core {
 namespace {
@@ -223,6 +230,18 @@ TEST_F(SimulatorTest, UnregisteredVariantThrows) {
                std::out_of_range);
 }
 
+TEST_F(SimulatorTest, UnregisteredVariantErrorNamesIt) {
+  Simulator sim = simulator(small_config(), {Variant::kStarCdn});
+  const RunReport report = sim.finish();
+  try {
+    (void)report.variant(Variant::kPrefetch);
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(),
+                 "RunReport::variant: StarCDN-Prefetch not in report");
+  }
+}
+
 TEST_F(SimulatorTest, DuplicateVariantRegistrationIsNoop) {
   Simulator sim =
       simulator(small_config(), {Variant::kStarCdn, Variant::kStarCdn});
@@ -383,6 +402,71 @@ TEST(SimulatorGolden, MetricsBitwiseIdenticalAcrossCacheRewrite) {
     }
   }
   EXPECT_EQ(row, std::size(kGolden));
+}
+
+// --- Pinned latency samples --------------------------------------------------
+//
+// Past kDefaultLatencyReservoir requests a variant's reservoir drops most
+// latency samples. The fold computes only the samples it keeps, but must
+// keep the same ones with the same values and take every sampled leg's
+// draw either way. These values were captured from a replay that computed
+// every sample; a change to which samples are kept, to their values or to
+// the latency stream shows here.
+
+struct PinnedLatency {
+  Variant variant;
+  std::size_t count;
+  double p50, p99;
+  std::uint64_t samples_hash;  // over the sorted reservoir's bit patterns
+};
+
+TEST(SimulatorLatency, ReservoirSamplesPinned) {
+  static constexpr PinnedLatency kPinned[] = {
+      {Variant::kStarCdn, 336'000u, 0x1.9a5e02dc28f5cp+4,
+       0x1.8368bb601e6fcp+6, 0x75bbcb3e869bf423ULL},
+      {Variant::kPrefetch, 336'000u, 0x1.a910dc582c401p+4,
+       0x1.93c16d3ebde03p+6, 0xcb5b5bdec929a43dULL},
+  };
+
+  Scenario recipe;
+  recipe.workload.object_count = 20'000;
+  recipe.workload.requests_per_weight = 30'000;
+  recipe.workload.duration_s = util::kHour.value();
+  recipe.fail_fraction = 0.097;
+  recipe.failure_seed = 7;
+  // A sparse 24 x 12 shell leaves coverage gaps: unreachable requests.
+  recipe.shell.planes = 24;
+  recipe.shell.slots_per_plane = 12;
+  const Scenario::Built s = recipe.build();
+  SimConfig cfg;
+  cfg.cache_capacity = util::mib(256);
+  cfg.buckets = 9;
+  cfg.transient_down_prob = 0.05;
+  cfg.transient_window = util::Seconds{120.0};
+  cfg.variants = {Variant::kStarCdn, Variant::kPrefetch};
+  Simulator sim(*s.shell, *s.schedule, cfg);
+  sim.run(*s.model->generate_stream());
+  const RunReport report = sim.finish();
+
+  for (const PinnedLatency& pin : kPinned) {
+    const VariantMetrics& m = report.variant(pin.variant).metrics;
+    SCOPED_TRACE(to_string(pin.variant));
+    ASSERT_GT(m.requests, 300'000u);
+    EXPECT_GT(m.transient_misses, 0u);
+    EXPECT_GT(m.unreachable, 0u);
+    std::vector<double> sorted = m.latency_ms.samples();
+    std::sort(sorted.begin(), sorted.end());
+    std::uint64_t hash = 0;
+    for (const double x : sorted) {
+      hash = util::hash_combine(hash, std::bit_cast<std::uint64_t>(x));
+    }
+    EXPECT_EQ(m.latency_ms.count(), pin.count);
+    EXPECT_EQ(m.latency_ms.quantile(0.5), pin.p50)
+        << std::hexfloat << m.latency_ms.quantile(0.5);
+    EXPECT_EQ(m.latency_ms.quantile(0.99), pin.p99)
+        << std::hexfloat << m.latency_ms.quantile(0.99);
+    EXPECT_EQ(hash, pin.samples_hash) << std::hex << hash;
+  }
 }
 
 TEST(SimulatorFailures, KnockedOutConstellationStillServes) {

@@ -77,6 +77,26 @@ TEST(QuantileSampler, ReservoirApproximatesMedian) {
   EXPECT_NEAR(q.median(), 500.0, 60.0);
 }
 
+TEST(QuantileSampler, NextSlotMatchesAdd) {
+  // Writing each value through next_slot() must fill the reservoir exactly
+  // as add() does, including past the reservoir size where most samples
+  // are dropped (nullptr) without ever being written.
+  QuantileSampler by_add(16), by_slot(16);
+  std::size_t dropped = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    const double x = std::sin(i * 0.37) * 100.0 + i;
+    by_add.add(x);
+    if (double* slot = by_slot.next_slot()) {
+      *slot = x;
+    } else {
+      ++dropped;
+    }
+  }
+  EXPECT_EQ(by_slot.count(), by_add.count());
+  EXPECT_EQ(by_slot.samples(), by_add.samples());
+  EXPECT_GT(dropped, 9'000u);
+}
+
 TEST(QuantileSampler, EmptyReturnsZero) {
   const QuantileSampler q;
   EXPECT_TRUE(q.empty());
