@@ -29,7 +29,10 @@
 #      coupling groups, which 3 bins split unevenly), and
 #      bench_fig8_uplink at --threads=1 and --threads=4, tables and the
 #      "GSL budget check" line (the uplink meter's mean, peak, overloaded
-#      cells and cell count) alike.
+#      cells and cell count) alike, and bench_fig12_web_download at
+#      --threads=1 and --threads=4 (web and download caches hold thousands
+#      of small objects, so the cache index grows and erases hardest
+#      there).
 #   6. Runs the examples: quickstart, replay_cluster over in-process
 #      queues, and starcdn_sim with all six variants, failures and
 #      transient outages; each must exit 0 and print a row per variant.
@@ -194,6 +197,7 @@ same_tables() {
 same_tables bench_ablation_design 4
 same_tables bench_fig11_fault_tolerance 3
 same_tables bench_fig8_uplink 4
+same_tables bench_fig12_web_download 4
 grep -q '^GSL budget check' "$OUT/bench_fig8_uplink_t1.tables" ||
   { echo "FAIL: bench_fig8_uplink printed no GSL budget check line"; exit 1; }
 

@@ -2,7 +2,8 @@
 // layout").
 //
 // Each policy stores its entries in one `Slab<Entry>` and finds them through
-// one `FlatIndex`; the byte/count bookkeeping in `Cache` moves in lockstep
+// one `FlatIndex`, which stores slots and reads their keys (`EntryBase::id`)
+// from the slab; the byte/count bookkeeping in `Cache` moves in lockstep
 // with both. ArenaCache owns that storage and writes the lockstep once:
 // `place` admits an entry (allocate, index, count), `drop` evicts one
 // (unindex, count the eviction, release). A policy derives from
@@ -36,7 +37,7 @@ class ArenaCache : public Cache {
   using Cache::Cache;
 
   [[nodiscard]] bool peek(ObjectId id) const final {
-    return index_.contains(id);
+    return index_.contains(id, keys());
   }
   /// Pre-size the entry slab and hash index for roughly `expected_objects`
   /// simultaneously-resident objects, so a warm cache never reallocates on
@@ -45,7 +46,7 @@ class ArenaCache : public Cache {
   /// workload needs it. make_cache calls it.
   void reserve(std::size_t expected_objects) {
     slab_.reserve(expected_objects);
-    index_.reserve(expected_objects);
+    index_.reserve(expected_objects, keys());
   }
 
  protected:
@@ -54,7 +55,7 @@ class ArenaCache : public Cache {
 
   /// Slot of a resident object, or kNullSlot.
   [[nodiscard]] std::uint32_t slot_of(ObjectId id) const noexcept {
-    return index_.find(id);
+    return index_.find(id, keys());
   }
 
   /// Allocate and index a slot for `id`; the policy initializes its own
@@ -63,17 +64,16 @@ class ArenaCache : public Cache {
     const std::uint32_t s = slab_.allocate();
     slab_[s].id = id;
     slab_[s].size = size;
-    index_.insert(id, s);
+    index_.insert(s, keys());
     note_admit(size);
     return s;
   }
 
-  /// Evict an already-unlinked slot: unindex it, count the eviction and
-  /// release it.
+  /// Evict an already-unlinked slot: unindex it by slot, count the eviction
+  /// and release it.
   void drop(std::uint32_t s) noexcept {
-    const Entry& e = slab_[s];
-    index_.erase(e.id);
-    note_evict(e.size);
+    index_.erase(s, keys());
+    note_evict(slab_[s].size);
     slab_.release(s);
   }
 
@@ -104,6 +104,13 @@ class ArenaCache : public Cache {
   Slab<Entry> slab_;
 
  private:
+  /// The index stores slots only; it reads each slot's key from its entry.
+  [[nodiscard]] auto keys() const noexcept {
+    return [this](std::uint32_t s) noexcept -> std::uint64_t {
+      return slab_[s].id;
+    };
+  }
+
   FlatIndex index_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <numbers>
 #include <optional>
@@ -125,6 +126,12 @@ WorkloadModel::WorkloadModel(const std::vector<util::City>& cities,
         "WorkloadModel: duration_s must be positive and finite, got " +
         std::to_string(params.duration_s));
   }
+  // City tables store objects as u32 indices.
+  if (params.object_count > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "WorkloadModel: object_count must fit in 32 bits, got " +
+        std::to_string(params.object_count));
+  }
   build_universe();
   build_city_tables();
 }
@@ -191,12 +198,12 @@ void WorkloadModel::build_city_tables() {
   constexpr double kCutoff = 1e-3;
   std::vector<std::optional<CityTable>> tables(cities.size());
   util::parallel_for(cities.size(), [&](std::size_t c) {
-    std::vector<ObjectId> objects;
+    std::vector<std::uint32_t> objects;
     std::vector<double> weights;
     for (std::size_t i = 0; i < sizes_.size(); ++i) {
       const double w = weight(static_cast<ObjectId>(i), c);
       if (w > kCutoff * static_cast<double>(base_weight_[i])) {
-        objects.push_back(static_cast<ObjectId>(i));
+        objects.push_back(static_cast<std::uint32_t>(i));
         weights.push_back(w);
       }
     }
@@ -279,7 +286,7 @@ void WorkloadModel::draw_block(std::size_t city, std::size_t minute,
       __builtin_prefetch(&table.objects[index[i]]);
     }
     for (std::size_t i = 0; i < m; ++i) {
-      objects[base + i] = table.objects[index[i]];
+      objects[base + i] = ObjectId{table.objects[index[i]]};
       __builtin_prefetch(&sizes_[static_cast<std::size_t>(objects[base + i])]);
     }
     for (std::size_t i = 0; i < m; ++i) {

@@ -94,9 +94,10 @@ class WorkloadModel {
   [[nodiscard]] double weight(ObjectId id, std::size_t city) const;
 
   /// A city's popularity table: the objects it requests, with non-negligible
-  /// weight, and a sampler over their weight(object, city).
+  /// weight, as u32 ids (object_count fits 32 bits), and a sampler over
+  /// their weight(object, city).
   struct CityTable {
-    std::vector<ObjectId> objects;
+    std::vector<std::uint32_t> objects;
     DiscreteSampler sampler;
   };
   [[nodiscard]] const CityTable& city_table(std::size_t city) const {

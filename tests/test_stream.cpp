@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -20,6 +21,7 @@
 #include "trace/trace_io.h"
 #include "trace/workload.h"
 #include "util/geo.h"
+#include "util/hash.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -277,6 +279,40 @@ TEST(GenerateStream, AllCitiesEmptyYieldsNothing) {
   ASSERT_EQ(stream->size_hint(), 0u);
   trace::RequestBlock block;
   EXPECT_FALSE(stream->next(block));
+}
+
+/// Every drained request folded into one hash: timestamp bits, object, size
+/// and city, in stream order.
+std::uint64_t drained_digest(trace::RequestStream& stream) {
+  std::uint64_t h = 0;
+  trace::RequestBlock block;
+  while (stream.next(block)) {
+    for (std::size_t i = 0; i < block.count(); ++i) {
+      h = util::hash_combine(
+          h, std::bit_cast<std::uint64_t>(block.timestamp_s[i]));
+      h = util::hash_combine(h, block.object[i]);
+      h = util::hash_combine(h, block.size[i]);
+      h = util::hash_combine(h, block.location[i]);
+    }
+  }
+  return h;
+}
+
+TEST(GenerateStream, DefaultDensityDrainIsPinned) {
+  // A full day at each class's default density, pinned bitwise. The digests
+  // were captured when city tables still stored 64-bit object ids; storing
+  // them as u32 indices must not move a single draw.
+  const std::pair<trace::TrafficClass, std::uint64_t> pins[] = {
+      {trace::TrafficClass::kVideo, 0x577fbed890b3ca99ull},
+      {trace::TrafficClass::kWeb, 0xfdfe1f0b7c3a7f7aull},
+      {trace::TrafficClass::kDownload, 0xb7d1b8e27336bda2ull},
+  };
+  for (const auto& [c, pin] : pins) {
+    const trace::WorkloadModel model(util::paper_cities(),
+                                     trace::default_params(c));
+    const auto stream = model.generate_stream();
+    EXPECT_EQ(drained_digest(*stream), pin) << trace::to_string(c);
+  }
 }
 
 // --- Simulator::run(RequestStream&) ------------------------------------------

@@ -207,6 +207,20 @@ TEST(Workload, NonPositiveDurationThrows) {
   }
 }
 
+TEST(Workload, ObjectCountBeyond32BitsThrows) {
+  // Checked before the universe is allocated, so this costs nothing.
+  auto p = tiny_params();
+  p.object_count = std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1;
+  try {
+    const WorkloadModel w(util::paper_cities(), p);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("object_count"), std::string::npos) << what;
+    EXPECT_NE(what.find("4294967296"), std::string::npos) << what;
+  }
+}
+
 TEST(Workload, EmptyCitiesThrows) {
   const std::vector<util::City> none;
   EXPECT_THROW(WorkloadModel(none, tiny_params()), std::invalid_argument);
