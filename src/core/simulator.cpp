@@ -242,7 +242,7 @@ void Simulator::run(trace::RequestStream& stream) {
   for (auto& vs : variants_) {
     vs.bins = std::min<std::size_t>(threads, vs.groups.count);
     vs.bin_of = vs.groups.group_of;
-    for (std::uint32_t& b : vs.bin_of) b %= vs.bins;
+    for (auto& b : vs.bin_of) b = static_cast<std::uint32_t>(b % vs.bins);
     vs.decide.bin_seconds.resize(vs.bins, 0.0);
   }
   // Variants that serve each request at the same slot and bin the slots

@@ -4,20 +4,21 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace starcdn::trace {
 
-DiscreteSampler::DiscreteSampler(const std::vector<double>& weights) {
-  const std::size_t n = weights.size();
-  cdf_.resize(n);
+DiscreteSampler::DiscreteSampler(std::vector<double> weights)
+    : cdf_(std::move(weights)) {
+  const std::size_t n = cdf_.size();
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(weights[i])) {
+    if (!std::isfinite(cdf_[i])) {
       throw std::invalid_argument("DiscreteSampler: weight " +
                                   std::to_string(i) + " is " +
-                                  std::to_string(weights[i]));
+                                  std::to_string(cdf_[i]));
     }
-    acc += std::max(0.0, weights[i]);
+    acc += std::max(0.0, cdf_[i]);
     cdf_[i] = acc;
   }
   total_ = acc;

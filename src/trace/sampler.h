@@ -28,9 +28,10 @@ namespace starcdn::trace {
 
 /// Sampler over finite weights, negative ones counting as zero. Throws
 /// std::invalid_argument on a non-finite weight or a sum of 0 or infinity.
+/// A weights vector moved in becomes the CDF, so it is not held twice.
 class DiscreteSampler {
  public:
-  explicit DiscreteSampler(const std::vector<double>& weights);
+  explicit DiscreteSampler(std::vector<double> weights);
 
   [[nodiscard]] std::size_t sample(util::Rng& rng) const {
     return index_of(rng.uniform() * total_);

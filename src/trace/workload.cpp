@@ -1,17 +1,21 @@
 #include "trace/workload.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <numbers>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "obs/tracer.h"
 #include "util/hash.h"
 #include "util/parallel.h"
 
@@ -88,14 +92,22 @@ double region_affinity(const std::string& a, const std::string& b,
 /// that a piece of content is consumed in a foreign region at all, not as a
 /// popularity dampener: a German user either watches a British show or —
 /// far more often (Table 2) — never touches it. The gate is a deterministic
-/// hash of (id, fnv1a(region)) so every city of the same region agrees.
-bool crosses_region(ObjectId id, std::uint64_t region_hash,
+/// hash of (id, fnv1a(region)) so every city of the same region agrees:
+/// hash_combine(id_hash, fnv1a(region)) with the region's half,
+/// `region_mix` = splitmix64(fnv1a(region)) + golden, computed once per city
+/// and id_hash = splitmix64(id + 0x9e37) once per object.
+bool crosses_region(std::uint64_t id_hash, std::uint64_t region_mix,
                     double gate_probability) {
   if (gate_probability >= 1.0) return true;
   const std::uint64_t h =
-      util::hash_combine(util::splitmix64(id + 0x9e37), region_hash);
+      id_hash ^ (region_mix + (id_hash << 6) + (id_hash >> 2));
   return static_cast<double>(h >> 11) * 0x1.0p-53 < gate_probability;
 }
+
+/// Objects per draw chunk of build_universe and per task of the table
+/// scan, and transform tasks per draw chunk.
+constexpr std::size_t kChunk = std::size_t{1} << 14;
+constexpr std::size_t kSlices = 8;
 
 /// Draws per run of the minute-count histogram: a fixed size, so the split
 /// does not depend on the thread count.
@@ -138,11 +150,11 @@ WorkloadModel::WorkloadModel(const std::vector<util::City>& cities,
 
 void WorkloadModel::build_universe() {
   const std::size_t n = params_.object_count;
+  const obs::TraceSpan span(obs::tracer(), "WorkloadModel::universe", "trace");
   sizes_.resize(n);
   base_weight_.resize(n);
   reach_km_.resize(n);
   home_city_.resize(n);
-  global_.assign(n, false);
 
   util::Rng rng(params_.seed);
   // Home city sampled by traffic weight.
@@ -153,61 +165,162 @@ void WorkloadModel::build_universe() {
 
   // Assign Zipf popularity by giving object i the weight of a random rank;
   // shuffling ranks keeps object ids uncorrelated with popularity.
-  std::vector<std::size_t> ranks(n);
-  for (std::size_t i = 0; i < n; ++i) ranks[i] = i;
+  std::vector<std::uint32_t> ranks(n);
+  std::iota(ranks.begin(), ranks.end(), 0u);
   for (std::size_t i = n; i > 1; --i) {
     std::swap(ranks[i - 1], ranks[rng.below(i)]);
   }
 
-  for (std::size_t i = 0; i < n; ++i) {
-    sizes_[i] = static_cast<Bytes>(
-        std::max(1.0, rng.lognormal(params_.size_mu, params_.size_sigma)));
-    const double w =
-        std::pow(static_cast<double>(ranks[i] + 1), -params_.zipf_alpha);
-    base_weight_[i] = static_cast<float>(w);
-    home_city_[i] = static_cast<std::uint16_t>(home_sampler.sample(rng));
-    global_[i] = rng.bernoulli(params_.global_fraction);
-    const double reach =
-        rng.pareto(params_.reach_min_km, params_.reach_shape);
-    reach_km_[i] = static_cast<float>(std::min(reach, 40'000.0));
+  // Each object's five uniforms come from the one rng in object order
+  // (size's two, home, global, reach), a chunk at a time. Round k draws
+  // chunk k in task 0 while tasks 1.. transform slices of chunk k - 1: the
+  // serial draws overlap the parallel transforms, and every value is what
+  // one draw-and-transform loop makes.
+  struct Draw {
+    util::Rng::NormalDraw size;
+    double reach_u;
+    bool global;
+  };
+  std::vector<Draw> draws(2 * kChunk);  // object i at i % (2 * kChunk)
+  const WorkloadParams& p = params_;
+  const std::size_t chunks = (n + kChunk - 1) / kChunk;
+  for (std::size_t k = 0; k <= chunks; ++k) {
+    util::parallel_tasks(1 + kSlices, [&](std::size_t t) {
+      const std::size_t len = t == 0 ? kChunk : kChunk / kSlices;
+      const std::size_t begin =
+          t == 0 ? k * kChunk : (k - 1) * kChunk + (t - 1) * len;
+      Draw* d = &draws[begin % (2 * kChunk)];
+      if (t == 0 && k < chunks) {
+        const obs::TraceSpan s(obs::tracer(), "WorkloadModel::draws", "trace");
+        for (std::size_t i = begin; i < std::min(n, begin + len); ++i, ++d) {
+          d->size = rng.normal_draw();
+          home_city_[i] = static_cast<std::uint16_t>(home_sampler.sample(rng));
+          d->global = rng.bernoulli(p.global_fraction);
+          d->reach_u = rng.uniform();
+        }
+      } else if (t > 0 && k > 0) {
+        const obs::TraceSpan s(obs::tracer(), "WorkloadModel::transforms",
+                               "trace");
+        for (std::size_t i = begin; i < std::min(n, begin + len); ++i, ++d) {
+          sizes_[i] = static_cast<Bytes>(std::max(
+              1.0, util::Rng::lognormal_of(d->size, p.size_mu, p.size_sigma)));
+          base_weight_[i] = static_cast<float>(
+              std::pow(static_cast<double>(ranks[i] + 1), -p.zipf_alpha));
+          const double reach = std::min(
+              util::Rng::pareto_of(d->reach_u, p.reach_min_km, p.reach_shape),
+              40'000.0);
+          reach_km_[i] = d->global ? std::numeric_limits<float>::infinity()
+                                   : static_cast<float>(reach);
+        }
+      }
+    });
   }
 }
 
+/// What weight() reads of one object, loaded once per table scan.
+struct WorkloadModel::ObjectView {
+  ObjectView(const WorkloadModel& m, std::size_t i)
+      : base(m.base_weight_[i]), reach(m.reach_km_[i]), home(m.home_city_[i]),
+        id_hash(util::splitmix64(i + 0x9e37)),
+        pairs(&m.pairs_[home * m.cities_->size()]) {}
+  double base;
+  double reach;           // km; +inf: global, popular regardless of distance
+  std::size_t home;
+  std::uint64_t id_hash;  // the region gate's per-object key
+  const PairConstants* pairs;
+};
+
+double WorkloadModel::weight_of(const ObjectView& o, std::size_t city,
+                                double near, double far) const {
+  // At home, or global (uniform worldwide popularity): the base weight.
+  if (o.home == city || std::isinf(o.reach)) return o.base;
+  const PairConstants& pair = o.pairs[city];
+  if (pair.km >= far * o.reach) return 0.0;
+  if (!crosses_region(o.id_hash, region_mix_[city], pair.affinity)) return 0.0;
+  if (pair.km < near * o.reach) return o.base;
+  return o.base * std::exp(-pair.km / o.reach);
+}
+
 double WorkloadModel::weight(ObjectId id, std::size_t city) const {
-  const auto i = static_cast<std::size_t>(id);
-  const double base = base_weight_[i];
-  if (global_[i]) return base;  // uniform worldwide popularity
-  const std::size_t home = home_city_[i];
-  if (home == city) return base;
-  const PairConstants& pair = pairs_[home * cities_->size() + city];
-  if (!crosses_region(id, region_hash_[city], pair.affinity)) return 0.0;
-  return base * std::exp(-pair.km / static_cast<double>(reach_km_[i]));
+  return weight_of({*this, static_cast<std::size_t>(id)}, city, 0.0,
+                   std::numeric_limits<double>::infinity());
 }
 
 void WorkloadModel::build_city_tables() {
   const auto& cities = *cities_;
+  const std::size_t n_cities = cities.size();
   for (const auto& home : cities) {
     for (const auto& city : cities) {
       pairs_.push_back({region_affinity(home.region, city.region, params_),
                         util::haversine(home.coord, city.coord).value()});
     }
-    region_hash_.push_back(util::fnv1a(home.region));
+    region_mix_.push_back(util::splitmix64(util::fnv1a(home.region)) +
+                          0x9e3779b97f4a7c15ULL);
   }
   // Weights below this fraction of the object's base weight are treated as
   // out of reach; keeps tables compact and models "content not offered".
+  // exp(-kNear) > 1.0077e-3 and exp(-kFar) < 9.6e-4 bracket the cutoff
+  // (ln 1000 ≈ 6.908) with margin, so a pair in reach that is under kNear
+  // reaches apart is in the city's table and one kFar or more apart is out.
   constexpr double kCutoff = 1e-3;
-  std::vector<std::optional<CityTable>> tables(cities.size());
-  util::parallel_for(cities.size(), [&](std::size_t c) {
-    std::vector<std::uint32_t> objects;
-    std::vector<double> weights;
-    for (std::size_t i = 0; i < sizes_.size(); ++i) {
-      const double w = weight(static_cast<ObjectId>(i), c);
-      if (w > kCutoff * static_cast<double>(base_weight_[i])) {
-        objects.push_back(static_cast<std::uint32_t>(i));
-        weights.push_back(w);
+  constexpr double kNear = 6.9;
+  constexpr double kFar = 6.95;
+  // Two object-major passes, in parallel over chunks. The first marks
+  // which cities' tables hold each object and counts them per chunk, taking
+  // an exponential only between kNear and kFar; the second computes the
+  // marked weights into the cities' exact-size arrays, each chunk from its
+  // own offset, so each city lists its objects in id order.
+  const std::size_t n = sizes_.size();
+  const std::size_t words = (n_cities + 63) / 64;
+  const std::size_t chunks = (n + kChunk - 1) / kChunk;
+  std::vector<std::size_t> first(chunks * n_cities);  // [chunk * cities + city]
+  std::vector<std::vector<std::uint32_t>> objects(n_cities);
+  std::vector<std::vector<double>> weights(n_cities);
+  {
+    const obs::TraceSpan span(obs::tracer(), "WorkloadModel::scan", "trace");
+    std::vector<std::uint64_t> in(n * words);  // [object * words + city / 64]
+    util::parallel_tasks(chunks, [&](std::size_t k) {
+      std::vector<std::size_t> count(n_cities, 0);
+      for (std::size_t i = k * kChunk; i < std::min(n, (k + 1) * kChunk); ++i) {
+        const ObjectView o(*this, i);
+        for (std::size_t c = 0; c < n_cities; ++c) {
+          if (weight_of(o, c, kNear, kFar) > kCutoff * o.base) {
+            in[i * words + c / 64] |= std::uint64_t{1} << (c % 64);
+            ++count[c];
+          }
+        }
       }
-    }
-    tables[c].emplace(std::move(objects), DiscreteSampler(weights));
+      std::copy(count.begin(), count.end(), first.begin() + k * n_cities);
+    });
+    util::parallel_tasks(n_cities, [&](std::size_t c) {
+      std::size_t size = 0;
+      for (std::size_t k = 0; k < chunks; ++k) {
+        size += std::exchange(first[k * n_cities + c], size);
+      }
+      objects[c].resize(size);
+      weights[c].resize(size);
+    });
+    util::parallel_tasks(chunks, [&](std::size_t k) {
+      std::vector<std::size_t> next(first.begin() + k * n_cities,
+                                    first.begin() + (k + 1) * n_cities);
+      for (std::size_t i = k * kChunk; i < std::min(n, (k + 1) * kChunk); ++i) {
+        const ObjectView o(*this, i);
+        for (std::size_t w = 0; w < words; ++w) {
+          for (auto bits = in[i * words + w]; bits != 0; bits &= bits - 1) {
+            const std::size_t c =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            objects[c][next[c]] = static_cast<std::uint32_t>(i);
+            weights[c][next[c]++] = weight_of(o, c, 0.0, kFar);
+          }
+        }
+      }
+    });
+  }
+  const obs::TraceSpan span(obs::tracer(), "WorkloadModel::samplers", "trace");
+  std::vector<std::optional<CityTable>> tables(n_cities);
+  util::parallel_tasks(n_cities, [&](std::size_t c) {
+    tables[c].emplace(std::move(objects[c]),
+                      DiscreteSampler(std::move(weights[c])));
   });
   for (auto& t : tables) city_tables_.push_back(std::move(*t));
 }

@@ -167,19 +167,26 @@ class WorkloadModel {
   const std::vector<util::City>* cities_;
   WorkloadParams params_;
 
+  struct ObjectView;  // what weight() reads of one object
+  /// weight() of a viewed object, decided without the exponential where the
+  /// distance settles the table cutoff: 0 once the pair is `far` or more
+  /// reaches apart, and the base weight, a stand-in above the cutoff, when
+  /// it is under `near` reaches. weight() passes near = 0 and far = +inf.
+  [[nodiscard]] double weight_of(const ObjectView& o, std::size_t city,
+                                 double near, double far) const;
+
   // Object universe.
   std::vector<Bytes> sizes_;
   std::vector<float> base_weight_;
-  std::vector<float> reach_km_;
+  std::vector<float> reach_km_;  // +inf: global, popular regardless of distance
   std::vector<std::uint16_t> home_city_;
-  std::vector<bool> global_;
 
   struct PairConstants {  // what weight() needs of a (home, city) pair
     double affinity;
     double km;
   };
-  std::vector<PairConstants> pairs_;        // [home * cities + city]
-  std::vector<std::uint64_t> region_hash_;  // fnv1a(region) per city
+  std::vector<PairConstants> pairs_;       // [home * cities + city]
+  std::vector<std::uint64_t> region_mix_;  // see crosses_region, per city
 
   std::vector<CityTable> city_tables_;
 };

@@ -61,11 +61,11 @@ class Rng {
   /// Uniform integer in [0, n). Lemire's multiply-shift rejection method.
   [[nodiscard]] std::uint64_t below(std::uint64_t n) noexcept {
     if (n <= 1) return 0;
-    // Simple modulo with rejection of the biased tail.
-    const std::uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n
+    // Simple modulo with rejection of the biased tail r < (2^64 - n) mod n,
+    // which r >= n clears without the division.
     for (;;) {
       const std::uint64_t r = (*this)();
-      if (r >= threshold) return r % n;
+      if (r >= n || r >= (~n + 1) % n) return r % n;
     }
   }
 
@@ -113,9 +113,14 @@ class Rng {
     return -std::log(1.0 - uniform()) / rate;
   }
 
-  /// Geometric-ish Pareto sample with shape `alpha` and scale `xmin`.
+  /// Geometric-ish Pareto sample with shape `alpha` and scale `xmin`, and
+  /// its transform of one uniform draw `u`.
   [[nodiscard]] double pareto(double xmin, double alpha) noexcept {
-    return xmin / std::pow(1.0 - uniform(), 1.0 / alpha);
+    return pareto_of(uniform(), xmin, alpha);
+  }
+  [[nodiscard]] static double pareto_of(double u, double xmin,
+                                        double alpha) noexcept {
+    return xmin / std::pow(1.0 - u, 1.0 / alpha);
   }
 
   /// Derive an independent stream, e.g. one per satellite or per city.

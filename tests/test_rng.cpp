@@ -87,6 +87,35 @@ TEST(Rng, NormalIsTransformOfDraw) {
   EXPECT_EQ(whole(), split());
 }
 
+TEST(Rng, ParetoIsTransformOfUniform) {
+  Rng whole(7), split(7);
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_EQ(whole.pareto(400.0, 0.7),
+              Rng::pareto_of(split.uniform(), 400.0, 0.7))
+        << "draw " << i;
+  }
+  EXPECT_EQ(whole(), split());
+}
+
+TEST(Rng, BelowIsThresholdRejection) {
+  // below(n) against the plain method: reject r < (2^64 - n) mod n, then
+  // r % n. Bounds near 2^64 reject often, so both branches of the short
+  // cut run.
+  const std::uint64_t top = ~std::uint64_t{0};
+  for (const std::uint64_t n :
+       {std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{1000},
+        std::uint64_t{300'000}, top / 2 + 1, top / 3 * 2, top - 5}) {
+    Rng fast(11), plain(11);
+    const std::uint64_t threshold = (~n + 1) % n;
+    for (int i = 0; i < 5'000; ++i) {
+      std::uint64_t r = plain();
+      while (r < threshold) r = plain();
+      ASSERT_EQ(fast.below(n), r % n) << "n " << n << " draw " << i;
+    }
+    EXPECT_EQ(fast(), plain()) << "n " << n;
+  }
+}
+
 TEST(Rng, LognormalMedian) {
   Rng rng(6);
   QuantileSampler q;

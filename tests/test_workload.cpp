@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -13,6 +15,8 @@
 #include <vector>
 
 #include "util/geo.h"
+#include "util/hash.h"
+#include "util/parallel.h"
 
 namespace starcdn::trace {
 namespace {
@@ -224,6 +228,100 @@ TEST(Workload, ObjectCountBeyond32BitsThrows) {
 TEST(Workload, EmptyCitiesThrows) {
   const std::vector<util::City> none;
   EXPECT_THROW(WorkloadModel(none, tiny_params()), std::invalid_argument);
+}
+
+// --- The model at any thread count --------------------------------------------
+
+/// Everything a model exposes, folded into one hash: every object's size and
+/// its weight in every city, then each city table's objects and its
+/// sampler's index_of at kGrid + 1 evenly spaced points over the table's
+/// total weight.
+std::uint64_t model_digest(const WorkloadModel& m) {
+  constexpr std::size_t kGrid = 4096;
+  const std::size_t cities = m.cities().size();
+  std::uint64_t h = 0;
+  for (std::size_t i = 0; i < m.object_count(); ++i) {
+    const auto id = static_cast<ObjectId>(i);
+    h = util::hash_combine(h, m.object_size(id));
+    for (std::size_t c = 0; c < cities; ++c) {
+      h = util::hash_combine(h, std::bit_cast<std::uint64_t>(m.weight(id, c)));
+    }
+  }
+  for (std::size_t c = 0; c < cities; ++c) {
+    const auto& table = m.city_table(c);
+    double total = 0.0;
+    for (const std::uint32_t o : table.objects) {
+      h = util::hash_combine(h, o);
+      total += m.weight(ObjectId{o}, c);
+    }
+    for (std::size_t k = 0; k <= kGrid; ++k) {
+      const double u =
+          total * static_cast<double>(k) / static_cast<double>(kGrid);
+      h = util::hash_combine(h, table.sampler.index_of(u));
+    }
+  }
+  return h;
+}
+
+/// Builds the class's default model at 1, 2 and 4 threads and checks each
+/// against `pin`, a digest captured before the model was built in parallel.
+void expect_model_pinned(TrafficClass c, std::uint64_t pin) {
+  for (const int threads : {1, 2, 4}) {
+    util::set_parallel_threads(threads);
+    const WorkloadModel m(util::paper_cities(), default_params(c));
+    util::set_parallel_threads(0);
+    EXPECT_EQ(model_digest(m), pin) << to_string(c) << " at " << threads
+                                    << " threads";
+  }
+}
+
+TEST(WorkloadModelPin, VideoAtAnyThreadCount) {
+  expect_model_pinned(TrafficClass::kVideo, 0x204fbb172bee9931ull);
+}
+
+TEST(WorkloadModelPin, WebAtAnyThreadCount) {
+  expect_model_pinned(TrafficClass::kWeb, 0x9370f5eb20573d03ull);
+}
+
+TEST(WorkloadModelPin, DownloadAtAnyThreadCount) {
+  expect_model_pinned(TrafficClass::kDownload, 0x56d88e89588c794full);
+}
+
+/// Each city table holds exactly the objects whose weight there is above
+/// 1e-3 of their largest weight in any city (their base weight, in the home
+/// city), in id order: the table scan may skip far pairs without taking
+/// the exponential, but must never drop or add one.
+void expect_tables_match_brute_force(const WorkloadParams& p) {
+  const auto& cities = util::paper_cities();
+  const WorkloadModel m(cities, p);
+  std::vector<std::vector<std::uint32_t>> want(cities.size());
+  for (std::size_t i = 0; i < m.object_count(); ++i) {
+    const auto id = static_cast<ObjectId>(i);
+    double max_w = 0.0;
+    for (std::size_t c = 0; c < cities.size(); ++c) {
+      max_w = std::max(max_w, m.weight(id, c));
+    }
+    for (std::size_t c = 0; c < cities.size(); ++c) {
+      if (m.weight(id, c) > 1e-3 * max_w) {
+        want[c].push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+  }
+  for (std::size_t c = 0; c < cities.size(); ++c) {
+    EXPECT_EQ(m.city_table(c).objects, want[c]) << cities[c].name;
+  }
+}
+
+TEST(WorkloadModelPin, CityTablesMatchBruteForce) {
+  auto p = tiny_params();
+  p.object_count = 5'000;
+  expect_tables_match_brute_force(p);
+  // Open region gates: distance alone decides, so every far pair exercises
+  // the scan's distance test against the exponential.
+  p.same_language_family = 1.0;
+  p.cross_region = 1.0;
+  p.global_fraction = 0.0;
+  expect_tables_match_brute_force(p);
 }
 
 // --- Distribution guards ------------------------------------------------------
