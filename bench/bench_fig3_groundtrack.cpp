@@ -4,7 +4,6 @@
 // ground path one drift interval earlier.
 #include "bench_common.h"
 
-#include "net/isl_graph.h"
 #include "orbit/propagator.h"
 
 int main(int argc, char** argv) {
@@ -59,10 +58,10 @@ int main(int argc, char** argv) {
       red.plane.value(), green.plane.value(), best_offset / 60.0, best_err);
 
   // Fig. 5b: the +grid ISL structure.
-  const net::IslGraph graph(shell);
+  const orbit::IslCounts isls = shell.isl_counts();
   std::printf(
-      "\nISL grid: %d satellites, %zu ISLs (%d intra-orbit + %d inter-orbit "
+      "\nISL grid: %d satellites, %d ISLs (%d intra-orbit + %d inter-orbit "
       "per satellite), %d broken.\n",
-      shell.size(), graph.edges().size(), 2, 2, graph.broken_edge_count());
+      shell.size(), isls.established, 2, 2, isls.broken);
   return 0;
 }

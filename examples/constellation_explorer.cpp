@@ -3,25 +3,49 @@
 //
 //   $ ./constellation_explorer [lat lon]
 //
-// Defaults to New York. Demonstrates the orbit/net/core substrate APIs
-// without any CDN simulation.
+// Defaults to New York. The latitude must be a number in [-90, 90] and the
+// longitude one in [-180, 180]; anything else exits 1 naming the value.
+// Demonstrates the orbit/net/core substrate APIs without any CDN
+// simulation.
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/bucket_mapper.h"
-#include "net/isl_graph.h"
 #include "net/link.h"
 #include "orbit/constellation.h"
 #include "orbit/visibility.h"
+#include "util/csv.h"
 #include "util/geo.h"
+
+namespace {
+
+/// Parses `text` into `out` as degrees in [-limit, limit]; false, after
+/// printing why, when it is not.
+bool degrees(const char* name, const char* text, double limit, double& out) {
+  if (const char* why = starcdn::util::parse_number(text, out)) {
+    std::fprintf(stderr, "bad %s: '%s' %s\n", name, text, why);
+    return false;
+  }
+  if (!(out >= -limit && out <= limit)) {
+    std::fprintf(stderr, "bad %s: '%s' is outside [-%g, %g]\n", name, text,
+                 limit, limit);
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace starcdn;
 
   util::GeoCoord where{40.71, -74.01};
-  if (argc >= 3) {
-    where.lat_deg = std::atof(argv[1]);
-    where.lon_deg = std::atof(argv[2]);
+  if (argc != 1 && argc != 3) {
+    std::fprintf(stderr, "usage: constellation_explorer [lat lon]\n");
+    return 1;
+  }
+  if (argc == 3 && !(degrees("latitude", argv[1], 90.0, where.lat_deg) &&
+                     degrees("longitude", argv[2], 180.0, where.lon_deg))) {
+    return 1;
   }
 
   // The Starlink 53-degree shell.
@@ -59,11 +83,11 @@ int main(int argc, char** argv) {
   }
 
   // ISL fabric and link delays.
-  const net::IslGraph graph(shell);
+  const orbit::IslCounts isls = shell.isl_counts();
   const auto delays = net::measure_link_delays(shell, {where}, util::Seconds{300.0},
                                            util::Seconds{60.0});
-  std::printf("\nISL fabric: %zu links, %d broken\n", graph.edges().size(),
-              graph.broken_edge_count());
+  std::printf("\nISL fabric: %d links, %d broken\n", isls.established,
+              isls.broken);
   std::printf("  intra-orbit hop: %.2f ms   inter-orbit hop: %.2f ms   "
               "GSL: %.2f ms\n",
               delays.intra_orbit_isl.mean(), delays.inter_orbit_isl.mean(),

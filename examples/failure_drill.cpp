@@ -7,7 +7,6 @@
 
 #include "core/scenario.h"
 #include "core/simulator.h"
-#include "net/isl_graph.h"
 
 int main() {
   using namespace starcdn;
@@ -22,7 +21,6 @@ int main() {
     recipe.fail_fraction = fail_fraction;
     const core::Scenario::Built s = recipe.build();
     const orbit::Constellation& shell = *s.shell;
-    const net::IslGraph graph(shell);
     if (fail_fraction == 0.0) {  // first row: the workload and the header
       std::printf("workload: %" PRIu64 " requests over %.0f hours\n\n",
                   s.model->total_request_count(),
@@ -44,7 +42,7 @@ int main() {
     const auto& m = report.variant(core::Variant::kStarCdn).metrics;
     std::printf("%-18.1f %-10d %-12d %-10.1f %-10.1f %-12.1f\n",
                 fail_fraction * 100.0, shell.active_count(),
-                graph.broken_edge_count(), 100.0 * m.request_hit_rate(),
+                shell.isl_counts().broken, 100.0 * m.request_hit_rate(),
                 100.0 * m.byte_hit_rate(),
                 100.0 * (1.0 - m.normalized_uplink()));
   }

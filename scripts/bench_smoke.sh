@@ -33,11 +33,15 @@
 #      --threads=1 and --threads=4 (web and download caches hold thousands
 #      of small objects, so the cache index grows and erases hardest
 #      there).
-#   6. Runs the examples: quickstart, replay_cluster over in-process
+#   6. Checks the ISL counts of the healthy 72x18 shell:
+#      bench_fig3_groundtrack must print 2592 ISLs and 0 broken.
+#   7. Runs the examples: quickstart, replay_cluster over in-process
 #      queues, and starcdn_sim with all six variants, failures and
 #      transient outages; each must exit 0 and print a row per variant.
 #      starcdn_sim --fail-fraction nan and --class vidoe must exit 1, the
-#      latter naming the value.
+#      latter naming the value. constellation_explorer must print
+#      "ISL fabric: 2592 links, 0 broken", and exit 1 naming the value on
+#      a malformed (40.7x -74) or out-of-range (91 0) coordinate.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]
 # Artifacts land in ${SMOKE_OUT:-smoke_artifacts}.
@@ -54,8 +58,8 @@ fi
 cmake --build "$BUILD" -j "$(nproc)" \
   --target bench_table3_relay_availability bench_fig8_uplink \
   bench_fig12_web_download bench_ablation_design \
-  bench_fig11_fault_tolerance bench_stream_scale \
-  quickstart replay_cluster starcdn_sim
+  bench_fig11_fault_tolerance bench_stream_scale bench_fig3_groundtrack \
+  quickstart replay_cluster starcdn_sim constellation_explorer
 
 mkdir -p "$OUT"
 
@@ -201,6 +205,12 @@ same_tables bench_fig12_web_download 4
 grep -q '^GSL budget check' "$OUT/bench_fig8_uplink_t1.tables" ||
   { echo "FAIL: bench_fig8_uplink printed no GSL budget check line"; exit 1; }
 
+echo "== ISL counts of the healthy shell (Fig. 3) =="
+"$BUILD/bench/bench_fig3_groundtrack" --out="$OUT" >"$OUT/fig3.log"
+grep -q '2592 ISLs' "$OUT/fig3.log" && grep -q ' 0 broken' "$OUT/fig3.log" ||
+  { echo "FAIL: fig3 did not print 2592 ISLs and 0 broken"; exit 1; }
+echo "fig3 ISL counts OK: $(grep '^ISL grid' "$OUT/fig3.log")"
+
 echo "== examples =="
 EXAMPLES=$(cd "$BUILD/examples" && pwd)
 # Fails unless every named variant starts a row of the summary in $1.
@@ -234,6 +244,21 @@ status=0
   { echo "FAIL: --class vidoe exited $status, expected 1"; exit 1; }
 grep -q "vidoe" "$OUT/bad_class.err" ||
   { echo "FAIL: --class vidoe error does not name the value"; exit 1; }
+"$EXAMPLES/constellation_explorer" >"$OUT/constellation_explorer.log"
+grep -q '^ISL fabric: 2592 links, 0 broken$' "$OUT/constellation_explorer.log" ||
+  { echo "FAIL: constellation_explorer ISL fabric line"; exit 1; }
+for coords in "40.7x -74" "91 0"; do
+  read -r lat lon <<<"$coords"
+  status=0
+  "$EXAMPLES/constellation_explorer" "$lat" "$lon" >/dev/null \
+    2>"$OUT/bad_coords.err" || status=$?
+  [ "$status" -eq 1 ] ||
+    { echo "FAIL: constellation_explorer $coords exited $status, expected 1"
+      exit 1; }
+  grep -q "'$lat'" "$OUT/bad_coords.err" ||
+    { echo "FAIL: constellation_explorer $coords error does not name $lat"
+      exit 1; }
+done
 echo "examples OK"
 
 echo "bench smoke OK; artifacts in $OUT/"

@@ -168,4 +168,25 @@ int Constellation::grid_hops(SatelliteId a, SatelliteId b) const noexcept {
   return std::min(dp, P - dp) + std::min(ds, S - ds);
 }
 
+IslCounts Constellation::isl_counts() const noexcept {
+  IslCounts counts;
+  for (int i = 0; i < size(); ++i) {
+    const util::SatId sat{i};
+    const SatelliteId id = id_of(sat);
+    const bool a_ok = active(sat);
+    for (const SatelliteId nbr :
+         {intra_next(id), intra_prev(id), inter_east(id), inter_west(id)}) {
+      const util::SatId j = index_of(nbr);
+      if (j <= sat) continue;  // count each undirected grid edge once
+      const bool b_ok = active(j);
+      if (a_ok && b_ok) {
+        ++counts.established;
+      } else if (a_ok != b_ok) {
+        ++counts.broken;
+      }
+    }
+  }
+  return counts;
+}
+
 }  // namespace starcdn::orbit

@@ -57,6 +57,12 @@ struct WalkerParams {
   int phase_factor = 1;
 };
 
+/// +grid ISL counts of a shell; each grid edge is counted once.
+struct IslCounts {
+  int established = 0;  // both endpoints active
+  int broken = 0;       // one endpoint active (§5.4: 438 for 126 dead slots)
+};
+
 /// The constellation: a fixed slot grid plus per-slot elements and an
 /// active/out-of-slot mask (the paper found 126/1296 slots inactive, §5.4).
 class Constellation {
@@ -132,6 +138,10 @@ class Constellation {
 
   /// Minimal toroidal grid hop distance between two slots.
   [[nodiscard]] int grid_hops(SatelliteId a, SatelliteId b) const noexcept;
+
+  /// Established and broken ISLs of the four-neighbour grid under the
+  /// current active mask (§2.1, §5.4).
+  [[nodiscard]] IslCounts isl_counts() const noexcept;
 
  private:
   /// Rebuilds orbits_ and max_orbital_radius_ from elements_.

@@ -21,16 +21,4 @@ struct CircularElements {
   util::Radians arg_latitude_epoch{0.0};  // u0 = omega + M0, circular orbits
 };
 
-/// Full Keplerian element set for elliptical orbits (TLE fidelity path);
-/// the circular model above is the fast path for the operational shell.
-/// Eccentricity is dimensionless and stays a raw double.
-struct KeplerianElements {
-  util::Km semi_major_axis{6921.0};
-  double eccentricity = 0.0;
-  util::Radians inclination{0.0};
-  util::Radians raan{0.0};
-  util::Radians arg_perigee{0.0};
-  util::Radians mean_anomaly_epoch{0.0};
-};
-
 }  // namespace starcdn::orbit

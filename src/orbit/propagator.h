@@ -89,21 +89,4 @@ class CircularOrbit {
 [[nodiscard]] util::GeoCoord ground_track_point(const CircularElements& e,
                                                 util::Seconds t) noexcept;
 
-// --- Elliptical (full Keplerian) propagation --------------------------------
-
-/// Solve Kepler's equation M = E - e*sin(E) for the eccentric anomaly E
-/// via Newton iteration; accurate to ~1e-12 rad for e < 0.9.
-[[nodiscard]] util::Radians solve_kepler(util::Radians mean_anomaly,
-                                         double eccentricity) noexcept;
-
-[[nodiscard]] double mean_motion_rad_s(const KeplerianElements& e) noexcept;
-
-/// ECI position of an elliptical orbit at `t` past epoch.
-[[nodiscard]] Vec3 eci_position(const KeplerianElements& e,
-                                util::Seconds t) noexcept;
-
-/// ECEF position of an elliptical orbit.
-[[nodiscard]] Vec3 ecef_position(const KeplerianElements& e,
-                                 util::Seconds t) noexcept;
-
 }  // namespace starcdn::orbit

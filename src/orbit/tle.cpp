@@ -41,20 +41,6 @@ CircularElements Tle::to_circular() const noexcept {
   return e;
 }
 
-KeplerianElements Tle::to_keplerian() const noexcept {
-  using util::Degrees;
-  KeplerianElements e;
-  const double n_rad_s = mean_motion_rev_day * 2.0 * M_PI / util::kDay.value();
-  e.semi_major_axis =
-      util::Km{std::cbrt(util::kEarthMuKm3PerS2 / (n_rad_s * n_rad_s))};
-  e.eccentricity = eccentricity;
-  e.inclination = util::to_radians(Degrees{inclination_deg});
-  e.raan = util::to_radians(Degrees{raan_deg});
-  e.arg_perigee = util::to_radians(Degrees{arg_perigee_deg});
-  e.mean_anomaly_epoch = util::to_radians(Degrees{mean_anomaly_deg});
-  return e;
-}
-
 int tle_checksum(std::string_view line) noexcept {
   int sum = 0;
   const std::size_t n = std::min<std::size_t>(line.size(), 68);

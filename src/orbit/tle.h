@@ -28,9 +28,6 @@ struct Tle {
 
   /// Reduce to the circular model: a from mean motion, u0 = w + M0.
   [[nodiscard]] CircularElements to_circular() const noexcept;
-
-  /// Full elliptical element set (keeps eccentricity and perigee).
-  [[nodiscard]] KeplerianElements to_keplerian() const noexcept;
 };
 
 /// Modulo-10 TLE checksum over the first 68 characters of a line.

@@ -26,11 +26,21 @@ DiscreteSampler::DiscreteSampler(std::vector<double> weights)
     throw std::invalid_argument("DiscreteSampler: weights sum to " +
                                 std::to_string(acc));
   }
-  guide_.resize(n);
-  for (std::size_t j = 0, k = 0; j < n; ++j) {
-    const double cut = static_cast<double>(j) / static_cast<double>(n) * total_;
-    while (k + 1 < n && cdf_[k] <= cut) ++k;
-    guide_[j] = static_cast<std::uint32_t>(k);
+  // Entry k's scaled CDF floor(cdf_[k] * n / total_) is the last slot whose
+  // cut it reaches, so the next slot starts at entry k + 1 or later. Each
+  // entry marks that slot (a later entry overwrites) and a running max
+  // carries the marks over the unmarked slots: no division per slot. The
+  // min, n first, also sends the inf or NaN scale of a subnormal total past
+  // every slot.
+  guide_.assign(n, 0);
+  const double scale = static_cast<double>(n) / total_;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double last = std::min(static_cast<double>(n), cdf_[k] * scale);
+    const auto j = static_cast<std::size_t>(last) + 1;
+    if (j < n) guide_[j] = static_cast<std::uint32_t>(k + 1);
+  }
+  for (std::size_t j = 1; j < n; ++j) {
+    guide_[j] = std::max(guide_[j], guide_[j - 1]);
   }
 }
 

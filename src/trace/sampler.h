@@ -7,8 +7,8 @@
 //
 // A draw maps u = uniform() * total to the first CDF entry above u by Chen &
 // Asau's cutpoint method (Devroye 1986, §III.2.4): guide slot j of n holds
-// the first entry above j * total / n; from u's slot a lookup steps down
-// while the entry before is above u, then up while its own is at most u.
+// the first entry at or above j * total / n. From u's slot a lookup steps
+// down while the entry before is above u, then up while its own is at most u.
 // Both walks pass only entries upper_bound passes, so from any slot the
 // answer is exactly min(upper_bound(cdf, u), n - 1).
 //

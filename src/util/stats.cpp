@@ -76,18 +76,4 @@ double QuantileSampler::cdf(double x) const {
          static_cast<double>(samples_.size());
 }
 
-double pearson(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size() || a.size() < 2) return 0.0;
-  RunningStats sa, sb;
-  for (double x : a) sa.add(x);
-  for (double x : b) sb.add(x);
-  double cov = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    cov += (a[i] - sa.mean()) * (b[i] - sb.mean());
-  }
-  cov /= static_cast<double>(a.size() - 1);
-  const double denom = sa.stddev() * sb.stddev();
-  return denom > 0.0 ? cov / denom : 0.0;
-}
-
 }  // namespace starcdn::util

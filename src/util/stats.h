@@ -72,9 +72,4 @@ class QuantileSampler {
   std::uint64_t reservoir_state_ = 0x9e3779b97f4a7c15ULL;
 };
 
-/// Pearson correlation between two equal-length series (trace fidelity
-/// checks in the SpaceGEN tests).
-[[nodiscard]] double pearson(const std::vector<double>& a,
-                             const std::vector<double>& b);
-
 }  // namespace starcdn::util

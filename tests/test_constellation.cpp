@@ -162,5 +162,50 @@ TEST(Constellation, InvalidShapeThrows) {
   EXPECT_THROW(Constellation{p}, std::invalid_argument);
 }
 
+WalkerParams isl_shell() {
+  WalkerParams p;
+  p.planes = 8;
+  p.slots_per_plane = 6;
+  return p;
+}
+
+TEST(IslCounts, HealthyGridHasTwoEdgesPerSatellite) {
+  // A toroidal 4-regular graph has exactly 2N undirected edges.
+  const Constellation c{isl_shell()};
+  const IslCounts isls = c.isl_counts();
+  EXPECT_EQ(isls.established, 2 * c.size());
+  EXPECT_EQ(isls.broken, 0);
+}
+
+TEST(IslCounts, SingleFailureBreaksFourIsls) {
+  Constellation c{isl_shell()};
+  c.set_active({2, 3}, false);
+  const IslCounts isls = c.isl_counts();
+  EXPECT_EQ(isls.broken, 4);
+  EXPECT_EQ(isls.established, 2 * c.size() - 4);
+}
+
+TEST(IslCounts, PaperScaleBrokenIslCount) {
+  // §5.4: 126 of 1296 inactive slots led to 438 broken ISLs. With uniform
+  // random knockouts, expected broken edges = 4*K*(active/(N-1))-ish; the
+  // measured count should be in the hundreds, not thousands.
+  Constellation c{WalkerParams{}};
+  util::Rng rng(4);
+  c.knock_out_random(0.097, rng);
+  const IslCounts isls = c.isl_counts();
+  EXPECT_GT(isls.broken, 350);
+  EXPECT_LT(isls.broken, 520);
+  // Every grid edge is the east or the next edge of exactly one satellite;
+  // an edge with both endpoints dead is neither established nor broken.
+  int dead = 0;
+  for (int i = 0; i < c.size(); ++i) {
+    const SatelliteId id = c.id_of(util::SatId{i});
+    for (const SatelliteId nbr : {c.inter_east(id), c.intra_next(id)}) {
+      if (!c.active(id) && !c.active(nbr)) ++dead;
+    }
+  }
+  EXPECT_EQ(isls.established, 2 * c.size() - isls.broken - dead);
+}
+
 }  // namespace
 }  // namespace starcdn::orbit

@@ -104,23 +104,5 @@ TEST(QuantileSampler, EmptyReturnsZero) {
   EXPECT_EQ(q.cdf(1.0), 0.0);
 }
 
-TEST(Pearson, PerfectCorrelation) {
-  const std::vector<double> a{1, 2, 3, 4, 5};
-  const std::vector<double> b{2, 4, 6, 8, 10};
-  EXPECT_NEAR(pearson(a, a), 1.0, 1e-12);
-  EXPECT_NEAR(pearson(a, b), 1.0, 1e-12);
-}
-
-TEST(Pearson, AntiCorrelation) {
-  const std::vector<double> a{1, 2, 3, 4};
-  const std::vector<double> b{4, 3, 2, 1};
-  EXPECT_NEAR(pearson(a, b), -1.0, 1e-12);
-}
-
-TEST(Pearson, MismatchedOrShortInputs) {
-  EXPECT_EQ(pearson({1, 2}, {1, 2, 3}), 0.0);
-  EXPECT_EQ(pearson({1}, {1}), 0.0);
-}
-
 }  // namespace
 }  // namespace starcdn::util
