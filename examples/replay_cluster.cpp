@@ -4,10 +4,11 @@
 // the ordinary simulator over remote caches, so the summary is the one
 // starcdn_sim prints for the same config.
 //
-//   $ ./replay_cluster [tcp|inproc]
+//   $ ./replay_cluster
+//
+// It takes no arguments; any argument prints a usage line and exits 1.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 
 #include "core/run_report.h"
@@ -17,7 +18,13 @@
 int main(int argc, char** argv) {
   using namespace starcdn;
 
-  const bool use_tcp = argc < 2 || std::strcmp(argv[1], "tcp") == 0;
+  if (argc > 1) {
+    std::fprintf(stderr,
+                 "replay_cluster: unexpected argument '%s'\n"
+                 "usage: replay_cluster\n",
+                 argv[1]);
+    return 1;
+  }
 
   // A compact shell keeps the worker count (= thread count) reasonable.
   core::Scenario recipe;
@@ -32,19 +39,18 @@ int main(int argc, char** argv) {
                        .cache_capacity(util::gib(1))
                        .buckets(4)
                        .build();
-  const auto transport = use_tcp ? replay::TransportKind::kTcp
-                                 : replay::TransportKind::kInProcess;
 
   // Stream the trace straight from the generator: the replay never holds
   // more than one chunk of requests in memory.
   const auto stream = s.model->generate_stream();
   std::printf(
-      "spawning %d cache workers over %s, streaming %llu requests...\n",
-      s.shell->size(), use_tcp ? "TCP loopback" : "in-process queues",
+      "spawning %d cache workers over TCP loopback, streaming %llu "
+      "requests...\n",
+      s.shell->size(),
       static_cast<unsigned long long>(s.model->total_request_count()));
   const auto t0 = std::chrono::steady_clock::now();
   const auto report =
-      replay_cluster(*s.shell, *s.schedule, *stream, cfg, transport);
+      replay::replay_cluster(*s.shell, *s.schedule, *stream, cfg);
   const auto elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
                            .count();

@@ -4,14 +4,16 @@
 //   $ ./spacegen_tool [class] [requests_per_location] [output_dir]
 //
 //   class                 video | web | download   (default video)
-//   requests_per_location synthetic trace length   (default 50000)
+//   requests_per_location synthetic trace length, a positive whole number
+//                         (default 50000)
 //   output_dir            where .bin/.csv traces go (default ./spacegen_out)
+//
+// A bad count or a fourth argument prints why and exits 1.
 //
 // Pipeline: synthesize a production-like workload, fit the traffic models
 // (per-location pFDs + the cross-location GPD), run Algorithm 1, report
 // fidelity, and write the traces to disk.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 
@@ -19,14 +21,31 @@
 #include "trace/spacegen.h"
 #include "trace/trace_io.h"
 #include "trace/workload.h"
+#include "util/csv.h"
 #include "util/geo.h"
 
 int main(int argc, char** argv) {
   using namespace starcdn;
 
+  if (argc > 4) {
+    std::fprintf(stderr,
+                 "unexpected argument '%s'\n"
+                 "usage: spacegen_tool [class] [requests_per_location] "
+                 "[output_dir]\n",
+                 argv[4]);
+    return 1;
+  }
   const std::string cls = argc > 1 ? argv[1] : "video";
-  const std::size_t target =
-      argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 50'000;
+  std::size_t target = 50'000;
+  if (argc > 2) {
+    const char* why = util::parse_number(argv[2], target);
+    if (!why && target == 0) why = "is not positive";
+    if (why) {
+      std::fprintf(stderr, "bad requests_per_location: '%s' %s\n", argv[2],
+                   why);
+      return 1;
+    }
+  }
   const std::string out_dir = argc > 3 ? argv[3] : "spacegen_out";
 
   trace::TrafficClass traffic_class = trace::TrafficClass::kVideo;

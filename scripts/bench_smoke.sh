@@ -35,13 +35,16 @@
 #      there).
 #   6. Checks the ISL counts of the healthy 72x18 shell:
 #      bench_fig3_groundtrack must print 2592 ISLs and 0 broken.
-#   7. Runs the examples: quickstart, replay_cluster over in-process
-#      queues, and starcdn_sim with all six variants, failures and
-#      transient outages; each must exit 0 and print a row per variant.
+#   7. Runs the examples: quickstart, replay_cluster (its cache workers
+#      over TCP loopback), and starcdn_sim with all six variants, failures
+#      and transient outages; each must exit 0 and print a row per
+#      variant. replay_cluster inproc must exit 1 (it takes no argument).
 #      starcdn_sim --fail-fraction nan and --class vidoe must exit 1, the
 #      latter naming the value. constellation_explorer must print
 #      "ISL fabric: 2592 links, 0 broken", and exit 1 naming the value on
 #      a malformed (40.7x -74) or out-of-range (91 0) coordinate.
+#      spacegen_tool video 2000 must write models.bin, and spacegen_tool
+#      video abc must exit 1 naming abc.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]
 # Artifacts land in ${SMOKE_OUT:-smoke_artifacts}.
@@ -59,7 +62,8 @@ cmake --build "$BUILD" -j "$(nproc)" \
   --target bench_table3_relay_availability bench_fig8_uplink \
   bench_fig12_web_download bench_ablation_design \
   bench_fig11_fault_tolerance bench_stream_scale bench_fig3_groundtrack \
-  quickstart replay_cluster starcdn_sim constellation_explorer
+  quickstart replay_cluster starcdn_sim constellation_explorer \
+  spacegen_tool
 
 mkdir -p "$OUT"
 
@@ -226,8 +230,12 @@ expect_rows() {
 grep -q '^VanillaLRU .*request hit rate' "$OUT/quickstart.log" &&
   grep -q '^StarCDN .*request hit rate' "$OUT/quickstart.log" ||
   { echo "FAIL: quickstart printed no variant rows"; exit 1; }
-"$EXAMPLES/replay_cluster" inproc >"$OUT/replay_cluster.log"
+"$EXAMPLES/replay_cluster" >"$OUT/replay_cluster.log"
 expect_rows "$OUT/replay_cluster.log" StarCDN
+status=0
+"$EXAMPLES/replay_cluster" inproc >/dev/null 2>&1 || status=$?
+[ "$status" -eq 1 ] ||
+  { echo "FAIL: replay_cluster inproc exited $status, expected 1"; exit 1; }
 "$EXAMPLES/starcdn_sim" --variants static,lru,hash,relay,starcdn,prefetch \
   --hours 1 --scale 0.05 --fail-fraction 0.05 --transient-prob 0.02 \
   >"$OUT/starcdn_sim.log"
@@ -259,6 +267,18 @@ for coords in "40.7x -74" "91 0"; do
     { echo "FAIL: constellation_explorer $coords error does not name $lat"
       exit 1; }
 done
+rm -rf "$OUT/sg"
+"$EXAMPLES/spacegen_tool" video 2000 "$OUT/sg" >"$OUT/spacegen_tool.log"
+[ -s "$OUT/sg/models.bin" ] ||
+  { echo "FAIL: spacegen_tool wrote no $OUT/sg/models.bin"; exit 1; }
+status=0
+"$EXAMPLES/spacegen_tool" video abc "$OUT/sg_bad" >/dev/null \
+  2>"$OUT/bad_count.err" || status=$?
+[ "$status" -eq 1 ] ||
+  { echo "FAIL: spacegen_tool video abc exited $status, expected 1"; exit 1; }
+grep -q "abc" "$OUT/bad_count.err" ||
+  { echo "FAIL: spacegen_tool video abc error does not name the value"
+    exit 1; }
 echo "examples OK"
 
 echo "bench smoke OK; artifacts in $OUT/"

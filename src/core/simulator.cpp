@@ -55,6 +55,13 @@ SimConfig SimConfig::Builder::build() const {
   return cfg_;
 }
 
+std::unique_ptr<cache::Cache> make_slot_cache(const SimConfig& config) {
+  return cache::make_cache(
+      config.policy, config.cache_capacity,
+      cache::presize_hint(config.cache_capacity,
+                          config.mean_object_size_hint));
+}
+
 Simulator::Simulator(const orbit::Constellation& constellation,
                      const sched::LinkSchedule& schedule, SimConfig config,
                      CacheFactory cache_factory)
@@ -123,12 +130,7 @@ void Simulator::register_variant(Variant v) {
 cache::Cache& Simulator::cache_at(DecideState& ds, SatId sat) {
   auto& slot = ds.caches[util::as_index(sat)];
   if (!slot) {
-    slot = cache_factory_
-               ? cache_factory_(sat)
-               : cache::make_cache(
-                     config_.policy, config_.cache_capacity,
-                     cache::presize_hint(config_.cache_capacity,
-                                         config_.mean_object_size_hint));
+    slot = cache_factory_ ? cache_factory_(sat) : make_slot_cache(config_);
   }
   return *slot;
 }

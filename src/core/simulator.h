@@ -132,6 +132,13 @@ class SimConfig::Builder {
   SimConfig cfg_;
 };
 
+/// The local cache of one satellite slot: config.policy at
+/// config.cache_capacity, pre-sized by cache::presize_hint for
+/// config.mean_object_size_hint. Simulator's default slot cache and each
+/// replay worker's cache.
+[[nodiscard]] std::unique_ptr<cache::Cache> make_slot_cache(
+    const SimConfig& config);
+
 class Simulator {
  public:
   /// Validates `config` (SimConfig::validate) and registers
@@ -139,10 +146,9 @@ class Simulator {
   /// std::invalid_argument on a bad config.
   ///
   /// `cache_factory` builds each satellite slot's cache the first time a
-  /// variant touches the slot; empty means a local cache of config.policy
-  /// and config.cache_capacity. Decide tasks call it concurrently for
-  /// distinct slots. replay::replay_cluster passes one that returns a proxy
-  /// for the slot's worker process.
+  /// variant touches the slot; empty means make_slot_cache(config). Decide
+  /// tasks call it concurrently for distinct slots. replay::replay_cluster
+  /// passes one that returns a proxy for the slot's worker process.
   Simulator(const orbit::Constellation& constellation,
             const sched::LinkSchedule& schedule, SimConfig config,
             CacheFactory cache_factory = {});

@@ -18,71 +18,7 @@ namespace {
   throw std::runtime_error(std::string(what) + ": " + std::strerror(errno));
 }
 
-/// One direction of an in-process channel: a bounded-ish mailbox.
-struct Mailbox {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Message> queue;
-  bool closed = false;
-
-  void push(const Message& m) {
-    {
-      const std::lock_guard lock(mu);
-      if (closed) throw std::runtime_error("inproc channel closed");
-      queue.push_back(m);
-    }
-    cv.notify_one();
-  }
-
-  std::optional<Message> pop(bool blocking) {
-    std::unique_lock lock(mu);
-    if (blocking) cv.wait(lock, [&] { return !queue.empty() || closed; });
-    if (queue.empty()) return std::nullopt;
-    Message m = std::move(queue.front());
-    queue.pop_front();
-    return m;
-  }
-
-  void close() {
-    {
-      const std::lock_guard lock(mu);
-      closed = true;
-    }
-    cv.notify_all();
-  }
-};
-
-class InprocChannel final : public Channel {
- public:
-  InprocChannel(std::shared_ptr<Mailbox> tx, std::shared_ptr<Mailbox> rx)
-      : tx_(std::move(tx)), rx_(std::move(rx)) {}
-
-  void send(const Message& m) override { tx_->push(m); }
-  std::optional<Message> recv() override { return rx_->pop(true); }
-  std::optional<Message> try_recv() override { return rx_->pop(false); }
-  void close() override {
-    tx_->close();
-    rx_->close();
-  }
-  [[nodiscard]] bool closed() const override {
-    const std::lock_guard lock(rx_->mu);
-    return rx_->closed && rx_->queue.empty();
-  }
-
- private:
-  std::shared_ptr<Mailbox> tx_;
-  std::shared_ptr<Mailbox> rx_;
-};
-
 }  // namespace
-
-std::pair<std::unique_ptr<Channel>, std::unique_ptr<Channel>>
-make_inproc_pair() {
-  auto a_to_b = std::make_shared<Mailbox>();
-  auto b_to_a = std::make_shared<Mailbox>();
-  return {std::make_unique<InprocChannel>(a_to_b, b_to_a),
-          std::make_unique<InprocChannel>(b_to_a, a_to_b)};
-}
 
 // --- TcpChannel --------------------------------------------------------------
 
@@ -110,14 +46,13 @@ void TcpChannel::send(const Message& m) {
   }
 }
 
-std::optional<Message> TcpChannel::recv_impl(bool blocking) {
+std::optional<Message> TcpChannel::recv() {
   const std::lock_guard lock(recv_mu_);
   for (;;) {
     if (auto m = decoder_.next()) return m;
     if (closed_) return std::nullopt;
     std::uint8_t chunk[16384];
-    const ssize_t n =
-        ::recv(fd_, chunk, sizeof chunk, blocking ? 0 : MSG_DONTWAIT);
+    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
     if (n > 0) {
       decoder_.feed({chunk, static_cast<std::size_t>(n)});
       continue;
@@ -127,15 +62,9 @@ std::optional<Message> TcpChannel::recv_impl(bool blocking) {
       return std::nullopt;
     }
     if (errno == EINTR) continue;
-    if (!blocking && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return std::nullopt;
-    }
     throw_errno("TcpChannel recv");
   }
 }
-
-std::optional<Message> TcpChannel::recv() { return recv_impl(true); }
-std::optional<Message> TcpChannel::try_recv() { return recv_impl(false); }
 
 void TcpChannel::close() {
   const std::lock_guard lock(send_mu_);

@@ -1,73 +1,48 @@
-// Message transports for the cluster replayer.
+// TCP loopback transport for the cluster replayer.
 //
 // The paper's replayer spawns one process per satellite and mimics ISLs
-// with TCP sockets. We provide the same wire behaviour behind a Channel
-// interface with two implementations: an in-process queue pair (fast,
-// deterministic unit tests and large constellations) and a real TCP
-// loopback channel (faithful to the paper's setup; used by the replay
-// module's socket mode and its integration test).
+// with TCP sockets. TcpChannel is that ISL: a connected socket carrying
+// net/codec frames, and the only transport the replay module uses, so
+// every cluster replay encodes and decodes the wire protocol.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <utility>
 
 #include "net/codec.h"
 
 namespace starcdn::net {
 
-/// A bidirectional, ordered, reliable message channel (ISL abstraction).
-class Channel {
- public:
-  virtual ~Channel() = default;
-
-  /// Enqueue a message for the peer. Throws std::runtime_error on a broken
-  /// channel.
-  virtual void send(const Message& m) = 0;
-
-  /// Blocking receive; std::nullopt means the peer closed the channel.
-  virtual std::optional<Message> recv() = 0;
-
-  /// Non-blocking receive; std::nullopt means "nothing available now"
-  /// (distinguish closure via `closed()`).
-  virtual std::optional<Message> try_recv() = 0;
-
-  virtual void close() = 0;
-  [[nodiscard]] virtual bool closed() const = 0;
-};
-
-/// Create a connected pair of in-process channels.
-[[nodiscard]] std::pair<std::unique_ptr<Channel>, std::unique_ptr<Channel>>
-make_inproc_pair();
-
-/// TCP channel over a connected socket; frames via FrameCodec.
-class TcpChannel final : public Channel {
+/// A bidirectional, ordered, reliable message channel (ISL abstraction)
+/// over a connected TCP socket; frames via FrameDecoder / encode.
+class TcpChannel {
  public:
   /// Wrap an already-connected socket fd (takes ownership).
   explicit TcpChannel(int fd);
-  ~TcpChannel() override;
+  ~TcpChannel();
 
   TcpChannel(const TcpChannel&) = delete;
   TcpChannel& operator=(const TcpChannel&) = delete;
 
-  void send(const Message& m) override;
-  std::optional<Message> recv() override;
-  std::optional<Message> try_recv() override;
-  void close() override;
-  [[nodiscard]] bool closed() const override;
+  /// Send one message to the peer. Throws std::runtime_error on a broken
+  /// or closed channel.
+  void send(const Message& m);
+
+  /// Blocking receive; std::nullopt means the peer closed the channel.
+  std::optional<Message> recv();
+
+  void close();
+  [[nodiscard]] bool closed() const;
 
   /// Connect to host:port; throws std::runtime_error on failure.
   [[nodiscard]] static std::unique_ptr<TcpChannel> connect(
       const std::string& host, std::uint16_t port);
 
  private:
-  std::optional<Message> recv_impl(bool blocking);
-
   mutable std::mutex send_mu_;
   mutable std::mutex recv_mu_;
   int fd_ = -1;

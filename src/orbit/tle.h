@@ -44,7 +44,8 @@ struct Tle {
 [[nodiscard]] std::vector<Tle> parse_tle_file(std::string_view text);
 
 /// Serialize to canonical two-line form (with valid checksums); used by the
-/// round-trip tests and by SpaceGEN's scenario export.
+/// round-trip tests. No program reads or writes TLEs today (a TLE scenario
+/// pack is parked in ROADMAP.md).
 [[nodiscard]] std::string format_tle(const Tle& t);
 
 }  // namespace starcdn::orbit

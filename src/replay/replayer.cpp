@@ -15,20 +15,17 @@ namespace starcdn::replay {
 
 namespace {
 
-using net::Channel;
 using net::Message;
 using net::MessageType;
+using net::TcpChannel;
 
 constexpr std::uint32_t kShutdownFlag = 1u << 1;
 
 /// Worker: one satellite's cache server. Speaks the wire protocol until a
 /// shutdown control message arrives.
-void worker_loop(std::uint32_t node_id, Channel& channel,
+void worker_loop(std::uint32_t node_id, TcpChannel& channel,
                  const core::SimConfig& config) {
-  const auto cache = cache::make_cache(
-      config.policy, config.cache_capacity,
-      cache::presize_hint(config.cache_capacity,
-                          config.mean_object_size_hint));
+  const auto cache = core::make_slot_cache(config);
   for (;;) {
     const auto msg = channel.recv();
     if (!msg) return;  // orchestrator closed the channel
@@ -66,7 +63,7 @@ void worker_loop(std::uint32_t node_id, Channel& channel,
 }
 
 struct Cluster {
-  std::vector<std::unique_ptr<Channel>> channels;  // orchestrator side
+  std::vector<std::unique_ptr<TcpChannel>> channels;  // orchestrator side
   std::vector<std::thread> threads;
 
   Cluster() = default;
@@ -83,44 +80,32 @@ struct Cluster {
   }
 };
 
-Cluster spawn_cluster(int n_nodes, const core::SimConfig& config,
-                      TransportKind transport) {
+Cluster spawn_cluster(int n_nodes, const core::SimConfig& config) {
   Cluster cluster;
   cluster.channels.resize(static_cast<std::size_t>(n_nodes));
-  if (transport == TransportKind::kInProcess) {
-    for (int i = 0; i < n_nodes; ++i) {
-      auto [orch_end, node_end] = net::make_inproc_pair();
-      cluster.channels[static_cast<std::size_t>(i)] = std::move(orch_end);
-      cluster.threads.emplace_back(
-          [i, &config, node = std::shared_ptr<Channel>(std::move(node_end))] {
-            worker_loop(static_cast<std::uint32_t>(i), *node, config);
-          });
+  // Workers dial the orchestrator's loopback listener and identify
+  // themselves with a control hello (paper setup: per-satellite processes
+  // over TCP; threads here, same wire behaviour).
+  net::TcpListener listener(0);
+  const std::uint16_t port = listener.port();
+  for (int i = 0; i < n_nodes; ++i) {
+    cluster.threads.emplace_back([i, port, &config] {
+      auto ch = TcpChannel::connect("127.0.0.1", port);
+      Message hello;
+      hello.type = MessageType::kControl;
+      hello.src = static_cast<std::uint32_t>(i);
+      ch->send(hello);
+      worker_loop(static_cast<std::uint32_t>(i), *ch, config);
+    });
+  }
+  for (int i = 0; i < n_nodes; ++i) {
+    auto ch = listener.accept();
+    const auto hello = ch->recv();
+    if (!hello || hello->type != MessageType::kControl) {
+      throw std::runtime_error("replay: bad hello from worker");
     }
-  } else {
-    // TCP mode: workers dial the orchestrator's loopback listener and
-    // identify themselves with a control hello (paper setup: per-satellite
-    // processes over TCP; threads here, same wire behaviour).
-    net::TcpListener listener(0);
-    const std::uint16_t port = listener.port();
-    for (int i = 0; i < n_nodes; ++i) {
-      cluster.threads.emplace_back([i, port, &config] {
-        auto ch = net::TcpChannel::connect("127.0.0.1", port);
-        Message hello;
-        hello.type = MessageType::kControl;
-        hello.src = static_cast<std::uint32_t>(i);
-        ch->send(hello);
-        worker_loop(static_cast<std::uint32_t>(i), *ch, config);
-      });
-    }
-    for (int i = 0; i < n_nodes; ++i) {
-      auto ch = listener.accept();
-      const auto hello = ch->recv();
-      if (!hello || hello->type != MessageType::kControl) {
-        throw std::runtime_error("replay: bad hello from worker");
-      }
-      cluster.channels[hello_slot(cluster.channels, hello->src)] =
-          std::move(ch);
-    }
+    cluster.channels[hello_slot(cluster.channels, hello->src)] =
+        std::move(ch);
   }
   return cluster;
 }
@@ -168,8 +153,7 @@ std::vector<std::pair<cache::ObjectId, util::Bytes>> RemoteCache::hottest(
 core::RunReport replay_cluster(const orbit::Constellation& constellation,
                                const sched::LinkSchedule& schedule,
                                trace::RequestStream& stream,
-                               const core::SimConfig& config,
-                               TransportKind transport) {
+                               const core::SimConfig& config) {
   if (!config.variants.empty() &&
       config.variants != std::vector{core::Variant::kStarCdn}) {
     throw std::invalid_argument(
@@ -183,7 +167,7 @@ core::RunReport replay_cluster(const orbit::Constellation& constellation,
        obs::arg("nodes", static_cast<std::int64_t>(constellation.size()))});
   Cluster cluster = [&] {
     const obs::TraceSpan spawn_span(obs::tracer(), "spawn_cluster", "replay");
-    return spawn_cluster(constellation.size(), config, transport);
+    return spawn_cluster(constellation.size(), config);
   }();
 
   // Declared after the cluster so the proxies die before the channels close.
@@ -209,8 +193,9 @@ core::RunReport replay_cluster(const orbit::Constellation& constellation,
   return sim.finish();
 }
 
-std::size_t hello_slot(const std::vector<std::unique_ptr<Channel>>& channels,
-                       std::uint32_t src) {
+std::size_t hello_slot(
+    const std::vector<std::unique_ptr<TcpChannel>>& channels,
+    std::uint32_t src) {
   if (src >= channels.size()) {
     throw std::runtime_error("replay: worker hello names node " +
                              std::to_string(src) + " but the cluster has " +

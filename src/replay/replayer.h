@@ -3,13 +3,16 @@
 // The paper's evaluation harness spawns one cache process per satellite and
 // mimics ISLs with TCP. This module reproduces that architecture: each
 // satellite runs as a worker thread owning its cache and speaking the
-// net/codec wire protocol over a Channel. The orchestrator is the ordinary
-// core::Simulator running the StarCDN variant, whose satellite caches are
-// RemoteCache proxies that turn each cache operation into a message to the
-// slot's worker. There is one request pipeline, so the cluster's RunReport
-// equals a local Simulator's bit for bit. Two transports are provided:
-// in-process queues (fast) and real TCP loopback sockets (faithful to the
-// paper's setup).
+// net/codec wire protocol over a TCP loopback socket (net::TcpChannel).
+// The orchestrator is the ordinary core::Simulator running the StarCDN
+// variant, whose satellite caches are RemoteCache proxies that turn each
+// cache operation into a message to the slot's worker. There is one
+// request pipeline, so the cluster's RunReport equals a local Simulator's
+// bit for bit.
+//
+// Each worker costs one thread and two socket descriptors (its end and the
+// orchestrator's), so a full 72x18 shell needs about 2.6k descriptors; the
+// examples and tests run small shells.
 #pragma once
 
 #include <cstddef>
@@ -28,8 +31,6 @@
 
 namespace starcdn::replay {
 
-enum class TransportKind : std::uint8_t { kInProcess, kTcp };
-
 /// Orchestrator-side proxy for the cache of the worker at the other end of
 /// `channel`. Each operation the simulator's decide stage issues becomes one
 /// wire message:
@@ -42,7 +43,7 @@ enum class TransportKind : std::uint8_t { kInProcess, kTcp };
 /// is not the one awaited, throws std::runtime_error.
 class RemoteCache final : public cache::Cache {
  public:
-  RemoteCache(net::Channel& channel, cache::Policy policy,
+  RemoteCache(net::TcpChannel& channel, cache::Policy policy,
               util::Bytes capacity) noexcept
       : Cache(capacity), channel_(&channel), policy_(policy) {}
 
@@ -60,7 +61,7 @@ class RemoteCache final : public cache::Cache {
   /// hit flag.
   bool rpc(net::MessageType type, cache::ObjectId id) const;
 
-  net::Channel* channel_;
+  net::TcpChannel* channel_;
   cache::Policy policy_;
   mutable std::uint64_t request_id_ = 0;
 };
@@ -78,15 +79,14 @@ class RemoteCache final : public cache::Cache {
 [[nodiscard]] core::RunReport replay_cluster(
     const orbit::Constellation& constellation,
     const sched::LinkSchedule& schedule, trace::RequestStream& stream,
-    const core::SimConfig& config,
-    TransportKind transport = TransportKind::kInProcess);
+    const core::SimConfig& config);
 
-/// Orchestrator-side channel slot a worker's TCP hello claims: its `src`
+/// Orchestrator-side channel slot a worker's hello claims: its `src`
 /// must name a node below channels.size() whose slot is still empty.
 /// Returns the slot; throws std::runtime_error naming the src and the node
 /// count otherwise (a hello off the wire is untrusted input).
 [[nodiscard]] std::size_t hello_slot(
-    const std::vector<std::unique_ptr<net::Channel>>& channels,
+    const std::vector<std::unique_ptr<net::TcpChannel>>& channels,
     std::uint32_t src);
 
 }  // namespace starcdn::replay

@@ -10,13 +10,14 @@
 
 #include "core/scenario.h"
 #include "core/simulator.h"
+#include "tcp_pair.h"
 #include "util/parallel.h"
 
 namespace starcdn::replay {
 namespace {
 
-/// Small cluster so the TCP mode stays cheap: 6x4 grid = 24 workers, over
-/// ten minutes.
+/// Small cluster so the TCP replay stays cheap: 6x4 grid = 24 workers,
+/// over ten minutes.
 core::Scenario small_scenario() {
   core::Scenario s;
   s.shell.planes = 6;
@@ -50,17 +51,16 @@ core::SimConfig config_at(util::Bytes capacity) {
 
 core::RunReport cluster(const core::Scenario::Built& s,
                         const std::vector<trace::Request>& requests,
-                        const core::SimConfig& cfg,
-                        TransportKind transport = TransportKind::kInProcess) {
+                        const core::SimConfig& cfg) {
   trace::VectorStream stream(requests);
-  return replay_cluster(*s.shell, *s.schedule, stream, cfg, transport);
+  return replay_cluster(*s.shell, *s.schedule, stream, cfg);
 }
 
 const core::VariantMetrics& starcdn(const core::RunReport& report) {
   return report.variant(core::Variant::kStarCdn).metrics;
 }
 
-TEST(Replay, InProcessBasicAccounting) {
+TEST(Replay, BasicAccounting) {
   const core::Scenario::Built s = small_scenario().build();
   const auto requests = small_requests(*s.model);
 
@@ -72,19 +72,6 @@ TEST(Replay, InProcessBasicAccounting) {
   EXPECT_EQ(m.hits() + m.misses, m.requests);
   EXPECT_GT(m.request_hit_rate(), 0.0);
   EXPECT_GT(m.uplink_bytes, 0u);
-}
-
-TEST(Replay, TcpModeMatchesInProcessBitForBit) {
-  // The paper's replayer uses TCP between per-satellite processes; our two
-  // transports must produce identical results — the protocol, not the
-  // transport, determines caching behaviour.
-  const core::Scenario::Built s = small_scenario().build();
-  const auto requests = small_requests(*s.model);
-  const auto cfg = config_at(util::mib(256));
-
-  const auto a = cluster(s, requests, cfg, TransportKind::kInProcess);
-  const auto b = cluster(s, requests, cfg, TransportKind::kTcp);
-  EXPECT_EQ(a.variants.at(0).counters, b.variants.at(0).counters);
 }
 
 TEST(Replay, RelayImprovesHitRate) {
@@ -145,21 +132,16 @@ TEST(Replay, ClusterMatchesSimulatorBitForBit) {
     if (c.cfg.transient_down_prob > 0.0) {
       ASSERT_GT(starcdn(local).transient_misses, 0u) << c.name;
     }
-    for (const TransportKind transport :
-         {TransportKind::kInProcess, TransportKind::kTcp}) {
-      for (const int threads : {1, 4}) {
-        SCOPED_TRACE(std::string(c.name) +
-                     (transport == TransportKind::kTcp ? " tcp" : " inproc") +
-                     " threads=" + std::to_string(threads));
-        const ThreadOverrideGuard guard(threads);
-        const auto remote = cluster(*c.scenario, requests, c.cfg, transport);
-        ASSERT_EQ(remote.variants.size(), 1u);
-        EXPECT_EQ(remote.variants[0].counters, local.variants[0].counters);
-        EXPECT_EQ(starcdn(remote).latency_ms.count(),
-                  starcdn(local).latency_ms.count());
-        EXPECT_EQ(starcdn(remote).latency_ms.samples(),
-                  starcdn(local).latency_ms.samples());
-      }
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(c.name) + " threads=" + std::to_string(threads));
+      const ThreadOverrideGuard guard(threads);
+      const auto remote = cluster(*c.scenario, requests, c.cfg);
+      ASSERT_EQ(remote.variants.size(), 1u);
+      EXPECT_EQ(remote.variants[0].counters, local.variants[0].counters);
+      EXPECT_EQ(starcdn(remote).latency_ms.count(),
+                starcdn(local).latency_ms.count());
+      EXPECT_EQ(starcdn(remote).latency_ms.samples(),
+                starcdn(local).latency_ms.samples());
     }
   }
 }
@@ -183,7 +165,7 @@ TEST(Replay, RejectsVariantsOtherThanStarCdn) {
 }
 
 TEST(Replay, RemoteCacheRejectsAMismatchedReplyId) {
-  auto [orch, node] = net::make_inproc_pair();
+  auto [orch, node] = net::tcp_pair();
   RemoteCache cache(*orch, cache::Policy::kLru, util::mib(1));
   net::Message stale;
   stale.type = net::MessageType::kResponse;
@@ -201,7 +183,7 @@ TEST(Replay, RemoteCacheRejectsAMismatchedReplyId) {
 }
 
 TEST(Replay, HelloSlotRejectsOutOfRangeAndDuplicateNodes) {
-  std::vector<std::unique_ptr<net::Channel>> channels(3);
+  std::vector<std::unique_ptr<net::TcpChannel>> channels(3);
   EXPECT_EQ(hello_slot(channels, 0), 0u);
   EXPECT_EQ(hello_slot(channels, 2), 2u);
   try {
@@ -213,7 +195,7 @@ TEST(Replay, HelloSlotRejectsOutOfRangeAndDuplicateNodes) {
     EXPECT_NE(what.find("3 nodes"), std::string::npos) << what;
   }
   EXPECT_THROW((void)hello_slot(channels, 0xffffffffu), std::runtime_error);
-  channels[1] = net::make_inproc_pair().first;
+  channels[1] = net::tcp_pair().first;
   EXPECT_THROW((void)hello_slot(channels, 1), std::runtime_error);
 }
 

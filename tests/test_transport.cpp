@@ -4,6 +4,8 @@
 
 #include <thread>
 
+#include "tcp_pair.h"
+
 namespace starcdn::net {
 namespace {
 
@@ -14,53 +16,6 @@ Message make_msg(std::uint64_t id) {
   m.object_id = id * 7;
   m.payload = "payload-" + std::to_string(id);
   return m;
-}
-
-TEST(InprocChannel, PingPong) {
-  auto [a, b] = make_inproc_pair();
-  a->send(make_msg(1));
-  const auto got = b->recv();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, make_msg(1));
-  b->send(make_msg(2));
-  const auto back = a->recv();
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->request_id, 2u);
-}
-
-TEST(InprocChannel, TryRecvNonBlocking) {
-  auto [a, b] = make_inproc_pair();
-  EXPECT_FALSE(b->try_recv().has_value());
-  a->send(make_msg(3));
-  const auto got = b->try_recv();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->request_id, 3u);
-}
-
-TEST(InprocChannel, OrderPreserved) {
-  auto [a, b] = make_inproc_pair();
-  for (std::uint64_t i = 0; i < 100; ++i) a->send(make_msg(i));
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    const auto got = b->recv();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->request_id, i);
-  }
-}
-
-TEST(InprocChannel, CloseUnblocksReceiver) {
-  auto [a, b] = make_inproc_pair();
-  std::thread t([&] {
-    const auto got = b->recv();
-    EXPECT_FALSE(got.has_value());
-  });
-  a->close();
-  t.join();
-}
-
-TEST(InprocChannel, SendOnClosedThrows) {
-  auto [a, b] = make_inproc_pair();
-  b->close();
-  EXPECT_THROW(a->send(make_msg(1)), std::runtime_error);
 }
 
 TEST(TcpChannel, LoopbackEcho) {
@@ -119,6 +74,34 @@ TEST(TcpChannel, PeerCloseYieldsNullopt) {
   server.join();
   EXPECT_FALSE(client->recv().has_value());
   EXPECT_TRUE(client->closed());
+}
+
+TEST(TcpChannel, OrderPreserved) {
+  // 100 pipelined frames, so several land in one recv chunk.
+  auto [a, b] = tcp_pair();
+  for (std::uint64_t i = 0; i < 100; ++i) a->send(make_msg(i));
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    const auto got = b->recv();
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->request_id, i);
+  }
+}
+
+// The EOF that makes replay workers exit when the orchestrator closes.
+TEST(TcpChannel, CloseUnblocksPeerReceiver) {
+  auto [a, b] = tcp_pair();
+  std::thread t([&] {
+    const auto got = b->recv();
+    EXPECT_FALSE(got.has_value());
+  });
+  a->close();
+  t.join();
+}
+
+TEST(TcpChannel, SendOnClosedThrows) {
+  auto [a, b] = tcp_pair();
+  a->close();
+  EXPECT_THROW(a->send(make_msg(1)), std::runtime_error);
 }
 
 TEST(TcpChannel, ConnectRefusedThrows) {
